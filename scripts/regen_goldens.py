@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Refresh the frozen outputs under tests/golden/.
+"""Refresh the frozen outputs under tests/golden/ and tests/data/.
 
-The golden tree pins two things:
+The frozen files pin three things:
 
-* the full generated file set for each packaged example
-  (tests/golden/<name>/), and
+* the full generated file set for each packaged example and for the
+  test-only all_ops program (tests/golden/<name>/),
 * the simulate results for the trace fixtures in tests/data/
-  (tests/golden/<name>_results.json).
+  (tests/golden/<name>_results.json), and
+* the document of the all_ops program built by tests/all_ops.py
+  (tests/data/all_ops.json).
 
 Run this after an intentional change to code generation or to the
 simulator, review the diff, and commit the result together with the
@@ -17,13 +19,17 @@ exits 1 if the tree no longer matches what the package produces.
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(TESTS))
 
+from all_ops import all_ops_solution
 from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
 from p4flowgen.program_doc import (
@@ -32,41 +38,53 @@ from p4flowgen.program_doc import (
     load_trace,
     results_to_doc,
     solution_from_doc,
+    solution_to_doc,
 )
 from p4flowgen.simulator import run_trace
 
-GOLDEN = ROOT / "tests" / "golden"
-DATA = ROOT / "tests" / "data"
+GOLDEN = TESTS / "golden"
+DATA = TESTS / "data"
+ALL_OPS_DOC = DATA / "all_ops.json"
+
+
+def _program_outputs(name: str, doc) -> dict[Path, str]:
+    """Generated files and trace results of one program document."""
+    out: dict[Path, str] = {}
+    solution = solution_from_doc(doc)
+    files = generate(solution)
+    for fname, text in files.files.items():
+        out[GOLDEN / name / fname] = text
+    out[GOLDEN / name / files.template_name] = files.template_text
+
+    seed, packets = load_trace(DATA / f"{name}_trace.json")
+    results = run_trace(solution, packets, seed=seed)
+    out[GOLDEN / f"{name}_results.json"] = dumps_doc(results_to_doc(seed, results))
+    return out
 
 
 def build_outputs() -> dict[Path, str]:
-    """Map of golden-relative path to expected file text."""
+    """Map of absolute path to expected file text."""
     out: dict[Path, str] = {}
     for name in sorted(EXAMPLE_BUILDERS):
         # Load through the shipped document, the same path the CLI takes.
-        solution = solution_from_doc(load_json(asset_path(name)))
-        files = generate(solution)
-        for fname, text in files.files.items():
-            out[Path(name) / fname] = text
-        out[Path(name) / files.template_name] = files.template_text
-
-        seed, packets = load_trace(DATA / f"{name}_trace.json")
-        results = run_trace(solution, packets, seed=seed)
-        out[Path(f"{name}_results.json")] = dumps_doc(results_to_doc(seed, results))
+        out.update(_program_outputs(name, load_json(asset_path(name))))
+    all_ops_text = dumps_doc(solution_to_doc(all_ops_solution()))
+    out[ALL_OPS_DOC] = all_ops_text
+    out.update(_program_outputs("all_ops", json.loads(all_ops_text)))
     return out
 
 
 def check(expected: dict[Path, str]) -> int:
     stale = []
-    for rel, text in expected.items():
-        path = GOLDEN / rel
+    for path, text in expected.items():
+        rel = path.relative_to(TESTS)
         if not path.exists():
             stale.append(f"missing: {rel}")
         elif path.read_text() != text:
             stale.append(f"differs: {rel}")
     for path in sorted(GOLDEN.rglob("*")):
-        if path.is_file() and path.relative_to(GOLDEN) not in expected:
-            stale.append(f"orphaned: {path.relative_to(GOLDEN)}")
+        if path.is_file() and path not in expected:
+            stale.append(f"orphaned: {path.relative_to(TESTS)}")
     for line in stale:
         print(line)
     return 1 if stale else 0
@@ -75,8 +93,7 @@ def check(expected: dict[Path, str]) -> int:
 def write(expected: dict[Path, str]) -> int:
     if GOLDEN.exists():
         shutil.rmtree(GOLDEN)
-    for rel, text in expected.items():
-        path = GOLDEN / rel
+    for path, text in expected.items():
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path.relative_to(ROOT)}")
