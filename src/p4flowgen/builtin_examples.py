@@ -65,15 +65,19 @@ def guess_game_processor(hint: Hint = Hint.IF_ELSE) -> FlowProcessor:
     return p
 
 
-def guess_game_solution(hint: Hint = Hint.IF_ELSE) -> Solution:
-    p = guess_game_processor(hint)
+def _udp_solution(name: str, port: int, processor: FlowProcessor) -> Solution:
+    """One selector binding UDP packets to ``port`` to the processor."""
     sel = new_flow_selector(
-        "guess_sel",
+        name,
         ProtocolStack.IPV4_UDP,
-        [("udp.dstPort", u16(GUESS_PORT))],
-        p,
+        [("udp.dstPort", u16(port))],
+        processor,
     )
     return Solution([sel])
+
+
+def guess_game_solution(hint: Hint = Hint.IF_ELSE) -> Solution:
+    return _udp_solution("guess_sel", GUESS_PORT, guess_game_processor(hint))
 
 
 def insert_agg_processor() -> FlowProcessor:
@@ -95,14 +99,7 @@ def insert_agg_processor() -> FlowProcessor:
 
 
 def insert_agg_solution() -> Solution:
-    p = insert_agg_processor()
-    sel = new_flow_selector(
-        "agg_sel",
-        ProtocolStack.IPV4_UDP,
-        [("udp.dstPort", u16(AGG_PORT))],
-        p,
-    )
-    return Solution([sel])
+    return _udp_solution("agg_sel", AGG_PORT, insert_agg_processor())
 
 
 EXAMPLE_BUILDERS = {

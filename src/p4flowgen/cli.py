@@ -8,17 +8,14 @@ diagnostics go to stderr; stdout carries machine-readable output only.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 from .builtin_examples import EXAMPLE_BUILDERS, asset_path
-from .codegen import generate
+from .codegen import generate, write_staged
 from .errors import FlowgenError
 from .program_doc import (
     DocError,
-    DocSemanticError,
     dumps_doc,
     load_json,
     load_trace,
@@ -26,28 +23,6 @@ from .program_doc import (
     solution_from_doc,
 )
 from .simulator import run_trace
-
-
-def _write_staged(target_dir: Path, files: dict[str, str]) -> list[Path]:
-    """Write a file set without ever leaving partial output behind:
-    everything is staged in a temp directory first, then moved in."""
-    target_dir = Path(target_dir)
-    try:
-        staging = Path(tempfile.mkdtemp(dir=target_dir.parent, prefix=".stage-"))
-    except OSError as e:
-        raise OSError(f"cannot write under {target_dir.parent}: {e}") from None
-    try:
-        for name, text in files.items():
-            (staging / name).write_text(text)
-        target_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name in files:
-            final = target_dir / name
-            (staging / name).replace(final)
-            written.append(final)
-        return written
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def cmd_check(args) -> int:
@@ -58,10 +33,7 @@ def cmd_check(args) -> int:
 
 def cmd_generate(args) -> int:
     solution = solution_from_doc(load_json(args.program))
-    fileset = generate(solution)
-    files = dict(fileset.files)
-    files[fileset.template_name] = fileset.template_text
-    for path in _write_staged(Path(args.out_dir), files):
+    for path in generate(solution).write_to(args.out_dir):
         print(path)
     return 0
 
@@ -77,7 +49,7 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(text)
     else:
         out = Path(args.out)
-        _write_staged(out.parent, {out.name: text})
+        write_staged(out.parent, {out.name: text})
     return 0
 
 
@@ -91,7 +63,7 @@ def cmd_examples(args) -> int:
         return 2
     names = [args.name] if args.name else sorted(EXAMPLE_BUILDERS)
     files = {f"{name}.json": asset_path(name).read_text() for name in names}
-    for path in _write_staged(Path(args.out_dir), files):
+    for path in write_staged(args.out_dir, files):
         print(path)
     return 0
 
@@ -134,18 +106,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocSemanticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DocError as e:
+    except (DocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FlowgenError as e:
+    except FlowgenError as e:  # DocSemanticError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -19,11 +19,14 @@ the source program.
 from __future__ import annotations
 
 import enum
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .core_model import HeaderLayout, UValue, UWidth
+from .core_model import HEADER_BYTES, HeaderLayout, UValue
 from .errors import DuplicateName
 from .flow_ast import (
     Add,
@@ -46,8 +49,16 @@ from .flow_ast import (
     Sub,
     SwitchNode,
     VarRef,
+    walk,
 )
-from .selector import Criterion, FlowSelector, ParserChain, ProtocolStack, build_chains
+from .selector import (
+    STACK_HEADERS,
+    Criterion,
+    FlowSelector,
+    ParserChain,
+    ProtocolStack,
+    build_chains,
+)
 
 FRAGMENT_NAMES = (
     "headers.p4inc",
@@ -59,11 +70,6 @@ FRAGMENT_NAMES = (
 
 COMBINED_NAME = "program.p4"
 
-# Bytes consumed by the fixed headers in front of the application payload.
-_ETH_BYTES = 14
-_IPV4_BYTES = 20
-_L4_BYTES = {ProtocolStack.IPV4_UDP: 8, ProtocolStack.IPV4_TCP: 20}
-
 
 class TemplateId(enum.Enum):
     V1MODEL_BASIC = "v1model_basic"
@@ -71,7 +77,6 @@ class TemplateId(enum.Enum):
 
 @dataclass(frozen=True)
 class CodegenConfig:
-    output_dir: Optional[str] = None
     emit_combined: bool = True
     indent: int = 4
 
@@ -114,22 +119,33 @@ class GeneratedFileSet:
     template_name: str
     template_text: str
 
-    def fragment(self, name: str) -> str:
-        return self.files[name]
-
     def write_to(self, directory) -> list[Path]:
-        """Write every file plus the template copy; returns written paths."""
-        root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
+        """Write every file plus the template copy, all or nothing;
+        returns the written paths."""
+        return write_staged(directory, {**self.files, self.template_name: self.template_text})
+
+
+def write_staged(target_dir, files: dict[str, str]) -> list[Path]:
+    """Write a file set without ever leaving partial output behind:
+    everything is staged in a temp directory next to ``target_dir``
+    first, then moved in. The parent of ``target_dir`` must exist."""
+    target_dir = Path(target_dir)
+    try:
+        staging = Path(tempfile.mkdtemp(dir=target_dir.parent, prefix=".stage-"))
+    except OSError as e:
+        raise OSError(f"cannot write under {target_dir.parent}: {e}") from None
+    try:
+        for name, text in files.items():
+            (staging / name).write_text(text)
+        target_dir.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, text in self.files.items():
-            path = root / name
-            path.write_text(text)
-            written.append(path)
-        template_path = root / self.template_name
-        template_path.write_text(self.template_text)
-        written.append(template_path)
+        for name in files:
+            final = target_dir / name
+            (staging / name).replace(final)
+            written.append(final)
         return written
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def template_path(template) -> Path:
@@ -157,6 +173,14 @@ class _Writer:
     def line(self, depth: int, text: str = "") -> None:
         self.lines.append(self._unit * depth + text if text else "")
 
+    def nested(self, depth: int, items: list) -> None:
+        """Lines at ``depth``; a nested list goes one level deeper."""
+        for item in items:
+            if isinstance(item, list):
+                self.nested(depth + 1, item)
+            else:
+                self.line(depth, item)
+
     def text(self) -> str:
         if not self.lines:
             return ""
@@ -183,32 +207,8 @@ def _operand(proc: FlowProcessor, op) -> str:
     return _lvalue(proc, op)
 
 
-def _shared_writeback(proc: FlowProcessor, ref: VarRef) -> Optional[str]:
-    if ref.scope is Scope.SHARED:
-        return f"reg__{proc.name}__{ref.name}.write(0, {proc.name}__{ref.name});"
-    return None
-
-
 def _eq_base(proc: FlowProcessor, ordinal: int) -> str:
     return f"{proc.name}__eq__{ordinal}"
-
-
-def _collect_table_hints(block: Block) -> list[Equals]:
-    """Equals commands with the TABLE hint, in body order."""
-    found: list[Equals] = []
-    for cmd in block.commands:
-        if isinstance(cmd, Equals) and cmd.hint is Hint.TABLE:
-            found.append(cmd)
-        elif isinstance(cmd, IfNode):
-            found.extend(_collect_table_hints(cmd.then_block))
-            if cmd.else_block is not None:
-                found.extend(_collect_table_hints(cmd.else_block))
-        elif isinstance(cmd, SwitchNode):
-            for _, _, case_block in cmd.cases:
-                found.extend(_collect_table_hints(case_block))
-        elif isinstance(cmd, AtomicNode):
-            found.extend(_collect_table_hints(cmd.block))
-    return found
 
 
 # -- command emission --------------------------------------------------------
@@ -220,7 +220,19 @@ def _emit_block(w: _Writer, proc: FlowProcessor, block: Block, depth: int) -> No
 
 
 def _emit_command(w: _Writer, proc: FlowProcessor, cmd, depth: int) -> None:
-    if isinstance(cmd, IfNode):
+    emit = _EMIT.get(type(cmd))
+    if emit is not None:
+        # Each field in its P4 form: the target and the operands as
+        # lvalues or constants, plain values as they are.
+        p4 = SimpleNamespace(**{
+            name: _operand(proc, v) if isinstance(v, (VarRef, UValue)) else v
+            for name, v in vars(cmd).items()
+        })
+        w.line(depth, f"// [{cmd.ordinal}] {type(cmd).__name__}")
+        w.nested(depth, emit(proc, cmd, p4))
+        if hasattr(cmd, "target") and cmd.target.scope is Scope.SHARED:
+            w.line(depth, f"reg__{proc.name}__{cmd.target.name}.write(0, {p4.target});")
+    elif isinstance(cmd, IfNode):
         w.line(depth, f"// [{cmd.ordinal}] If")
         w.line(depth, f"if ({_lvalue(proc, cmd.cond)} == 8w1) {{")
         _emit_block(w, proc, cmd.then_block, depth + 1)
@@ -230,8 +242,7 @@ def _emit_command(w: _Writer, proc: FlowProcessor, cmd, depth: int) -> None:
             w.line(depth, "else {")
             _emit_block(w, proc, cmd.else_block, depth + 1)
             w.line(depth, "}")
-        return
-    if isinstance(cmd, SwitchNode):
+    elif isinstance(cmd, SwitchNode):
         w.line(depth, f"// [{cmd.ordinal}] Switch")
         selector = _operand(proc, cmd.selector)
         for i, (value, ordinal, case_block) in enumerate(cmd.cases):
@@ -240,100 +251,78 @@ def _emit_command(w: _Writer, proc: FlowProcessor, cmd, depth: int) -> None:
             w.line(depth + 1, f"// [{ordinal}] Case")
             _emit_block(w, proc, case_block, depth + 1)
             w.line(depth, "}")
-        return
-    if isinstance(cmd, AtomicNode):
+    elif isinstance(cmd, AtomicNode):
         w.line(depth, f"// [{cmd.ordinal}] Atomic")
         w.line(depth, "ATOMIC_BEGIN")
         _emit_block(w, proc, cmd.block, depth)
         w.line(depth, f"// [{cmd.end_ordinal}] EndAtomic")
         w.line(depth, "ATOMIC_END")
-        return
-
-    w.line(depth, f"// [{cmd.ordinal}] {type(cmd).__name__}")
-    writeback = None
-    if isinstance(cmd, AssignConst):
-        w.line(depth, f"{_lvalue(proc, cmd.target)} = {_const(cmd.value)};")
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, AssignVar):
-        w.line(depth, f"{_lvalue(proc, cmd.target)} = {_operand(proc, cmd.source)};")
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, Cast):
-        bits = cmd.target.width.bits
-        w.line(
-            depth,
-            f"{_lvalue(proc, cmd.target)} = "
-            f"(bit<{bits}>){_operand(proc, cmd.source)};",
-        )
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, (Add, Sub)):
-        sign = "+" if isinstance(cmd, Add) else "-"
-        w.line(
-            depth,
-            f"{_lvalue(proc, cmd.target)} = {_operand(proc, cmd.lhs)} "
-            f"{sign} {_operand(proc, cmd.rhs)};",
-        )
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, Equals) and cmd.hint is Hint.TABLE:
-        base = _eq_base(proc, cmd.ordinal)
-        w.line(
-            depth,
-            f"{base} = {_operand(proc, cmd.lhs)} ^ {_operand(proc, cmd.rhs)};",
-        )
-        w.line(depth, f"{base}__t.apply();")
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, (Equals, Greater)):
-        op = "==" if isinstance(cmd, Equals) else ">"
-        target = _lvalue(proc, cmd.target)
-        w.line(
-            depth,
-            f"if ({_operand(proc, cmd.lhs)} {op} {_operand(proc, cmd.rhs)}) {{",
-        )
-        w.line(depth + 1, f"{target} = 8w1;")
-        w.line(depth, "}")
-        w.line(depth, "else {")
-        w.line(depth + 1, f"{target} = 8w0;")
-        w.line(depth, "}")
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, Rand):
-        bits = cmd.target.width.bits
-        mask = cmd.target.width.mask
-        w.line(
-            depth,
-            f"random({_lvalue(proc, cmd.target)}, {bits}w0, {bits}w{mask});",
-        )
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, RingPush):
-        ring = proc.ring(cmd.ring)
-        head = f"{proc.name}__{ring.name}__head"
-        w.line(depth, f"ring__{proc.name}__{ring.name}__head.read({head}, 0);")
-        w.line(
-            depth,
-            f"ring__{proc.name}__{ring.name}.write({head}, "
-            f"{_operand(proc, cmd.source)});",
-        )
-        w.line(depth, f"{head} = {head} + 32w1;")
-        w.line(depth, f"if ({head} == 32w{ring.capacity}) {{")
-        w.line(depth + 1, f"{head} = 32w0;")
-        w.line(depth, "}")
-        w.line(depth, f"ring__{proc.name}__{ring.name}__head.write(0, {head});")
-    elif isinstance(cmd, RingReadHead):
-        ring = proc.ring(cmd.ring)
-        head = f"{proc.name}__{ring.name}__head"
-        w.line(depth, f"ring__{proc.name}__{ring.name}__head.read({head}, 0);")
-        w.line(
-            depth,
-            f"ring__{proc.name}__{ring.name}.read({_lvalue(proc, cmd.target)}, "
-            f"{head});",
-        )
-        writeback = _shared_writeback(proc, cmd.target)
-    elif isinstance(cmd, SendBack):
-        w.line(depth, "smeta.egress_spec = smeta.ingress_port;")
-    elif isinstance(cmd, Forward):
-        w.line(depth, f"smeta.egress_spec = (bit<9>)16w{cmd.port};")
     else:
         raise TypeError(f"cannot emit {cmd!r}")
-    if writeback:
-        w.line(depth, writeback)
+
+
+def _set_flag(p4, sign: str) -> list:
+    """A comparison into a boolean target through if/else."""
+    return [
+        f"if ({p4.lhs} {sign} {p4.rhs}) {{",
+        [f"{p4.target} = 8w1;"],
+        "}",
+        "else {",
+        [f"{p4.target} = 8w0;"],
+        "}",
+    ]
+
+
+def _table_lookup(proc: FlowProcessor, cmd: Equals, p4) -> list:
+    """Equals through the exact-match table that _emit_decls declares."""
+    base = _eq_base(proc, cmd.ordinal)
+    return [f"{base} = {p4.lhs} ^ {p4.rhs};", f"{base}__t.apply();"]
+
+
+def _emit_rand(proc: FlowProcessor, cmd: Rand, p4) -> list:
+    width = cmd.target.width
+    return [f"random({p4.target}, {width.bits}w0, {width.bits}w{width.mask});"]
+
+
+def _emit_ring_push(proc: FlowProcessor, cmd: RingPush, p4) -> list:
+    head, reg = f"{proc.name}__{cmd.ring}__head", f"ring__{proc.name}__{cmd.ring}"
+    return [
+        f"{reg}__head.read({head}, 0);",
+        f"{reg}.write({head}, {p4.source});",
+        f"{head} = {head} + 32w1;",
+        f"if ({head} == 32w{proc.ring(cmd.ring).capacity}) {{",
+        [f"{head} = 32w0;"],
+        "}",
+        f"{reg}__head.write(0, {head});",
+    ]
+
+
+def _emit_ring_read_head(proc: FlowProcessor, cmd: RingReadHead, p4) -> list:
+    head, reg = f"{proc.name}__{cmd.ring}__head", f"ring__{proc.name}__{cmd.ring}"
+    return [f"{reg}__head.read({head}, 0);", f"{reg}.read({p4.target}, {head});"]
+
+
+# One entry per plain op: its P4 statements, a nested list one level
+# deeper. _emit_command adds the ``// [n] Kind`` comment in front and,
+# for a shared target, the register writeback behind.
+_EMIT = {
+    AssignConst: lambda proc, cmd, p4: [f"{p4.target} = {p4.value};"],
+    AssignVar: lambda proc, cmd, p4: [f"{p4.target} = {p4.source};"],
+    Cast: lambda proc, cmd, p4: [
+        f"{p4.target} = (bit<{cmd.target.width.bits}>){p4.source};"
+    ],
+    Add: lambda proc, cmd, p4: [f"{p4.target} = {p4.lhs} + {p4.rhs};"],
+    Sub: lambda proc, cmd, p4: [f"{p4.target} = {p4.lhs} - {p4.rhs};"],
+    Equals: lambda proc, cmd, p4: (
+        _table_lookup(proc, cmd, p4) if cmd.hint is Hint.TABLE else _set_flag(p4, "==")
+    ),
+    Greater: lambda proc, cmd, p4: _set_flag(p4, ">"),
+    Rand: _emit_rand,
+    RingPush: _emit_ring_push,
+    RingReadHead: _emit_ring_read_head,
+    SendBack: lambda proc, cmd, p4: ["smeta.egress_spec = smeta.ingress_port;"],
+    Forward: lambda proc, cmd, p4: [f"smeta.egress_spec = (bit<9>)16w{p4.port};"],
+}
 
 
 # -- fragment builders --------------------------------------------------------
@@ -465,7 +454,10 @@ def _emit_decls(procs: Sequence[FlowProcessor], indent: int) -> str:
                 f"register<bit<{r.element_width.bits}>>({r.capacity}) "
                 f"ring__{p.name}__{r.name};",
             )
-        for eq in _collect_table_hints(p.body):
+        table_hints = [
+            c for c in walk(p.body) if isinstance(c, Equals) and c.hint is Hint.TABLE
+        ]
+        for eq in table_hints:
             base = _eq_base(p, eq.ordinal)
             width = eq.lhs.width
             target = _lvalue(p, eq.target)
@@ -515,7 +507,8 @@ def emit_processor_control(
             w.line(depth, f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;")
     _emit_block(w, p, p.body, depth)
     if p.output is not None:
-        fixed = _ETH_BYTES + _IPV4_BYTES + _L4_BYTES[stack]
+        # Bytes of the standard headers in front of the application payload.
+        fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
         out_size = p.output.byte_size
         w.line(depth, f"hdr.{p.name}__in.setInvalid();")
         w.line(depth, f"meta.app_added_bytes = 16w{out_size};")
@@ -526,7 +519,7 @@ def emit_processor_control(
             w.line(
                 depth,
                 "meta.app_removed_bytes = hdr.ipv4.totalLen - "
-                f"16w{fixed - _ETH_BYTES};",
+                f"16w{fixed - HEADER_BYTES['eth']};",
             )
             w.line(depth, f"truncate(32w{fixed + out_size});")
         else:
@@ -564,10 +557,9 @@ def _combine(template_text: str, files: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate(solution: Solution, output_dir=None) -> GeneratedFileSet:
-    """Emit all fragments for a Solution; writes them (plus a template
-    copy and, when configured, the combined program) under the output
-    directory when one is given here or in the options."""
+def generate(solution: Solution) -> GeneratedFileSet:
+    """Emit all fragments (plus, when configured, the combined program)
+    for a Solution; ``write_to`` puts them on disk."""
     selectors = solution.selectors
     procs = solution.processors()
     for p in procs:
@@ -587,12 +579,8 @@ def generate(solution: Solution, output_dir=None) -> GeneratedFileSet:
     template_text = load_template(solution.template)
     if solution.options.emit_combined:
         files[COMBINED_NAME] = _combine(template_text, files)
-    fileset = GeneratedFileSet(
+    return GeneratedFileSet(
         files=files,
         template_name=f"{solution.template.value}.p4",
         template_text=template_text,
     )
-    directory = output_dir or solution.options.output_dir
-    if directory is not None:
-        fileset.write_to(directory)
-    return fileset

@@ -98,6 +98,35 @@ def cast_value(v: UValue, target: UWidth) -> UValue:
     return UValue(target, v.magnitude & target.mask)
 
 
+# The standard headers in wire order, as the shipped template declares
+# them: header name -> ((field, bits), ...). The TCP reserved nibble
+# ("res") is always zero and is left out of packet field maps.
+STANDARD_HEADERS: dict[str, tuple[tuple[str, int], ...]] = {
+    "eth": (("dstAddr", 48), ("srcAddr", 48), ("etherType", 16)),
+    "ipv4": (
+        ("version", 4), ("ihl", 4), ("dscp", 6), ("ecn", 2), ("totalLen", 16),
+        ("identification", 16), ("flags", 3), ("fragOffset", 13), ("ttl", 8),
+        ("protocol", 8), ("hdrChecksum", 16), ("srcAddr", 32), ("dstAddr", 32),
+    ),
+    "udp": (("srcPort", 16), ("dstPort", 16), ("len", 16), ("checksum", 16)),
+    "tcp": (
+        ("srcPort", 16), ("dstPort", 16), ("seqNo", 32), ("ackNo", 32),
+        ("dataOffset", 4), ("res", 4), ("flags", 8), ("window", 16),
+        ("checksum", 16), ("urgentPtr", 16),
+    ),
+}
+
+# Field name -> bits of each standard header, without the reserved nibble.
+HEADER_FIELD_BITS: dict[str, dict[str, int]] = {
+    header: {name: bits for name, bits in fields if name != "res"}
+    for header, fields in STANDARD_HEADERS.items()
+}
+
+HEADER_BYTES: dict[str, int] = {
+    header: sum(bits for _, bits in fields) // 8
+    for header, fields in STANDARD_HEADERS.items()
+}
+
 # P4-16 keywords plus every name the shipped template declares at file scope.
 # User identifiers may not collide with either group; collisions would only
 # surface as compile errors in the generated code, far away from the mistake.

@@ -14,8 +14,8 @@ and generated-code comments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, Iterator, Optional, Union, get_args
 
 from .core_model import (
     U8,
@@ -101,9 +101,18 @@ class VarRef:
 
 Operand = Union[VarRef, UValue]
 
+# Each plain command class below is the one declaration of its op: ``op``
+# is its document tag and trace-event kind, and its dataclass fields, in
+# document order, carry roles fixed by their names. ``target`` is the
+# variable the op writes, ``value`` a constant, ``source``/``lhs``/``rhs``
+# operands, and ``ring``/``port``/``hint`` plain values. The ops read
+# their OPERAND_FIELDS (``value`` included) in field order.
+OPERAND_FIELDS = ("value", "source", "lhs", "rhs")
+
 
 @dataclass(frozen=True)
 class AssignConst:
+    op: ClassVar[str] = "assign_const"
     target: VarRef
     value: UValue
     ordinal: int = 0
@@ -111,6 +120,7 @@ class AssignConst:
 
 @dataclass(frozen=True)
 class AssignVar:
+    op: ClassVar[str] = "assign_var"
     target: VarRef
     source: Operand
     ordinal: int = 0
@@ -121,6 +131,7 @@ class Cast:
     """The only width-changing command: narrows by truncation, widens
     by zero extension."""
 
+    op: ClassVar[str] = "cast"
     target: VarRef
     source: Operand
     ordinal: int = 0
@@ -128,6 +139,7 @@ class Cast:
 
 @dataclass(frozen=True)
 class Add:
+    op: ClassVar[str] = "add"
     target: VarRef
     lhs: Operand
     rhs: Operand
@@ -136,6 +148,7 @@ class Add:
 
 @dataclass(frozen=True)
 class Sub:
+    op: ClassVar[str] = "sub"
     target: VarRef
     lhs: Operand
     rhs: Operand
@@ -144,6 +157,7 @@ class Sub:
 
 @dataclass(frozen=True)
 class Equals:
+    op: ClassVar[str] = "equals"
     target: VarRef
     lhs: Operand
     rhs: Operand
@@ -153,6 +167,7 @@ class Equals:
 
 @dataclass(frozen=True)
 class Greater:
+    op: ClassVar[str] = "greater"
     target: VarRef
     lhs: Operand
     rhs: Operand
@@ -163,12 +178,14 @@ class Greater:
 class Rand:
     """Uniform random value over the target's full width."""
 
+    op: ClassVar[str] = "rand"
     target: VarRef
     ordinal: int = 0
 
 
 @dataclass(frozen=True)
 class RingPush:
+    op: ClassVar[str] = "ring_push"
     ring: str
     source: Operand
     ordinal: int = 0
@@ -176,6 +193,7 @@ class RingPush:
 
 @dataclass(frozen=True)
 class RingReadHead:
+    op: ClassVar[str] = "ring_read_head"
     ring: str
     target: VarRef
     ordinal: int = 0
@@ -185,11 +203,13 @@ class RingReadHead:
 class SendBack:
     """Return the packet through its ingress port."""
 
+    op: ClassVar[str] = "send_back"
     ordinal: int = 0
 
 
 @dataclass(frozen=True)
 class Forward:
+    op: ClassVar[str] = "forward"
     port: int
     ordinal: int = 0
 
@@ -213,20 +233,13 @@ Command = Union[
     Forward,
 ]
 
-_SIMPLE_COMMANDS = (
-    AssignConst,
-    AssignVar,
-    Cast,
-    Add,
-    Sub,
-    Equals,
-    Greater,
-    Rand,
-    RingPush,
-    RingReadHead,
-    SendBack,
-    Forward,
-)
+# The op table: every plain command class, keyed by its op name.
+OPS: dict[str, type] = {cls.op: cls for cls in get_args(Command)}
+
+
+def operand_fields(cls: type) -> tuple[str, ...]:
+    """The fields a plain command class reads, in field order."""
+    return tuple(f.name for f in fields(cls) if f.name in OPERAND_FIELDS)
 
 
 class IfNode:
@@ -242,6 +255,9 @@ class IfNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
+    def blocks(self) -> list["Block"]:
+        return [self.then_block] + ([self.else_block] if self.else_block else [])
+
 
 class SwitchNode:
     """A Switch command: selector plus (value, block) cases in call order."""
@@ -254,6 +270,9 @@ class SwitchNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
+    def blocks(self) -> list["Block"]:
+        return [block for _, _, block in self.cases]
+
 
 class AtomicNode:
     """An Atomic command: its block executes indivisibly."""
@@ -265,13 +284,27 @@ class AtomicNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
+    def blocks(self) -> list["Block"]:
+        return [self.block]
+
 
 Node = Union[IfNode, SwitchNode, AtomicNode]
+
+
+def walk(block: "Block") -> Iterator[Union[Command, Node]]:
+    """Every command and node under a block, depth first in body order."""
+    for cmd in block.commands:
+        yield cmd
+        if isinstance(cmd, (IfNode, SwitchNode, AtomicNode)):
+            for inner in cmd.blocks():
+                yield from walk(inner)
 
 
 class Block:
     """An ordered list of commands. Fluent methods return the block to
     keep chaining on."""
+
+    _takes_commands = True
 
     def __init__(
         self,
@@ -301,13 +334,22 @@ class Block:
                     site,
                 )
 
+    def _begin(self) -> int:
+        """Consume the ordinal of a call that adds to this block."""
+        site = self._proc._bump()
+        if not self._takes_commands:
+            raise SemanticError(
+                ErrorKind.OPEN_SCOPE, "commands must be inside a Case", site
+            )
+        self._guard(site)
+        return site
+
     # -- builder calls -----------------------------------------------------
 
     def add(self, cmd: Command) -> "Block":
         """Append a plain command; returns this block."""
-        site = self._proc._bump()
-        self._guard(site)
-        if not isinstance(cmd, _SIMPLE_COMMANDS):
+        site = self._begin()
+        if OPS.get(getattr(cmd, "op", None)) is not type(cmd):
             raise TypeError(
                 f"{cmd!r} is not a command; use If/Switch/Atomic for scopes"
             )
@@ -316,8 +358,7 @@ class Block:
         return self
 
     def If(self, cond: VarRef) -> "ThenBlock":
-        site = self._proc._bump()
-        self._guard(site)
+        site = self._begin()
         self._proc._require_bool_cond(cond, site)
         node = IfNode(cond, self, site)
         node.then_block = ThenBlock(self._proc, parent=self, owner=node)
@@ -326,8 +367,7 @@ class Block:
         return node.then_block
 
     def Switch(self, selector: Operand) -> "SwitchBlock":
-        site = self._proc._bump()
-        self._guard(site)
+        site = self._begin()
         self._proc._operand_info(selector, site)
         node = SwitchNode(selector, self, site)
         self.commands.append(node)
@@ -335,8 +375,7 @@ class Block:
         return SwitchBlock(self._proc, parent=self, owner=node)
 
     def Atomic(self) -> "AtomicBlock":
-        site = self._proc._bump()
-        self._guard(site)
+        site = self._begin()
         for node in self._owner_chain():
             if isinstance(node, AtomicNode):
                 raise SemanticError(
@@ -406,23 +445,7 @@ class SwitchBlock(Block):
     """The scope returned by Switch. It holds no commands itself; every
     command lives inside a Case."""
 
-    def _no_commands_here(self) -> "Block":
-        site = self._proc._bump()
-        raise SemanticError(
-            ErrorKind.OPEN_SCOPE, "commands must be inside a Case", site
-        )
-
-    def add(self, cmd: Command) -> "Block":
-        return self._no_commands_here()
-
-    def If(self, cond: VarRef) -> "ThenBlock":
-        return self._no_commands_here()
-
-    def Switch(self, selector: Operand) -> "SwitchBlock":
-        return self._no_commands_here()
-
-    def Atomic(self) -> "AtomicBlock":
-        return self._no_commands_here()
+    _takes_commands = False
 
     def Case(self, value: UValue) -> "CaseBlock":
         return _open_case(self, value)
@@ -517,60 +540,55 @@ class FlowProcessor:
 
     # -- name resolution ---------------------------------------------------
 
+    def _scopes(self) -> dict[Scope, tuple[FieldDecl, ...]]:
+        """The declarations of each scope, in name resolution order."""
+        return {
+            Scope.INPUT: self.input.fields,
+            Scope.OUTPUT: self.output.fields if self.output is not None else (),
+            Scope.LOCAL: self.locals,
+            Scope.SHARED: self.shared,
+        }
+
     def var(self, name: str) -> VarRef:
         """Resolve a declared name to a reference usable in commands.
 
         Raises UndeclaredName carrying the ordinal of the most recent
         builder call (resolution itself consumes no ordinal).
         """
-        for f in self.input.fields:
-            if f.name == name:
-                return VarRef(Scope.INPUT, name, f.width)
-        if self.output is not None:
-            for f in self.output.fields:
-                if f.name == name:
-                    return VarRef(Scope.OUTPUT, name, f.width)
-        for d in self.locals:
-            if d.name == name:
-                return VarRef(Scope.LOCAL, name, d.width, _decl_is_bool(d))
-        for d in self.shared:
-            if d.name == name:
-                return VarRef(Scope.SHARED, name, d.width)
+        for scope, decls in self._scopes().items():
+            decl = _find_field(decls, name)
+            if decl is not None:
+                return VarRef(scope, name, decl.width, _decl_is_bool(decl))
         raise SemanticError(
             ErrorKind.UNDECLARED_NAME,
             f"{name!r} is not declared in processor {self.name!r}",
             self._ordinal,
         )
 
-    def ring(self, name: str) -> RingBufferDecl:
-        for r in self.rings:
-            if r.name == name:
-                return r
-        raise SemanticError(
-            ErrorKind.UNDECLARED_NAME,
-            f"ring {name!r} is not declared in processor {self.name!r}",
-            self._ordinal,
-        )
+    def ring(self, name: str, site: Optional[int] = None) -> RingBufferDecl:
+        """A declared ring by name. Raises UndeclaredName at ``site``, or
+        at the most recent builder call when none is given."""
+        decl = _find_field(self.rings, name)
+        if decl is None:
+            raise SemanticError(
+                ErrorKind.UNDECLARED_NAME,
+                f"ring {name!r} is not declared in processor {self.name!r}",
+                self._ordinal if site is None else site,
+            )
+        return decl
 
     def _decl_of(self, ref: VarRef, site: int) -> tuple[UWidth, bool]:
         """Check a reference against the declarations; returns the declared
         (width, is_bool)."""
         if not isinstance(ref, VarRef):
             raise TypeError(f"expected a VarRef, got {ref!r}")
-        if ref.scope is Scope.INPUT:
-            decl = _find_field(self.input.fields, ref.name)
-        elif ref.scope is Scope.OUTPUT:
-            if self.output is None:
-                raise SemanticError(
-                    ErrorKind.OUTPUT_UNDECLARED,
-                    f"processor {self.name!r} has no output layout",
-                    site,
-                )
-            decl = _find_field(self.output.fields, ref.name)
-        elif ref.scope is Scope.LOCAL:
-            decl = _find_field(self.locals, ref.name)
-        else:
-            decl = _find_field(self.shared, ref.name)
+        if ref.scope is Scope.OUTPUT and self.output is None:
+            raise SemanticError(
+                ErrorKind.OUTPUT_UNDECLARED,
+                f"processor {self.name!r} has no output layout",
+                site,
+            )
+        decl = _find_field(self._scopes()[ref.scope], ref.name)
         if decl is None:
             raise SemanticError(
                 ErrorKind.UNDECLARED_NAME,
@@ -634,17 +652,33 @@ class FlowProcessor:
                 site,
             )
 
-    def _forbid_bool_target(self, cmd_name: str, target: VarRef, is_bool: bool, site: int) -> None:
-        if is_bool:
-            raise SemanticError(
-                ErrorKind.NOT_BOOLEAN,
-                f"{cmd_name} cannot write boolean local {target.name!r}",
-                site,
-            )
-
     def _check_command(self, cmd: Command, site: int) -> None:
-        if isinstance(cmd, AssignConst):
+        """Resolve the ring, the target and the operands in field order,
+        then apply the op's own rules."""
+        kind = type(cmd).__name__
+        ring = self.ring(cmd.ring, site) if hasattr(cmd, "ring") else None
+        if hasattr(cmd, "target"):
             width, is_bool = self._check_write(cmd.target, site)
+            if isinstance(cmd, (Equals, Greater)) and not is_bool:
+                raise SemanticError(
+                    ErrorKind.NOT_BOOLEAN,
+                    f"{kind} target {cmd.target.name!r} must be a boolean local",
+                    site,
+                )
+            if isinstance(cmd, (Cast, Add, Sub, Rand, RingReadHead)) and is_bool:
+                raise SemanticError(
+                    ErrorKind.NOT_BOOLEAN,
+                    f"{kind} cannot write boolean local {cmd.target.name!r}",
+                    site,
+                )
+        operands = [
+            self._operand_info(getattr(cmd, name), site)
+            for name in operand_fields(type(cmd))
+        ]
+
+        if isinstance(cmd, AssignConst):
+            if not isinstance(cmd.value, UValue):
+                raise TypeError(f"assigned value must be a UValue, got {cmd.value!r}")
             self._require_same_width(width, cmd.value.width, "assigned value", site)
             if is_bool and cmd.value.magnitude > 1:
                 raise SemanticError(
@@ -653,65 +687,28 @@ class FlowProcessor:
                     site,
                 )
         elif isinstance(cmd, AssignVar):
-            width, is_bool = self._check_write(cmd.target, site)
-            s_width, s_bool = self._operand_info(cmd.source, site)
+            (s_width, s_bool), = operands
             self._require_same_width(width, s_width, "assignment", site)
-            if is_bool and not s_bool:
-                if not (isinstance(cmd.source, UValue) and cmd.source.magnitude <= 1):
-                    raise SemanticError(
-                        ErrorKind.NOT_BOOLEAN,
-                        f"cannot assign non-boolean source to boolean "
-                        f"{cmd.target.name!r}",
-                        site,
-                    )
-        elif isinstance(cmd, Cast):
-            _, is_bool = self._check_write(cmd.target, site)
-            self._forbid_bool_target("Cast", cmd.target, is_bool, site)
-            self._operand_info(cmd.source, site)
-        elif isinstance(cmd, (Add, Sub)):
-            kind = type(cmd).__name__
-            width, is_bool = self._check_write(cmd.target, site)
-            self._forbid_bool_target(kind, cmd.target, is_bool, site)
-            l_width, _ = self._operand_info(cmd.lhs, site)
-            r_width, _ = self._operand_info(cmd.rhs, site)
-            self._require_same_width(l_width, r_width, f"{kind} operands", site)
-            self._require_same_width(width, l_width, f"{kind} target", site)
-        elif isinstance(cmd, (Equals, Greater)):
-            kind = type(cmd).__name__
-            _, is_bool = self._check_write(cmd.target, site)
-            if not is_bool:
+            if is_bool and not s_bool and not (
+                isinstance(cmd.source, UValue) and cmd.source.magnitude <= 1
+            ):
                 raise SemanticError(
                     ErrorKind.NOT_BOOLEAN,
-                    f"{kind} target {cmd.target.name!r} must be a boolean local",
+                    f"cannot assign non-boolean source to boolean "
+                    f"{cmd.target.name!r}",
                     site,
                 )
-            l_width, _ = self._operand_info(cmd.lhs, site)
-            r_width, _ = self._operand_info(cmd.rhs, site)
+        elif isinstance(cmd, (Add, Sub, Equals, Greater)):
+            (l_width, _), (r_width, _) = operands
             self._require_same_width(l_width, r_width, f"{kind} operands", site)
+            if isinstance(cmd, (Add, Sub)):
+                self._require_same_width(width, l_width, f"{kind} target", site)
             if isinstance(cmd, Equals) and not isinstance(cmd.hint, Hint):
                 raise TypeError(f"hint must be a Hint, got {cmd.hint!r}")
-        elif isinstance(cmd, Rand):
-            _, is_bool = self._check_write(cmd.target, site)
-            self._forbid_bool_target("Rand", cmd.target, is_bool, site)
         elif isinstance(cmd, RingPush):
-            ring = self._ring_of(cmd.ring, site)
-            s_width, _ = self._operand_info(cmd.source, site)
-            self._require_same_width(ring.element_width, s_width, "ring push", site)
+            self._require_same_width(ring.element_width, operands[0][0], "ring push", site)
         elif isinstance(cmd, RingReadHead):
-            ring = self._ring_of(cmd.ring, site)
-            width, is_bool = self._check_write(cmd.target, site)
-            self._forbid_bool_target("RingReadHead", cmd.target, is_bool, site)
             self._require_same_width(ring.element_width, width, "ring read", site)
-        elif isinstance(cmd, (SendBack, Forward)):
-            pass
-
-    def _ring_of(self, name: str, site: int) -> RingBufferDecl:
-        for r in self.rings:
-            if r.name == name:
-                return r
-        raise SemanticError(
-            ErrorKind.UNDECLARED_NAME, f"ring {name!r} is not declared", site
-        )
 
     # -- completeness ------------------------------------------------------
 
@@ -733,8 +730,8 @@ class FlowProcessor:
         reproduces this processor including ordinals."""
         return {
             "name": self.name,
-            "input": _layout_doc(self.input),
-            "output": _layout_doc(self.output) if self.output else None,
+            "input": layout_doc(self.input),
+            "output": layout_doc(self.output) if self.output else None,
             "locals": [_local_doc(d) for d in self.locals],
             "shared": [
                 {"name": d.name, "width": d.width.bits, "initial": d.initial.magnitude}
@@ -806,7 +803,7 @@ def new_flow_processor(
 # -- document form ---------------------------------------------------------
 
 
-def _layout_doc(layout: HeaderLayout) -> dict:
+def layout_doc(layout: HeaderLayout) -> dict:
     return {
         "name": layout.name,
         "fields": [{"name": f.name, "width": f.width.bits} for f in layout.fields],
@@ -820,10 +817,24 @@ def _local_doc(d: FieldDecl) -> dict:
     return doc
 
 
+def uvalue_doc(v: UValue) -> dict:
+    return {"width": v.width.bits, "value": v.magnitude}
+
+
 def _operand_doc(op: Operand) -> dict:
     if isinstance(op, VarRef):
         return {"var": op.name}
-    return {"const": {"width": op.width.bits, "value": op.magnitude}}
+    return {"const": uvalue_doc(op)}
+
+
+def _field_doc(name: str, value):
+    if name == "target":
+        return value.name
+    if name == "value":
+        return uvalue_doc(value)
+    if name in OPERAND_FIELDS:
+        return _operand_doc(value)
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def _block_doc(block: Block) -> list:
@@ -831,72 +842,6 @@ def _block_doc(block: Block) -> list:
 
 
 def _command_doc(cmd) -> dict:
-    if isinstance(cmd, AssignConst):
-        return {
-            "op": "assign_const",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "value": {"width": cmd.value.width.bits, "value": cmd.value.magnitude},
-        }
-    if isinstance(cmd, AssignVar):
-        return {
-            "op": "assign_var",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "source": _operand_doc(cmd.source),
-        }
-    if isinstance(cmd, Cast):
-        return {
-            "op": "cast",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "source": _operand_doc(cmd.source),
-        }
-    if isinstance(cmd, (Add, Sub)):
-        return {
-            "op": "add" if isinstance(cmd, Add) else "sub",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "lhs": _operand_doc(cmd.lhs),
-            "rhs": _operand_doc(cmd.rhs),
-        }
-    if isinstance(cmd, Equals):
-        return {
-            "op": "equals",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "lhs": _operand_doc(cmd.lhs),
-            "rhs": _operand_doc(cmd.rhs),
-            "hint": cmd.hint.value,
-        }
-    if isinstance(cmd, Greater):
-        return {
-            "op": "greater",
-            "ordinal": cmd.ordinal,
-            "target": cmd.target.name,
-            "lhs": _operand_doc(cmd.lhs),
-            "rhs": _operand_doc(cmd.rhs),
-        }
-    if isinstance(cmd, Rand):
-        return {"op": "rand", "ordinal": cmd.ordinal, "target": cmd.target.name}
-    if isinstance(cmd, RingPush):
-        return {
-            "op": "ring_push",
-            "ordinal": cmd.ordinal,
-            "ring": cmd.ring,
-            "source": _operand_doc(cmd.source),
-        }
-    if isinstance(cmd, RingReadHead):
-        return {
-            "op": "ring_read_head",
-            "ordinal": cmd.ordinal,
-            "ring": cmd.ring,
-            "target": cmd.target.name,
-        }
-    if isinstance(cmd, SendBack):
-        return {"op": "send_back", "ordinal": cmd.ordinal}
-    if isinstance(cmd, Forward):
-        return {"op": "forward", "ordinal": cmd.ordinal, "port": cmd.port}
     if isinstance(cmd, IfNode):
         return {
             "op": "if",
@@ -913,11 +858,7 @@ def _command_doc(cmd) -> dict:
             "ordinal": cmd.ordinal,
             "selector": _operand_doc(cmd.selector),
             "cases": [
-                {
-                    "value": {"width": v.width.bits, "value": v.magnitude},
-                    "ordinal": o,
-                    "body": _block_doc(b),
-                }
+                {"value": uvalue_doc(v), "ordinal": o, "body": _block_doc(b)}
                 for v, o, b in cmd.cases
             ],
             "end_ordinal": cmd.end_ordinal,
@@ -929,4 +870,8 @@ def _command_doc(cmd) -> dict:
             "end_ordinal": cmd.end_ordinal,
             "body": _block_doc(cmd.block),
         }
-    raise TypeError(f"cannot serialize {cmd!r}")
+    doc = {"op": cmd.op, "ordinal": cmd.ordinal}
+    for f in fields(cmd):
+        if f.name != "ordinal":
+            doc[f.name] = _field_doc(f.name, getattr(cmd, f.name))
+    return doc

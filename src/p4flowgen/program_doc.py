@@ -9,8 +9,10 @@ a call ordinal.
 
 from __future__ import annotations
 
+import enum
 import json
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import jsonschema
 
 from .codegen import CodegenConfig, Solution, TemplateId
 from .core_model import (
+    HEADER_FIELD_BITS,
     FieldDecl,
     HeaderLayout,
     RingBufferDecl,
@@ -27,24 +30,15 @@ from .core_model import (
 )
 from .errors import FlowgenError
 from .flow_ast import (
-    AssignConst,
-    AssignVar,
-    Add,
-    Cast,
-    Equals,
+    OPERAND_FIELDS,
+    OPS,
     FlowProcessor,
-    Forward,
-    Greater,
-    Hint,
-    Rand,
-    RingPush,
-    RingReadHead,
     SemanticError,
-    SendBack,
-    Sub,
     bool_local,
+    layout_doc,
     local,
     new_flow_processor,
+    uvalue_doc,
 )
 from .selector import Criterion, ProtocolStack, new_flow_selector
 from .simulator import SimPacket, SimResult, make_tcp_packet, make_udp_packet
@@ -142,12 +136,7 @@ def solution_to_doc(solution: Solution) -> dict:
                 "name": sel.name,
                 "stack": sel.stack.value,
                 "criteria": [
-                    {
-                        "field": c.field,
-                        "width": c.value.width.bits,
-                        "value": c.value.magnitude,
-                    }
-                    for c in sel.criteria
+                    {"field": c.field, **uvalue_doc(c.value)} for c in sel.criteria
                 ],
                 "lookahead": register(sel.lookahead),
                 "processor": sel.processor.name,
@@ -160,16 +149,7 @@ def solution_to_doc(solution: Solution) -> dict:
             "emit_combined": solution.options.emit_combined,
             "indent": solution.options.indent,
         },
-        "layouts": [
-            {
-                "name": layout.name,
-                "fields": [
-                    {"name": f.name, "width": f.width.bits}
-                    for f in layout.fields
-                ],
-            }
-            for layout in layouts.values()
-        ],
+        "layouts": [layout_doc(layout) for layout in layouts.values()],
         "processors": processors,
         "selectors": selectors,
     }
@@ -230,51 +210,29 @@ def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
         with _at(site):
             return inner.EndAtomic()
 
+    cls = OPS.get(op)
+    if cls is None:
+        raise DocError(site, f"unknown op {op!r}")
     with _at(site):
-        if op == "assign_const":
-            cmd = AssignConst(proc.var(cdoc["target"]), _uvalue(cdoc["value"]))
-        elif op == "assign_var":
-            cmd = AssignVar(proc.var(cdoc["target"]), _operand(proc, cdoc["source"]))
-        elif op == "cast":
-            cmd = Cast(proc.var(cdoc["target"]), _operand(proc, cdoc["source"]))
-        elif op == "add":
-            cmd = Add(
-                proc.var(cdoc["target"]),
-                _operand(proc, cdoc["lhs"]),
-                _operand(proc, cdoc["rhs"]),
-            )
-        elif op == "sub":
-            cmd = Sub(
-                proc.var(cdoc["target"]),
-                _operand(proc, cdoc["lhs"]),
-                _operand(proc, cdoc["rhs"]),
-            )
-        elif op == "equals":
-            cmd = Equals(
-                proc.var(cdoc["target"]),
-                _operand(proc, cdoc["lhs"]),
-                _operand(proc, cdoc["rhs"]),
-                hint=Hint(cdoc.get("hint", "if_else")),
-            )
-        elif op == "greater":
-            cmd = Greater(
-                proc.var(cdoc["target"]),
-                _operand(proc, cdoc["lhs"]),
-                _operand(proc, cdoc["rhs"]),
-            )
-        elif op == "rand":
-            cmd = Rand(proc.var(cdoc["target"]))
-        elif op == "ring_push":
-            cmd = RingPush(cdoc["ring"], _operand(proc, cdoc["source"]))
-        elif op == "ring_read_head":
-            cmd = RingReadHead(cdoc["ring"], proc.var(cdoc["target"]))
-        elif op == "send_back":
-            cmd = SendBack()
-        elif op == "forward":
-            cmd = Forward(cdoc["port"])
-        else:
-            raise DocError(site, f"unknown op {op!r}")
-        return block.add(cmd)
+        args = {
+            f.name: _field_value(proc, f, cdoc[f.name])
+            for f in fields(cls)
+            if f.name != "ordinal" and f.name in cdoc
+        }
+        return block.add(cls(**args))
+
+
+def _field_value(proc: FlowProcessor, f, doc):
+    """Inverse of flow_ast's document form of one command field."""
+    if f.name == "target":
+        return proc.var(doc)
+    if f.name == "value":
+        return _uvalue(doc)
+    if f.name in OPERAND_FIELDS:
+        return _operand(proc, doc)
+    if isinstance(f.default, enum.Enum):
+        return type(f.default)(doc)
+    return doc
 
 
 def _replay_body(proc: FlowProcessor, block, body: list, path: str):
@@ -283,14 +241,21 @@ def _replay_body(proc: FlowProcessor, block, body: list, path: str):
     return block
 
 
-def _replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
-    def layout_of(name: str):
-        if name not in layouts:
-            raise DocSemanticError(
-                path, "UndeclaredName", f"unknown layout {name!r}"
-            )
-        return layouts[name]
+def _known(table: dict, name: str, path: str, what: str):
+    """``table[name]``, or UndeclaredName at ``path``."""
+    if name not in table:
+        raise DocSemanticError(path, "UndeclaredName", f"unknown {what} {name!r}")
+    return table[name]
 
+
+def _new_name(table: dict, name: str, path: str, what: str) -> str:
+    """``name``, or DuplicateName at ``path`` if ``table`` already has it."""
+    if name in table:
+        raise DocSemanticError(path, "DuplicateName", f"{what} {name!r} declared twice")
+    return name
+
+
+def _replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
     with _at(path):
         locals_ = [
             bool_local(d["name"])
@@ -310,10 +275,11 @@ def _replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
             RingBufferDecl(d["name"], UWidth(d["width"]), d["capacity"])
             for d in pdoc.get("rings", [])
         ]
+        output = pdoc.get("output")
         proc = new_flow_processor(
             pdoc["name"],
-            input=layout_of(pdoc["input"]),
-            output=layout_of(pdoc["output"]) if pdoc.get("output") else None,
+            input=_known(layouts, pdoc["input"], path, "layout"),
+            output=_known(layouts, output, path, "layout") if output else None,
             locals=locals_,
             shared=shared,
             rings=rings,
@@ -333,54 +299,32 @@ def solution_from_doc(doc) -> Solution:
     layouts: dict[str, HeaderLayout] = {}
     for i, ldoc in enumerate(doc["layouts"]):
         path = f"layouts[{i}]"
-        if ldoc["name"] in layouts:
-            raise DocSemanticError(
-                path, "DuplicateName", f"layout {ldoc['name']!r} declared twice"
-            )
+        name = _new_name(layouts, ldoc["name"], path, "layout")
         with _at(path):
-            layouts[ldoc["name"]] = HeaderLayout(
+            layouts[name] = HeaderLayout(
                 ldoc["name"],
                 [FieldDecl(f["name"], UWidth(f["width"])) for f in ldoc["fields"]],
             )
     processors: dict[str, FlowProcessor] = {}
     for i, pdoc in enumerate(doc["processors"]):
         path = f"processors[{i}]"
-        if pdoc["name"] in processors:
-            raise DocSemanticError(
-                path,
-                "DuplicateName",
-                f"processor {pdoc['name']!r} declared twice",
-            )
-        processors[pdoc["name"]] = _replay_processor(pdoc, layouts, path)
+        name = _new_name(processors, pdoc["name"], path, "processor")
+        processors[name] = _replay_processor(pdoc, layouts, path)
     selectors = []
     for i, sdoc in enumerate(doc["selectors"]):
         path = f"selectors[{i}]"
-        if sdoc["processor"] not in processors:
-            raise DocSemanticError(
-                path,
-                "UndeclaredName",
-                f"unknown processor {sdoc['processor']!r}",
-            )
+        processor = _known(processors, sdoc["processor"], path, "processor")
         lookahead = None
         if sdoc.get("lookahead"):
-            if sdoc["lookahead"] not in layouts:
-                raise DocSemanticError(
-                    path,
-                    "UndeclaredName",
-                    f"unknown layout {sdoc['lookahead']!r}",
-                )
-            lookahead = layouts[sdoc["lookahead"]]
+            lookahead = _known(layouts, sdoc["lookahead"], path, "layout")
         with _at(path):
-            criteria = [
-                Criterion(c["field"], UValue(UWidth(c["width"]), c["value"]))
-                for c in sdoc["criteria"]
-            ]
+            criteria = [Criterion(c["field"], _uvalue(c)) for c in sdoc["criteria"]]
             selectors.append(
                 new_flow_selector(
                     sdoc["name"],
                     ProtocolStack(sdoc["stack"]),
                     criteria,
-                    processors[sdoc["processor"]],
+                    processor,
                     lookahead=lookahead,
                 )
             )
@@ -411,38 +355,6 @@ def load_json(path):
 
 # -- traces: packets in, results out -----------------------------------------
 
-_PACKET_FIELD_BITS = {
-    "eth": {"dstAddr": 48, "srcAddr": 48, "etherType": 16},
-    "ipv4": {
-        "version": 4,
-        "ihl": 4,
-        "dscp": 6,
-        "ecn": 2,
-        "totalLen": 16,
-        "identification": 16,
-        "flags": 3,
-        "fragOffset": 13,
-        "ttl": 8,
-        "protocol": 8,
-        "hdrChecksum": 16,
-        "srcAddr": 32,
-        "dstAddr": 32,
-    },
-    "udp": {"srcPort": 16, "dstPort": 16, "len": 16, "checksum": 16},
-    "tcp": {
-        "srcPort": 16,
-        "dstPort": 16,
-        "seqNo": 32,
-        "ackNo": 32,
-        "dataOffset": 4,
-        "flags": 8,
-        "window": 16,
-        "checksum": 16,
-        "urgentPtr": 16,
-    },
-}
-
-
 def parse_field_value(text: str) -> int:
     """Decimal by default, hex with an 0x prefix."""
     return int(text, 16) if text.startswith("0x") else int(text, 10)
@@ -460,12 +372,11 @@ def packet_from_doc(pdoc: dict, path: str = "packet") -> SimPacket:
     else:
         packet = make_tcp_packet(0, payload=payload)
     packet.ingress_port = pdoc.get("ingress_port", 0)
-    for group in ("eth", "ipv4", "udp", "tcp"):
+    for group, bits in HEADER_FIELD_BITS.items():
         overrides = pdoc.get(group)
         if overrides is None:
             continue
         target = getattr(packet, group)
-        bits = _PACKET_FIELD_BITS[group]
         for name, text in overrides.items():
             field_path = f"{path}.{group}.{name}"
             if name not in bits:
@@ -498,13 +409,11 @@ def result_to_doc(result: SimResult) -> dict:
         "verdict": result.verdict,
         "selector": result.selector,
         "egress_port": result.egress_port,
-        "eth": {k: str(v) for k, v in packet.eth.items()},
-        "ipv4": {k: str(v) for k, v in packet.ipv4.items()},
     }
-    if packet.udp is not None:
-        doc["udp"] = {k: str(v) for k, v in packet.udp.items()}
-    if packet.tcp is not None:
-        doc["tcp"] = {k: str(v) for k, v in packet.tcp.items()}
+    for header in HEADER_FIELD_BITS:
+        fields = getattr(packet, header)
+        if fields is not None:
+            doc[header] = {k: str(v) for k, v in fields.items()}
     doc["payload_hex"] = packet.payload.hex()
     doc["trace"] = [
         {

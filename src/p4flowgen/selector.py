@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_model import HeaderLayout, UValue, check_identifier
+from .core_model import HEADER_FIELD_BITS, HeaderLayout, UValue, check_identifier
 from .errors import (
     DuplicateName,
     MissingLookahead,
@@ -28,26 +28,21 @@ class ProtocolStack(enum.Enum):
 
 
 # Matchable standard-header fields and their widths in bits. The 48-bit MAC
-# addresses are listed for completeness but cannot be matched against any
-# UValue width; extending the value model would unlock them.
+# addresses are left out: no UValue width could ever match them.
 STANDARD_FIELDS: dict[str, int] = {
-    "eth.dstAddr": 48,
-    "eth.srcAddr": 48,
-    "eth.etherType": 16,
-    "ipv4.srcAddr": 32,
-    "ipv4.dstAddr": 32,
-    "ipv4.protocol": 8,
-    "ipv4.totalLen": 16,
-    "ipv4.ttl": 8,
-    "udp.srcPort": 16,
-    "udp.dstPort": 16,
-    "udp.len": 16,
-    "tcp.srcPort": 16,
-    "tcp.dstPort": 16,
+    f"{header}.{name}": HEADER_FIELD_BITS[header][name]
+    for header, names in (
+        ("eth", ("etherType",)),
+        ("ipv4", ("srcAddr", "dstAddr", "protocol", "totalLen", "ttl")),
+        ("udp", ("srcPort", "dstPort", "len")),
+        ("tcp", ("srcPort", "dstPort")),
+    )
+    for name in names
 }
 
-# Transport headers only exist on their own stack; eth/ipv4 are always there.
-_STACK_PREFIXES = {
+# The standard headers in front of the payload on each stack. Transport
+# headers only exist on their own stack; eth/ipv4 are always there.
+STACK_HEADERS = {
     ProtocolStack.IPV4_UDP: ("eth", "ipv4", "udp"),
     ProtocolStack.IPV4_TCP: ("eth", "ipv4", "tcp"),
 }
@@ -87,7 +82,7 @@ def _criterion_width(stack: ProtocolStack, field: str, lookahead: Optional[Heade
         if field not in STANDARD_FIELDS:
             raise UndeclaredName(f"{field!r} is not a standard header field")
         prefix = field.split(".", 1)[0]
-        if prefix not in _STACK_PREFIXES[stack]:
+        if prefix not in STACK_HEADERS[stack]:
             raise UndeclaredName(f"{field!r} is not parsed on stack {stack.value}")
         return STANDARD_FIELDS[field]
     if lookahead is None:

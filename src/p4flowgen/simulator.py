@@ -10,10 +10,14 @@ packets. No P4 is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .codegen import Solution
 from .core_model import (
+    HEADER_BYTES,
+    HEADER_FIELD_BITS,
+    STANDARD_HEADERS,
     U16,
     UValue,
     UWidth,
@@ -41,14 +45,42 @@ from .flow_ast import (
     SendBack,
     Sub,
     SwitchNode,
-    VarRef,
+    operand_fields,
 )
 from .selector import FlowSelector, ProtocolStack
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
 
-_L4_BYTES = {ProtocolStack.IPV4_UDP: 8, ProtocolStack.IPV4_TCP: 20}
+
+def _packer(header: str):
+    """A function from a header's field map to its wire bytes, compiled
+    once from STANDARD_HEADERS into one shift-and-or expression (the way
+    dataclasses compiles ``__init__``), so that packing runs no per-field
+    loop. A field that does not fit its width raises OverflowError; the
+    reserved nibble packs as zero."""
+    shift = HEADER_BYTES[header] * 8
+    fields, overflow = [], []
+    for name, bits in STANDARD_HEADERS[header]:
+        shift -= bits
+        if name != "res":
+            fields.append(f"v[{name!r}] << {shift}")
+            overflow.append(f"v[{name!r}] >> {bits}")
+    return eval(
+        f"lambda v: _out_of_range({header!r}, v) if {' | '.join(overflow)} "
+        f"else ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')"
+    )
+
+
+def _out_of_range(header: str, values: dict[str, int]):
+    raise OverflowError(f"{header} field out of range in {values}")
+
+
+_PACK = {header: _packer(header) for header in STANDARD_HEADERS}
+
+# The 20 IPv4 header bytes of a field map, in wire order (options
+# unsupported).
+ipv4_header_bytes = _PACK["ipv4"]
 
 
 class SplitMix64:
@@ -135,62 +167,46 @@ class SimPacket:
         )
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += self.eth["dstAddr"].to_bytes(6, "big")
-        out += self.eth["srcAddr"].to_bytes(6, "big")
-        out += self.eth["etherType"].to_bytes(2, "big")
-        out += ipv4_header_bytes(self.ipv4)
-        if self.udp is not None:
-            for name in ("srcPort", "dstPort", "len", "checksum"):
-                out += self.udp[name].to_bytes(2, "big")
-        elif self.tcp is not None:
-            t = self.tcp
-            out += t["srcPort"].to_bytes(2, "big")
-            out += t["dstPort"].to_bytes(2, "big")
-            out += t["seqNo"].to_bytes(4, "big")
-            out += t["ackNo"].to_bytes(4, "big")
-            out += ((t["dataOffset"] << 12) | t["flags"]).to_bytes(2, "big")
-            out += t["window"].to_bytes(2, "big")
-            out += t["checksum"].to_bytes(2, "big")
-            out += t["urgentPtr"].to_bytes(2, "big")
-        out += self.payload
-        return bytes(out)
+        headers = (
+            pack(getattr(self, header))
+            for header, pack in _PACK.items()
+            if getattr(self, header) is not None
+        )
+        return b"".join(headers) + bytes(self.payload)
 
 
-def ipv4_header_bytes(ipv4: dict[str, int]) -> bytes:
-    """The 20 header bytes in wire order (options unsupported)."""
-    out = bytearray()
-    out.append((ipv4["version"] << 4) | ipv4["ihl"])
-    out.append((ipv4["dscp"] << 2) | ipv4["ecn"])
-    out += ipv4["totalLen"].to_bytes(2, "big")
-    out += ipv4["identification"].to_bytes(2, "big")
-    out += ((ipv4["flags"] << 13) | ipv4["fragOffset"]).to_bytes(2, "big")
-    out.append(ipv4["ttl"])
-    out.append(ipv4["protocol"])
-    out += ipv4["hdrChecksum"].to_bytes(2, "big")
-    out += ipv4["srcAddr"].to_bytes(4, "big")
-    out += ipv4["dstAddr"].to_bytes(4, "big")
-    return bytes(out)
-
-
-def _base_ipv4(protocol: int, payload_len: int, src, dst, ttl: int) -> dict[str, int]:
-    header = {
+def _make_packet(
+    l4: str,
+    fields: dict[str, int],
+    protocol: int,
+    payload: bytes,
+    ingress_port: int,
+    src_addr: int,
+    dst_addr: int,
+    ttl: int,
+) -> SimPacket:
+    ipv4 = _zeroed("ipv4") | {
         "version": 4,
         "ihl": 5,
-        "dscp": 0,
-        "ecn": 0,
-        "totalLen": 20 + payload_len,
-        "identification": 0,
-        "flags": 0,
-        "fragOffset": 0,
+        "totalLen": HEADER_BYTES["ipv4"] + HEADER_BYTES[l4] + len(payload),
         "ttl": ttl,
         "protocol": protocol,
-        "hdrChecksum": 0,
-        "srcAddr": src,
-        "dstAddr": dst,
+        "srcAddr": src_addr,
+        "dstAddr": dst_addr,
     }
-    header["hdrChecksum"] = internet_checksum(ipv4_header_bytes(header)).magnitude
-    return header
+    ipv4["hdrChecksum"] = internet_checksum(ipv4_header_bytes(ipv4)).magnitude
+    return SimPacket(
+        ingress_port=ingress_port,
+        eth={"dstAddr": 0x020000000002, "srcAddr": 0x020000000001, "etherType": 0x0800},
+        ipv4=ipv4,
+        payload=bytes(payload),
+        **{l4: _zeroed(l4) | fields},
+    )
+
+
+def _zeroed(header: str) -> dict[str, int]:
+    """A field map of a standard header with every field zero."""
+    return dict.fromkeys(HEADER_FIELD_BITS[header], 0)
 
 
 def make_udp_packet(
@@ -204,18 +220,12 @@ def make_udp_packet(
 ) -> SimPacket:
     """A consistent UDP packet: lengths derived from the payload, valid
     IPv4 header checksum, UDP checksum left unused (0)."""
-    return SimPacket(
-        ingress_port=ingress_port,
-        eth={"dstAddr": 0x020000000002, "srcAddr": 0x020000000001, "etherType": 0x0800},
-        ipv4=_base_ipv4(17, 8 + len(payload), src_addr, dst_addr, ttl),
-        udp={
-            "srcPort": src_port,
-            "dstPort": dst_port,
-            "len": 8 + len(payload),
-            "checksum": 0,
-        },
-        payload=bytes(payload),
-    )
+    udp = {
+        "srcPort": src_port,
+        "dstPort": dst_port,
+        "len": HEADER_BYTES["udp"] + len(payload),
+    }
+    return _make_packet("udp", udp, 17, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 def make_tcp_packet(
@@ -228,29 +238,23 @@ def make_tcp_packet(
     ttl: int = 64,
 ) -> SimPacket:
     """A consistent TCP packet with a bare 20-byte header."""
-    return SimPacket(
-        ingress_port=ingress_port,
-        eth={"dstAddr": 0x020000000002, "srcAddr": 0x020000000001, "etherType": 0x0800},
-        ipv4=_base_ipv4(6, 20 + len(payload), src_addr, dst_addr, ttl),
-        tcp={
-            "srcPort": src_port,
-            "dstPort": dst_port,
-            "seqNo": 0,
-            "ackNo": 0,
-            "dataOffset": 5,
-            "flags": 0x18,
-            "window": 65535,
-            "checksum": 0,
-            "urgentPtr": 0,
-        },
-        payload=bytes(payload),
-    )
+    tcp = {
+        "srcPort": src_port,
+        "dstPort": dst_port,
+        "dataOffset": 5,
+        "flags": 0x18,
+        "window": 65535,
+    }
+    return _make_packet("tcp", tcp, 6, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 @dataclass
 class RingState:
     slots: list[int]
     head: int
+
+    def head_value(self) -> int:
+        return self.slots[self.head]
 
 
 @dataclass
@@ -260,16 +264,6 @@ class SimState:
     shared: dict[tuple[str, str], UValue]
     rings: dict[tuple[str, str], RingState]
     rng: SplitMix64
-
-    def copy(self) -> "SimState":
-        return SimState(
-            shared=dict(self.shared),
-            rings={
-                key: RingState(list(r.slots), r.head)
-                for key, r in self.rings.items()
-            },
-            rng=self.rng.copy(),
-        )
 
 
 def initial_state(solution: Solution, seed: int = 0) -> SimState:
@@ -284,8 +278,7 @@ def initial_state(solution: Solution, seed: int = 0) -> SimState:
     return SimState(shared=shared, rings=rings, rng=SplitMix64(seed))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One executed command: its builder ordinal, kind, and the involved
     values before and after execution (same positional layout)."""
 
@@ -366,22 +359,21 @@ class _Execution:
             return op.magnitude
         return self.env[op.name]
 
-    def write(self, ref: VarRef, value: int) -> None:
-        self.env[ref.name] = value
-        if ref.scope is Scope.SHARED:
-            self.state.shared[(self.proc.name, ref.name)] = UValue(ref.width, value)
-
     def ring(self, name: str) -> RingState:
         return self.state.rings[(self.proc.name, name)]
 
     def event(self, ordinal: int, kind: str, before, after) -> None:
-        self.events.append(TraceEvent(ordinal, kind, tuple(before), tuple(after)))
+        self.events.append(TraceEvent(ordinal, kind, before, after))
 
     def run_block(self, block: Block) -> None:
         for cmd in block.commands:
-            self.run_command(cmd)
+            run = _RUN.get(cmd.__class__)
+            if run is not None:
+                run(self, cmd)
+            else:
+                self.run_node(cmd)
 
-    def run_command(self, cmd) -> None:
+    def run_node(self, cmd) -> None:
         if isinstance(cmd, IfNode):
             cond = self.env[cmd.cond.name]
             self.event(cmd.ordinal, "if", (cond,), (cond,))
@@ -389,84 +381,93 @@ class _Execution:
                 self.run_block(cmd.then_block)
             elif cmd.else_block is not None:
                 self.run_block(cmd.else_block)
-            return
-        if isinstance(cmd, SwitchNode):
+        elif isinstance(cmd, SwitchNode):
             chosen = self.read(cmd.selector)
             self.event(cmd.ordinal, "switch", (chosen,), (chosen,))
             for value, _, case_block in cmd.cases:
                 if value.magnitude == chosen:
                     self.run_block(case_block)
                     break
-            return
-        if isinstance(cmd, AtomicNode):
+        elif isinstance(cmd, AtomicNode):
             self.event(cmd.ordinal, "atomic_begin", (), ())
             self.run_block(cmd.block)
             self.event(cmd.end_ordinal, "atomic_end", (), ())
-            return
-
-        if isinstance(cmd, AssignConst):
-            before = (self.read(cmd.target), cmd.value.magnitude)
-            self.write(cmd.target, cmd.value.magnitude)
-            self.event(cmd.ordinal, "assign_const", before, (cmd.value.magnitude, cmd.value.magnitude))
-        elif isinstance(cmd, AssignVar):
-            src = self.read(cmd.source)
-            before = (self.read(cmd.target), src)
-            self.write(cmd.target, src)
-            self.event(cmd.ordinal, "assign_var", before, (src, src))
-        elif isinstance(cmd, Cast):
-            src = self.read(cmd.source)
-            result = src & cmd.target.width.mask
-            before = (self.read(cmd.target), src)
-            self.write(cmd.target, result)
-            self.event(cmd.ordinal, "cast", before, (result, src))
-        elif isinstance(cmd, (Add, Sub)):
-            lhs, rhs = self.read(cmd.lhs), self.read(cmd.rhs)
-            if isinstance(cmd, Add):
-                result = (lhs + rhs) & cmd.target.width.mask
-                kind = "add"
-            else:
-                result = (lhs - rhs) & cmd.target.width.mask
-                kind = "sub"
-            before = (self.read(cmd.target), lhs, rhs)
-            self.write(cmd.target, result)
-            self.event(cmd.ordinal, kind, before, (result, lhs, rhs))
-        elif isinstance(cmd, (Equals, Greater)):
-            lhs, rhs = self.read(cmd.lhs), self.read(cmd.rhs)
-            if isinstance(cmd, Equals):
-                result = 1 if lhs == rhs else 0
-                kind = "equals"
-            else:
-                result = 1 if lhs > rhs else 0
-                kind = "greater"
-            before = (self.read(cmd.target), lhs, rhs)
-            self.write(cmd.target, result)
-            self.event(cmd.ordinal, kind, before, (result, lhs, rhs))
-        elif isinstance(cmd, Rand):
-            before = (self.read(cmd.target),)
-            result = self.state.rng.draw(cmd.target.width)
-            self.write(cmd.target, result)
-            self.event(cmd.ordinal, "rand", before, (result,))
-        elif isinstance(cmd, RingPush):
-            ring = self.ring(cmd.ring)
-            value = self.read(cmd.source)
-            before = (value, ring.head)
-            ring.slots[ring.head] = value
-            ring.head = (ring.head + 1) % len(ring.slots)
-            self.event(cmd.ordinal, "ring_push", before, (value, ring.head))
-        elif isinstance(cmd, RingReadHead):
-            ring = self.ring(cmd.ring)
-            value = ring.slots[ring.head]
-            before = (self.read(cmd.target),)
-            self.write(cmd.target, value)
-            self.event(cmd.ordinal, "ring_read_head", before, (value,))
-        elif isinstance(cmd, SendBack):
-            self.egress = self.ingress_port
-            self.event(cmd.ordinal, "send_back", (), ())
-        elif isinstance(cmd, Forward):
-            self.egress = cmd.port
-            self.event(cmd.ordinal, "forward", (cmd.port,), (cmd.port,))
         else:
             raise TypeError(f"cannot simulate {cmd!r}")
+
+
+def _ring_push(run: _Execution, cmd: RingPush) -> None:
+    ring = run.ring(cmd.ring)
+    value = run.read(cmd.source)
+    before = (value, ring.head)
+    ring.slots[ring.head] = value
+    ring.head = (ring.head + 1) % len(ring.slots)
+    run.event(cmd.ordinal, cmd.op, before, (value, ring.head))
+
+
+def _egress(run: _Execution, cmd, port: int, seen: tuple) -> None:
+    run.egress = port
+    run.event(cmd.ordinal, cmd.op, seen, seen)
+
+
+# One entry per plain op. An op with a ``target`` field maps its operand
+# values to the value it writes (_writes_target does the rest); any other
+# op does its whole step itself.
+_EVAL = {
+    AssignConst: lambda run, cmd, value: value,
+    AssignVar: lambda run, cmd, source: source,
+    Cast: lambda run, cmd, source: source & cmd.target.width.mask,
+    Add: lambda run, cmd, lhs, rhs: (lhs + rhs) & cmd.target.width.mask,
+    Sub: lambda run, cmd, lhs, rhs: (lhs - rhs) & cmd.target.width.mask,
+    Equals: lambda run, cmd, lhs, rhs: 1 if lhs == rhs else 0,
+    Greater: lambda run, cmd, lhs, rhs: 1 if lhs > rhs else 0,
+    Rand: lambda run, cmd: run.state.rng.draw(cmd.target.width),
+    RingReadHead: lambda run, cmd: run.ring(cmd.ring).head_value(),
+    RingPush: _ring_push,
+    SendBack: lambda run, cmd: _egress(run, cmd, run.ingress_port, ()),
+    Forward: lambda run, cmd: _egress(run, cmd, cmd.port, (cmd.port,)),
+}
+
+
+def _writes_target(cls, evaluate):
+    """The one path of every op that writes a target: read the operands,
+    evaluate, write the target, and record (target, *operands) before and
+    (result, *operands) after."""
+    # Operand access is resolved here, once per class, and the reads are
+    # spelled out per operand count: this is the per-packet hot path.
+    names = operand_fields(cls)
+    get = attrgetter(*names) if names else None
+
+    def run(ex: _Execution, cmd) -> None:
+        env = ex.env
+        if len(names) == 2:
+            lhs, rhs = get(cmd)
+            operands = (
+                lhs.magnitude if lhs.__class__ is UValue else env[lhs.name],
+                rhs.magnitude if rhs.__class__ is UValue else env[rhs.name],
+            )
+        elif names:
+            source = get(cmd)
+            operands = (source.magnitude if source.__class__ is UValue else env[source.name],)
+        else:
+            operands = ()
+        target = cmd.target
+        before = env[target.name]
+        result = evaluate(ex, cmd, *operands)
+        env[target.name] = result
+        if target.scope is Scope.SHARED:
+            ex.state.shared[(ex.proc.name, target.name)] = UValue(target.width, result)
+        ex.events.append(
+            TraceEvent(cmd.ordinal, cmd.op, (before, *operands), (result, *operands))
+        )
+
+    return run
+
+
+_RUN = {
+    cls: _writes_target(cls, evaluate) if "target" in cls.__dataclass_fields__ else evaluate
+    for cls, evaluate in _EVAL.items()
+}
 
 
 def _egress_fixups(packet: SimPacket, proc: FlowProcessor, env: dict[str, int]) -> SimPacket:

@@ -8,7 +8,6 @@ import json
 from pathlib import Path
 
 from all_ops import all_ops_solution
-from p4flowgen import cli
 from p4flowgen.codegen import generate
 from p4flowgen.program_doc import (
     dumps_doc,
@@ -61,13 +60,3 @@ def test_every_op_kind_is_traced():
         "forward", "if", "switch", "atomic_begin", "atomic_end",
     }
 
-
-def test_cli_round_trip(tmp_path, capsys):
-    out_dir = tmp_path / "gen"
-    assert cli.main(["generate", str(PROGRAM), "-o", str(out_dir)]) == 0
-    for frozen in (GOLDEN / "all_ops").iterdir():
-        assert (out_dir / frozen.name).read_bytes() == frozen.read_bytes()
-    results = tmp_path / "results.json"
-    assert cli.main(["simulate", str(PROGRAM), "-t", str(TRACE), "-o", str(results)]) == 0
-    assert results.read_text() == (GOLDEN / "all_ops_results.json").read_text()
-    capsys.readouterr()

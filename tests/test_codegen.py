@@ -101,8 +101,10 @@ class TestGeneratedShape:
         assert "state chain_ipv4_udp_0" in combined
 
     def test_write_to_disk(self, tmp_path):
-        fs = generate(guess_game_solution(), output_dir=tmp_path)
+        fs = generate(guess_game_solution())
+        paths = fs.write_to(tmp_path)
         written = {p.name for p in tmp_path.iterdir()}
+        assert {p.name for p in paths} == written
         assert set(FRAGMENT_NAMES) <= written
         assert COMBINED_NAME in written
         assert "v1model_basic.p4" in written

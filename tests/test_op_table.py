@@ -1,0 +1,70 @@
+"""The op table in flow_ast is the one declaration of each plain command.
+
+These tests keep everything that must follow it in step: the
+hand-written program schema, the simulator's eval entries and the code
+generator's emit entries.
+"""
+
+import dataclasses
+from typing import get_args
+
+import pytest
+
+from p4flowgen import codegen, simulator
+from p4flowgen.flow_ast import OPS, Command
+from p4flowgen.program_doc import load_schema
+
+SCOPE_OPS = ["if", "switch", "atomic"]
+
+
+def _branch_ops(branch) -> list:
+    cond = branch["if"]["properties"]["op"]
+    return [cond["const"]] if "const" in cond else cond["enum"]
+
+
+def _branches(op: str) -> list:
+    schema = load_schema("program")
+    return [
+        b for b in schema["$defs"]["command"]["allOf"] if op in _branch_ops(b)
+    ]
+
+
+def test_schema_op_enum_is_the_op_table_plus_scopes():
+    command = load_schema("program")["$defs"]["command"]
+    assert command["properties"]["op"]["enum"] == list(OPS) + SCOPE_OPS
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_schema_branch_lists_exactly_the_op_fields(op):
+    fields = [f for f in dataclasses.fields(OPS[op]) if f.name != "ordinal"]
+    branches = _branches(op)
+    assert len(branches) == (1 if fields else 0)
+    then = branches[0]["then"] if branches else {}
+    assert sorted(then.get("properties", {})) == sorted(f.name for f in fields)
+    required = [
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    assert sorted(then.get("required", [])) == sorted(required)
+
+
+def test_every_schema_branch_names_known_ops():
+    schema = load_schema("program")
+    for branch in schema["$defs"]["command"]["allOf"]:
+        assert set(_branch_ops(branch)) <= set(OPS) | set(SCOPE_OPS)
+
+
+def test_simulator_has_one_entry_per_plain_op():
+    assert set(simulator._EVAL) == set(OPS.values())
+
+
+def test_codegen_has_one_entry_per_plain_op():
+    assert set(codegen._EMIT) == set(OPS.values())
+
+
+def test_op_names_are_unique_per_class():
+    assert list(OPS.values()) == list(get_args(Command))
+    for op, cls in OPS.items():
+        assert cls.op == op

@@ -60,7 +60,7 @@ class TestNewFlowSelector:
             )
 
     def test_mac_addresses_cannot_be_matched(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(UndeclaredName):
             new_flow_selector(
                 "sel", ProtocolStack.IPV4_UDP, [("eth.dstAddr", u32(1))], PROC
             )

@@ -113,6 +113,28 @@ class TestPacketBuilders:
         pkt = make_udp_packet(5555, payload=b"abcd")
         assert len(pkt.to_bytes()) == 14 + pkt.ipv4["totalLen"]
 
+    def test_tcp_to_bytes_packs_reserved_nibble_as_zero(self):
+        pkt = make_tcp_packet(80, payload=b"xy")
+        tcp = pkt.to_bytes()[34:54]
+        assert tcp[12:14] == ((5 << 12) | 0x18).to_bytes(2, "big")
+        assert "res" not in pkt.tcp
+
+    @pytest.mark.parametrize("header, field, value", [
+        ("ipv4", "ihl", 16),
+        ("ipv4", "ttl", -1),
+        ("udp", "len", 1 << 16),
+        ("eth", "dstAddr", 1 << 48),
+    ])
+    def test_out_of_range_field_is_rejected(self, header, field, value):
+        pkt = make_udp_packet(5555, payload=b"abcd")
+        getattr(pkt, header)[field] = value
+        with pytest.raises(OverflowError):
+            pkt.to_bytes()
+
+    def test_oversized_payload_is_rejected(self):
+        with pytest.raises(OverflowError):
+            make_udp_packet(5555, payload=bytes(0x10000))
+
 
 def tagged_solution():
     """A selector mixing a standard-port criterion with a payload tag."""
