@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Refresh the frozen outputs under tests/golden/ and tests/data/.
+"""Refresh the frozen documents and outputs: the shipped assets,
+tests/data/all_ops.json and everything under tests/golden/.
 
-The frozen files pin three things:
+The frozen files pin four things:
 
-* the full generated file set for each packaged example and for the
-  test-only all_ops program (tests/golden/<name>/),
-* the simulate results for the trace fixtures in tests/data/
-  (tests/golden/<name>_results.json), and
+* the document of each packaged example, built by its entry in
+  EXAMPLE_BUILDERS (src/p4flowgen/assets/<name>.json),
 * the document of the all_ops program built by tests/all_ops.py
-  (tests/data/all_ops.json).
+  (tests/data/all_ops.json),
+* the full generated file set for each packaged example and for the
+  test-only all_ops program (tests/golden/<name>/), and
+* the simulate results for the trace fixtures in tests/data/
+  (tests/golden/<name>_results.json).
 
 Run this after an intentional change to code generation or to the
 simulator, review the diff, and commit the result together with the
@@ -34,7 +37,6 @@ from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
 from p4flowgen.program_doc import (
     dumps_doc,
-    load_json,
     load_trace,
     results_to_doc,
     solution_from_doc,
@@ -47,10 +49,13 @@ DATA = TESTS / "data"
 ALL_OPS_DOC = DATA / "all_ops.json"
 
 
-def _program_outputs(name: str, doc) -> dict[Path, str]:
-    """Generated files and trace results of one program document."""
-    out: dict[Path, str] = {}
-    solution = solution_from_doc(doc)
+def _program_outputs(name: str, doc_path: Path, solution) -> dict[Path, str]:
+    """The document of one program, and the generated files and trace
+    results of the Solution loaded back from that document (the path
+    the CLI takes)."""
+    doc_text = dumps_doc(solution_to_doc(solution))
+    out: dict[Path, str] = {doc_path: doc_text}
+    solution = solution_from_doc(json.loads(doc_text))
     files = generate(solution)
     for fname, text in files.files.items():
         out[GOLDEN / name / fname] = text
@@ -65,26 +70,23 @@ def _program_outputs(name: str, doc) -> dict[Path, str]:
 def build_outputs() -> dict[Path, str]:
     """Map of absolute path to expected file text."""
     out: dict[Path, str] = {}
-    for name in sorted(EXAMPLE_BUILDERS):
-        # Load through the shipped document, the same path the CLI takes.
-        out.update(_program_outputs(name, load_json(asset_path(name))))
-    all_ops_text = dumps_doc(solution_to_doc(all_ops_solution()))
-    out[ALL_OPS_DOC] = all_ops_text
-    out.update(_program_outputs("all_ops", json.loads(all_ops_text)))
+    for name, builder in sorted(EXAMPLE_BUILDERS.items()):
+        out.update(_program_outputs(name, asset_path(name), builder()))
+    out.update(_program_outputs("all_ops", ALL_OPS_DOC, all_ops_solution()))
     return out
 
 
 def check(expected: dict[Path, str]) -> int:
     stale = []
     for path, text in expected.items():
-        rel = path.relative_to(TESTS)
+        rel = path.relative_to(ROOT)
         if not path.exists():
             stale.append(f"missing: {rel}")
         elif path.read_text() != text:
             stale.append(f"differs: {rel}")
     for path in sorted(GOLDEN.rglob("*")):
         if path.is_file() and path not in expected:
-            stale.append(f"orphaned: {path.relative_to(TESTS)}")
+            stale.append(f"orphaned: {path.relative_to(ROOT)}")
     for line in stale:
         print(line)
     return 1 if stale else 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .codegen import Solution
 from .core_model import U8, U16, U32, FieldDecl, HeaderLayout, SharedVariableDecl, u8, u16
 from .flow_ast import (
     Add,
@@ -30,7 +29,7 @@ from .flow_ast import (
     local,
     new_flow_processor,
 )
-from .selector import ProtocolStack, new_flow_selector
+from .selector import ProtocolStack, Solution, new_flow_selector
 
 GUESS_PORT = 5555
 AGG_PORT = 6666

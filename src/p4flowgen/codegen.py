@@ -1,14 +1,16 @@
 """P4-16 fragment emission.
 
-A Solution (selectors in registration order plus codegen options) turns
-into five fragment files that a shipped static template pulls in through
-``#include`` hooks:
+A Solution (selectors in registration order and their per-stack chains)
+turns into five fragment files that the shipped V1Model template pulls in
+through ``#include`` hooks:
 
 * headers.p4inc  - header type definitions for user layouts
 * parser.p4inc   - chain-enabling ``#define`` lines and parser chain states
 * structs.p4inc  - header instances inside the template's headers struct
 * decls.p4inc    - control-scope variables, registers, tables and actions
 * apply.p4inc    - the per-flow branches executed in the ingress apply block
+
+plus ``program.p4``, the template with every fragment spliced in.
 
 Output is deterministic: identical Solutions yield byte-identical files.
 User constants are emitted verbatim, never folded. Every builder call is
@@ -18,10 +20,9 @@ the source program.
 
 from __future__ import annotations
 
-import enum
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -57,7 +58,7 @@ from .selector import (
     FlowSelector,
     ParserChain,
     ProtocolStack,
-    build_chains,
+    Solution,
 )
 
 FRAGMENT_NAMES = (
@@ -71,49 +72,17 @@ FRAGMENT_NAMES = (
 COMBINED_NAME = "program.p4"
 
 
-class TemplateId(enum.Enum):
-    V1MODEL_BASIC = "v1model_basic"
+# The one shipped template, named by a program document's "template" tag.
+TEMPLATE = "v1model_basic"
 
-
-@dataclass(frozen=True)
-class CodegenConfig:
-    emit_combined: bool = True
-    indent: int = 4
-
-
-@dataclass(frozen=True, eq=False)
-class Solution:
-    """Selectors in registration order plus emission options."""
-
-    selectors: tuple[FlowSelector, ...]
-    template: TemplateId = TemplateId.V1MODEL_BASIC
-    options: CodegenConfig = field(default_factory=CodegenConfig)
-
-    def __init__(self, selectors, template=TemplateId.V1MODEL_BASIC, options=None):
-        object.__setattr__(self, "selectors", tuple(selectors))
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "options", options or CodegenConfig())
-        build_chains(self.selectors)  # rejects duplicate selector names
-
-    def processors(self) -> list[FlowProcessor]:
-        """Referenced processors, first appearance order, deduplicated."""
-        procs: dict[str, FlowProcessor] = {}
-        for sel in self.selectors:
-            p = sel.processor
-            if p.name in procs:
-                if procs[p.name] is not p:
-                    raise DuplicateName(
-                        f"two distinct processors share the name {p.name!r}"
-                    )
-            else:
-                procs[p.name] = p
-        return list(procs.values())
+# One nesting level in every emitted fragment.
+INDENT = "    "
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratedFileSet:
-    """The emitted fragments (plus the combined program when requested)
-    and the template they splice into."""
+    """The emitted fragments plus the combined program, and the template
+    they splice into."""
 
     files: dict[str, str]
     template_name: str
@@ -148,30 +117,22 @@ def write_staged(target_dir, files: dict[str, str]) -> list[Path]:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def template_path(template) -> Path:
-    """Path of a shipped template, by TemplateId or by name."""
-    if not isinstance(template, TemplateId):
-        try:
-            template = TemplateId(template)
-        except ValueError:
-            raise KeyError(f"unknown template {template!r}") from None
-    return Path(__file__).parent / "templates" / f"{template.value}.p4"
-
-
-def load_template(template) -> str:
-    return template_path(template).read_text()
+def load_template(name: str) -> str:
+    """The text of a shipped template; KeyError for an unknown name."""
+    if name != TEMPLATE:
+        raise KeyError(f"unknown template {name!r}")
+    return (Path(__file__).parent / "templates" / f"{name}.p4").read_text()
 
 
 # -- low-level emission helpers ---------------------------------------------
 
 
 class _Writer:
-    def __init__(self, indent: int) -> None:
-        self._unit = " " * indent
+    def __init__(self) -> None:
         self.lines: list[str] = []
 
     def line(self, depth: int, text: str = "") -> None:
-        self.lines.append(self._unit * depth + text if text else "")
+        self.lines.append(INDENT * depth + text if text else "")
 
     def nested(self, depth: int, items: list) -> None:
         """Lines at ``depth``; a nested list goes one level deeper."""
@@ -349,8 +310,8 @@ def _unique_layouts(selectors: Sequence[FlowSelector]) -> list[HeaderLayout]:
     return list(layouts.values())
 
 
-def _emit_headers(layouts: Sequence[HeaderLayout], indent: int) -> str:
-    w = _Writer(indent)
+def _emit_headers(layouts: Sequence[HeaderLayout]) -> str:
+    w = _Writer()
     for i, layout in enumerate(layouts):
         if i:
             w.line(0)
@@ -361,8 +322,8 @@ def _emit_headers(layouts: Sequence[HeaderLayout], indent: int) -> str:
     return w.text()
 
 
-def _emit_structs(procs: Sequence[FlowProcessor], indent: int) -> str:
-    w = _Writer(indent)
+def _emit_structs(procs: Sequence[FlowProcessor]) -> str:
+    w = _Writer()
     for p in procs:
         w.line(1, f"{p.input.name}_t {p.name}__in;")
         if p.output is not None:
@@ -385,7 +346,7 @@ def emit_parser_chain(chain: ParserChain, flow_ids: Optional[Sequence[int]] = No
     if flow_ids is None:
         flow_ids = list(range(1, len(chain.links) + 1))
     name = chain.stack.value.lower()
-    w = _Writer(4)
+    w = _Writer()
     for k, (sel, flow_id) in enumerate(zip(chain.links, flow_ids)):
         is_last = k == len(chain.links) - 1
         miss = "accept" if is_last else f"chain_{name}_{k + 1}"
@@ -413,7 +374,7 @@ def emit_parser_chain(chain: ParserChain, flow_ids: Optional[Sequence[int]] = No
     return w.text()
 
 
-def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, int], indent: int) -> str:
+def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, int]) -> str:
     parts: list[str] = []
     defines = [
         f"#define PARROT_CHAIN_{stack.value}"
@@ -430,8 +391,8 @@ def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, i
     return "".join(parts)
 
 
-def _emit_decls(procs: Sequence[FlowProcessor], indent: int) -> str:
-    w = _Writer(indent)
+def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
+    w = _Writer()
     first = True
     for p in procs:
         if not first:
@@ -478,14 +439,13 @@ def _emit_decls(procs: Sequence[FlowProcessor], indent: int) -> str:
 def emit_processor_control(
     p: FlowProcessor,
     stack: ProtocolStack = ProtocolStack.IPV4_UDP,
-    indent: int = 4,
     depth: int = 3,
 ) -> str:
     """The statements executed when a packet hits this processor: zeroed
     locals, register boot and reads, output activation, the command body,
     then header-validity flips and byte-delta bookkeeping."""
     p.validate_complete()
-    w = _Writer(indent)
+    w = _Writer()
     for d in p.locals:
         w.line(depth, f"{p.name}__{d.name} = {d.width.bits}w0;")
     if any(d.initial.magnitude != 0 for d in p.shared):
@@ -527,8 +487,8 @@ def emit_processor_control(
     return w.text()
 
 
-def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int], indent: int) -> str:
-    w = _Writer(indent)
+def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int]) -> str:
+    w = _Writer()
     first = True
     for sel in selectors:
         if not first:
@@ -536,7 +496,7 @@ def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int], ind
         first = False
         w.line(2, f"// flow {sel.name}")
         w.line(2, f"if (meta.app_flow == 16w{flow_ids[sel.name]}) {{")
-        body = emit_processor_control(sel.processor, sel.stack, indent, depth=3)
+        body = emit_processor_control(sel.processor, sel.stack)
         w.lines.extend(body.splitlines())
         w.line(2, "}")
     return w.text()
@@ -558,29 +518,24 @@ def _combine(template_text: str, files: dict[str, str]) -> str:
 
 
 def generate(solution: Solution) -> GeneratedFileSet:
-    """Emit all fragments (plus, when configured, the combined program)
-    for a Solution; ``write_to`` puts them on disk."""
+    """Emit all fragments plus the combined program for a Solution;
+    ``write_to`` puts them on disk."""
     selectors = solution.selectors
     procs = solution.processors()
     for p in procs:
         p.validate_complete()
-    layouts = _unique_layouts(selectors)
-    chains = build_chains(selectors)
     flow_ids = {sel.name: i + 1 for i, sel in enumerate(selectors)}
-    indent = solution.options.indent
-
     files = {
-        "headers.p4inc": _emit_headers(layouts, indent),
-        "parser.p4inc": _emit_parser(chains, flow_ids, indent),
-        "structs.p4inc": _emit_structs(procs, indent),
-        "decls.p4inc": _emit_decls(procs, indent),
-        "apply.p4inc": _emit_apply(selectors, flow_ids, indent),
+        "headers.p4inc": _emit_headers(_unique_layouts(selectors)),
+        "parser.p4inc": _emit_parser(solution.chains, flow_ids),
+        "structs.p4inc": _emit_structs(procs),
+        "decls.p4inc": _emit_decls(procs),
+        "apply.p4inc": _emit_apply(selectors, flow_ids),
     }
-    template_text = load_template(solution.template)
-    if solution.options.emit_combined:
-        files[COMBINED_NAME] = _combine(template_text, files)
+    template_text = load_template(TEMPLATE)
+    files[COMBINED_NAME] = _combine(template_text, files)
     return GeneratedFileSet(
         files=files,
-        template_name=f"{solution.template.value}.p4",
+        template_name=f"{TEMPLATE}.p4",
         template_text=template_text,
     )

@@ -730,8 +730,8 @@ class FlowProcessor:
         reproduces this processor including ordinals."""
         return {
             "name": self.name,
-            "input": layout_doc(self.input),
-            "output": layout_doc(self.output) if self.output else None,
+            "input": self.input.name,
+            "output": self.output.name if self.output else None,
             "locals": [_local_doc(d) for d in self.locals],
             "shared": [
                 {"name": d.name, "width": d.width.bits, "initial": d.initial.magnitude}
@@ -801,13 +801,6 @@ def new_flow_processor(
 
 
 # -- document form ---------------------------------------------------------
-
-
-def layout_doc(layout: HeaderLayout) -> dict:
-    return {
-        "name": layout.name,
-        "fields": [{"name": f.name, "width": f.width.bits} for f in layout.fields],
-    }
 
 
 def _local_doc(d: FieldDecl) -> dict:

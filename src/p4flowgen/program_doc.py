@@ -18,7 +18,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .codegen import CodegenConfig, Solution, TemplateId
+from .codegen import TEMPLATE
 from .core_model import (
     HEADER_FIELD_BITS,
     FieldDecl,
@@ -35,12 +35,11 @@ from .flow_ast import (
     FlowProcessor,
     SemanticError,
     bool_local,
-    layout_doc,
     local,
     new_flow_processor,
     uvalue_doc,
 )
-from .selector import Criterion, ProtocolStack, new_flow_selector
+from .selector import Criterion, ProtocolStack, Solution, new_flow_selector
 from .simulator import SimPacket, SimResult, make_tcp_packet, make_udp_packet
 
 
@@ -125,10 +124,9 @@ def solution_to_doc(solution: Solution) -> dict:
 
     processors = []
     for proc in solution.processors():
-        pdoc = proc.to_doc()
-        pdoc["input"] = register(proc.input)
-        pdoc["output"] = register(proc.output)
-        processors.append(pdoc)
+        register(proc.input)
+        register(proc.output)
+        processors.append(proc.to_doc())
     selectors = []
     for sel in solution.selectors:
         selectors.append(
@@ -144,12 +142,14 @@ def solution_to_doc(solution: Solution) -> dict:
         )
     return {
         "version": 1,
-        "template": solution.template.value,
-        "options": {
-            "emit_combined": solution.options.emit_combined,
-            "indent": solution.options.indent,
-        },
-        "layouts": [layout_doc(layout) for layout in layouts.values()],
+        "template": TEMPLATE,
+        "layouts": [
+            {
+                "name": layout.name,
+                "fields": [{"name": f.name, "width": f.width.bits} for f in layout.fields],
+            }
+            for layout in layouts.values()
+        ],
         "processors": processors,
         "selectors": selectors,
     }
@@ -328,16 +328,8 @@ def solution_from_doc(doc) -> Solution:
                     lookahead=lookahead,
                 )
             )
-    options = doc.get("options", {})
     with _at("selectors"):
-        return Solution(
-            selectors,
-            template=TemplateId(doc["template"]),
-            options=CodegenConfig(
-                emit_combined=options.get("emit_combined", True),
-                indent=options.get("indent", 4),
-            ),
-        )
+        return Solution(selectors)
 
 
 def load_program(path) -> Solution:

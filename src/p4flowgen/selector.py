@@ -1,9 +1,12 @@
-"""Flow selectors and the chain-shaped parser model built from them.
+"""Flow selectors, the chain-shaped parser model built from them, and
+the Solution that holds both.
 
 A FlowSelector binds packets of one protocol stack to one processor via a
 conjunction of exact-match criteria. Selectors registered for the same
 stack form an ordered chain; the first selector whose criteria all match
-wins, later ones are never consulted for that packet.
+wins, later ones are never consulted for that packet. A Solution builds
+its chains once; the simulator classifies along them and the code
+generator emits them as parser states.
 """
 
 from __future__ import annotations
@@ -149,3 +152,30 @@ def build_chains(selectors) -> dict[ProtocolStack, ParserChain]:
     return {
         stack: ParserChain(stack, tuple(links)) for stack, links in ordered.items()
     }
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """Selectors in registration order plus the per-stack chains built
+    from them, which both the simulator and the code generator walk."""
+
+    selectors: tuple[FlowSelector, ...]
+    chains: dict[ProtocolStack, ParserChain]
+
+    def __init__(self, selectors) -> None:
+        object.__setattr__(self, "selectors", tuple(selectors))
+        object.__setattr__(self, "chains", build_chains(self.selectors))
+
+    def processors(self) -> list[FlowProcessor]:
+        """Referenced processors, first appearance order, deduplicated."""
+        procs: dict[str, FlowProcessor] = {}
+        for sel in self.selectors:
+            p = sel.processor
+            if p.name in procs:
+                if procs[p.name] is not p:
+                    raise DuplicateName(
+                        f"two distinct processors share the name {p.name!r}"
+                    )
+            else:
+                procs[p.name] = p
+        return list(procs.values())

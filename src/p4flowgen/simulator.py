@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .codegen import Solution
 from .core_model import (
     HEADER_BYTES,
     HEADER_FIELD_BITS,
@@ -47,7 +46,7 @@ from .flow_ast import (
     SwitchNode,
     operand_fields,
 )
-from .selector import FlowSelector, ProtocolStack
+from .selector import FlowSelector, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -299,16 +298,16 @@ class SimResult:
 
 
 def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
-    """First registered selector whose stack and criteria all match.
+    """First selector on the packet's stack chain whose criteria all match.
 
     Raises MalformedPacket when a selector's non-payload criteria match
     but the payload is too short for its lookahead window or input layout.
     """
     packet.validate()
-    stack = packet.stack()
-    for sel in solution.selectors:
-        if sel.stack is not stack:
-            continue
+    chain = solution.chains.get(packet.stack())
+    if chain is None:
+        return None
+    for sel in chain.links:
         standard = [c for c in sel.criteria if "." in c.field]
         if not all(
             packet.get_field(c.field) == c.value.magnitude for c in standard

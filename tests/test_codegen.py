@@ -2,9 +2,14 @@
 
 import pytest
 
+from all_ops import all_ops_solution
 from p4scan import check_balanced, unresolved_names
 
-from p4flowgen.builtin_examples import guess_game_solution, insert_agg_solution
+from p4flowgen.builtin_examples import (
+    EXAMPLE_BUILDERS,
+    guess_game_solution,
+    insert_agg_solution,
+)
 from p4flowgen.codegen import (
     COMBINED_NAME,
     FRAGMENT_NAMES,
@@ -337,3 +342,15 @@ class TestStructuralSanity:
         assert base["parser.p4inc"] == table["parser.p4inc"]
         assert base["structs.p4inc"] == table["structs.p4inc"]
         assert base["apply.p4inc"] != table["apply.p4inc"]
+
+
+class TestFileSetAlwaysComplete:
+    @pytest.mark.parametrize(
+        "builder",
+        [*EXAMPLE_BUILDERS.values(), all_ops_solution, lambda: Solution([])],
+        ids=[*EXAMPLE_BUILDERS, "all_ops", "empty"],
+    )
+    def test_five_fragments_plus_combined(self, builder):
+        fs = generate(builder())
+        assert list(fs.files) == [*FRAGMENT_NAMES, COMBINED_NAME]
+        assert fs.template_name == "v1model_basic.p4"

@@ -13,7 +13,8 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
-from p4flowgen.flow_ast import Hint
+from p4flowgen.core_model import U8, U16, FieldDecl, HeaderLayout, u16
+from p4flowgen.flow_ast import Hint, new_flow_processor
 from p4flowgen.program_doc import (
     SCHEMA_DIR,
     DocError,
@@ -30,6 +31,7 @@ from p4flowgen.program_doc import (
     validate_program_doc,
     validate_trace_doc,
 )
+from p4flowgen.selector import ProtocolStack, Solution, new_flow_selector
 from p4flowgen.simulator import make_udp_packet, run_trace
 
 
@@ -317,3 +319,34 @@ class TestResultDocs:
     def test_results_envelope(self):
         doc = results_to_doc(7, [])
         assert doc == {"seed": 7, "results": []}
+
+
+class TestTopLevelForm:
+    def test_doc_is_tags_and_sections_only(self):
+        assert list(guess_doc()) == [
+            "version", "template", "layouts", "processors", "selectors"
+        ]
+
+    def test_options_object_rejected(self):
+        doc = guess_doc()
+        doc["options"] = {"emit_combined": True, "indent": 4}
+        with pytest.raises(DocError):
+            validate_program_doc(doc)
+        with pytest.raises(DocError):
+            solution_from_doc(doc)
+
+    def test_layouts_sharing_a_name_rejected(self):
+        procs = [
+            new_flow_processor(name, input=HeaderLayout("req", [FieldDecl("x", w)]))
+            for name, w in (("one", U8), ("two", U16))
+        ]
+        sol = Solution(
+            new_flow_selector(
+                f"s{port}", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(port))], p
+            )
+            for port, p in enumerate(procs, start=1)
+        )
+        with pytest.raises(DocError) as err:
+            solution_to_doc(sol)
+        assert err.value.path == "layouts"
+        assert "'req'" in err.value.message

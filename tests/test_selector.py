@@ -1,5 +1,7 @@
 """Unit tests for flow selectors and chain building."""
 
+from dataclasses import fields
+
 import pytest
 
 from p4flowgen.core_model import U8, U16, FieldDecl, HeaderLayout, u8, u16, u32
@@ -13,6 +15,7 @@ from p4flowgen.flow_ast import new_flow_processor
 from p4flowgen.selector import (
     Criterion,
     ProtocolStack,
+    Solution,
     build_chains,
     new_flow_selector,
 )
@@ -149,3 +152,30 @@ class TestBuildChains:
     def test_absent_stack_absent_from_map(self):
         chains = build_chains([udp_selector()])
         assert ProtocolStack.IPV4_TCP not in chains
+
+
+class TestSolution:
+    def test_fields_are_selectors_and_chains(self):
+        assert [f.name for f in fields(Solution)] == ["selectors", "chains"]
+
+    def test_chains_built_from_selectors(self):
+        u1, u2 = udp_selector("u1", 1), udp_selector("u2", 2)
+        t = new_flow_selector(
+            "t", ProtocolStack.IPV4_TCP, [("tcp.dstPort", u16(80))], PROC
+        )
+        sol = Solution(iter([u1, t, u2]))
+        assert sol.selectors == (u1, t, u2)
+        assert list(sol.chains) == [ProtocolStack.IPV4_UDP, ProtocolStack.IPV4_TCP]
+        assert sol.chains[ProtocolStack.IPV4_UDP].links == (u1, u2)
+        assert sol.chains[ProtocolStack.IPV4_TCP].links == (t,)
+
+    def test_distinct_processors_sharing_a_name_rejected(self):
+        twin = new_flow_processor("proc", REQ)
+        sol = Solution([
+            udp_selector("a", 1),
+            new_flow_selector(
+                "b", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(2))], twin
+            ),
+        ])
+        with pytest.raises(DuplicateName, match="'proc'"):
+            sol.processors()
