@@ -5,18 +5,24 @@ one replays every command through the builder, so each semantic check
 fires exactly as it would in a script, and the diagnostic carries the
 JSON path of the offending node (``processors[0].body[3]``) instead of
 a call ordinal.
+
+Before replay, a document is checked against its shipped JSON Schema.
+Each schema is compiled once per process, on first use, into a tree of
+closures (``compile_schema``) that only answers valid or invalid; a
+valid document never imports jsonschema. Only when the closures reject
+a document is jsonschema imported, to find and word the most relevant
+error as a ``DocError``. Both treat only JSON integers as integers.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
-
-import jsonschema
 
 from .codegen import TEMPLATE
 from .core_model import (
@@ -72,22 +78,232 @@ def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
+# -- schemas: compiled once into closures --------------------------------
+
+# Keywords with no bearing on validity.
+_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
+# Applied in this order, so the cheap type test runs first and
+# unevaluatedProperties runs after every keyword whose annotations it reads.
+_KEYWORDS = (
+    "type", "const", "enum", "pattern", "minimum", "maximum", "minItems",
+    "required", "minProperties", "maxProperties", "properties",
+    "additionalProperties", "items", "$ref", "allOf", "oneOf", "not", "if",
+    "unevaluatedProperties",
+)
+_IMPLEMENTED = _ANNOTATIONS | set(_KEYWORDS) | {"then"}
+
+
+def _is_integer(x) -> bool:
+    """A JSON integer: ``5.0`` and ``True`` are not one."""
+    return type(x) is int
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": _is_integer,
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+}
+
+
+def _one_of_values(values):
+    """Membership with JSON equality, as jsonschema's const and enum use
+    it: ``1 == 1.0``, but a boolean equals only a boolean."""
+    if any(isinstance(v, (list, dict)) for v in values):
+        raise ValueError(f"const/enum {values!r} not implemented")
+    bools = frozenset(v for v in values if isinstance(v, bool))
+    others = frozenset(v for v in values if not isinstance(v, bool))
+    return lambda x: x in bools if isinstance(x, bool) else (
+        not isinstance(x, (list, dict)) and x in others
+    )
+
+
+def _all(tests):
+    def check(x):
+        for test in tests:
+            if not test(x):
+                return False
+        return True
+
+    return tests[0] if len(tests) == 1 else check
+
+
+def compile_schema(root: dict):
+    """Compile a JSON Schema (draft 2020-12) into one predicate
+    ``doc -> bool``, with integers strict (see ``_is_integer``).
+
+    Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
+    a list of types, a list or object in const/enum, and a ``$ref``
+    outside ``#/$defs/`` raise ValueError, so a schema edit cannot
+    silently weaken validation."""
+    compiled: dict[int, object] = {}
+
+    def resolve(ref: str) -> dict:
+        name = ref.removeprefix("#/$defs/")
+        if name == ref or name not in root.get("$defs", {}):
+            raise ValueError(f"unsupported $ref {ref!r}")
+        return root["$defs"][name]
+
+    def check(schema):
+        key = id(schema)
+        if key not in compiled:
+            compiled[key] = None  # a $ref cycle reaches this before it is built
+            compiled[key] = build(schema)
+        return compiled[key] or (lambda x: compiled[key](x))
+
+    def build(schema):
+        if isinstance(schema, bool):
+            return lambda x: schema
+        unknown = schema.keys() - _IMPLEMENTED
+        if unknown:
+            raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
+        return _all([keyword(k, schema[k], schema) for k in _KEYWORDS if k in schema]
+                    or [lambda x: True])
+
+    def keyword(name: str, value, schema):
+        if name == "type":
+            if not isinstance(value, str) or value not in _TYPES:
+                raise ValueError(f"type {value!r} not implemented")
+            return _TYPES[value]
+        if name == "const":
+            return _one_of_values([value])
+        if name == "enum":
+            return _one_of_values(value)
+        if name == "pattern":
+            search = re.compile(value).search
+            return lambda x: not isinstance(x, str) or search(x) is not None
+        if name == "minimum":
+            return lambda x: not _is_number(x) or x >= value
+        if name == "maximum":
+            return lambda x: not _is_number(x) or x <= value
+        if name == "minItems":
+            return lambda x: not isinstance(x, list) or len(x) >= value
+        if name == "required":
+            names = frozenset(value)
+            return lambda x: not isinstance(x, dict) or x.keys() >= names
+        if name == "minProperties":
+            return lambda x: not isinstance(x, dict) or len(x) >= value
+        if name == "maxProperties":
+            return lambda x: not isinstance(x, dict) or len(x) <= value
+        if name == "properties":
+            subs = [(k, check(s)) for k, s in value.items()]
+
+            def properties(x):
+                if isinstance(x, dict):
+                    for k, sub in subs:
+                        if k in x and not sub(x[k]):
+                            return False
+                return True
+
+            return properties
+        if name == "additionalProperties":
+            known = frozenset(schema.get("properties", ()))
+            sub = check(value)
+            return lambda x: not isinstance(x, dict) or all(
+                sub(x[k]) for k in x.keys() - known
+            )
+        if name == "items":
+            sub = check(value)
+            return lambda x: not isinstance(x, list) or all(map(sub, x))
+        if name == "$ref":
+            return check(resolve(value))
+        if name == "allOf":
+            return _all([check(s) for s in value])
+        if name == "oneOf":
+            subs = [check(s) for s in value]
+            return lambda x: sum(1 for sub in subs if sub(x)) == 1
+        if name == "not":
+            sub = check(value)
+            return lambda x: not sub(x)
+        if name == "if":
+            cond, then = check(value), check(schema.get("then", True))
+            return lambda x: not cond(x) or then(x)
+        if value is not False:
+            raise ValueError("only unevaluatedProperties: false is implemented")
+        evaluated = annotate({k: v for k, v in schema.items() if k != name})
+        return lambda x: not isinstance(x, dict) or x.keys() <= evaluated(x)
+
+    def annotate(schema):
+        """``doc -> keys`` that ``schema`` evaluates in an object ``doc``
+        already known to be valid against it."""
+        if isinstance(schema, bool):
+            return lambda x: set()
+        if "additionalProperties" in schema or "unevaluatedProperties" in schema:
+            return lambda x: set(x)
+        parts = []  # (condition or None, annotation)
+        if "properties" in schema:
+            names = schema["properties"].keys()
+            parts.append((None, lambda x: names & x.keys()))
+        if "$ref" in schema:
+            parts.append((None, annotate(resolve(schema["$ref"]))))
+        parts += [(None, annotate(s)) for s in schema.get("allOf", ())]
+        parts += [(check(s), annotate(s)) for s in schema.get("oneOf", ())]
+        if "if" in schema:
+            cond = check(schema["if"])
+            parts.append((cond, annotate(schema["if"])))
+            parts.append((cond, annotate(schema.get("then", True))))
+
+        def evaluated(x):
+            keys = set()
+            for cond, part in parts:
+                if cond is None or cond(x):
+                    keys |= part(x)
+            return keys
+
+        return evaluated
+
+    return check(root)
+
+
+@lru_cache(maxsize=None)
+def schema_check(name: str):
+    """The shipped schema ``name`` as one compiled predicate."""
+    return compile_schema(load_schema(name))
+
+
+@lru_cache(maxsize=None)
+def jsonschema_validator(name: str):
+    """The reference validator for ``name``: jsonschema's draft 2020-12,
+    with the same strict integers as ``compile_schema``."""
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    strict = jsonschema.validators.extend(
+        base,
+        type_checker=base.TYPE_CHECKER.redefine(
+            "integer", lambda checker, x: _is_integer(x)
+        ),
+    )
+    return strict(load_schema(name))
+
+
 def _error_relevance(error):
+    from jsonschema.exceptions import relevance
+
     # A stray-key complaint is only the root cause when nothing else is
     # wrong; a typo'd op otherwise drowns in "unexpected properties".
-    return (error.validator != "unevaluatedProperties",
-            jsonschema.exceptions.relevance(error))
+    return (error.validator != "unevaluatedProperties", relevance(error))
 
 
 def _validate(doc, schema_name: str) -> None:
-    validator = jsonschema.Draft202012Validator(load_schema(schema_name))
-    error = jsonschema.exceptions.best_match(
-        validator.iter_errors(doc), key=_error_relevance
+    if schema_check(schema_name)(doc):
+        return
+    from jsonschema.exceptions import best_match
+
+    error = best_match(
+        jsonschema_validator(schema_name).iter_errors(doc), key=_error_relevance
     )
-    if error is not None:
-        path = error.json_path
-        path = path[2:] if path.startswith("$.") else path
-        raise DocError(path or "$", error.message)
+    if error is None:
+        raise DocError("$", f"does not match the {schema_name} schema")
+    path = error.json_path
+    path = path[2:] if path.startswith("$.") else path
+    raise DocError(path or "$", error.message)
 
 
 def validate_program_doc(doc) -> None:

@@ -1,0 +1,299 @@
+"""The compiled schema checker against jsonschema, strict integers, and
+the lazy import of jsonschema."""
+
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from p4flowgen import cli, program_doc
+from p4flowgen.builtin_examples import asset_path
+from p4flowgen.program_doc import (
+    DocError,
+    compile_schema,
+    jsonschema_validator,
+    schema_check,
+    solution_from_doc,
+    trace_from_doc,
+    validate_program_doc,
+    validate_trace_doc,
+)
+
+DATA = Path(__file__).parent / "data"
+ASSETS = sorted(asset_path("guess_game").parent.glob("*.json"))
+PROGRAM_DOCS = [json.loads(p.read_text()) for p in [*ASSETS, DATA / "all_ops.json"]]
+TRACE_DOCS = [json.loads(p.read_text()) for p in sorted(DATA.glob("*_trace.json"))]
+
+VALUES = [
+    None, True, False, 0, 1, 1.0, 5.0, -1, 8, 65536, 2**70, "", "x", "1bad",
+    "0x1f", "assign_const", "if", [], {}, {"var": "x"},
+    {"width": 8, "value": 1}, [{"op": "rand", "target": "x"}],
+]
+KEYS = [
+    "op", "target", "width", "value", "bool", "else", "hint", "var", "const",
+    "ordinal", "udp", "tcp", "seed", "extra",
+]
+
+
+def _slots(node, out):
+    """``(container, key)`` for every container and every child in it;
+    ``key`` None means "add a child"."""
+    if isinstance(node, (dict, list)):
+        out.append((node, None))
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            out.append((node, key))
+            _slots(child, out)
+    return out
+
+
+def _near(value):
+    """Values just outside or beside ``value``'s type and range."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return [float(value), -value - 1, value + 2**64, str(value)]
+    if isinstance(value, str):
+        return [value + "-", value.upper(), value[:1]]
+    return []
+
+
+@st.composite
+def mutated(draw, docs):
+    """A copy of one of ``docs`` with one to three keys or items
+    replaced, dropped or added anywhere in the tree."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(_slots(doc, [])))
+        old = None if key is None else node[key]
+        value = copy.deepcopy(draw(st.sampled_from(VALUES + _near(old))))
+        if key is None and isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = value
+        elif key is None:
+            node.insert(draw(st.integers(0, len(node))), value)
+        elif draw(st.booleans()):
+            node[key] = value
+        else:
+            del node[key]
+    return doc
+
+
+UNEVALUATED_IF = {
+    "properties": {"op": {"enum": ["a", "b"]}},
+    "allOf": [
+        {
+            "if": {"properties": {"op": {"const": "a"}}},
+            "then": {"properties": {"x": {"type": "integer"}}},
+        }
+    ],
+    "unevaluatedProperties": False,
+}
+UNEVALUATED_ONE_OF = {
+    "oneOf": [
+        {"required": ["a"], "properties": {"a": {"type": "integer"}}},
+        {"required": ["b"], "properties": {"b": {}}},
+    ],
+    "unevaluatedProperties": False,
+}
+UNEVALUATED_REF = {
+    "$defs": {"x": {"properties": {"a": {}}}},
+    "$ref": "#/$defs/x",
+    "unevaluatedProperties": False,
+}
+UNEVALUATED_NOT = {
+    "not": {"required": ["b"], "properties": {"a": {}}},
+    "unevaluatedProperties": False,
+}
+ONE_OF = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
+KEYWORD_CASES = [
+    (UNEVALUATED_IF, {"op": "a", "x": 1}, True),
+    (UNEVALUATED_IF, {"op": "b", "x": 1}, False),
+    (UNEVALUATED_IF, {"op": "a", "x": 1.0}, False),
+    (UNEVALUATED_ONE_OF, {"a": 1}, True),
+    (UNEVALUATED_ONE_OF, {"b": 1}, True),
+    (UNEVALUATED_ONE_OF, {"a": 1, "c": 1}, False),
+    (UNEVALUATED_REF, {"a": 1}, True),
+    (UNEVALUATED_REF, {"b": 1}, False),
+    (UNEVALUATED_NOT, {"a": 1}, False),
+    (UNEVALUATED_NOT, {}, True),
+    (ONE_OF, -1, True),
+    (ONE_OF, 0.5, True),
+    (ONE_OF, 1, False),
+    (ONE_OF, "a", True),
+    (ONE_OF, 2, False),
+    ({"not": {"type": "string"}}, "a", False),
+    ({"not": {"type": "string"}}, 1, True),
+    ({"minimum": 0, "maximum": 10}, -1, False),
+    ({"minimum": 0, "maximum": 10}, 10.5, False),
+    ({"minimum": 0, "maximum": 10}, "x", True),
+    ({"minimum": 0, "maximum": 10}, True, True),
+    ({"const": 1}, 1.0, True),
+    ({"const": 1}, True, False),
+    ({"const": True}, 1, False),
+    ({"enum": [8, 16]}, 8.0, True),
+    ({"enum": [8, 16]}, "8", False),
+    ({"enum": [1]}, True, False),
+    ({"type": "integer"}, 2**70, True),
+    ({"type": "integer"}, 5.0, False),
+    ({"type": "integer"}, True, False),
+    ({"type": "null"}, None, True),
+    ({"type": "boolean"}, 0, False),
+    ({"type": "string"}, "", True),
+    ({"items": {"type": "integer"}}, [1, 2], True),
+    ({"items": {"type": "integer"}}, [1, 1.0], False),
+    ({"items": {"type": "integer"}, "minItems": 1}, "ab", True),
+    ({"minItems": 1}, [], False),
+    ({"pattern": "^a"}, "ba", False),
+    ({"pattern": "^a"}, 1, True),
+    ({"required": ["a"], "minProperties": 2}, {"a": 1}, False),
+    ({"maxProperties": 1}, {"a": 1, "b": 2}, False),
+    ({"additionalProperties": {"type": "string"}, "properties": {"a": {}}},
+     {"a": 1, "b": "x"}, True),
+    ({"additionalProperties": {"type": "string"}, "properties": {"a": {}}},
+     {"b": 1}, False),
+    ({"properties": {"a": {}}, "additionalProperties": False}, {"b": 1}, False),
+    ({"if": {"minimum": 5}, "then": {"maximum": 7}}, 9, False),
+    ({"if": {"minimum": 5}, "then": {"maximum": 7}}, 3, True),
+]
+
+
+DIFFERENTIAL = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestAgreesWithJsonschema:
+    @pytest.mark.parametrize("name", ["program", "trace"])
+    def test_shipped_docs_accepted(self, name):
+        for doc in PROGRAM_DOCS if name == "program" else TRACE_DOCS:
+            assert schema_check(name)(doc)
+            assert jsonschema_validator(name).is_valid(doc)
+
+    @DIFFERENTIAL
+    @given(mutated(PROGRAM_DOCS))
+    def test_mutated_program_docs(self, doc):
+        expected = jsonschema_validator("program").is_valid(doc)
+        assert schema_check("program")(doc) == expected
+
+    @DIFFERENTIAL
+    @given(mutated(TRACE_DOCS))
+    def test_mutated_trace_docs(self, doc):
+        expected = jsonschema_validator("trace").is_valid(doc)
+        assert schema_check("trace")(doc) == expected
+
+
+class TestCompiler:
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "array", "uniqueItems": True},
+            {"type": ["null", "string"]},
+            {"type": "number"},
+            {"enum": ["a", [1]]},
+            {"const": {"a": 1}},
+            {"properties": {"a": {"format": "email"}}},
+            {"$defs": {"a": {"anyOf": [True]}}, "$ref": "#/$defs/a"},
+            {"if": {"type": "string"}, "else": False},
+            {"unevaluatedProperties": {"type": "string"}},
+            {"$ref": "other.schema.json"},
+            {"$ref": "#/$defs/missing"},
+        ],
+    )
+    def test_unimplemented_schema_raises(self, schema):
+        with pytest.raises(ValueError):
+            compile_schema(schema)
+
+    @pytest.mark.parametrize("schema, doc, valid", KEYWORD_CASES)
+    def test_keyword_semantics(self, schema, doc, valid):
+        # Cases the shipped schemas cannot tell apart, e.g. a oneOf
+        # whose branches never overlap; jsonschema must agree with each.
+        assert compile_schema(schema)(doc) is valid
+        strict = type(jsonschema_validator("program"))
+        assert strict(schema).is_valid(doc) is valid
+
+    def test_rejection_without_a_jsonschema_error_is_still_an_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(program_doc, "schema_check", lambda name: lambda doc: False)
+        with pytest.raises(DocError) as err:
+            validate_program_doc(PROGRAM_DOCS[0])
+        assert err.value.path == "$"
+        with pytest.raises(DocError):
+            validate_trace_doc(TRACE_DOCS[0])
+
+
+def _guess_doc_with_float_criterion():
+    doc = json.loads(asset_path("guess_game").read_text())
+    doc["selectors"][0]["criteria"][0]["value"] = 5.0
+    return doc
+
+
+def _trace_with(key, value):
+    doc = copy.deepcopy(TRACE_DOCS[0])
+    if key == "seed":
+        doc["seed"] = value
+    else:
+        doc["packets"][0][key] = value
+    return doc
+
+
+class TestStrictIntegers:
+    def test_float_criterion_value_is_a_doc_error(self):
+        with pytest.raises(DocError) as err:
+            solution_from_doc(_guess_doc_with_float_criterion())
+        assert err.value.path == "selectors[0].criteria[0].value"
+        assert "integer" in err.value.message
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [("seed", 1.0, "seed"), ("ingress_port", 3.0, "packets[0].ingress_port")],
+    )
+    def test_float_trace_integer_is_a_doc_error(self, key, value, path):
+        with pytest.raises(DocError) as err:
+            trace_from_doc(_trace_with(key, value))
+        assert err.value.path == path
+        assert "integer" in err.value.message
+
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(DocError) as err:
+            trace_from_doc(_trace_with("seed", True))
+        assert err.value.path == "seed"
+
+    def test_cli_check_exits_1(self, tmp_path, capsys):
+        program = tmp_path / "prog.json"
+        program.write_text(json.dumps(_guess_doc_with_float_criterion()))
+        assert cli.main(["check", str(program)]) == 1
+        assert "selectors[0].criteria[0].value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [("seed", 1.0, "seed"), ("ingress_port", 3.0, "packets[0].ingress_port")],
+    )
+    def test_cli_simulate_exits_1(self, tmp_path, capsys, key, value, path):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(_trace_with(key, value)))
+        program = str(DATA / "all_ops.json")
+        assert cli.main(["simulate", program, "-t", str(trace)]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_valid_documents_never_import_jsonschema(tmp_path):
+    script = (
+        "import sys\n"
+        "import p4flowgen\n"
+        "from p4flowgen import cli\n"
+        "assert 'jsonschema' not in sys.modules, 'import p4flowgen'\n"
+        f"assert cli.main(['check', {str(asset_path('guess_game'))!r}]) == 0\n"
+        f"assert cli.main(['simulate', {str(DATA / 'all_ops.json')!r},"
+        f" '-t', {str(DATA / 'all_ops_trace.json')!r},"
+        f" '-o', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "assert 'jsonschema' not in sys.modules, 'check/simulate'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
