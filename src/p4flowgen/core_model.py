@@ -116,6 +116,12 @@ STANDARD_HEADERS: dict[str, tuple[tuple[str, int], ...]] = {
     ),
 }
 
+# The values the template parser selects on, as its ETHERTYPE_IPV4,
+# IPPROTO_UDP and IPPROTO_TCP consts declare them.
+ETHERTYPE_IPV4 = 0x0800
+IPPROTO_UDP = 17
+IPPROTO_TCP = 6
+
 # Field name -> bits of each standard header, without the reserved nibble.
 HEADER_FIELD_BITS: dict[str, dict[str, int]] = {
     header: {name: bits for name, bits in fields if name != "res"}

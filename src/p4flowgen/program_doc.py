@@ -12,6 +12,9 @@ closures (``compile_schema``) that only answers valid or invalid; a
 valid document never imports jsonschema. Only when the closures reject
 a document is jsonschema imported, to find and word the most relevant
 error as a ``DocError``. Both treat only JSON integers as integers.
+
+Every document the package writes goes through ``dumps_doc``, whose
+bytes are those of ``json.dumps(doc, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .codegen import TEMPLATE
@@ -314,9 +318,120 @@ def validate_trace_doc(doc) -> None:
     _validate(doc, "trace")
 
 
+# -- writing: the one byte form of every written document ------------------
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+_int_text = int.__repr__
+
+
 def dumps_doc(doc) -> str:
-    """The one serialization used for assets and golden files."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The one serialization of every written document: shipped assets,
+    golden files and ``simulate`` results.
+
+    The text is exactly ``json.dumps(doc, indent=2) + "\\n"``: a 2-space
+    indent, ASCII only (any other character as a ``\\uXXXX`` escape),
+    keys in the order the dict holds them, ``[]`` and ``{}`` for empty
+    containers, and a trailing newline. A document holds only dicts with
+    str keys, lists, str, int, bool and None, matched by exact type; any
+    other value or key raises TypeError naming its type and JSON path.
+
+    json.dumps runs CPython's pure-Python encoder whenever ``indent`` is
+    set. This writer makes one pass that appends whole lines (separator,
+    indent, key and scalar joined) to one list, so the text is built from
+    few large chunks.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    leads = ["\n"]  # leads[d]: a newline and the indent of depth d
+    names: dict[str, str] = {}  # key -> its quoted form and ": "
+
+    def write(value, depth: int, head: str) -> None:
+        """Append ``value`` at ``depth``; ``head`` precedes it on its line."""
+        cls = value.__class__
+        if cls is dict:
+            if not value:
+                append(head + "{}")
+                return
+            depth += 1
+            if depth == len(leads):
+                leads.append(leads[-1] + "  ")
+            lead = leads[depth]
+            sep, comma = head + "{" + lead, "," + lead
+            for key, item in value.items():
+                if key.__class__ is not str:
+                    raise TypeError(_unwritable(doc, "$"))
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = _quote(key) + ": "
+                kind = item.__class__
+                if kind is str:
+                    append(sep + name + _quote(item))
+                elif kind is bool or item is None:
+                    append(sep + name + _LITERALS[item])
+                elif kind is int:
+                    append(sep + name + _int_text(item))
+                else:
+                    write(item, depth, sep + name)
+                sep = comma
+            append(leads[depth - 1] + "}")
+        elif cls is list:
+            if not value:
+                append(head + "[]")
+                return
+            depth += 1
+            if depth == len(leads):
+                leads.append(leads[-1] + "  ")
+            lead = leads[depth]
+            sep, comma = head + "[" + lead, "," + lead
+            for item in value:
+                kind = item.__class__
+                if kind is str:
+                    append(sep + _quote(item))
+                elif kind is bool or item is None:
+                    append(sep + _LITERALS[item])
+                elif kind is int:
+                    append(sep + _int_text(item))
+                else:
+                    write(item, depth, sep)
+                sep = comma
+            append(leads[depth - 1] + "]")
+        elif cls is str:
+            append(head + _quote(value))
+        elif cls is bool or value is None:
+            append(head + _LITERALS[value])
+        elif cls is int:
+            append(head + _int_text(value))
+        else:
+            raise TypeError(_unwritable(doc, "$"))
+
+    write(doc, 0, "")
+    append("\n")
+    return "".join(chunks)
+
+
+def _unwritable(value, path: str):
+    """The diagnostic for the first value or key under ``value`` (at
+    ``path``), in writing order, that ``dumps_doc`` cannot write; None
+    when there is none."""
+    cls = value.__class__
+    if cls is dict:
+        for key, item in value.items():
+            if key.__class__ is not str:
+                return (
+                    f"{path}: cannot write a {type(key).__name__} key "
+                    f"({key!r}) to a document"
+                )
+            found = _unwritable(item, f"{path}.{key}")
+            if found is not None:
+                return found
+    elif cls is list:
+        for i, item in enumerate(value):
+            found = _unwritable(item, f"{path}[{i}]")
+            if found is not None:
+                return found
+    elif not (cls is str or cls is bool or cls is int or value is None):
+        return f"{path}: cannot write a {cls.__name__} to a document"
+    return None
 
 
 # -- programs: document form of a Solution -----------------------------------

@@ -14,8 +14,11 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .core_model import (
+    ETHERTYPE_IPV4,
     HEADER_BYTES,
     HEADER_FIELD_BITS,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
     STANDARD_HEADERS,
     U16,
     UValue,
@@ -46,7 +49,7 @@ from .flow_ast import (
     SwitchNode,
     operand_fields,
 )
-from .selector import FlowSelector, ProtocolStack, Solution
+from .selector import STACK_HEADERS, FlowSelector, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -80,6 +83,10 @@ _PACK = {header: _packer(header) for header in STANDARD_HEADERS}
 # The 20 IPv4 header bytes of a field map, in wire order (options
 # unsupported).
 ipv4_header_bytes = _PACK["ipv4"]
+
+# The ipv4.protocol under which the template parser extracts each
+# transport header.
+_L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
 
 
 class SplitMix64:
@@ -177,7 +184,6 @@ class SimPacket:
 def _make_packet(
     l4: str,
     fields: dict[str, int],
-    protocol: int,
     payload: bytes,
     ingress_port: int,
     src_addr: int,
@@ -189,14 +195,18 @@ def _make_packet(
         "ihl": 5,
         "totalLen": HEADER_BYTES["ipv4"] + HEADER_BYTES[l4] + len(payload),
         "ttl": ttl,
-        "protocol": protocol,
+        "protocol": _L4_PROTOCOL[l4],
         "srcAddr": src_addr,
         "dstAddr": dst_addr,
     }
     ipv4["hdrChecksum"] = internet_checksum(ipv4_header_bytes(ipv4)).magnitude
     return SimPacket(
         ingress_port=ingress_port,
-        eth={"dstAddr": 0x020000000002, "srcAddr": 0x020000000001, "etherType": 0x0800},
+        eth={
+            "dstAddr": 0x020000000002,
+            "srcAddr": 0x020000000001,
+            "etherType": ETHERTYPE_IPV4,
+        },
         ipv4=ipv4,
         payload=bytes(payload),
         **{l4: _zeroed(l4) | fields},
@@ -224,7 +234,7 @@ def make_udp_packet(
         "dstPort": dst_port,
         "len": HEADER_BYTES["udp"] + len(payload),
     }
-    return _make_packet("udp", udp, 17, payload, ingress_port, src_addr, dst_addr, ttl)
+    return _make_packet("udp", udp, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 def make_tcp_packet(
@@ -244,7 +254,7 @@ def make_tcp_packet(
         "flags": 0x18,
         "window": 65535,
     }
-    return _make_packet("tcp", tcp, 6, payload, ingress_port, src_addr, dst_addr, ttl)
+    return _make_packet("tcp", tcp, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 @dataclass
@@ -300,11 +310,26 @@ class SimResult:
 def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     """First selector on the packet's stack chain whose criteria all match.
 
-    Raises MalformedPacket when a selector's non-payload criteria match
-    but the payload is too short for its lookahead window or input layout.
+    Like the template parser, only an IPv4 etherType leads to the chains;
+    any other packet matches nothing. Raises MalformedPacket when the
+    packet's udp/tcp group disagrees with ``ipv4.protocol``, or when a
+    selector's non-payload criteria match but the payload is too short
+    for its lookahead window or input layout.
     """
     packet.validate()
-    chain = solution.chains.get(packet.stack())
+    if packet.eth["etherType"] != ETHERTYPE_IPV4:
+        return None
+    stack = packet.stack()
+    if stack is None:
+        return None
+    l4 = STACK_HEADERS[stack][-1]
+    protocol = packet.ipv4["protocol"]
+    if protocol != _L4_PROTOCOL[l4]:
+        raise MalformedPacket(
+            f"packet has a {l4} header but ipv4.protocol {protocol}; "
+            f"the parser extracts {l4} only for protocol {_L4_PROTOCOL[l4]}"
+        )
+    chain = solution.chains.get(stack)
     if chain is None:
         return None
     for sel in chain.links:

@@ -193,6 +193,22 @@ class TestSimulate:
         assert rc == 1
         assert "packets[0]" in capsys.readouterr().err
 
+    def test_packets_the_parser_does_not_reach_the_chain_with(self, tmp_path, capsys):
+        packets = [
+            {"payload": "0a", "udp": {"dstPort": "5555"}, "eth": {"etherType": "0x86DD"}},
+            {"payload": "0a", "udp": {"dstPort": "5555"}, "ipv4": {"protocol": "6"}},
+            {"payload": "0a", "udp": {"dstPort": "5555"}},
+        ]
+        path = write_doc(tmp_path / "trace.json", {"seed": 0, "packets": packets})
+        rc = cli.main(["simulate", str(asset_path("guess_game")), "-t", str(path)])
+        assert rc == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        verdicts = [r["verdict"] for r in results]
+        assert verdicts == ["PASSTHROUGH", "PASSTHROUGH", "PROCESSED"]
+        assert results[0]["eth"]["etherType"] == str(0x86DD)
+        assert results[0]["trace"] == [] and "error" not in results[0]
+        assert "ipv4.protocol 6" in results[1]["error"]
+
 
 class TestParser:
     def test_no_command_exits_2(self, capsys):

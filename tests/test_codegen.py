@@ -1,10 +1,13 @@
 """Checks on the emitted P4 fragments and the template splice."""
 
+import re
+
 import pytest
 
 from all_ops import all_ops_solution
 from p4scan import check_balanced, unresolved_names
 
+from p4flowgen import core_model
 from p4flowgen.builtin_examples import (
     EXAMPLE_BUILDERS,
     guess_game_solution,
@@ -81,6 +84,20 @@ class TestTemplate:
         text = load_template("v1model_basic")
         for name in FRAGMENT_NAMES:
             assert f'#include "{name}"' in text
+
+    def test_parser_constants_match_core_model(self):
+        text = load_template("v1model_basic")
+        consts = {
+            name: int(value, 0)
+            for name, value in re.findall(
+                r"^const bit<\d+> (\w+) = \d+w(\w+);", text, re.M
+            )
+        }
+        assert consts == {
+            "ETHERTYPE_IPV4": core_model.ETHERTYPE_IPV4,
+            "IPPROTO_UDP": core_model.IPPROTO_UDP,
+            "IPPROTO_TCP": core_model.IPPROTO_TCP,
+        }
 
     def test_unknown_template_rejected(self):
         with pytest.raises(KeyError):

@@ -453,6 +453,47 @@ class TestPassthroughPurity:
         assert res.verdict == PASSTHROUGH
 
 
+class TestParserGate:
+    """classify lets through only what the template parser hands to the
+    chains: etherType IPv4, and a transport group ipv4.protocol agrees with."""
+
+    def test_non_ipv4_ethertype_passes_through_untouched(self):
+        state = initial_state(GUESS, seed=0)
+        before_shared, before_rng = dict(state.shared), state.rng.state
+        pkt = make_udp_packet(GUESS_PORT, payload=bytes([10]), ingress_port=4)
+        pkt.eth["etherType"] = 0x86DD
+        res, state = simulate_packet(GUESS, state, pkt)
+        assert res.verdict == PASSTHROUGH
+        assert res.packet is pkt
+        assert res.egress_port == 4 ^ 1
+        assert res.error is None
+        assert state.shared == before_shared
+        assert state.rng.state == before_rng
+
+    @pytest.mark.parametrize(
+        "make, protocol",
+        [(make_udp_packet, 6), (make_udp_packet, 1), (make_tcp_packet, 17)],
+    )
+    def test_group_disagreeing_with_protocol_is_malformed(self, make, protocol):
+        pkt = make(GUESS_PORT, payload=bytes([10]))
+        pkt.ipv4["protocol"] = protocol
+        with pytest.raises(MalformedPacket, match=f"ipv4.protocol {protocol}"):
+            simulate_packet(GUESS, initial_state(GUESS, seed=0), pkt)
+
+    def test_run_trace_records_the_reason(self):
+        other_ether = make_udp_packet(GUESS_PORT, payload=bytes([10]))
+        other_ether.eth["etherType"] = 0x86DD
+        tcp_protocol = make_udp_packet(GUESS_PORT, payload=bytes([10]))
+        tcp_protocol.ipv4["protocol"] = 6
+        good = make_udp_packet(GUESS_PORT, payload=bytes([10]))
+        results = run_trace(GUESS, [other_ether, tcp_protocol, good], seed=0)
+        assert [r.verdict for r in results] == [PASSTHROUGH, PASSTHROUGH, PROCESSED]
+        assert results[0].error is None
+        assert "udp header but ipv4.protocol 6" in results[1].error
+        assert results[1].packet is tcp_protocol
+        assert results[2].error is None
+
+
 class TestRunTrace:
     def test_empty_list(self):
         assert run_trace(GUESS, [], seed=0) == []
