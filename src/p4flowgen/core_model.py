@@ -312,6 +312,12 @@ def internet_checksum(data: bytes) -> UValue:
         total += (data[i] << 8) | data[i + 1]
     if len(data) % 2:
         total += data[-1] << 8
+    return UValue(U16, complement_fold(total))
+
+
+def complement_fold(total: int) -> int:
+    """The checksum of a sum of 16-bit words: folded to 16 bits with
+    end-around carry, then complemented."""
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
-    return UValue(U16, ~total & 0xFFFF)
+    return ~total & 0xFFFF

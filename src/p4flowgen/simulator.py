@@ -5,27 +5,35 @@ processor's commands with the same fixed-width wraparound semantics the
 generated code has, applies the same length and checksum fixups, and
 threads shared state (registers, rings, the random generator) across
 packets. No P4 is involved.
+
+``classify`` looks packets up in an index keyed by the standard-header
+values the selectors match on. On its first match, a processor is
+compiled into one Python function from generated source, the way
+``_packer`` compiles header packing, and again after each builder call.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
+from itertools import chain as chain_from
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
+from weakref import WeakKeyDictionary
 
 from .core_model import (
     ETHERTYPE_IPV4,
     HEADER_BYTES,
     HEADER_FIELD_BITS,
+    HeaderLayout,
     IPPROTO_TCP,
     IPPROTO_UDP,
     STANDARD_HEADERS,
     U16,
     UValue,
     UWidth,
-    deserialize_layout,
-    internet_checksum,
-    serialize_layout,
+    complement_fold,
 )
 from .errors import MalformedPacket
 from .flow_ast import (
@@ -47,30 +55,35 @@ from .flow_ast import (
     SendBack,
     Sub,
     SwitchNode,
+    VarRef,
     operand_fields,
 )
-from .selector import STACK_HEADERS, FlowSelector, ProtocolStack, Solution
+from .selector import STACK_HEADERS, FlowSelector, ParserChain, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
 
 
 def _packer(header: str):
-    """A function from a header's field map to its wire bytes, compiled
-    once from STANDARD_HEADERS into one shift-and-or expression (the way
-    dataclasses compiles ``__init__``), so that packing runs no per-field
-    loop. A field that does not fit its width raises OverflowError; the
-    reserved nibble packs as zero."""
+    """Two functions of a header's field map, compiled once from
+    STANDARD_HEADERS (the way dataclasses compiles ``__init__``) so that
+    they run no per-field loop: its wire bytes, as one shift-and-or
+    expression, and its checksum, the one's-complement sum of its 16-bit
+    words with each field added at its offset within its word. A field
+    that does not fit its width raises OverflowError; the reserved nibble
+    packs as zero."""
     shift = HEADER_BYTES[header] * 8
-    fields, overflow = [], []
+    fields, words, overflow = [], [], []
     for name, bits in STANDARD_HEADERS[header]:
         shift -= bits
         if name != "res":
             fields.append(f"v[{name!r}] << {shift}")
+            words.append(f"(v[{name!r}] << {shift % 16})")
             overflow.append(f"v[{name!r}] >> {bits}")
-    return eval(
-        f"lambda v: _out_of_range({header!r}, v) if {' | '.join(overflow)} "
-        f"else ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')"
+    check = f"_out_of_range({header!r}, v) if {' | '.join(overflow)} else"
+    return (
+        eval(f"lambda v: {check} ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')"),
+        eval(f"lambda v: {check} complement_fold({' + '.join(words)})"),
     )
 
 
@@ -81,12 +94,14 @@ def _out_of_range(header: str, values: dict[str, int]):
 _PACK = {header: _packer(header) for header in STANDARD_HEADERS}
 
 # The 20 IPv4 header bytes of a field map, in wire order (options
-# unsupported).
-ipv4_header_bytes = _PACK["ipv4"]
+# unsupported), and its header checksum once hdrChecksum is 0.
+ipv4_header_bytes, _ipv4_checksum = _PACK["ipv4"]
 
 # The ipv4.protocol under which the template parser extracts each
 # transport header.
 _L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
+
+_FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 
 
 class SplitMix64:
@@ -147,6 +162,10 @@ class SimPacket:
             raise MalformedPacket("packet cannot carry both UDP and TCP")
         if not isinstance(self.payload, (bytes, bytearray)):
             raise MalformedPacket("payload must be bytes")
+        for header, names in _FIELD_NAMES.items():
+            fields = getattr(self, header)
+            if fields is not None and fields.keys() != names:
+                raise MalformedPacket(f"{header} fields {sorted(fields)} are not {sorted(names)}")
 
     def stack(self) -> Optional[ProtocolStack]:
         if self.udp is not None:
@@ -154,13 +173,6 @@ class SimPacket:
         if self.tcp is not None:
             return ProtocolStack.IPV4_TCP
         return None
-
-    def get_field(self, qualified: str) -> int:
-        group_name, _, leaf = qualified.partition(".")
-        group = getattr(self, group_name, None)
-        if not isinstance(group, dict) or leaf not in group:
-            raise MalformedPacket(f"packet has no field {qualified!r}")
-        return group[leaf]
 
     def copy(self) -> "SimPacket":
         return SimPacket(
@@ -175,7 +187,7 @@ class SimPacket:
     def to_bytes(self) -> bytes:
         headers = (
             pack(getattr(self, header))
-            for header, pack in _PACK.items()
+            for header, (pack, _) in _PACK.items()
             if getattr(self, header) is not None
         )
         return b"".join(headers) + bytes(self.payload)
@@ -199,7 +211,7 @@ def _make_packet(
         "srcAddr": src_addr,
         "dstAddr": dst_addr,
     }
-    ipv4["hdrChecksum"] = internet_checksum(ipv4_header_bytes(ipv4)).magnitude
+    ipv4["hdrChecksum"] = _ipv4_checksum(ipv4)
     return SimPacket(
         ingress_port=ingress_port,
         eth={
@@ -262,9 +274,6 @@ class RingState:
     slots: list[int]
     head: int
 
-    def head_value(self) -> int:
-        return self.slots[self.head]
-
 
 @dataclass
 class SimState:
@@ -307,14 +316,42 @@ class SimResult:
     error: Optional[str] = None
 
 
+# Per parser chain, a (key, table) pair per signature: the sorted standard
+# fields some selectors match on. The key reads them from a packet, the
+# table maps their values to those selectors as (registration position,
+# selector, lookahead bytes or 0, lookahead criteria as (start, end, value)
+# payload slices, input bytes).
+_INDEX: WeakKeyDictionary[ParserChain, list] = WeakKeyDictionary()
+
+
+def _index(chain: ParserChain) -> list:
+    index = _INDEX.get(chain)
+    if index is None:
+        tables: dict[str, dict] = {}
+        for position, sel in enumerate(chain.links):
+            standard = sorted((c.field, c.value.magnitude) for c in sel.criteria if "." in c.field)
+            key = "".join("p.{}[{!r}], ".format(*field.split(".")) for field, _ in standard)
+            spans, start = {}, 0
+            for f in sel.lookahead.fields if sel.lookahead is not None else ():
+                spans[f.name] = (start, start + f.width.nbytes)
+                start += f.width.nbytes
+            peek = tuple((*spans[c.field], c.value.magnitude) for c in sel.criteria if "." not in c.field)
+            entry = (position, sel, start, peek, sel.processor.input.byte_size)
+            table = tables.setdefault(f"lambda p: ({key})", {})
+            table.setdefault(tuple(value for _, value in standard), []).append(entry)
+        index = _INDEX[chain] = [(eval(key), table) for key, table in tables.items()]
+    return index
+
+
 def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     """First selector on the packet's stack chain whose criteria all match.
 
     Like the template parser, only an IPv4 etherType leads to the chains;
-    any other packet matches nothing. Raises MalformedPacket when the
-    packet's udp/tcp group disagrees with ``ipv4.protocol``, or when a
-    selector's non-payload criteria match but the payload is too short
-    for its lookahead window or input layout.
+    any other packet matches nothing. Raises MalformedPacket when a header
+    map lacks a field or has an unknown one, when the packet's udp/tcp
+    group disagrees with ``ipv4.protocol``, or when a selector's
+    non-payload criteria match but the payload is too short for its
+    lookahead window or input layout.
     """
     packet.validate()
     if packet.eth["etherType"] != ETHERTYPE_IPV4:
@@ -332,25 +369,18 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     chain = solution.chains.get(stack)
     if chain is None:
         return None
-    for sel in chain.links:
-        standard = [c for c in sel.criteria if "." in c.field]
-        if not all(
-            packet.get_field(c.field) == c.value.magnitude for c in standard
-        ):
-            continue
-        if sel.lookahead is not None:
-            if len(packet.payload) < sel.lookahead.byte_size:
+    # One lookup per signature; merging the hits by registration position
+    # keeps first-registration-wins across signatures.
+    hits = [hit for key, table in _index(chain) if (hit := table.get(key(packet)))]
+    for _, sel, window, peek, need in hits[0] if len(hits) == 1 else sorted(chain_from(*hits)):
+        if window:
+            if len(packet.payload) < window:
                 raise MalformedPacket(
                     f"payload too short for lookahead of selector {sel.name!r}"
                 )
-            peeked = deserialize_layout(sel.lookahead, packet.payload)
-            if not all(
-                peeked[c.field].magnitude == c.value.magnitude
-                for c in sel.criteria
-                if "." not in c.field
-            ):
+            if any(int.from_bytes(packet.payload[a:b], "big") != v for a, b, v in peek):
                 continue
-        if len(packet.payload) < sel.processor.input.byte_size:
+        if len(packet.payload) < need:
             raise MalformedPacket(
                 f"payload too short for input of selector {sel.name!r}"
             )
@@ -358,165 +388,188 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     return None
 
 
-class _Execution:
-    """One processor run over one packet."""
+# -- the processor compiler ----------------------------------------------------
 
-    def __init__(self, proc: FlowProcessor, state: SimState, packet: SimPacket) -> None:
-        self.proc = proc
-        self.state = state
-        self.ingress_port = packet.ingress_port
-        self.events: list[TraceEvent] = [TraceEvent(0, "match", (), ())]
-        self.egress: Optional[int] = None
-        self.env: dict[str, int] = {}
-        for name, value in deserialize_layout(proc.input, packet.payload).items():
-            self.env[name] = value.magnitude
-        if proc.output is not None:
-            for f in proc.output.fields:
-                self.env[f.name] = 0
-        for d in proc.locals:
-            self.env[d.name] = 0
-        for d in proc.shared:
-            self.env[d.name] = state.shared[(proc.name, d.name)].magnitude
+# Names a compiled run function reads besides its own constants.
+_NAMESPACE = {
+    "pack": struct.pack, "unpack_from": struct.unpack_from, "new": tuple.__new__,
+    "TE": TraceEvent, "UValue": UValue, "MATCH": TraceEvent(0, "match", (), ()),
+}
 
-    def read(self, op) -> int:
-        if isinstance(op, UValue):
-            return op.magnitude
-        return self.env[op.name]
+# One entry per plain op, as in codegen._EMIT: for an op with a ``target``
+# the expression of the value written (the compiler writes the target and
+# records the event), for any other op its statements.
+_PY = {
+    AssignConst: lambda c, cmd, py: py.value,
+    AssignVar: lambda c, cmd, py: py.source,
+    Cast: lambda c, cmd, py: f"{py.source} & {py.mask}",
+    Add: lambda c, cmd, py: f"({py.lhs} + {py.rhs}) & {py.mask}",
+    Sub: lambda c, cmd, py: f"({py.lhs} - {py.rhs}) & {py.mask}",
+    Equals: lambda c, cmd, py: f"1 if {py.lhs} == {py.rhs} else 0",
+    Greater: lambda c, cmd, py: f"1 if {py.lhs} > {py.rhs} else 0",
+    Rand: lambda c, cmd, py: f"rng.next64() & {py.mask}",
+    RingReadHead: lambda c, cmd, py: f"{py.ring}.slots[{py.ring}.head]",
+    RingPush: lambda c, cmd, py: [
+        f"h = {py.ring}.head",
+        f"{py.ring}.slots[h] = {py.source}",
+        f"{py.ring}.head = (h + 1) % len({py.ring}.slots)",
+        f"append(new(TE, ({cmd.ordinal}, 'ring_push', ({py.source}, h), "
+        f"({py.source}, {py.ring}.head))))",
+    ],
+    SendBack: lambda c, cmd, py: ["egress = ingress", c.event(cmd.ordinal, cmd.op)],
+    Forward: lambda c, cmd, py: [
+        f"egress = {c.const(cmd.port)}", c.event(cmd.ordinal, cmd.op, (cmd.port,))
+    ],
+}
 
-    def ring(self, name: str) -> RingState:
-        return self.state.rings[(self.proc.name, name)]
 
-    def event(self, ordinal: int, kind: str, before, after) -> None:
-        self.events.append(TraceEvent(ordinal, kind, before, after))
+class _Compiler:
+    """The source of one processor's run function: (payload, ingress port,
+    state) to (trace events, egress port or None, new payload or None).
+    Variables are the locals ``v<i>`` in declaration order, rings ``r<i>``.
+    Constants that tell processors of one shape apart (state keys, operand
+    values, ports, events) are the namespace's ``k<i>``, so that such
+    processors share one source text and one code object."""
 
-    def run_block(self, block: Block) -> None:
+    def __init__(self, proc: FlowProcessor) -> None:
+        self.consts, self.lines = [], []
+        self.outputs = proc.output.fields if proc.output is not None else ()
+        decls = (*proc.input.fields, *self.outputs, *proc.locals, *proc.shared)
+        self.var = {d.name: f"v{i}" for i, d in enumerate(decls)}
+        self.ring = {r.name: f"r{i}" for i, r in enumerate(proc.rings)}
+        self.key = {d.name: self.const((proc.name, d.name)) for d in (*proc.shared, *proc.rings)}
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def operand(self, op) -> str:
+        return self.const(op.magnitude) if isinstance(op, UValue) else self.var[op.name]
+
+    def event(self, ordinal, kind: str, seen: tuple = ()) -> str:
+        """The statement recording a constant trace event."""
+        return f"append({self.const(TraceEvent(ordinal, kind, seen, seen))})"
+
+    def emit(self, depth: int, *lines: str) -> None:
+        self.lines.extend("    " * depth + line for line in lines)
+
+    def block(self, block: Block, depth: int) -> None:
+        if not block.commands:
+            self.emit(depth, "pass")
         for cmd in block.commands:
-            run = _RUN.get(cmd.__class__)
-            if run is not None:
-                run(self, cmd)
-            else:
-                self.run_node(cmd)
+            self.command(cmd, depth)
 
-    def run_node(self, cmd) -> None:
+    def command(self, cmd, depth: int) -> None:
+        entry = _PY.get(type(cmd))
+        if entry is None:
+            return self.scope(cmd, depth)
+        py = SimpleNamespace(**{
+            name: self.operand(v) if isinstance(v, (VarRef, UValue)) else v
+            for name, v in vars(cmd).items()
+        })
+        if hasattr(cmd, "ring"):
+            py.ring = self.ring[cmd.ring]
+        if not hasattr(cmd, "target"):
+            return self.emit(depth, *entry(self, cmd, py))
+        # Operands are recorded as read before the write: one that is the
+        # target itself reads as its old value ``t``.
+        names = operand_fields(type(cmd))
+        for name in names:
+            if getattr(py, name) == py.target:
+                setattr(py, name, "t")
+        py.mask = hex(cmd.target.width.mask)
+        self.emit(depth, f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}")
+        if cmd.target.scope is Scope.SHARED:
+            key, width = self.key[cmd.target.name], self.const(cmd.target.width)
+            self.emit(depth, f"shared[{key}] = UValue({width}, {py.target})")
+        read = "".join(f"{getattr(py, name)}, " for name in names)
+        self.emit(depth, f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), "
+                         f"({py.target}, {read}))))")
+
+    def scope(self, cmd, depth: int) -> None:
+        if isinstance(cmd, AtomicNode):
+            self.emit(depth, self.event(cmd.ordinal, "atomic_begin"))
+            self.block(cmd.block, depth)
+            return self.emit(depth, self.event(cmd.end_ordinal, "atomic_end"))
         if isinstance(cmd, IfNode):
-            cond = self.env[cmd.cond.name]
-            self.event(cmd.ordinal, "if", (cond,), (cond,))
-            if cond == 1:
-                self.run_block(cmd.then_block)
-            elif cmd.else_block is not None:
-                self.run_block(cmd.else_block)
+            seen, kind = self.var[cmd.cond.name], "if"
+            arms = [(f"if {seen} == 1", cmd.then_block)]
+            arms += [("else", cmd.else_block)] if cmd.else_block is not None else []
         elif isinstance(cmd, SwitchNode):
-            chosen = self.read(cmd.selector)
-            self.event(cmd.ordinal, "switch", (chosen,), (chosen,))
-            for value, _, case_block in cmd.cases:
-                if value.magnitude == chosen:
-                    self.run_block(case_block)
-                    break
-        elif isinstance(cmd, AtomicNode):
-            self.event(cmd.ordinal, "atomic_begin", (), ())
-            self.run_block(cmd.block)
-            self.event(cmd.end_ordinal, "atomic_end", (), ())
+            seen, kind = self.operand(cmd.selector), "switch"
+            arms = [
+                (f"{'elif' if i else 'if'} {seen} == {self.const(value.magnitude)}", block)
+                for i, (value, _, block) in enumerate(cmd.cases)
+            ]
         else:
             raise TypeError(f"cannot simulate {cmd!r}")
+        self.emit(depth, f"c = ({seen},)", f"append(new(TE, ({cmd.ordinal}, {kind!r}, c, c)))")
+        for head, block in arms:
+            self.emit(depth, f"{head}:")
+            self.block(block, depth + 1)
 
 
-def _ring_push(run: _Execution, cmd: RingPush) -> None:
-    ring = run.ring(cmd.ring)
-    value = run.read(cmd.source)
-    before = (value, ring.head)
-    ring.slots[ring.head] = value
-    ring.head = (ring.head + 1) % len(ring.slots)
-    run.event(cmd.ordinal, cmd.op, before, (value, ring.head))
+# Each processor's run function and the builder ordinal it was compiled at.
+_COMPILED: WeakKeyDictionary[FlowProcessor, tuple] = WeakKeyDictionary()
 
 
-def _egress(run: _Execution, cmd, port: int, seen: tuple) -> None:
-    run.egress = port
-    run.event(cmd.ordinal, cmd.op, seen, seen)
-
-
-# One entry per plain op. An op with a ``target`` field maps its operand
-# values to the value it writes (_writes_target does the rest); any other
-# op does its whole step itself.
-_EVAL = {
-    AssignConst: lambda run, cmd, value: value,
-    AssignVar: lambda run, cmd, source: source,
-    Cast: lambda run, cmd, source: source & cmd.target.width.mask,
-    Add: lambda run, cmd, lhs, rhs: (lhs + rhs) & cmd.target.width.mask,
-    Sub: lambda run, cmd, lhs, rhs: (lhs - rhs) & cmd.target.width.mask,
-    Equals: lambda run, cmd, lhs, rhs: 1 if lhs == rhs else 0,
-    Greater: lambda run, cmd, lhs, rhs: 1 if lhs > rhs else 0,
-    Rand: lambda run, cmd: run.state.rng.draw(cmd.target.width),
-    RingReadHead: lambda run, cmd: run.ring(cmd.ring).head_value(),
-    RingPush: _ring_push,
-    SendBack: lambda run, cmd: _egress(run, cmd, run.ingress_port, ()),
-    Forward: lambda run, cmd: _egress(run, cmd, cmd.port, (cmd.port,)),
-}
-
-
-def _writes_target(cls, evaluate):
-    """The one path of every op that writes a target: read the operands,
-    evaluate, write the target, and record (target, *operands) before and
-    (result, *operands) after."""
-    # Operand access is resolved here, once per class, and the reads are
-    # spelled out per operand count: this is the per-packet hot path.
-    names = operand_fields(cls)
-    get = attrgetter(*names) if names else None
-
-    def run(ex: _Execution, cmd) -> None:
-        env = ex.env
-        if len(names) == 2:
-            lhs, rhs = get(cmd)
-            operands = (
-                lhs.magnitude if lhs.__class__ is UValue else env[lhs.name],
-                rhs.magnitude if rhs.__class__ is UValue else env[rhs.name],
-            )
-        elif names:
-            source = get(cmd)
-            operands = (source.magnitude if source.__class__ is UValue else env[source.name],)
-        else:
-            operands = ()
-        target = cmd.target
-        before = env[target.name]
-        result = evaluate(ex, cmd, *operands)
-        env[target.name] = result
-        if target.scope is Scope.SHARED:
-            ex.state.shared[(ex.proc.name, target.name)] = UValue(target.width, result)
-        ex.events.append(
-            TraceEvent(cmd.ordinal, cmd.op, (before, *operands), (result, *operands))
-        )
-
-    return run
-
-
-_RUN = {
-    cls: _writes_target(cls, evaluate) if "target" in cls.__dataclass_fields__ else evaluate
-    for cls, evaluate in _EVAL.items()
-}
-
-
-def _egress_fixups(packet: SimPacket, proc: FlowProcessor, env: dict[str, int]) -> SimPacket:
-    """Build the outgoing packet: output bytes replace input bytes at the
-    payload start, lengths shift by the byte delta, checksums follow the
-    same rules the generated pipeline applies."""
-    out = packet.copy()
+def _compiled(proc: FlowProcessor):
+    """The run function of a processor, compiled again whenever its
+    builder has taken another call since."""
+    ordinal, run = _COMPILED.get(proc, (None, None))
+    if ordinal == proc._ordinal:
+        return run
+    c = _Compiler(proc)
+    unpack = "".join(f"{c.var[f.name]}, " for f in proc.input.fields)
+    c.emit(0, "def run(payload, ingress, state):")
+    c.emit(
+        1,
+        "shared, rng = state.shared, state.rng",
+        f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
+        *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
+        *(f"{c.var[d.name]} = shared[{c.key[d.name]}].magnitude" for d in proc.shared),
+        *(f"{c.ring[r.name]} = state.rings[{c.key[r.name]}]" for r in proc.rings),
+        "egress, events = None, [MATCH]",
+        "append = events.append",
+    )
+    c.block(proc.body, 1)
     if proc.output is None:
+        c.emit(1, "return events, egress, None")
+    else:
+        # struct.pack checks that every output value fits its width.
+        values = "".join(f"{c.var[f.name]}, " for f in c.outputs)
+        tail = "" if proc.truncate_payload else f" + payload[{proc.input.byte_size}:]"
+        c.emit(1, f"return events, egress, pack({_format(proc.output)!r}, {values}){tail}")
+    namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
+    exec(_code("\n".join(c.lines), "<processor>", "exec"), namespace)
+    _COMPILED[proc] = (proc._ordinal, namespace["run"])
+    return namespace["run"]
+
+
+def _format(layout: HeaderLayout) -> str:
+    """The struct format of a layout: big-endian, one code per field."""
+    return ">" + "".join({8: "B", 16: "H", 32: "I", 64: "Q"}[f.width] for f in layout.fields)
+
+
+# Processors of one shape share their source text, compiled once.
+_code = lru_cache(maxsize=256)(compile)
+
+
+def _egress_fixups(packet: SimPacket, payload: Optional[bytes]) -> SimPacket:
+    """Build the outgoing packet: the new payload of a processor with an
+    output replaces the old one, lengths shift by the byte delta, and
+    checksums follow the same rules the generated pipeline applies."""
+    out = packet.copy()
+    if payload is None:
         return out
-    values = {
-        f.name: UValue(f.width, env[f.name]) for f in proc.output.fields
-    }
-    new_payload = serialize_layout(proc.output, values)
-    if not proc.truncate_payload:
-        new_payload += packet.payload[proc.input.byte_size :]
-    delta = len(new_payload) - len(packet.payload)
-    out.payload = new_payload
+    delta = len(payload) - len(packet.payload)
+    out.payload = payload
     out.ipv4["totalLen"] = (out.ipv4["totalLen"] + delta) & U16.mask
     if out.udp is not None:
         out.udp["len"] = (out.udp["len"] + delta) & U16.mask
         out.udp["checksum"] = 0
     out.ipv4["hdrChecksum"] = 0
-    out.ipv4["hdrChecksum"] = internet_checksum(
-        ipv4_header_bytes(out.ipv4)
-    ).magnitude
+    out.ipv4["hdrChecksum"] = _ipv4_checksum(out.ipv4)
     return out
 
 
@@ -535,13 +588,14 @@ def simulate_packet(
             SimResult(PASSTHROUGH, None, default_egress, packet),
             state,
         )
-    proc = sel.processor
-    run = _Execution(proc, state, packet)
-    run.run_block(proc.body)
-    egress = run.egress if run.egress is not None else default_egress
-    out_packet = _egress_fixups(packet, proc, run.env)
+    run = _compiled(sel.processor)
+    events, egress, payload = run(packet.payload, packet.ingress_port, state)
     result = SimResult(
-        PROCESSED, sel.name, egress, out_packet, tuple(run.events)
+        PROCESSED,
+        sel.name,
+        default_egress if egress is None else egress,
+        _egress_fixups(packet, payload),
+        tuple(events),
     )
     return result, state
 

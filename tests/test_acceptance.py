@@ -5,6 +5,7 @@ PASS/FAIL line per criterion after the run. Oracles live in oracles.py
 and are written without importing the package under test.
 """
 
+import itertools
 import json
 import random
 import time
@@ -28,22 +29,38 @@ from p4flowgen.codegen import FRAGMENT_NAMES, Solution, generate
 from p4flowgen.core_model import (
     FieldDecl,
     HeaderLayout,
+    RingBufferDecl,
+    SharedVariableDecl,
     U8,
     U16,
     U32,
+    U64,
+    UValue,
     internet_checksum,
     u8,
     u16,
+    u32,
     wrap_add,
     wrap_sub,
 )
 from p4flowgen.flow_ast import (
+    OPS,
+    Add,
     AssignConst,
     AssignVar,
+    Cast,
+    Equals,
     ErrorKind,
+    Forward,
+    Greater,
     Hint,
+    Rand,
+    RingPush,
+    RingReadHead,
     Scope,
     SemanticError,
+    SendBack,
+    Sub,
     VarRef,
     bool_local,
     local,
@@ -205,32 +222,98 @@ def test_c7_hint_changes_code_not_behavior():
 
 
 def contract_processor():
+    """A fixed declaration set with every kind of variable: input and
+    output fields, u8/u32/u64 and bool locals, a shared variable, a ring."""
     return new_flow_processor(
         "probe",
-        input=HeaderLayout("probe_in", [FieldDecl("inp", U16)]),
-        output=HeaderLayout("probe_out", [FieldDecl("res", U16)]),
-        locals=[local("scratch", U8), local("wide", U32), bool_local("flag")],
+        input=HeaderLayout(
+            "probe_in", [FieldDecl("inp", U16), FieldDecl("a8", U8), FieldDecl("a32", U32)]
+        ),
+        output=HeaderLayout(
+            "probe_out", [FieldDecl("res", U16), FieldDecl("o8", U8), FieldDecl("o32", U32)]
+        ),
+        locals=[
+            local("scratch", U8), local("wide", U32), local("huge", U64),
+            bool_local("flag"), bool_local("flag2"),
+        ],
+        shared=[SharedVariableDecl("total", U32, u32(7))],
+        rings=[RingBufferDecl("hist", U8, 3)],
     )
+
+
+class Picks:
+    """Valid targets, operands and commands over contract_processor's
+    declarations, each choice taken from a cycle of drawn integers."""
+
+    def __init__(self, proc, picks) -> None:
+        self.picks = itertools.cycle(picks)
+        decls = (*proc.input.fields, *proc.output.fields, *proc.locals, *proc.shared)
+        self.refs = [proc.var(d.name) for d in decls]
+
+    def choose(self, options):
+        return options[next(self.picks) % len(options)]
+
+    def operand(self, width):
+        """A variable of ``width`` (the target of the command included) or
+        a constant."""
+        ref = self.choose([r for r in self.refs if r.width is width] + [None])
+        return ref or UValue(width, next(self.picks) & width.mask)
+
+    def target(self, is_bool=False, width=None):
+        return self.choose([
+            r for r in self.refs
+            if r.scope is not Scope.INPUT and r.is_bool == is_bool
+            and width in (None, r.width)
+        ])
+
+    def command(self, op):
+        cls = OPS[op]
+        if cls in (AssignConst, AssignVar):
+            target = self.target(is_bool=self.choose([False, True]))
+            value = UValue(target.width, next(self.picks) & (1 if target.is_bool else target.width.mask))
+            if cls is AssignConst:
+                return AssignConst(target, value)
+            if target.is_bool:
+                return AssignVar(target, self.choose([r for r in self.refs if r.is_bool] + [value]))
+            return AssignVar(target, self.operand(target.width))
+        if cls is Cast:
+            return Cast(self.target(), self.operand(self.choose([U8, U16, U32, U64])))
+        if cls in (Add, Sub):
+            target = self.target()
+            return cls(target, self.operand(target.width), self.operand(target.width))
+        if cls in (Equals, Greater):
+            width = self.choose([U8, U16, U32, U64])
+            hint = {"hint": self.choose(list(Hint))} if cls is Equals else {}
+            return cls(self.target(is_bool=True), self.operand(width), self.operand(width), **hint)
+        if cls is Rand:
+            return Rand(self.target())
+        if cls is RingPush:
+            return RingPush("hist", self.operand(U8))
+        if cls is RingReadHead:
+            return RingReadHead("hist", self.target(width=U8))
+        if cls is SendBack:
+            return SendBack()
+        return Forward(next(self.picks) & 0xFFFF)
 
 
 def apply_items(proc, block, items):
     """Drive the builder from a tree spec, asserting every scope closer
     hands back the block the scope was opened from."""
     for item in items:
-        if item == "cmd":
-            assert block.add(AssignConst(proc.var("scratch"), u8(1))) is block
+        if item[0] == "cmd":
+            assert block.add(Picks(proc, item[2]).command(item[1])) is block
         elif item[0] == "if":
-            then = block.If(proc.var("flag"))
-            apply_items(proc, then, item[1])
-            if item[2] is None:
+            then = block.If(Picks(proc, [item[1]]).target(is_bool=True))
+            apply_items(proc, then, item[2])
+            if item[3] is None:
                 assert then.EndIf() is block
             else:
                 orelse = then.Else()
-                apply_items(proc, orelse, item[2])
+                apply_items(proc, orelse, item[3])
                 assert orelse.EndIf() is block
         elif item[0] == "switch":
-            scope = block.Switch(proc.var("scratch"))
-            for value, body in item[1]:
+            scope = block.Switch(Picks(proc, [item[1]]).operand(U8))
+            for value, body in item[2]:
                 scope = scope.Case(u8(value))
                 apply_items(proc, scope, body)
             assert scope.EndSwitch() is block
@@ -241,26 +324,29 @@ def apply_items(proc, block, items):
 
 
 def items_strategy(depth, allow_atomic=True):
-    leaf = st.just("cmd")
+    """Builder call trees for apply_items: commands of every kind as
+    leaves, If/Switch (and Atomic, outside other Atomics) above them."""
+    pick = st.integers(0, 2**64 - 1)
+    leaf = st.tuples(st.just("cmd"), st.sampled_from(list(OPS)), st.lists(pick, min_size=1, max_size=6))
     if depth == 0:
-        options = [leaf]
-    else:
-        sub = st.lists(items_strategy(depth - 1, allow_atomic=False), max_size=3)
-        options = [
-            leaf,
-            st.tuples(st.just("if"), sub, st.none() | sub),
-            st.tuples(
-                st.just("switch"),
-                st.lists(
-                    st.tuples(st.integers(0, 255), sub),
-                    min_size=1,
-                    max_size=3,
-                    unique_by=lambda case: case[0],
-                ),
+        return leaf
+    sub = st.lists(items_strategy(depth - 1, allow_atomic=False), max_size=3)
+    options = [
+        leaf,
+        st.tuples(st.just("if"), pick, sub, st.none() | sub),
+        st.tuples(
+            st.just("switch"),
+            pick,
+            st.lists(
+                st.tuples(st.integers(0, 255), sub),
+                min_size=1,
+                max_size=3,
+                unique_by=lambda case: case[0],
             ),
-        ]
-        if allow_atomic:
-            options.append(st.tuples(st.just("atomic"), sub))
+        ),
+    ]
+    if allow_atomic:
+        options.append(st.tuples(st.just("atomic"), sub))
     return st.one_of(options)
 
 

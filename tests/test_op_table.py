@@ -57,7 +57,7 @@ def test_every_schema_branch_names_known_ops():
 
 
 def test_simulator_has_one_entry_per_plain_op():
-    assert set(simulator._EVAL) == set(OPS.values())
+    assert set(simulator._PY) == set(OPS.values())
 
 
 def test_codegen_has_one_entry_per_plain_op():

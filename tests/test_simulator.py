@@ -4,11 +4,15 @@ Reference behaviors (the rng stream, the three-way comparator, the
 checksum) come from tests/oracles.py and never touch package code.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ref_sim
 from oracles import guess_reference, rfc1071_naive, splitmix64_stream
+from test_acceptance import apply_items, contract_processor, items_strategy
 
 from p4flowgen.builtin_examples import (
     AGG_PORT,
@@ -16,13 +20,18 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
+from p4flowgen import simulator
 from p4flowgen.codegen import Solution
 from p4flowgen.codegen import generate
 from p4flowgen.core_model import (
+    HEADER_FIELD_BITS,
     U8,
+    U16,
+    U32,
     FieldDecl,
     HeaderLayout,
     RingBufferDecl,
+    SharedVariableDecl,
     UValue,
     UWidth,
     cast_value,
@@ -36,12 +45,16 @@ from p4flowgen.errors import MalformedPacket
 from p4flowgen.flow_ast import (
     Add,
     AssignConst,
+    AssignVar,
     Cast,
+    Equals,
     Forward,
+    Greater,
     Hint,
     RingPush,
     RingReadHead,
     Sub,
+    bool_local,
     new_flow_processor,
 )
 from p4flowgen.selector import ProtocolStack, new_flow_selector
@@ -659,3 +672,232 @@ class TestArithmeticMatchesHelpers:
         assert got["diff"] == wrap_sub(ua, ub)
         for w in UWidth:
             assert got[f"c{w.bits}"] == cast_value(ua, w)
+
+
+def probe_solution(proc):
+    return Solution([
+        new_flow_selector("probe_sel", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(9))], proc)
+    ])
+
+
+class TestCompiledMatchesReference:
+    """The compiled processors against tests/ref_sim.py, a tree-walking
+    reference that shares no code with the simulator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        items=st.lists(items_strategy(2), max_size=6),
+        payloads=st.lists(st.binary(min_size=7, max_size=10), min_size=1, max_size=3),
+        ingress=st.integers(0, 0xFFFF),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_programs(self, items, payloads, ingress, seed):
+        proc = contract_processor()
+        apply_items(proc, proc.body, items)
+        sol = probe_solution(proc)
+        state, ref = initial_state(sol, seed), ref_sim.RefState(proc, seed)
+        for payload in payloads:
+            res, state = simulate_packet(sol, state, make_udp_packet(9, payload, ingress_port=ingress))
+            events, egress, out = ref_sim.run(proc, payload, ingress, ref)
+            assert [tuple(e) for e in res.trace] == events
+            assert res.egress_port == (ingress ^ 1 if egress is None else egress)
+            assert res.packet.payload == out
+            assert {k[1]: v.magnitude for k, v in state.shared.items()} == ref.shared
+            assert {k[1]: [r.slots, r.head] for k, r in state.rings.items()} == ref.rings
+            assert state.rng.next64() == next(ref.rng)
+
+
+def alias_case(make):
+    """One command whose target is also an operand, after presetting the
+    processor's u8 variables: shared ``acc`` 5 and bool ``flag`` 0."""
+    proc = new_flow_processor(
+        "alias",
+        input=HeaderLayout("alias_req", [FieldDecl("val", U8)]),
+        locals=[bool_local("flag")],
+        shared=[SharedVariableDecl("acc", U8, u8(5))],
+    )
+    proc.body.add(make(proc.var("acc"), proc.var("flag"), proc.var("val")))
+    sol = udp_solution(proc, 1005)
+    pkt = make_udp_packet(1005, payload=bytes([250]))
+    res, state = simulate_packet(sol, initial_state(sol), pkt)
+    return res.trace[1], state.shared[("alias", "acc")].magnitude
+
+
+class TestAliasedOperands:
+    """An operand that is the target itself is recorded as read before the
+    write: Add(acc, acc, val) gives before (old, old, val) and after
+    (new, old, val)."""
+
+    @pytest.mark.parametrize("make, before, after, acc", [
+        (lambda acc, flag, val: Add(acc, acc, val), (5, 5, 250), (255, 5, 250), 255),
+        (lambda acc, flag, val: Add(acc, val, acc), (5, 250, 5), (255, 250, 5), 255),
+        (lambda acc, flag, val: Sub(acc, acc, val), (5, 5, 250), (11, 5, 250), 11),
+        (lambda acc, flag, val: Equals(flag, flag, u8(0)), (0, 0, 0), (1, 0, 0), 5),
+        (lambda acc, flag, val: Greater(flag, u8(1), flag), (0, 1, 0), (1, 1, 0), 5),
+        (lambda acc, flag, val: AssignVar(acc, acc), (5, 5), (5, 5), 5),
+        (lambda acc, flag, val: Cast(acc, acc), (5, 5), (5, 5), 5),
+    ])
+    def test_target_read_before_write(self, make, before, after, acc):
+        event, final = alias_case(make)
+        assert (event.before, event.after) == (before, after)
+        assert final == acc
+
+
+class TestLayerSplit:
+    def test_calls_go_through_the_module_globals(self, monkeypatch):
+        """A profiler that replaces simulator.classify and
+        simulator.simulate_packet sees every call, so that classify time
+        can be told apart from execution time."""
+        calls = []
+
+        def spy(name):
+            original = getattr(simulator, name)
+            monkeypatch.setattr(
+                simulator, name, lambda *a: calls.append(name) or original(*a)
+            )
+
+        spy("classify")
+        spy("simulate_packet")
+        run_trace(GUESS, [make_udp_packet(GUESS_PORT, payload=b"\x01")] * 2)
+        assert calls == ["simulate_packet", "classify"] * 2
+
+
+class TestLazyCompile:
+    def test_builder_call_after_a_run_is_simulated(self):
+        proc = new_flow_processor(
+            "grow",
+            input=HeaderLayout("grow_req", [FieldDecl("v", U8)]),
+            output=HeaderLayout("grow_resp", [FieldDecl("r", U8)]),
+        )
+        proc.body.add(AssignConst(proc.var("r"), u8(1)))
+        sol = udp_solution(proc, 1006)
+        pkt = make_udp_packet(1006, payload=b"\x00")
+        first, state = simulate_packet(sol, initial_state(sol), pkt)
+        proc.body.add(AssignConst(proc.var("r"), u8(2)))
+        second, _ = simulate_packet(sol, state, pkt)
+        assert [e.ordinal for e in first.trace] == [0, 1]
+        assert [e.ordinal for e in second.trace] == [0, 1, 2]
+        assert (first.packet.payload, second.packet.payload) == (b"\x01", b"\x02")
+
+    def test_processors_of_one_shape_share_their_code(self):
+        def build(name, threshold, port):
+            proc = new_flow_processor(
+                name,
+                input=HeaderLayout(f"{name}_req", [FieldDecl("v", U8)]),
+                locals=[bool_local("big")],
+                shared=[SharedVariableDecl("total", U8, u8(threshold))],
+            )
+            proc.body.add(Greater(proc.var("big"), proc.var("v"), u8(threshold)))
+            proc.body.add(Add(proc.var("total"), proc.var("total"), proc.var("v")))
+            proc.body.add(Forward(port))
+            return proc
+
+        low, high = build("low", 3, 7), build("high", 200, 9)
+        assert simulator._compiled(low).__code__ is simulator._compiled(high).__code__
+        assert simulator._compiled(low) is not simulator._compiled(high)
+
+    def test_open_scopes_simulate(self):
+        proc = new_flow_processor(
+            "open",
+            input=HeaderLayout("open_req", [FieldDecl("v", U8)]),
+            locals=[bool_local("flag")],
+        )
+        atomic = proc.body.Atomic()
+        atomic.add(Equals(proc.var("flag"), proc.var("v"), u8(0)))
+        atomic.If(proc.var("flag")).add(Forward(3))
+        sol = udp_solution(proc, 1007)
+        res, _ = simulate_packet(sol, initial_state(sol), make_udp_packet(1007, payload=b"\x00"))
+        assert [(e.ordinal, e.kind) for e in res.trace] == [
+            (0, "match"), (1, "atomic_begin"), (2, "equals"), (3, "if"), (4, "forward"),
+            (None, "atomic_end"),
+        ]
+        assert res.egress_port == 3
+        events, egress, _ = ref_sim.run(proc, b"\x00", 0, ref_sim.RefState(proc, 0))
+        assert [tuple(e) for e in res.trace] == events
+
+
+def _selector(name, criteria, lookahead=None):
+    proc = new_flow_processor(
+        f"p_{name}", input=HeaderLayout(f"in_{name}", [FieldDecl("x", U8)])
+    )
+    return new_flow_selector(name, ProtocolStack.IPV4_UDP, criteria, proc, lookahead=lookahead)
+
+
+PEEK = HeaderLayout("peek4", [FieldDecl("tag", U16), FieldDecl("pad", U16)])
+
+
+class TestIndexedClassify:
+    """classify looks each signature up once and keeps the registration
+    order across signatures."""
+
+    @pytest.mark.acceptance(9)
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("src_addr, tag", [(0x0A000001, 9), (0x0A000009, 9), (0x0A000001, 8)])
+    def test_first_registration_wins_across_signatures(self, order, src_addr, tag):
+        selectors = [
+            _selector("port_addr", [("udp.dstPort", u16(7)), ("ipv4.srcAddr", UValue(U32, 0x0A000001))]),
+            _selector("port", [("udp.dstPort", u16(7))]),
+            _selector("port_tag", [("udp.dstPort", u16(7)), ("tag", u16(9))], lookahead=PEEK),
+        ]
+        chain = [selectors[i] for i in order]
+        pkt = make_udp_packet(7, payload=tag.to_bytes(2, "big") + b"\x00\x00", src_addr=src_addr)
+        matches = {
+            "port_addr": src_addr == 0x0A000001,
+            "port": True,
+            "port_tag": tag == 9,
+        }
+        expected = next(s.name for s in chain if matches[s.name])
+        assert classify(Solution(chain), pkt).name == expected
+
+    @pytest.mark.parametrize("first, second", [("wide", "narrow"), ("narrow", "wide")])
+    def test_short_lookahead_fails_on_the_first_candidate(self, first, second):
+        peek6 = HeaderLayout("peek6", [FieldDecl("tag", U16), FieldDecl("a", U32)])
+        selectors = {
+            "wide": _selector(
+                "wide", [("udp.dstPort", u16(7)), ("ipv4.ttl", u8(64)), ("tag", u16(9))], peek6
+            ),
+            "narrow": _selector("narrow", [("udp.dstPort", u16(7)), ("tag", u16(9))], PEEK),
+        }
+        sol = Solution([selectors[first], selectors[second]])
+        pkt = make_udp_packet(7, payload=bytes([0, 9, 0, 0, 0]))
+        if first == "wide":
+            with pytest.raises(MalformedPacket, match="lookahead of selector 'wide'"):
+                classify(sol, pkt)
+        else:
+            assert classify(sol, pkt).name == "narrow"
+
+
+class TestHeaderFields:
+    @pytest.mark.parametrize("header, change", [
+        ("udp", lambda m: m.pop("len")),
+        ("ipv4", lambda m: m.pop("ttl")),
+        ("eth", lambda m: m.pop("srcAddr")),
+        ("udp", lambda m: m.update(extra=1)),
+    ])
+    def test_missing_or_unknown_field_is_malformed_up_front(self, header, change):
+        pkt = make_udp_packet(4444, payload=b"\x01")  # no selector on this port
+        change(getattr(pkt, header))
+        with pytest.raises(MalformedPacket, match=f"{header} fields"):
+            classify(GUESS, pkt)
+        (res,) = run_trace(GUESS, [pkt], seed=0)
+        assert res.verdict == PASSTHROUGH and f"{header} fields" in res.error
+
+    def test_tcp_reserved_nibble_is_not_a_field(self):
+        pkt = make_tcp_packet(80, payload=b"\x01")
+        pkt.tcp["res"] = 0
+        with pytest.raises(MalformedPacket, match="tcp fields"):
+            classify(GUESS, pkt)
+
+    def test_out_of_range_ipv4_field_overflows_at_egress(self):
+        pkt = make_udp_packet(GUESS_PORT, payload=bytes([10]))
+        pkt.ipv4["ttl"] = 300
+        with pytest.raises(OverflowError):
+            simulate_packet(GUESS, initial_state(GUESS), pkt)
+
+    @given(st.fixed_dictionaries({
+        name: st.integers(0, (1 << bits) - 1) for name, bits in HEADER_FIELD_BITS["ipv4"].items()
+    }))
+    @settings(max_examples=200, deadline=None)
+    def test_field_checksum_matches_the_byte_oracle(self, ipv4):
+        ipv4["hdrChecksum"] = 0
+        assert simulator._ipv4_checksum(ipv4) == rfc1071_naive(ipv4_header_bytes(ipv4))
