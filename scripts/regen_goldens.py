@@ -37,8 +37,8 @@ from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
 from p4flowgen.program_doc import (
     dumps_doc,
+    dumps_results,
     load_trace,
-    results_to_doc,
     solution_from_doc,
     solution_to_doc,
 )
@@ -63,7 +63,7 @@ def _program_outputs(name: str, doc_path: Path, solution) -> dict[Path, str]:
 
     seed, packets = load_trace(DATA / f"{name}_trace.json")
     results = run_trace(solution, packets, seed=seed)
-    out[GOLDEN / f"{name}_results.json"] = dumps_doc(results_to_doc(seed, results))
+    out[GOLDEN / f"{name}_results.json"] = dumps_results(seed, results)
     return out
 
 

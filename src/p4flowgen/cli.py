@@ -16,10 +16,9 @@ from .codegen import generate, write_staged
 from .errors import FlowgenError
 from .program_doc import (
     DocError,
-    dumps_doc,
+    dumps_results,
     load_json,
     load_trace,
-    results_to_doc,
     solution_from_doc,
 )
 from .simulator import run_trace
@@ -44,7 +43,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         seed = args.seed
     results = run_trace(solution, packets, seed)
-    text = dumps_doc(results_to_doc(seed, results))
+    text = dumps_results(seed, results)
     if args.out is None:
         sys.stdout.write(text)
     else:

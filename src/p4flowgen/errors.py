@@ -29,6 +29,11 @@ class DuplicateName(FlowgenError):
     """A name is declared twice where uniqueness is required."""
 
 
+class ParserGateMismatch(FlowgenError):
+    """A criterion requires a value that the stack's parser never lets
+    through to the selector chain, so the selector could never match."""
+
+
 class MissingLookahead(FlowgenError):
     """A selector criterion needs a lookahead layout that was not given."""
 

@@ -13,8 +13,11 @@ valid document never imports jsonschema. Only when the closures reject
 a document is jsonschema imported, to find and word the most relevant
 error as a ``DocError``. Both treat only JSON integers as integers.
 
-Every document the package writes goes through ``dumps_doc``, whose
-bytes are those of ``json.dumps(doc, indent=2)`` plus a newline.
+Every document the package writes has the bytes of
+``json.dumps(doc, indent=2)`` plus a newline. Programs go through
+``dumps_doc``; ``simulate`` results go through ``dumps_results``, which
+writes the same bytes as ``dumps_doc(results_to_doc(...))`` straight
+from the SimResults.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from .flow_ast import (
     new_flow_processor,
     uvalue_doc,
 )
-from .selector import Criterion, ProtocolStack, Solution, new_flow_selector
-from .simulator import SimPacket, SimResult, make_tcp_packet, make_udp_packet
+from .selector import Criterion, ProtocolStack, Solution, check_parser_gate, new_flow_selector
+from .simulator import SimPacket, SimResult, TraceEvent, make_tcp_packet, make_udp_packet
 
 
 class DocError(FlowgenError):
@@ -325,8 +328,10 @@ _int_text = int.__repr__
 
 
 def dumps_doc(doc) -> str:
-    """The one serialization of every written document: shipped assets,
-    golden files and ``simulate`` results.
+    """The serialization of every written document tree: shipped assets,
+    the program documents of the goldens, and the reference form of
+    ``simulate`` results (``dumps_results`` writes their bytes without
+    the tree).
 
     The text is exactly ``json.dumps(doc, indent=2) + "\\n"``: a 2-space
     indent, ASCII only (any other character as a ``\\uXXXX`` escape),
@@ -649,11 +654,15 @@ def solution_from_doc(doc) -> Solution:
         if sdoc.get("lookahead"):
             lookahead = _known(layouts, sdoc["lookahead"], path, "layout")
         with _at(path):
+            stack = ProtocolStack(sdoc["stack"])
             criteria = [Criterion(c["field"], _uvalue(c)) for c in sdoc["criteria"]]
+            for j, criterion in enumerate(criteria):
+                with _at(f"{path}.criteria[{j}]"):
+                    check_parser_gate(stack, criterion)
             selectors.append(
                 new_flow_selector(
                     sdoc["name"],
-                    ProtocolStack(sdoc["stack"]),
+                    stack,
                     criteria,
                     processor,
                     lookahead=lookahead,
@@ -754,3 +763,155 @@ def result_to_doc(result: SimResult) -> dict:
 
 def results_to_doc(seed: int, results) -> dict:
     return {"seed": seed, "results": [result_to_doc(r) for r in results]}
+
+
+# The layout of a results document is fixed, so each depth's indent is a
+# constant: results at 2, their fields at 3, header fields and trace
+# events at 4, event fields at 5 and event values at 6.
+_HEADER_LEADS = tuple((h, f'\n      "{h}": ') for h in HEADER_FIELD_BITS)
+_VALUE_SEP = ",\n            "
+
+
+def dumps_results(seed: int, results) -> str:
+    """The text of ``dumps_doc(results_to_doc(seed, results))``, written
+    straight from the SimResults in one pass, with no document tree.
+
+    Each result is a few joined chunks. Header maps keep their own key
+    order, as ``result_to_doc`` does. The text of each distinct trace
+    event is made once per call: a long trace repeats few events.
+
+    Every field must hold exactly its declared type: an int seed, egress
+    port, ordinal and event value, a str verdict, kind and header field
+    name, a str or None selector and error. Anything else, a bool or a
+    float included, raises TypeError naming its JSON path.
+    """
+    try:
+        return _results_text(seed, results)
+    except TypeError:
+        found = _misfit(seed, results)
+        if found is None:
+            raise
+        raise TypeError(found) from None
+
+
+def _results_text(seed: int, results) -> str:
+    """``dumps_results``' one pass; a value it cannot write raises a
+    TypeError without a path."""
+    if seed.__class__ is not int:
+        raise TypeError
+    names: dict[str, str] = {}  # header field name -> its lead, quoted, ": "
+    events: dict[TraceEvent, str] = {}
+    chunks = []
+    for r in results:
+        verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
+        if not (
+            verdict.__class__ is str
+            and egress.__class__ is int
+            and (selector is None or selector.__class__ is str)
+            and (error is None or error.__class__ is str)
+        ):
+            raise TypeError
+        parts = [
+            '\n    {\n      "verdict": ', _quote(verdict),
+            ',\n      "selector": ', "null" if selector is None else _quote(selector),
+            ',\n      "egress_port": ', _int_text(egress), ",",
+        ]
+        packet = r.packet
+        for header, lead in _HEADER_LEADS:
+            field_map = getattr(packet, header)
+            if field_map is None:
+                continue
+            items = []
+            for key, value in field_map.items():
+                if key.__class__ is not str:
+                    raise TypeError
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = "\n        " + _quote(key) + ": "
+                items.append(name + _quote(str(value)))
+            parts.append(lead + ("{" + ",".join(items) + "\n      }," if items else "{},"))
+        parts.append('\n      "payload_hex": "' + packet.payload.hex() + '",\n      "trace": ')
+        if r.trace:
+            texts = []
+            for event in r.trace:
+                if not _exact(event):
+                    raise TypeError
+                text = events.get(event)
+                if text is None:
+                    text = events[event] = _event_text(event)
+                texts.append(text)
+            parts.append("[" + ",".join(texts) + "\n      ]")
+        else:
+            parts.append("[]")
+        if error is not None:
+            parts.append(',\n      "error": ' + _quote(error))
+        parts.append("\n    }")
+        chunks.append("".join(parts))
+    head = '{\n  "seed": ' + _int_text(seed) + ',\n  "results": '
+    if not chunks:
+        return head + "[]\n}\n"
+    return head + "[" + ",".join(chunks) + "\n  ]\n}\n"
+
+
+_STR_OR_NONE = (str, type(None))
+
+
+def _misfit(seed: int, results):
+    """The diagnostic for the first field, in writing order, that
+    ``dumps_results`` cannot write; None when there is none."""
+
+    def positions():  # (JSON path, value, the classes it may have)
+        yield "$.seed", seed, (int,)
+        for i, r in enumerate(results):
+            at = f"$.results[{i}]"
+            yield f"{at}.verdict", r.verdict, (str,)
+            yield f"{at}.selector", r.selector, _STR_OR_NONE
+            yield f"{at}.egress_port", r.egress_port, (int,)
+            for header in HEADER_FIELD_BITS:
+                for key in getattr(r.packet, header) or ():
+                    yield f"{at}.{header} (a field name)", key, (str,)
+            for j, event in enumerate(r.trace):
+                yield f"{at}.trace[{j}].ordinal", event.ordinal, (int,)
+                yield f"{at}.trace[{j}].kind", event.kind, (str,)
+                for name in ("before", "after"):
+                    for k, value in enumerate(getattr(event, name)):
+                        yield f"{at}.trace[{j}].{name}[{k}]", value, (int,)
+            yield f"{at}.error", r.error, _STR_OR_NONE
+
+    for path, value, classes in positions():
+        if value.__class__ not in classes:
+            return f"{path}: cannot write a {type(value).__name__} to a results document"
+    return None
+
+
+def _exact(event: TraceEvent) -> bool:
+    """Every value of ``event`` has its exact type. Checked on every
+    event: ``1.0 == 1`` and ``True == 1``, so the memo of event texts
+    alone would let such a value through."""
+    ordinal, kind, before, after = event
+    if ordinal.__class__ is not int or kind.__class__ is not str:
+        return False
+    for value in before:
+        if value.__class__ is not int:
+            return False
+    for value in after:
+        if value.__class__ is not int:
+            return False
+    return True
+
+
+def _event_text(event: TraceEvent) -> str:
+    ordinal, kind, before, after = event
+    return (
+        '\n        {\n          "ordinal": ' + _int_text(ordinal)
+        + ',\n          "kind": ' + _quote(kind)
+        + ',\n          "before": ' + _values_text(before)
+        + ',\n          "after": ' + _values_text(after)
+        + "\n        }"
+    )
+
+
+def _values_text(values) -> str:
+    if not values:
+        return "[]"
+    return "[\n            " + _VALUE_SEP.join(map(_int_text, values)) + "\n          ]"

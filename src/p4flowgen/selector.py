@@ -15,10 +15,19 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_model import HEADER_FIELD_BITS, HeaderLayout, UValue, check_identifier
+from .core_model import (
+    ETHERTYPE_IPV4,
+    HEADER_FIELD_BITS,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    HeaderLayout,
+    UValue,
+    check_identifier,
+)
 from .errors import (
     DuplicateName,
     MissingLookahead,
+    ParserGateMismatch,
     UndeclaredName,
     WidthMismatch,
 )
@@ -48,6 +57,14 @@ STANDARD_FIELDS: dict[str, int] = {
 STACK_HEADERS = {
     ProtocolStack.IPV4_UDP: ("eth", "ipv4", "udp"),
     ProtocolStack.IPV4_TCP: ("eth", "ipv4", "tcp"),
+}
+
+# The standard-header values the template parser requires before a packet
+# reaches a stack's chain. A criterion on one of these fields must ask for
+# exactly that value, or its selector could never match.
+PARSER_GATE = {
+    ProtocolStack.IPV4_UDP: {"eth.etherType": ETHERTYPE_IPV4, "ipv4.protocol": IPPROTO_UDP},
+    ProtocolStack.IPV4_TCP: {"eth.etherType": ETHERTYPE_IPV4, "ipv4.protocol": IPPROTO_TCP},
 }
 
 
@@ -99,6 +116,18 @@ def _criterion_width(stack: ProtocolStack, field: str, lookahead: Optional[Heade
     return lookahead.field(field).width.bits
 
 
+def check_parser_gate(stack: ProtocolStack, criterion: Criterion) -> None:
+    """Raise ParserGateMismatch if ``criterion`` asks for an etherType or
+    protocol that the parser of ``stack`` never lets through."""
+    required = PARSER_GATE[stack].get(criterion.field)
+    if required is not None and criterion.value.magnitude != required:
+        raise ParserGateMismatch(
+            f"criterion {criterion.field!r} = {criterion.value.magnitude} never "
+            f"matches on stack {stack.value}: its parser requires "
+            f"{criterion.field} = {required}"
+        )
+
+
 def new_flow_selector(
     name: str,
     stack: ProtocolStack,
@@ -109,7 +138,8 @@ def new_flow_selector(
     """Validate and freeze a selector.
 
     ``criteria`` may hold Criterion objects or plain (field, value) pairs;
-    it must be nonempty and every value's width must equal its field's.
+    it must be nonempty, every value's width must equal its field's, and
+    an etherType or protocol criterion must agree with ``PARSER_GATE``.
     """
     check_identifier(name, "selector name")
     if not isinstance(stack, ProtocolStack):
@@ -130,6 +160,7 @@ def new_flow_selector(
                 f"criterion {c.field!r} is {width}-bit, value is "
                 f"u{c.value.width.bits}"
             )
+        check_parser_gate(stack, c)
     if lookahead is not None and processor.input.byte_size > lookahead.byte_size:
         raise WidthMismatch(
             f"input layout {processor.input.name!r} needs "

@@ -15,13 +15,14 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
-from p4flowgen.core_model import U8, U16, FieldDecl, HeaderLayout, u16
+from p4flowgen.core_model import HEADER_FIELD_BITS, U8, U16, FieldDecl, HeaderLayout, u8, u16
 from p4flowgen.flow_ast import Hint, new_flow_processor
 from p4flowgen.program_doc import (
     SCHEMA_DIR,
     DocError,
     DocSemanticError,
     dumps_doc,
+    dumps_results,
     load_schema,
     packet_from_doc,
     parse_field_value,
@@ -34,7 +35,15 @@ from p4flowgen.program_doc import (
     validate_trace_doc,
 )
 from p4flowgen.selector import ProtocolStack, Solution, new_flow_selector
-from p4flowgen.simulator import make_udp_packet, run_trace
+from p4flowgen.simulator import (
+    PASSTHROUGH,
+    PROCESSED,
+    SimPacket,
+    SimResult,
+    TraceEvent,
+    make_udp_packet,
+    run_trace,
+)
 
 
 def guess_doc():
@@ -218,6 +227,36 @@ class TestSemanticPaths:
         with pytest.raises(DocSemanticError) as err:
             solution_from_doc(doc)
         assert err.value.kind == "WidthMismatch"
+
+    @pytest.mark.parametrize(
+        "stack, field, width, value",
+        [
+            ("IPV4_UDP", "ipv4.protocol", 8, 6),
+            ("IPV4_TCP", "ipv4.protocol", 8, 17),
+            ("IPV4_UDP", "eth.etherType", 16, 0x86DD),
+        ],
+    )
+    def test_criterion_contradicting_the_parser(self, stack, field, width, value):
+        doc = guess_doc()
+        sdoc = doc["selectors"][0]
+        sdoc["stack"] = stack
+        sdoc["criteria"] = [
+            {"field": "ipv4.ttl", "width": 8, "value": 64},
+            {"field": field, "width": width, "value": value},
+        ]
+        with pytest.raises(DocSemanticError) as err:
+            solution_from_doc(doc)
+        assert err.value.path == "selectors[0].criteria[1]"
+        assert err.value.kind == "ParserGateMismatch"
+        assert stack in err.value.message and field in err.value.message
+
+    def test_criterion_agreeing_with_the_parser(self):
+        doc = guess_doc()
+        doc["selectors"][0]["criteria"] += [
+            {"field": "ipv4.protocol", "width": 8, "value": 17},
+            {"field": "eth.etherType", "width": 16, "value": 0x0800},
+        ]
+        assert len(solution_from_doc(doc).selectors[0].criteria) == 3
 
     def test_const_too_wide_for_declared_width(self):
         doc = agg_doc()
@@ -437,5 +476,114 @@ class TestWriter:
     def test_unwritable_value_names_its_path(self, doc, path, kind):
         with pytest.raises(TypeError) as err:
             dumps_doc(doc)
+        assert str(err.value).startswith(f"{path}: ")
+        assert kind in str(err.value)
+
+
+# -- the results writer: the bytes of dumps_doc(results_to_doc(...)) ---------
+
+INTS = st.one_of(st.integers(0, 300), st.integers(-(2**70), 2**70))
+
+
+def header_maps(header: str):
+    """Field maps of one header: every field in shuffled order, or any
+    subset (the empty map included) in any order."""
+    names = list(HEADER_FIELD_BITS[header])
+    keys = st.one_of(st.permutations(names), st.lists(st.sampled_from(names), unique=True))
+    return keys.flatmap(
+        lambda ks: st.lists(INTS, min_size=len(ks), max_size=len(ks)).map(
+            lambda vs: dict(zip(ks, vs))
+        )
+    )
+
+
+EVENTS = st.builds(
+    TraceEvent,
+    INTS,
+    TEXT,
+    st.lists(INTS, max_size=3).map(tuple),
+    st.lists(INTS, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def sim_results(draw):
+    l4 = draw(st.sampled_from(["udp", "tcp", None]))
+    packet = SimPacket(
+        ingress_port=draw(INTS),
+        eth=draw(header_maps("eth")),
+        ipv4=draw(header_maps("ipv4")),
+        payload=draw(st.binary(max_size=6)),
+    )
+    if l4 is not None:
+        setattr(packet, l4, draw(header_maps(l4)))
+    # A small pool, so that events repeat within and across results.
+    pool = draw(st.lists(EVENTS, min_size=1, max_size=3))
+    trace = draw(st.lists(st.sampled_from(pool), max_size=5))
+    return SimResult(
+        draw(st.sampled_from([PASSTHROUGH, PROCESSED])),
+        draw(st.one_of(st.none(), TEXT)),
+        draw(INTS),
+        packet,
+        tuple(trace),
+        draw(st.one_of(st.none(), TEXT)),
+    )
+
+
+def a_result(**changes) -> SimResult:
+    """A PROCESSED guess_game result with ``changes`` applied."""
+    packets = [make_udp_packet(GUESS_PORT, payload=bytes([10]), ingress_port=2)]
+    result = run_trace(guess_game_solution(), packets, seed=1)[0]
+    fields = {**result.__dict__, **changes}
+    return SimResult(**fields)
+
+
+class TestResultsWriter:
+    @given(st.integers(-(2**70), 2**70), st.lists(sim_results(), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_document_path(self, seed, results):
+        assert dumps_results(seed, results) == dumps_doc(results_to_doc(seed, results))
+
+    def test_no_results(self):
+        assert dumps_results(7, []) == dumps_doc(results_to_doc(7, [])) == (
+            '{\n  "seed": 7,\n  "results": []\n}\n'
+        )
+
+    def test_header_fields_keep_their_own_order(self):
+        packet = a_result().packet
+        packet.udp = dict(reversed(packet.udp.items()))
+        results = [a_result(packet=packet)]
+        text = dumps_results(0, results)
+        assert text == dumps_doc(results_to_doc(0, results))
+        assert text.index('"checksum"') < text.index('"srcPort"')
+
+    @pytest.mark.parametrize(
+        "seed, changes, path, kind",
+        [
+            (0, {"egress_port": True}, "$.results[1].egress_port", "bool"),
+            (0, {"egress_port": 2.0}, "$.results[1].egress_port", "float"),
+            (1.0, {}, "$.seed", "float"),
+            (True, {}, "$.seed", "bool"),
+            ("1", {}, "$.seed", "str"),
+            (0, {"trace": (TraceEvent(3, "add", (1.5,), ()),)},
+             "$.results[1].trace[0].before[0]", "float"),
+            # equal to the event before it, so only a check of each
+            # event, not the memo of event texts, can catch it
+            (0, {"trace": (TraceEvent(3, "add", (1,), (2,)),
+                           TraceEvent(3, "add", (1,), (2.0,)))},
+             "$.results[1].trace[1].after[0]", "float"),
+            (0, {"trace": (TraceEvent(1.0, "add", (), ()),)},
+             "$.results[1].trace[0].ordinal", "float"),
+            (0, {"selector": b"sel"}, "$.results[1].selector", "bytes"),
+            (0, {"packet": SimPacket(0, {1: 2}, {})}, "$.results[1].eth (a field name)", "int"),
+            # int, str and None, but not where the field is declared
+            (0, {"error": 7}, "$.results[1].error", "int"),
+            (0, {"verdict": None}, "$.results[1].verdict", "NoneType"),
+        ],
+    )
+    def test_unwritable_value_names_its_path(self, seed, changes, path, kind):
+        results = [a_result(), a_result(**changes)]
+        with pytest.raises(TypeError) as err:
+            dumps_results(seed, results)
         assert str(err.value).startswith(f"{path}: ")
         assert kind in str(err.value)

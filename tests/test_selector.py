@@ -8,6 +8,7 @@ from p4flowgen.core_model import U8, U16, FieldDecl, HeaderLayout, u8, u16, u32
 from p4flowgen.errors import (
     DuplicateName,
     MissingLookahead,
+    ParserGateMismatch,
     UndeclaredName,
     WidthMismatch,
 )
@@ -67,6 +68,29 @@ class TestNewFlowSelector:
             new_flow_selector(
                 "sel", ProtocolStack.IPV4_UDP, [("eth.dstAddr", u32(1))], PROC
             )
+
+    @pytest.mark.parametrize(
+        "stack, field, value, required",
+        [
+            (ProtocolStack.IPV4_UDP, "ipv4.protocol", u8(6), "ipv4.protocol = 17"),
+            (ProtocolStack.IPV4_TCP, "ipv4.protocol", u8(17), "ipv4.protocol = 6"),
+            (ProtocolStack.IPV4_UDP, "eth.etherType", u16(0x86DD), "eth.etherType = 2048"),
+            (ProtocolStack.IPV4_TCP, "eth.etherType", u16(0), "eth.etherType = 2048"),
+        ],
+    )
+    def test_criterion_contradicting_the_parser(self, stack, field, value, required):
+        with pytest.raises(ParserGateMismatch) as err:
+            new_flow_selector("sel", stack, [("ipv4.ttl", u8(64)), (field, value)], PROC)
+        message = str(err.value)
+        assert field in message and stack.value in message and required in message
+
+    @pytest.mark.parametrize(
+        "stack, protocol",
+        [(ProtocolStack.IPV4_UDP, u8(17)), (ProtocolStack.IPV4_TCP, u8(6))],
+    )
+    def test_criterion_agreeing_with_the_parser(self, stack, protocol):
+        criteria = [("eth.etherType", u16(0x0800)), ("ipv4.protocol", protocol)]
+        assert len(new_flow_selector("sel", stack, criteria, PROC).criteria) == 2
 
     def test_payload_field_needs_lookahead(self):
         with pytest.raises(MissingLookahead):

@@ -539,12 +539,18 @@ class TestRunTrace:
         assert [result_key(r) for r in first] == [result_key(r) for r in second]
 
     def test_seed_changes_win_redraw(self):
-        packets = [make_udp_packet(GUESS_PORT, payload=bytes([42]))] * 2
-        a = run_trace(GUESS, packets, seed=0)
-        b = run_trace(GUESS, packets, seed=1)
-        # both win the first round; the redrawn secrets differ by seed
-        assert a[0].packet.payload == b[0].packet.payload == b"OK"
-        assert a[1].packet.payload != b[1].packet.payload or True
+        # A win redraws the secret from the seeded rng: the low byte of the
+        # seed's first splitmix64 output. Seeds 0 and 1 redraw 0xAF and 0xC1.
+        secrets = []
+        for seed in (0, 1):
+            state = initial_state(GUESS, seed=seed)
+            win = make_udp_packet(GUESS_PORT, payload=bytes([42]))
+            result, state = simulate_packet(GUESS, state, win)
+            assert result.packet.payload == b"OK"
+            secret = state.shared[("guess", "secret")].magnitude
+            assert secret == next(splitmix64_stream(seed)) & 0xFF
+            secrets.append(secret)
+        assert secrets[0] != secrets[1]
 
     def test_hint_invariance_sample(self):
         packets = [
