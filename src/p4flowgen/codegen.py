@@ -25,10 +25,9 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core_model import HEADER_BYTES, HeaderLayout, UValue
-from .errors import DuplicateName
 from .flow_ast import (
     Add,
     AssignConst,
@@ -290,23 +289,13 @@ _EMIT = {
 
 
 def _unique_layouts(selectors: Sequence[FlowSelector]) -> list[HeaderLayout]:
+    """Every layout once, in first-use order; Solution guarantees that a
+    name means one structure."""
     layouts: dict[str, HeaderLayout] = {}
-
-    def take(layout: Optional[HeaderLayout]) -> None:
-        if layout is None:
-            return
-        known = layouts.get(layout.name)
-        if known is None:
-            layouts[layout.name] = layout
-        elif known is not layout and known != layout:
-            raise DuplicateName(
-                f"two different layouts share the name {layout.name!r}"
-            )
-
     for sel in selectors:
-        take(sel.lookahead)
-        take(sel.processor.input)
-        take(sel.processor.output)
+        for layout in (sel.lookahead, sel.processor.input, sel.processor.output):
+            if layout is not None:
+                layouts.setdefault(layout.name, layout)
     return list(layouts.values())
 
 
@@ -337,14 +326,12 @@ def _criterion_key(sel: FlowSelector, c: Criterion) -> str:
     return f"la.{c.field}"
 
 
-def emit_parser_chain(chain: ParserChain, flow_ids: Optional[Sequence[int]] = None) -> str:
+def emit_parser_chain(chain: ParserChain, flow_ids: Sequence[int]) -> str:
     """Chain states for one stack: state k checks selector k's criteria,
-    extracts the input layout and records the flow id on a hit, and falls
-    through to state k+1 (or accept) on a miss."""
+    extracts the input layout and records flow id ``flow_ids[k]`` on a
+    hit, and falls through to state k+1 (or accept) on a miss."""
     if not chain.links:
         raise ValueError("cannot emit an empty parser chain")
-    if flow_ids is None:
-        flow_ids = list(range(1, len(chain.links) + 1))
     name = chain.stack.value.lower()
     w = _Writer()
     for k, (sel, flow_id) in enumerate(zip(chain.links, flow_ids)):
@@ -437,14 +424,13 @@ def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
 
 
 def emit_processor_control(
-    p: FlowProcessor,
-    stack: ProtocolStack = ProtocolStack.IPV4_UDP,
-    depth: int = 3,
+    p: FlowProcessor, stack: ProtocolStack = ProtocolStack.IPV4_UDP
 ) -> str:
     """The statements executed when a packet hits this processor: zeroed
     locals, register boot and reads, output activation, the command body,
     then header-validity flips and byte-delta bookkeeping."""
     p.validate_complete()
+    depth = 3  # inside the flow branch that _emit_apply opens at depth 2
     w = _Writer()
     for d in p.locals:
         w.line(depth, f"{p.name}__{d.name} = {d.width.bits}w0;")
@@ -522,8 +508,6 @@ def generate(solution: Solution) -> GeneratedFileSet:
     ``write_to`` puts them on disk."""
     selectors = solution.selectors
     procs = solution.processors()
-    for p in procs:
-        p.validate_complete()
     flow_ids = {sel.name: i + 1 for i, sel in enumerate(selectors)}
     files = {
         "headers.p4inc": _emit_headers(_unique_layouts(selectors)),

@@ -52,7 +52,7 @@ from .flow_ast import (
     new_flow_processor,
     uvalue_doc,
 )
-from .selector import Criterion, ProtocolStack, Solution, check_parser_gate, new_flow_selector
+from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_flow_selector
 from .simulator import SimPacket, SimResult, TraceEvent, make_tcp_packet, make_udp_packet
 
 
@@ -444,22 +444,19 @@ def _unwritable(value, path: str):
 
 def solution_to_doc(solution: Solution) -> dict:
     """Hoist layouts out of the processors and selectors into one named
-    section; everything else mirrors the builder state."""
+    section; everything else mirrors the builder state. An open scope
+    raises SemanticError (OpenScope), as in ``generate``."""
     layouts: dict[str, HeaderLayout] = {}
 
     def register(layout):
         if layout is None:
             return None
-        before = layouts.setdefault(layout.name, layout)
-        if before != layout:
-            raise DocError(
-                "layouts",
-                f"layout name {layout.name!r} used for two structures",
-            )
+        layouts.setdefault(layout.name, layout)
         return layout.name
 
     processors = []
     for proc in solution.processors():
+        proc.validate_complete()
         register(proc.input)
         register(proc.output)
         processors.append(proc.to_doc())
@@ -653,12 +650,14 @@ def solution_from_doc(doc) -> Solution:
         lookahead = None
         if sdoc.get("lookahead"):
             lookahead = _known(layouts, sdoc["lookahead"], path, "layout")
+        stack = ProtocolStack(sdoc["stack"])
+        criteria = []
+        for j, cdoc in enumerate(sdoc["criteria"]):
+            with _at(f"{path}.criteria[{j}]"):
+                criterion = Criterion(cdoc["field"], _uvalue(cdoc))
+                check_criterion(stack, criterion, lookahead)
+            criteria.append(criterion)
         with _at(path):
-            stack = ProtocolStack(sdoc["stack"])
-            criteria = [Criterion(c["field"], _uvalue(c)) for c in sdoc["criteria"]]
-            for j, criterion in enumerate(criteria):
-                with _at(f"{path}.criteria[{j}]"):
-                    check_parser_gate(stack, criterion)
             selectors.append(
                 new_flow_selector(
                     sdoc["name"],

@@ -97,34 +97,41 @@ class ParserChain:
     links: tuple[FlowSelector, ...]
 
 
-def _criterion_width(stack: ProtocolStack, field: str, lookahead: Optional[HeaderLayout]) -> int:
+def check_criterion(
+    stack: ProtocolStack, criterion: Criterion, lookahead: Optional[HeaderLayout]
+) -> None:
+    """Raise unless ``criterion`` names a field parsed on ``stack`` (or one
+    of ``lookahead``), its value has that field's width, and an etherType
+    or protocol criterion asks for what the stack's parser lets through
+    (``PARSER_GATE``)."""
+    field, value = criterion.field, criterion.value
+    if not isinstance(value, UValue):
+        raise TypeError(f"criterion value must be a UValue, got {value!r}")
     if "." in field:
         if field not in STANDARD_FIELDS:
             raise UndeclaredName(f"{field!r} is not a standard header field")
-        prefix = field.split(".", 1)[0]
-        if prefix not in STACK_HEADERS[stack]:
+        if field.split(".", 1)[0] not in STACK_HEADERS[stack]:
             raise UndeclaredName(f"{field!r} is not parsed on stack {stack.value}")
-        return STANDARD_FIELDS[field]
-    if lookahead is None:
+        width = STANDARD_FIELDS[field]
+    elif lookahead is None:
         raise MissingLookahead(
             f"criterion on payload field {field!r} needs a lookahead layout"
         )
-    if not lookahead.has_field(field):
+    elif not lookahead.has_field(field):
         raise UndeclaredName(
             f"lookahead layout {lookahead.name!r} has no field {field!r}"
         )
-    return lookahead.field(field).width.bits
-
-
-def check_parser_gate(stack: ProtocolStack, criterion: Criterion) -> None:
-    """Raise ParserGateMismatch if ``criterion`` asks for an etherType or
-    protocol that the parser of ``stack`` never lets through."""
-    required = PARSER_GATE[stack].get(criterion.field)
-    if required is not None and criterion.value.magnitude != required:
+    else:
+        width = lookahead.field(field).width.bits
+    if value.width.bits != width:
+        raise WidthMismatch(
+            f"criterion {field!r} is {width}-bit, value is u{value.width.bits}"
+        )
+    required = PARSER_GATE[stack].get(field)
+    if required is not None and value.magnitude != required:
         raise ParserGateMismatch(
-            f"criterion {criterion.field!r} = {criterion.value.magnitude} never "
-            f"matches on stack {stack.value}: its parser requires "
-            f"{criterion.field} = {required}"
+            f"criterion {field!r} = {value.magnitude} never matches on stack "
+            f"{stack.value}: its parser requires {field} = {required}"
         )
 
 
@@ -152,15 +159,7 @@ def new_flow_selector(
     if not normalized:
         raise ValueError(f"selector {name!r} needs at least one criterion")
     for c in normalized:
-        if not isinstance(c.value, UValue):
-            raise TypeError(f"criterion value must be a UValue, got {c.value!r}")
-        width = _criterion_width(stack, c.field, lookahead)
-        if c.value.width.bits != width:
-            raise WidthMismatch(
-                f"criterion {c.field!r} is {width}-bit, value is "
-                f"u{c.value.width.bits}"
-            )
-        check_parser_gate(stack, c)
+        check_criterion(stack, c, lookahead)
     if lookahead is not None and processor.input.byte_size > lookahead.byte_size:
         raise WidthMismatch(
             f"input layout {processor.input.name!r} needs "
@@ -188,7 +187,10 @@ def build_chains(selectors) -> dict[ProtocolStack, ParserChain]:
 @dataclass(frozen=True, eq=False)
 class Solution:
     """Selectors in registration order plus the per-stack chains built
-    from them, which both the simulator and the code generator walk."""
+    from them, which both the simulator and the code generator walk.
+    Building one checks that selector names are unique and that each
+    processor or layout name means one processor or one structure (equal
+    layouts may share a name); nothing downstream checks names again."""
 
     selectors: tuple[FlowSelector, ...]
     chains: dict[ProtocolStack, ParserChain]
@@ -196,17 +198,18 @@ class Solution:
     def __init__(self, selectors) -> None:
         object.__setattr__(self, "selectors", tuple(selectors))
         object.__setattr__(self, "chains", build_chains(self.selectors))
+        procs: dict[str, FlowProcessor] = {}
+        layouts: dict[str, HeaderLayout] = {}
+        for sel in self.selectors:
+            p = sel.processor
+            if procs.setdefault(p.name, p) is not p:
+                raise DuplicateName(f"two distinct processors share the name {p.name!r}")
+            for layout in (sel.lookahead, p.input, p.output):
+                if layout is not None and layouts.setdefault(layout.name, layout) != layout:
+                    raise DuplicateName(
+                        f"two different layouts share the name {layout.name!r}"
+                    )
 
     def processors(self) -> list[FlowProcessor]:
         """Referenced processors, first appearance order, deduplicated."""
-        procs: dict[str, FlowProcessor] = {}
-        for sel in self.selectors:
-            p = sel.processor
-            if p.name in procs:
-                if procs[p.name] is not p:
-                    raise DuplicateName(
-                        f"two distinct processors share the name {p.name!r}"
-                    )
-            else:
-                procs[p.name] = p
-        return list(procs.values())
+        return list(dict.fromkeys(sel.processor for sel in self.selectors))

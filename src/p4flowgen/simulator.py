@@ -145,7 +145,7 @@ class SimPacket:
     """A synthetic packet: standard-header field maps plus raw payload.
 
     The udp and tcp maps are mutually exclusive; a packet with neither
-    is plain IPv4 and can only pass through.
+    is plain IPv4 and passes through unless ipv4.protocol names UDP/TCP.
     """
 
     ingress_port: int
@@ -348,8 +348,8 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
 
     Like the template parser, only an IPv4 etherType leads to the chains;
     any other packet matches nothing. Raises MalformedPacket when a header
-    map lacks a field or has an unknown one, when the packet's udp/tcp
-    group disagrees with ``ipv4.protocol``, or when a selector's
+    map lacks a field or has an unknown one, when the udp/tcp group (or
+    its absence) disagrees with ``ipv4.protocol``, or when a selector's
     non-payload criteria match but the payload is too short for its
     lookahead window or input layout.
     """
@@ -357,10 +357,15 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     if packet.eth["etherType"] != ETHERTYPE_IPV4:
         return None
     stack = packet.stack()
+    protocol = packet.ipv4["protocol"]
     if stack is None:
+        if protocol == IPPROTO_UDP or protocol == IPPROTO_TCP:
+            raise MalformedPacket(
+                f"packet has no udp/tcp header but ipv4.protocol {protocol}; "
+                "the parser would extract one from the payload"
+            )
         return None
     l4 = STACK_HEADERS[stack][-1]
-    protocol = packet.ipv4["protocol"]
     if protocol != _L4_PROTOCOL[l4]:
         raise MalformedPacket(
             f"packet has a {l4} header but ipv4.protocol {protocol}; "

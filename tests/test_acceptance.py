@@ -221,16 +221,18 @@ def test_c7_hint_changes_code_not_behavior():
     assert "__t.apply()" not in applies[Hint.IF_ELSE]
 
 
-def contract_processor():
+def contract_processor(name="probe", input_name="probe_in", output_name="probe_out"):
     """A fixed declaration set with every kind of variable: input and
-    output fields, u8/u32/u64 and bool locals, a shared variable, a ring."""
+    output fields, u8/u32/u64 and bool locals, a shared variable, a ring.
+    Every input layout it makes has one structure, every output layout
+    another."""
     return new_flow_processor(
-        "probe",
+        name,
         input=HeaderLayout(
-            "probe_in", [FieldDecl("inp", U16), FieldDecl("a8", U8), FieldDecl("a32", U32)]
+            input_name, [FieldDecl("inp", U16), FieldDecl("a8", U8), FieldDecl("a32", U32)]
         ),
         output=HeaderLayout(
-            "probe_out", [FieldDecl("res", U16), FieldDecl("o8", U8), FieldDecl("o32", U32)]
+            output_name, [FieldDecl("res", U16), FieldDecl("o8", U8), FieldDecl("o32", U32)]
         ),
         locals=[
             local("scratch", U8), local("wide", U32), local("huge", U64),

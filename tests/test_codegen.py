@@ -156,9 +156,8 @@ class TestHeadersFragment:
         b = new_flow_processor(
             "two", input=HeaderLayout("req", [FieldDecl("x", U16)])
         )
-        sol = Solution([udp_selector("sa", 1, a), udp_selector("sb", 2, b)])
-        with pytest.raises(DuplicateName):
-            generate(sol)
+        with pytest.raises(DuplicateName, match="'req'"):
+            Solution([udp_selector("sa", 1, a), udp_selector("sb", 2, b)])
 
 
 class TestParserFragment:
@@ -186,7 +185,7 @@ class TestParserFragment:
         chain = build_chains(
             [udp_selector("sa", 1, a), udp_selector("sb", 2, b)]
         )[ProtocolStack.IPV4_UDP]
-        text = emit_parser_chain(chain)
+        text = emit_parser_chain(chain, [1, 2])
         assert "default: chain_ipv4_udp_1;" in text
         assert text.count("default: accept;") == 1
 
@@ -331,12 +330,10 @@ class TestEmitProcessorControl:
         assert "hdr.agg__out.setValid();" in text
         assert "// [3] Add" in text
 
-    def test_indent_depth_configurable(self):
+    def test_body_sits_inside_the_flow_branch(self):
         proc = insert_agg_solution().selectors[0].processor
-        shallow = emit_processor_control(proc, depth=0)
-        assert not shallow.splitlines()[0].startswith(" ")
-        deep = emit_processor_control(proc, depth=3)
-        assert deep.splitlines()[0].startswith(" " * 12)
+        first = emit_processor_control(proc).splitlines()[0]
+        assert first.startswith(" " * 12) and not first.startswith(" " * 13)
 
 
 class TestStructuralSanity:

@@ -1,9 +1,13 @@
-"""Unit tests for flow selectors and chain building."""
+"""Unit tests for flow selectors, chain building and the Solution."""
 
 from dataclasses import fields
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from test_acceptance import apply_items, contract_processor, items_strategy
+from p4flowgen.codegen import generate
 from p4flowgen.core_model import U8, U16, FieldDecl, HeaderLayout, u8, u16, u32
 from p4flowgen.errors import (
     DuplicateName,
@@ -13,6 +17,7 @@ from p4flowgen.errors import (
     WidthMismatch,
 )
 from p4flowgen.flow_ast import new_flow_processor
+from p4flowgen.program_doc import result_to_doc, solution_from_doc, solution_to_doc
 from p4flowgen.selector import (
     Criterion,
     ProtocolStack,
@@ -20,6 +25,7 @@ from p4flowgen.selector import (
     build_chains,
     new_flow_selector,
 )
+from p4flowgen.simulator import make_udp_packet, run_trace
 
 REQ = HeaderLayout("req", [FieldDecl("guess", U8)])
 PROC = new_flow_processor("proc", REQ)
@@ -195,11 +201,84 @@ class TestSolution:
 
     def test_distinct_processors_sharing_a_name_rejected(self):
         twin = new_flow_processor("proc", REQ)
+        with pytest.raises(DuplicateName, match="'proc'"):
+            Solution([
+                udp_selector("a", 1),
+                new_flow_selector(
+                    "b", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(2))], twin
+                ),
+            ])
+
+    def test_lookahead_layout_name_checked_against_inputs(self):
+        other = HeaderLayout("req", [FieldDecl("guess", U16)])
+        with pytest.raises(DuplicateName, match="'req'"):
+            Solution([udp_selector("a", 1, lookahead=other)])
+
+    def test_equal_layouts_and_one_processor_may_repeat(self):
+        twin_req = HeaderLayout("req", [FieldDecl("guess", U8)])
+        other = new_flow_processor("other", twin_req)
         sol = Solution([
-            udp_selector("a", 1),
+            udp_selector("a", 1, lookahead=twin_req),
+            udp_selector("b", 2),
             new_flow_selector(
-                "b", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(2))], twin
+                "c", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(3))], other
             ),
         ])
-        with pytest.raises(DuplicateName, match="'proc'"):
-            sol.processors()
+        assert sol.processors() == [PROC, other]
+
+
+# Small name pools, so that drawn Solutions often clash.
+PROC_NAMES = ["p", "q"]
+LAYOUT_NAMES = ["la", "lb", "lc"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(PROC_NAMES),
+            st.sampled_from(LAYOUT_NAMES),
+            st.sampled_from(LAYOUT_NAMES),
+            st.lists(items_strategy(2), max_size=3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    uses=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    payloads=st.lists(st.binary(min_size=7, max_size=9), min_size=1, max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_solution_that_builds_simulates_emits_and_saves(specs, uses, payloads, seed):
+    procs = []
+    for name, input_name, output_name, items in specs:
+        proc = contract_processor(name, input_name, output_name)
+        apply_items(proc, proc.body, items)
+        procs.append(proc)
+    used = [procs[u % len(procs)] for u in uses]
+    selectors = [
+        new_flow_selector(
+            f"s{k}", ProtocolStack.IPV4_UDP, [("udp.dstPort", u16(k + 1))], proc
+        )
+        for k, proc in enumerate(used)
+    ]
+    # Every input layout has one structure and every output layout
+    # another, so a layout name clashes when it names both.
+    distinct = list(dict.fromkeys(used))
+    inputs = {p.input.name for p in distinct}
+    outputs = {p.output.name for p in distinct}
+    clash = len({p.name for p in distinct}) < len(distinct) or bool(inputs & outputs)
+    event(f"clash: {clash}")
+    if clash:
+        with pytest.raises(DuplicateName):
+            Solution(selectors)
+        return
+    sol = Solution(selectors)
+    packets = [
+        make_udp_packet(k % len(used) + 1, payload, ingress_port=k)
+        for k, payload in enumerate(payloads)
+    ]
+    files = generate(sol).files
+    results = [result_to_doc(r) for r in run_trace(sol, packets, seed)]
+    back = solution_from_doc(solution_to_doc(sol))
+    assert generate(back).files == files
+    assert [result_to_doc(r) for r in run_trace(back, packets, seed)] == results

@@ -454,16 +454,23 @@ class TestPassthroughPurity:
         assert state.shared == before_shared
         assert state.rng.state == before_rng
 
-    def test_plain_ipv4_packet_passes_through(self):
+    @pytest.mark.parametrize("protocol", [1, 17, 6])
+    def test_plain_ipv4_packet_passes_through(self, protocol):
+        # Only a protocol the parser does not extract a transport header
+        # for lets a packet without a udp/tcp group pass through.
         pkt = SimPacket(
             ingress_port=0,
             eth={"dstAddr": 0, "srcAddr": 0, "etherType": 0x0800},
-            ipv4=make_udp_packet(1, payload=b"").ipv4,
+            ipv4=make_udp_packet(1, payload=b"").ipv4 | {"protocol": protocol},
             payload=b"",
         )
         state = initial_state(GUESS, seed=0)
-        res, _ = simulate_packet(GUESS, state, pkt)
-        assert res.verdict == PASSTHROUGH
+        if protocol == 1:
+            res, _ = simulate_packet(GUESS, state, pkt)
+            assert res.verdict == PASSTHROUGH
+        else:
+            with pytest.raises(MalformedPacket, match=f"no udp/tcp header but ipv4.protocol {protocol}"):
+                simulate_packet(GUESS, state, pkt)
 
 
 class TestParserGate:
