@@ -320,7 +320,7 @@ def _emit_structs(procs: Sequence[FlowProcessor]) -> str:
     return w.text()
 
 
-def _criterion_key(sel: FlowSelector, c: Criterion) -> str:
+def _criterion_key(c: Criterion) -> str:
     if "." in c.field:
         return f"hdr.{c.field}"
     return f"la.{c.field}"
@@ -344,7 +344,7 @@ def emit_parser_chain(chain: ParserChain, flow_ids: Sequence[int]) -> str:
                 f"{sel.lookahead.name}_t la = "
                 f"pkt.lookahead<{sel.lookahead.name}_t>();",
             )
-        keys = ", ".join(_criterion_key(sel, c) for c in sel.criteria)
+        keys = ", ".join(_criterion_key(c) for c in sel.criteria)
         w.line(2, f"transition select({keys}) {{")
         values = ", ".join(_const(c.value) for c in sel.criteria)
         if len(sel.criteria) > 1:
@@ -423,12 +423,11 @@ def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
     return w.text()
 
 
-def emit_processor_control(
-    p: FlowProcessor, stack: ProtocolStack = ProtocolStack.IPV4_UDP
-) -> str:
+def emit_processor_control(p: FlowProcessor, stack: ProtocolStack) -> str:
     """The statements executed when a packet hits this processor: zeroed
     locals, register boot and reads, output activation, the command body,
-    then header-validity flips and byte-delta bookkeeping."""
+    then header-validity flips and byte-delta bookkeeping, sized for the
+    headers of ``stack``."""
     p.validate_complete()
     depth = 3  # inside the flow branch that _emit_apply opens at depth 2
     w = _Writer()

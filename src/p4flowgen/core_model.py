@@ -223,9 +223,6 @@ class HeaderLayout:
                 return f
         raise MissingField(f"layout {self.name!r} has no field {name!r}")
 
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
-
     def has_field(self, name: str) -> bool:
         return any(f.name == name for f in self.fields)
 

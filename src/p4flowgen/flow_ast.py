@@ -528,12 +528,6 @@ class FlowProcessor:
         self._ordinal = 0
         self._open_scopes = 0
 
-    @property
-    def invalidates_input(self) -> bool:
-        """The input header is dropped from the packet exactly when an
-        output replaces it."""
-        return self.output is not None
-
     def _bump(self) -> int:
         self._ordinal += 1
         return self._ordinal

@@ -8,14 +8,14 @@ a call ordinal.
 
 Before replay, a document is checked against its shipped JSON Schema.
 Each schema is compiled once per process, on first use, into a tree of
-closures (``compile_schema``) that only answers valid or invalid; a
-valid document never imports jsonschema. Only when the closures reject
-a document is jsonschema imported, to find and word the most relevant
-error as a ``DocError``. Both treat only JSON integers as integers.
+closures (``compile_schema``) that answer valid or invalid; only when
+they reject a document do the same closures find the one failure to
+report, worded as a ``DocError`` with its JSON path. Only JSON integers
+are integers.
 
 Every document the package writes has the bytes of
-``json.dumps(doc, indent=2)`` plus a newline. Programs go through
-``dumps_doc``; ``simulate`` results go through ``dumps_results``, which
+``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
+expression; ``simulate`` results go through ``dumps_results``, which
 writes the same bytes as ``dumps_doc(results_to_doc(...))`` straight
 from the SimResults.
 """
@@ -98,6 +98,9 @@ _KEYWORDS = (
     "unevaluatedProperties",
 )
 _IMPLEMENTED = _ANNOTATIONS | set(_KEYWORDS) | {"then"}
+# Keywords that apply a subschema to the value itself, and to its members.
+_IN_PLACE = frozenset({"$ref", "allOf", "oneOf", "not", "if"})
+_MEMBERS = frozenset({"properties", "additionalProperties", "items"})
 
 
 def _is_integer(x) -> bool:
@@ -141,15 +144,49 @@ def _all(tests):
     return tests[0] if len(tests) == 1 else check
 
 
+def _brief(x) -> str:
+    """``repr(x)``, cut short for a message."""
+    text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _json_path(parts: tuple) -> str:
+    """``("a", 0, "b")`` -> ``a[0].b``; the document itself is ``$``."""
+    text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)
+    return text[1:] if text.startswith(".") else "$" + text
+
+
+def _rank(name: str, value) -> int:
+    """Diagnosis order of a keyword: the node's own keywords, then those
+    that apply a subschema to the value itself, then those that apply one
+    to its members, then unevaluatedProperties."""
+    if name == "unevaluatedProperties":
+        return 3
+    if name in _IN_PLACE:
+        return 1
+    return 2 if name in _MEMBERS and value is not False else 0
+
+
 def compile_schema(root: dict):
-    """Compile a JSON Schema (draft 2020-12) into one predicate
-    ``doc -> bool``, with integers strict (see ``_is_integer``).
+    """Compile a JSON Schema (draft 2020-12) into one function
+    ``doc -> DocError | None``: why ``doc`` is rejected, or None when it
+    is valid. Integers are strict (see ``_is_integer``).
+
+    A valid document only runs a tree of predicates compiled once, one
+    per keyword. Only after they reject a document is the rejection
+    worded, by ``why``, with the same predicates: at each schema node it
+    takes the first failing keyword in ``_KEYWORDS`` order, ranked by
+    ``_rank`` (the node's own keywords first, unevaluatedProperties
+    last), and follows a keyword that applies a subschema down into its
+    first failing member.
 
     Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
     a list of types, a list or object in const/enum, and a ``$ref``
     outside ``#/$defs/`` raise ValueError, so a schema edit cannot
     silently weaken validation."""
     compiled: dict[int, object] = {}
+    tests: dict[int, list] = {}  # id(schema) -> [(keyword, predicate)]
+    evaluations: dict[int, object] = {}  # id(schema) -> its unevaluatedProperties annotation
 
     def resolve(ref: str) -> dict:
         name = ref.removeprefix("#/$defs/")
@@ -170,8 +207,10 @@ def compile_schema(root: dict):
         unknown = schema.keys() - _IMPLEMENTED
         if unknown:
             raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-        return _all([keyword(k, schema[k], schema) for k in _KEYWORDS if k in schema]
-                    or [lambda x: True])
+        pairs = tests[id(schema)] = [
+            (k, keyword(k, schema[k], schema)) for k in _KEYWORDS if k in schema
+        ]
+        return _all([test for _, test in pairs] or [lambda x: True])
 
     def keyword(name: str, value, schema):
         if name == "type":
@@ -233,7 +272,9 @@ def compile_schema(root: dict):
             return lambda x: not cond(x) or then(x)
         if value is not False:
             raise ValueError("only unevaluatedProperties: false is implemented")
-        evaluated = annotate({k: v for k, v in schema.items() if k != name})
+        evaluated = evaluations[id(schema)] = annotate(
+            {k: v for k, v in schema.items() if k != name}
+        )
         return lambda x: not isinstance(x, dict) or x.keys() <= evaluated(x)
 
     def annotate(schema):
@@ -265,52 +306,93 @@ def compile_schema(root: dict):
 
         return evaluated
 
-    return check(root)
+    def why(schema, x, path: tuple) -> tuple:
+        """``(path, keyword, message)`` for the first failure of ``x``, at
+        ``path``, against ``schema``, which rejects it."""
+        if schema is False:
+            return path, "false", f"{_brief(x)} is not allowed here"
+        ranked = sorted(tests[id(schema)], key=lambda kt: _rank(kt[0], schema[kt[0]]))
+        name = next(k for k, test in ranked if not test(x))
+        value = schema[name]
+        if name == "type":
+            message = f"{_brief(x)} is not of type {value!r}"
+        elif name == "const":
+            message = f"{value!r} was expected, not {_brief(x)}"
+        elif name == "enum":
+            message = f"{_brief(x)} is not one of {value!r}"
+        elif name == "pattern":
+            message = f"{_brief(x)} does not match the pattern {value!r}"
+        elif name == "minimum":
+            message = f"{x!r} is less than the minimum of {value!r}"
+        elif name == "maximum":
+            message = f"{x!r} is greater than the maximum of {value!r}"
+        elif name == "minItems":
+            message = f"has {len(x)} items, fewer than the minItems of {value}"
+        elif name == "required":
+            missing = next(k for k in value if k not in x)
+            message = f"{missing!r} is a required property"
+        elif name == "minProperties":
+            message = f"has {len(x)} properties, fewer than the minProperties of {value}"
+        elif name == "maxProperties":
+            message = f"has {len(x)} properties, more than the maxProperties of {value}"
+        elif name == "properties":
+            k = next(k for k, s in value.items() if k in x and not check(s)(x[k]))
+            return why(value[k], x[k], path + (k,))
+        elif name == "additionalProperties":
+            extra = [k for k in x if k not in schema.get("properties", ())]
+            if value is not False:
+                k = next(k for k in extra if not check(value)(x[k]))
+                return why(value, x[k], path + (k,))
+            message = f"additional properties are not allowed: {', '.join(map(repr, extra))}"
+        elif name == "items":
+            i = next(i for i, item in enumerate(x) if not check(value)(item))
+            return why(value, x[i], path + (i,))
+        elif name == "$ref":
+            return why(resolve(value), x, path)
+        elif name == "allOf":
+            return why(next(s for s in value if not check(s)(x)), x, path)
+        elif name == "oneOf":
+            passed = sum(1 for s in value if check(s)(x))
+            if passed:
+                message = f"{_brief(x)} is valid under {passed} of the oneOf schemas, not one"
+            else:
+                # The deepest failure of one branch, a type mismatch
+                # last; a tie is reported at the oneOf itself.
+                found = [why(s, x, path) for s in value]
+                ranks = [(len(f[0]), f[1] != "type") for f in found]
+                if ranks.count(max(ranks)) == 1:
+                    return found[ranks.index(max(ranks))]
+                message = f"{_brief(x)} is not valid under any of the oneOf schemas"
+        elif name == "not":
+            message = f"{_brief(x)} must not be valid under {value!r}"
+        elif name == "if":
+            return why(schema.get("then", True), x, path)
+        else:
+            stray = [k for k in x if k not in evaluations[id(schema)](x)]
+            message = f"unevaluated properties are not allowed: {', '.join(map(repr, stray))}"
+        return path, name, message
+
+    valid = check(root)
+
+    def rejection(doc):
+        if valid(doc):
+            return None
+        path, _, message = why(root, doc, ())
+        return DocError(_json_path(path), message)
+
+    return rejection
 
 
 @lru_cache(maxsize=None)
 def schema_check(name: str):
-    """The shipped schema ``name`` as one compiled predicate."""
+    """The shipped schema ``name``, compiled: ``doc -> DocError | None``."""
     return compile_schema(load_schema(name))
 
 
-@lru_cache(maxsize=None)
-def jsonschema_validator(name: str):
-    """The reference validator for ``name``: jsonschema's draft 2020-12,
-    with the same strict integers as ``compile_schema``."""
-    import jsonschema
-
-    base = jsonschema.Draft202012Validator
-    strict = jsonschema.validators.extend(
-        base,
-        type_checker=base.TYPE_CHECKER.redefine(
-            "integer", lambda checker, x: _is_integer(x)
-        ),
-    )
-    return strict(load_schema(name))
-
-
-def _error_relevance(error):
-    from jsonschema.exceptions import relevance
-
-    # A stray-key complaint is only the root cause when nothing else is
-    # wrong; a typo'd op otherwise drowns in "unexpected properties".
-    return (error.validator != "unevaluatedProperties", relevance(error))
-
-
 def _validate(doc, schema_name: str) -> None:
-    if schema_check(schema_name)(doc):
-        return
-    from jsonschema.exceptions import best_match
-
-    error = best_match(
-        jsonschema_validator(schema_name).iter_errors(doc), key=_error_relevance
-    )
-    if error is None:
-        raise DocError("$", f"does not match the {schema_name} schema")
-    path = error.json_path
-    path = path[2:] if path.startswith("$.") else path
-    raise DocError(path or "$", error.message)
+    error = schema_check(schema_name)(doc)
+    if error is not None:
+        raise error
 
 
 def validate_program_doc(doc) -> None:
@@ -323,120 +405,13 @@ def validate_trace_doc(doc) -> None:
 
 # -- writing: the one byte form of every written document ------------------
 
-_LITERALS = {True: "true", False: "false", None: "null"}
-_int_text = int.__repr__
-
 
 def dumps_doc(doc) -> str:
     """The serialization of every written document tree: shipped assets,
     the program documents of the goldens, and the reference form of
     ``simulate`` results (``dumps_results`` writes their bytes without
-    the tree).
-
-    The text is exactly ``json.dumps(doc, indent=2) + "\\n"``: a 2-space
-    indent, ASCII only (any other character as a ``\\uXXXX`` escape),
-    keys in the order the dict holds them, ``[]`` and ``{}`` for empty
-    containers, and a trailing newline. A document holds only dicts with
-    str keys, lists, str, int, bool and None, matched by exact type; any
-    other value or key raises TypeError naming its type and JSON path.
-
-    json.dumps runs CPython's pure-Python encoder whenever ``indent`` is
-    set. This writer makes one pass that appends whole lines (separator,
-    indent, key and scalar joined) to one list, so the text is built from
-    few large chunks.
-    """
-    chunks: list[str] = []
-    append = chunks.append
-    leads = ["\n"]  # leads[d]: a newline and the indent of depth d
-    names: dict[str, str] = {}  # key -> its quoted form and ": "
-
-    def write(value, depth: int, head: str) -> None:
-        """Append ``value`` at ``depth``; ``head`` precedes it on its line."""
-        cls = value.__class__
-        if cls is dict:
-            if not value:
-                append(head + "{}")
-                return
-            depth += 1
-            if depth == len(leads):
-                leads.append(leads[-1] + "  ")
-            lead = leads[depth]
-            sep, comma = head + "{" + lead, "," + lead
-            for key, item in value.items():
-                if key.__class__ is not str:
-                    raise TypeError(_unwritable(doc, "$"))
-                name = names.get(key)
-                if name is None:
-                    name = names[key] = _quote(key) + ": "
-                kind = item.__class__
-                if kind is str:
-                    append(sep + name + _quote(item))
-                elif kind is bool or item is None:
-                    append(sep + name + _LITERALS[item])
-                elif kind is int:
-                    append(sep + name + _int_text(item))
-                else:
-                    write(item, depth, sep + name)
-                sep = comma
-            append(leads[depth - 1] + "}")
-        elif cls is list:
-            if not value:
-                append(head + "[]")
-                return
-            depth += 1
-            if depth == len(leads):
-                leads.append(leads[-1] + "  ")
-            lead = leads[depth]
-            sep, comma = head + "[" + lead, "," + lead
-            for item in value:
-                kind = item.__class__
-                if kind is str:
-                    append(sep + _quote(item))
-                elif kind is bool or item is None:
-                    append(sep + _LITERALS[item])
-                elif kind is int:
-                    append(sep + _int_text(item))
-                else:
-                    write(item, depth, sep)
-                sep = comma
-            append(leads[depth - 1] + "]")
-        elif cls is str:
-            append(head + _quote(value))
-        elif cls is bool or value is None:
-            append(head + _LITERALS[value])
-        elif cls is int:
-            append(head + _int_text(value))
-        else:
-            raise TypeError(_unwritable(doc, "$"))
-
-    write(doc, 0, "")
-    append("\n")
-    return "".join(chunks)
-
-
-def _unwritable(value, path: str):
-    """The diagnostic for the first value or key under ``value`` (at
-    ``path``), in writing order, that ``dumps_doc`` cannot write; None
-    when there is none."""
-    cls = value.__class__
-    if cls is dict:
-        for key, item in value.items():
-            if key.__class__ is not str:
-                return (
-                    f"{path}: cannot write a {type(key).__name__} key "
-                    f"({key!r}) to a document"
-                )
-            found = _unwritable(item, f"{path}.{key}")
-            if found is not None:
-                return found
-    elif cls is list:
-        for i, item in enumerate(value):
-            found = _unwritable(item, f"{path}[{i}]")
-            if found is not None:
-                return found
-    elif not (cls is str or cls is bool or cls is int or value is None):
-        return f"{path}: cannot write a {cls.__name__} to a document"
-    return None
+    the tree)."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- programs: document form of a Solution -----------------------------------
@@ -769,6 +744,7 @@ def results_to_doc(seed: int, results) -> dict:
 # events at 4, event fields at 5 and event values at 6.
 _HEADER_LEADS = tuple((h, f'\n      "{h}": ') for h in HEADER_FIELD_BITS)
 _VALUE_SEP = ",\n            "
+_int_text = int.__repr__
 
 
 def dumps_results(seed: int, results) -> str:

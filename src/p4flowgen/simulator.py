@@ -32,7 +32,6 @@ from .core_model import (
     STANDARD_HEADERS,
     U16,
     UValue,
-    UWidth,
     complement_fold,
 )
 from .errors import MalformedPacket
@@ -131,13 +130,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
         return z ^ (z >> 31)
 
-    def draw(self, width: UWidth) -> int:
-        return self.next64() & width.mask
-
-    def copy(self) -> "SplitMix64":
-        clone = SplitMix64(0)
-        clone.state = self.state
-        return clone
 
 
 @dataclass

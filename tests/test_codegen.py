@@ -326,14 +326,24 @@ class TestApplyFragment:
 class TestEmitProcessorControl:
     def test_standalone_emission_matches_apply_body(self):
         proc = insert_agg_solution().selectors[0].processor
-        text = emit_processor_control(proc)
+        text = emit_processor_control(proc, ProtocolStack.IPV4_UDP)
         assert "hdr.agg__out.setValid();" in text
         assert "// [3] Add" in text
 
     def test_body_sits_inside_the_flow_branch(self):
         proc = insert_agg_solution().selectors[0].processor
-        first = emit_processor_control(proc).splitlines()[0]
+        first = emit_processor_control(proc, ProtocolStack.IPV4_UDP).splitlines()[0]
         assert first.startswith(" " * 12) and not first.startswith(" " * 13)
+
+    @pytest.mark.parametrize(
+        "stack, header_bytes, kept_bytes",
+        [(ProtocolStack.IPV4_UDP, 28, 44), (ProtocolStack.IPV4_TCP, 40, 56)],
+    )
+    def test_header_sizes_follow_the_stack(self, stack, header_bytes, kept_bytes):
+        proc = guess_game_solution().selectors[0].processor
+        text = emit_processor_control(proc, stack)
+        assert f"hdr.ipv4.totalLen - 16w{header_bytes}" in text
+        assert f"truncate(32w{kept_bytes})" in text
 
 
 class TestStructuralSanity:

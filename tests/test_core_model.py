@@ -166,7 +166,6 @@ class TestDecls:
     def test_layout_byte_size(self):
         layout = HeaderLayout("req", [FieldDecl("a", U8), FieldDecl("b", U16)])
         assert layout.byte_size == 3
-        assert layout.field_names() == ("a", "b")
 
     def test_layout_rejects_duplicate_fields(self):
         with pytest.raises(ReservedName):

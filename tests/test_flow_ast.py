@@ -71,12 +71,6 @@ class TestNewFlowProcessor:
     def test_basic_construction(self):
         p = make_proc()
         assert p.body.commands == []
-        assert p.invalidates_input
-
-    def test_without_output_input_stays_valid(self):
-        p = make_proc(output=None)
-        assert p.output is None
-        assert not p.invalidates_input
 
     def test_duplicate_name_across_scopes(self):
         with pytest.raises(SemanticError) as e:

@@ -396,7 +396,7 @@ class TestTopLevelForm:
         assert err.value.kind is ErrorKind.OPEN_SCOPE
 
 
-# -- the writer: byte-identical to json.dumps(indent=2) ---------------------
+# -- the results writer: the bytes of dumps_doc(results_to_doc(...)) ---------
 
 # Characters the ASCII escaping must get right; plain st.text() never
 # draws a lone surrogate.
@@ -406,84 +406,6 @@ TEXT = st.one_of(
     st.text(max_size=8),
     st.lists(st.sampled_from(AWKWARD), max_size=6).map("".join),
 )
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.sampled_from([0, 1, -1]),
-    st.integers(),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    TEXT,
-)
-DOCS = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)
-    ),
-    max_leaves=40,
-)
-
-
-def json_dumps_doc(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def nested(depth: int):
-    """Alternating objects and lists, ``depth`` containers deep."""
-    doc = [{}, [], "leaf", 0]
-    for level in range(depth):
-        doc = {f"k{level}": doc, "n": level} if level % 2 else [doc, True]
-    return doc
-
-
-class TestWriter:
-    @given(DOCS)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, doc):
-        assert dumps_doc(doc) == json_dumps_doc(doc)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {},
-            [],
-            {"a": [], "b": {}, "c": [[], {}], "d": [{}], "e": {"f": {"g": []}}},
-            [True, 1, False, 0, None, -0],
-            {"true": True, "one": 1, "false": False, "zero": 0},
-            [-1, -(2**63), 2**64, 2**64 + 1, -(2**70), 10**30],
-            {'"quoted"': 1, "back\\slash": 2, 'both "\\': [3], "": 4},
-            ["\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\ud800", "x\udfffy"],
-            ["\x00\x01\x08\x0c\x1f\x7f", "\n\r\t", "\u2028\u2029", "</script>"],
-            "top-level string",
-            -5,
-            None,
-            True,
-            nested(20),
-            nested(41),
-        ],
-    )
-    def test_edge_cases(self, doc):
-        assert dumps_doc(doc) == json_dumps_doc(doc)
-
-    @pytest.mark.parametrize(
-        "doc, path, kind",
-        [
-            ({"a": [1, 2.5]}, "$.a[1]", "float"),
-            (1.0, "$", "float"),
-            ({"a": (1, 2)}, "$.a", "tuple"),
-            ([{"s": {1}}], "$[0].s", "set"),
-            ({"results": [{"payload": b"\x00"}]}, "$.results[0].payload", "bytes"),
-            ({"a": {"ok": 1, 2: "x"}}, "$.a", "int key"),
-            ({"a": {None: 1}}, "$.a", "NoneType key"),
-        ],
-    )
-    def test_unwritable_value_names_its_path(self, doc, path, kind):
-        with pytest.raises(TypeError) as err:
-            dumps_doc(doc)
-        assert str(err.value).startswith(f"{path}: ")
-        assert kind in str(err.value)
-
-
-# -- the results writer: the bytes of dumps_doc(results_to_doc(...)) ---------
 
 INTS = st.one_of(st.integers(0, 300), st.integers(-(2**70), 2**70))
 

@@ -1,27 +1,35 @@
-"""The compiled schema checker against jsonschema, strict integers, and
-the lazy import of jsonschema."""
+"""The compiled schema checker against jsonschema, its worded
+rejections, strict integers, and a package that never imports jsonschema.
 
+jsonschema is a test dependency only: here it is the reference oracle
+that the compiled checker's answers and diagnostic paths are compared
+against.
+"""
+
+import ast
 import copy
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
-from p4flowgen import cli, program_doc
+import p4flowgen
+from p4flowgen import cli
 from p4flowgen.builtin_examples import asset_path
 from p4flowgen.program_doc import (
     DocError,
     compile_schema,
-    jsonschema_validator,
+    load_schema,
     schema_check,
     solution_from_doc,
     trace_from_doc,
-    validate_program_doc,
-    validate_trace_doc,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -60,12 +68,40 @@ def _near(value):
     return []
 
 
+# jsonschema's draft 2020-12 with integers as strict as the compiled
+# checker's: 5.0 and True are not integers.
+StrictValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: type(x) is int
+    ),
+)
+
+
+@lru_cache(maxsize=None)
+def jsonschema_validator(name: str):
+    """The reference validator for the shipped schema ``name``."""
+    return StrictValidator(load_schema(name))
+
+
+def best_match_of(validator, doc):
+    """jsonschema's best_match for ``doc``: its path in DocError form and
+    the keyword it names."""
+    error = best_match(validator.iter_errors(doc))
+    path = error.json_path
+    return (path[2:] if path.startswith("$.") else path), error.validator
+
+
+def lies_under(path: str, outer: str) -> bool:
+    return outer == "$" or path.startswith((outer + ".", outer + "["))
+
+
 @st.composite
-def mutated(draw, docs):
-    """A copy of one of ``docs`` with one to three keys or items
+def mutated(draw, docs, most=3):
+    """A copy of one of ``docs`` with one to ``most`` keys or items
     replaced, dropped or added anywhere in the tree."""
     doc = copy.deepcopy(draw(st.sampled_from(docs)))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, most))):
         node, key = draw(st.sampled_from(_slots(doc, [])))
         old = None if key is None else node[key]
         value = copy.deepcopy(draw(st.sampled_from(VALUES + _near(old))))
@@ -159,6 +195,54 @@ KEYWORD_CASES = [
 ]
 
 
+DIAGNOSIS_CASES = [
+    # (schema, rejected document, reported path, words of the message)
+    ({"type": "integer"}, 5.0, "$", "not of type 'integer'"),
+    ({"properties": {"v": {"const": 1}}}, {"v": 2}, "v", "1 was expected"),
+    ({"items": {"enum": [8, 16]}}, [8, 12], "$[1]", "not one of [8, 16]"),
+    ({"pattern": "^a"}, "ba", "$", "pattern '^a'"),
+    ({"minimum": 0}, -1, "$", "minimum of 0"),
+    ({"maximum": 10}, 10.5, "$", "maximum of 10"),
+    ({"minItems": 1}, [], "$", "minItems of 1"),
+    ({"required": ["a", "b"]}, {"a": 1}, "$", "'b' is a required property"),
+    ({"minProperties": 2}, {"a": 1}, "$", "minProperties of 2"),
+    ({"maxProperties": 1}, {"a": 1, "b": 2}, "$", "maxProperties of 1"),
+    ({"properties": {"a": {"properties": {"b": {"type": "string"}}}}},
+     {"a": {"b": 1}}, "a.b", "not of type 'string'"),
+    ({"properties": {"a": {}}, "additionalProperties": False},
+     {"a": 1, "b": 1, "c": 1}, "$", "additional properties are not allowed: 'b', 'c'"),
+    ({"additionalProperties": {"type": "string"}}, {"a": "x", "b": 1}, "b",
+     "not of type 'string'"),
+    ({"items": {"type": "integer"}}, [1, 1.0], "$[1]", "not of type 'integer'"),
+    ({"$defs": {"n": {"minimum": 0}}, "properties": {"a": {"$ref": "#/$defs/n"}}},
+     {"a": -1}, "a", "minimum of 0"),
+    ({"allOf": [{"minimum": 0}, {"maximum": 5}]}, 6, "$", "maximum of 5"),
+    (ONE_OF, 1, "$", "valid under 2 of the oneOf schemas"),
+    # no branch holds: the deepest failure, then one that is not a type
+    # mismatch; a tie is the oneOf's own
+    ({"oneOf": [{"items": {"type": "integer"}}, {"type": "null"}]}, [1, "x"],
+     "$[1]", "not of type 'integer'"),
+    ({"oneOf": [{"type": "string", "pattern": "^a"}, {"type": "null"}]}, "b",
+     "$", "pattern '^a'"),
+    ({"oneOf": [{"type": "integer"}, {"type": "null"}]}, "x", "$",
+     "not valid under any of the oneOf schemas"),
+    ({"not": {"type": "string"}}, "a", "$", "must not be valid under"),
+    ({"if": {"minimum": 5}, "then": {"maximum": 7}}, 9, "$", "maximum of 7"),
+    ({"properties": {"a": False}}, {"a": 1}, "a", "not allowed"),
+    (UNEVALUATED_REF, {"a": 1, "b": 1}, "$", "unevaluated properties are not allowed: 'b'"),
+    # the node's own keywords, and those that judge the value as a
+    # whole, come before its members ...
+    ({"properties": {"t": {"type": "object"}}, "not": {"required": ["t"]}},
+     {"t": 1}, "$", "must not be valid under"),
+    ({"required": ["a"], "properties": {"b": {"type": "string"}}}, {"b": 1}, "$",
+     "'a' is a required property"),
+    ({"properties": {"a": {"type": "string"}}, "additionalProperties": False},
+     {"a": 1, "c": 1}, "$", "additional properties are not allowed: 'c'"),
+    # ... and unevaluatedProperties after them: the member error is named
+    (UNEVALUATED_IF, {"op": "a", "x": 1.0}, "x", "not of type 'integer'"),
+]
+
+
 DIFFERENTIAL = settings(
     max_examples=150,
     deadline=None,
@@ -170,20 +254,48 @@ class TestAgreesWithJsonschema:
     @pytest.mark.parametrize("name", ["program", "trace"])
     def test_shipped_docs_accepted(self, name):
         for doc in PROGRAM_DOCS if name == "program" else TRACE_DOCS:
-            assert schema_check(name)(doc)
+            assert schema_check(name)(doc) is None
             assert jsonschema_validator(name).is_valid(doc)
 
     @DIFFERENTIAL
     @given(mutated(PROGRAM_DOCS))
     def test_mutated_program_docs(self, doc):
         expected = jsonschema_validator("program").is_valid(doc)
-        assert schema_check("program")(doc) == expected
+        assert (schema_check("program")(doc) is None) == expected
 
     @DIFFERENTIAL
     @given(mutated(TRACE_DOCS))
     def test_mutated_trace_docs(self, doc):
         expected = jsonschema_validator("trace").is_valid(doc)
-        assert schema_check("trace")(doc) == expected
+        assert (schema_check("trace")(doc) is None) == expected
+
+
+class TestDiagnostics:
+    @DIFFERENTIAL
+    @given(st.sampled_from(["program", "trace"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name), mutated(PROGRAM_DOCS if name == "program" else TRACE_DOCS, 1)
+        )
+    ))
+    def test_single_mutation_path_agrees_with_best_match(self, named):
+        # Where best_match names an enclosing unevaluatedProperties
+        # complaint, the compiled checker names the member error under it.
+        name, doc = named
+        error = schema_check(name)(doc)
+        if error is None:
+            return
+        path, keyword = best_match_of(jsonschema_validator(name), doc)
+        assert error.path == path or (
+            keyword == "unevaluatedProperties" and lies_under(error.path, path)
+        ), (error, path, keyword)
+
+    @pytest.mark.parametrize("schema, doc, path, words", DIAGNOSIS_CASES)
+    def test_each_keyword_names_its_failure(self, schema, doc, path, words):
+        assert not StrictValidator(schema).is_valid(doc)
+        error = compile_schema(schema)(doc)
+        assert isinstance(error, DocError)
+        assert error.path == path
+        assert words in error.message
 
 
 class TestCompiler:
@@ -211,19 +323,8 @@ class TestCompiler:
     def test_keyword_semantics(self, schema, doc, valid):
         # Cases the shipped schemas cannot tell apart, e.g. a oneOf
         # whose branches never overlap; jsonschema must agree with each.
-        assert compile_schema(schema)(doc) is valid
-        strict = type(jsonschema_validator("program"))
-        assert strict(schema).is_valid(doc) is valid
-
-    def test_rejection_without_a_jsonschema_error_is_still_an_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(program_doc, "schema_check", lambda name: lambda doc: False)
-        with pytest.raises(DocError) as err:
-            validate_program_doc(PROGRAM_DOCS[0])
-        assert err.value.path == "$"
-        with pytest.raises(DocError):
-            validate_trace_doc(TRACE_DOCS[0])
+        assert (compile_schema(schema)(doc) is None) is valid
+        assert StrictValidator(schema).is_valid(doc) is valid
 
 
 def _guess_doc_with_float_criterion():
@@ -281,19 +382,33 @@ class TestStrictIntegers:
         assert f"error: {path}:" in capsys.readouterr().err
 
 
-def test_valid_documents_never_import_jsonschema(tmp_path):
+def test_no_package_module_imports_jsonschema():
+    package = Path(p4flowgen.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "jsonschema" for n in names), (
+                f"{path.name}:{node.lineno} imports jsonschema"
+            )
+
+
+def test_rejection_is_worded_without_jsonschema(tmp_path):
+    program = tmp_path / "prog.json"
+    program.write_text(json.dumps(_guess_doc_with_float_criterion()))
     script = (
         "import sys\n"
-        "import p4flowgen\n"
+        "sys.modules['jsonschema'] = None  # any import of it fails\n"
+        f"sys.path.insert(0, {str(Path(p4flowgen.__file__).parents[1])!r})\n"
         "from p4flowgen import cli\n"
-        "assert 'jsonschema' not in sys.modules, 'import p4flowgen'\n"
-        f"assert cli.main(['check', {str(asset_path('guess_game'))!r}]) == 0\n"
-        f"assert cli.main(['simulate', {str(DATA / 'all_ops.json')!r},"
-        f" '-t', {str(DATA / 'all_ops_trace.json')!r},"
-        f" '-o', {str(tmp_path / 'out.json')!r}]) == 0\n"
-        "assert 'jsonschema' not in sys.modules, 'check/simulate'\n"
+        f"sys.exit(cli.main(['check', {str(program)!r}]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "selectors[0].criteria[0].value" in proc.stderr

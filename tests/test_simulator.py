@@ -103,18 +103,6 @@ class TestSplitMix64:
         for _ in range(20):
             assert rng.next64() == next(ref)
 
-    def test_draw_keeps_low_bits(self):
-        a, b = SplitMix64(5), SplitMix64(5)
-        assert a.draw(U8) == b.next64() & 0xFF
-
-    def test_copy_is_independent(self):
-        rng = SplitMix64(9)
-        clone = rng.copy()
-        first = rng.next64()
-        assert clone.next64() == first
-        rng.next64()
-        assert clone.next64() != first
-
 
 class TestPacketBuilders:
     def test_udp_lengths_consistent(self):
