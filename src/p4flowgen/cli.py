@@ -16,12 +16,12 @@ from .codegen import generate, write_staged
 from .errors import FlowgenError
 from .program_doc import (
     DocError,
-    dumps_results,
+    iter_results_text,
     load_json,
     load_trace,
     solution_from_doc,
 )
-from .simulator import run_trace
+from .simulator import iter_trace
 
 
 def cmd_check(args) -> int:
@@ -38,17 +38,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """The trace is loaded and checked whole; then each result is run and
+    written in turn, so only the one being written is held."""
     solution = solution_from_doc(load_json(args.program))
     seed, packets = load_trace(args.trace)
     if args.seed is not None:
         seed = args.seed
-    results = run_trace(solution, packets, seed)
-    text = dumps_results(seed, results)
+    chunks = iter_results_text(seed, iter_trace(solution, packets, seed))
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         out = Path(args.out)
-        write_staged(out.parent, {out.name: text})
+        write_staged(out.parent, {out.name: chunks})
     return 0
 
 

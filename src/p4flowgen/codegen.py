@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core_model import HEADER_BYTES, HeaderLayout, UValue
 from .flow_ast import (
@@ -93,10 +93,13 @@ class GeneratedFileSet:
         return write_staged(directory, {**self.files, self.template_name: self.template_text})
 
 
-def write_staged(target_dir, files: dict[str, str]) -> list[Path]:
+def write_staged(target_dir, files: dict[str, str | Iterable[str]]) -> list[Path]:
     """Write a file set without ever leaving partial output behind:
     everything is staged in a temp directory next to ``target_dir``
-    first, then moved in. The parent of ``target_dir`` must exist."""
+    first, then moved in. The parent of ``target_dir`` must exist.
+
+    A file's text is a str or an iterable of str chunks, written as they
+    come; if producing one raises, nothing is moved in."""
     target_dir = Path(target_dir)
     try:
         staging = Path(tempfile.mkdtemp(dir=target_dir.parent, prefix=".stage-"))
@@ -104,7 +107,8 @@ def write_staged(target_dir, files: dict[str, str]) -> list[Path]:
         raise OSError(f"cannot write under {target_dir.parent}: {e}") from None
     try:
         for name, text in files.items():
-            (staging / name).write_text(text)
+            with open(staging / name, "w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
         target_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for name in files:

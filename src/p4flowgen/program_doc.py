@@ -15,9 +15,9 @@ are integers.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
-expression; ``simulate`` results go through ``dumps_results``, which
-writes the same bytes as ``dumps_doc(results_to_doc(...))`` straight
-from the SimResults.
+expression; ``simulate`` results go through ``iter_results_text``,
+which writes the same bytes as ``dumps_doc(results_to_doc(...))``
+straight from the SimResults, one result at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterator
 
 from .codegen import TEMPLATE
 from .core_model import (
@@ -666,40 +667,53 @@ def parse_field_value(text: str) -> int:
     return int(text, 16) if text.startswith("0x") else int(text, 10)
 
 
-def packet_from_doc(pdoc: dict, path: str = "packet") -> SimPacket:
+def packet_from_doc(pdoc: dict, path: str = "packet", defaults=None) -> SimPacket:
     """Build a SimPacket from its document: defaults first (lengths and
-    checksums derived from the payload), explicit fields overlaid."""
+    checksums derived from the payload), explicit fields overlaid.
+
+    ``defaults`` memoizes the default header maps by (transport header,
+    payload length), so that ``trace_from_doc`` makes each set once per
+    trace; every packet gets its own copies."""
     try:
         payload = bytes.fromhex(pdoc["payload"])
     except ValueError as e:
         raise DocError(f"{path}.payload", str(e)) from None
-    if "udp" in pdoc:
-        packet = make_udp_packet(0, payload=payload)
-    else:
-        packet = make_tcp_packet(0, payload=payload)
-    packet.ingress_port = pdoc.get("ingress_port", 0)
-    for group, bits in HEADER_FIELD_BITS.items():
+    l4 = "udp" if "udp" in pdoc else "tcp"
+    key = (l4, len(payload))
+    if defaults is None:
+        defaults = {}
+    maps = defaults.get(key)
+    if maps is None:
+        base = (make_udp_packet if l4 == "udp" else make_tcp_packet)(0, payload=payload)
+        maps = defaults[key] = {
+            group: getattr(base, group)
+            for group in HEADER_FIELD_BITS
+            if getattr(base, group) is not None
+        }
+    headers = {group: dict(fields) for group, fields in maps.items()}
+    for group, fields in headers.items():
         overrides = pdoc.get(group)
         if overrides is None:
             continue
-        target = getattr(packet, group)
+        bits = HEADER_FIELD_BITS[group]
         for name, text in overrides.items():
-            field_path = f"{path}.{group}.{name}"
-            if name not in bits:
-                raise DocError(field_path, f"unknown field {group}.{name}")
+            width = bits.get(name)
+            if width is None:
+                raise DocError(f"{path}.{group}.{name}", f"unknown field {group}.{name}")
             value = parse_field_value(text)
-            if value >= 1 << bits[name]:
+            if value >> width:
                 raise DocError(
-                    field_path, f"{value} does not fit in {bits[name]} bits"
+                    f"{path}.{group}.{name}", f"{value} does not fit in {width} bits"
                 )
-            target[name] = value
-    return packet
+            fields[name] = value
+    return SimPacket(pdoc.get("ingress_port", 0), payload=payload, **headers)
 
 
 def trace_from_doc(doc) -> tuple[int, list[SimPacket]]:
     validate_trace_doc(doc)
+    defaults: dict[tuple[str, int], dict] = {}
     packets = [
-        packet_from_doc(pdoc, f"packets[{i}]")
+        packet_from_doc(pdoc, f"packets[{i}]", defaults)
         for i, pdoc in enumerate(doc["packets"])
     ]
     return doc["seed"], packets
@@ -748,114 +762,126 @@ _int_text = int.__repr__
 
 
 def dumps_results(seed: int, results) -> str:
-    """The text of ``dumps_doc(results_to_doc(seed, results))``, written
-    straight from the SimResults in one pass, with no document tree.
+    """The text of ``dumps_doc(results_to_doc(seed, results))``: the
+    chunks of ``iter_results_text`` joined."""
+    return "".join(iter_results_text(seed, results))
 
-    Each result is a few joined chunks. Header maps keep their own key
-    order, as ``result_to_doc`` does. The text of each distinct trace
-    event is made once per call: a long trace repeats few events.
+
+def iter_results_text(seed: int, results) -> Iterator[str]:
+    """The text of ``dumps_doc(results_to_doc(seed, results))`` in chunks,
+    written straight from the SimResults with no document tree: the head,
+    then one chunk per result as ``results`` yields it, then the tail. Only
+    the result being written is held, so ``results`` may be a stream.
+
+    Header maps keep their own key order, as ``result_to_doc`` does. The
+    text of each distinct trace event is made once per call: a long trace
+    repeats few events.
 
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal and event value, a str verdict, kind and header field
     name, a str or None selector and error. Anything else, a bool or a
-    float included, raises TypeError naming its JSON path.
+    float included, raises TypeError naming its JSON path; the chunks
+    before it have been yielded by then.
     """
-    try:
-        return _results_text(seed, results)
-    except TypeError:
-        found = _misfit(seed, results)
-        if found is None:
-            raise
-        raise TypeError(found) from None
-
-
-def _results_text(seed: int, results) -> str:
-    """``dumps_results``' one pass; a value it cannot write raises a
-    TypeError without a path."""
     if seed.__class__ is not int:
-        raise TypeError
+        raise TypeError(_cannot_write("$.seed", seed))
     names: dict[str, str] = {}  # header field name -> its lead, quoted, ": "
     events: dict[TraceEvent, str] = {}
-    chunks = []
-    for r in results:
-        verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
-        if not (
-            verdict.__class__ is str
-            and egress.__class__ is int
-            and (selector is None or selector.__class__ is str)
-            and (error is None or error.__class__ is str)
-        ):
-            raise TypeError
-        parts = [
-            '\n    {\n      "verdict": ', _quote(verdict),
-            ',\n      "selector": ', "null" if selector is None else _quote(selector),
-            ',\n      "egress_port": ', _int_text(egress), ",",
-        ]
-        packet = r.packet
-        for header, lead in _HEADER_LEADS:
-            field_map = getattr(packet, header)
-            if field_map is None:
-                continue
-            items = []
-            for key, value in field_map.items():
-                if key.__class__ is not str:
-                    raise TypeError
-                name = names.get(key)
-                if name is None:
-                    name = names[key] = "\n        " + _quote(key) + ": "
-                items.append(name + _quote(str(value)))
-            parts.append(lead + ("{" + ",".join(items) + "\n      }," if items else "{},"))
-        parts.append('\n      "payload_hex": "' + packet.payload.hex() + '",\n      "trace": ')
-        if r.trace:
-            texts = []
-            for event in r.trace:
-                if not _exact(event):
-                    raise TypeError
-                text = events.get(event)
-                if text is None:
-                    text = events[event] = _event_text(event)
-                texts.append(text)
-            parts.append("[" + ",".join(texts) + "\n      ]")
-        else:
-            parts.append("[]")
-        if error is not None:
-            parts.append(',\n      "error": ' + _quote(error))
-        parts.append("\n    }")
-        chunks.append("".join(parts))
-    head = '{\n  "seed": ' + _int_text(seed) + ',\n  "results": '
-    if not chunks:
-        return head + "[]\n}\n"
-    return head + "[" + ",".join(chunks) + "\n  ]\n}\n"
+    yield '{\n  "seed": ' + _int_text(seed) + ',\n  "results": '
+    lead = "["
+    for i, r in enumerate(results):
+        try:
+            text = _result_text(r, names, events)
+        except TypeError:
+            found = _misfit(i, r)
+            if found is None:
+                raise
+            raise TypeError(found) from None
+        yield lead + text
+        lead = ","
+    yield "[]\n}\n" if lead == "[" else "\n  ]\n}\n"
+
+
+def _result_text(r: SimResult, names: dict, events: dict) -> str:
+    """One result's text, through the memos of ``iter_results_text``; a
+    value it cannot write raises a TypeError without a path."""
+    verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
+    if not (
+        verdict.__class__ is str
+        and egress.__class__ is int
+        and (selector is None or selector.__class__ is str)
+        and (error is None or error.__class__ is str)
+    ):
+        raise TypeError
+    parts = [
+        '\n    {\n      "verdict": ', _quote(verdict),
+        ',\n      "selector": ', "null" if selector is None else _quote(selector),
+        ',\n      "egress_port": ', _int_text(egress), ",",
+    ]
+    packet = r.packet
+    for header, lead in _HEADER_LEADS:
+        field_map = getattr(packet, header)
+        if field_map is None:
+            continue
+        items = []
+        for key, value in field_map.items():
+            if key.__class__ is not str:
+                raise TypeError
+            name = names.get(key)
+            if name is None:
+                name = names[key] = "\n        " + _quote(key) + ": "
+            items.append(name + _quote(str(value)))
+        parts.append(lead + ("{" + ",".join(items) + "\n      }," if items else "{},"))
+    parts.append('\n      "payload_hex": "' + packet.payload.hex() + '",\n      "trace": ')
+    if r.trace:
+        texts = []
+        for event in r.trace:
+            if not _exact(event):
+                raise TypeError
+            text = events.get(event)
+            if text is None:
+                text = events[event] = _event_text(event)
+            texts.append(text)
+        parts.append("[" + ",".join(texts) + "\n      ]")
+    else:
+        parts.append("[]")
+    if error is not None:
+        parts.append(',\n      "error": ' + _quote(error))
+    parts.append("\n    }")
+    return "".join(parts)
 
 
 _STR_OR_NONE = (str, type(None))
 
 
-def _misfit(seed: int, results):
-    """The diagnostic for the first field, in writing order, that
-    ``dumps_results`` cannot write; None when there is none."""
+def _cannot_write(path: str, value) -> str:
+    return f"{path}: cannot write a {type(value).__name__} to a results document"
+
+
+def _misfit(i: int, r: SimResult):
+    """The diagnostic for the first field of result ``i``, in writing
+    order, that ``iter_results_text`` cannot write; None when there is
+    none."""
 
     def positions():  # (JSON path, value, the classes it may have)
-        yield "$.seed", seed, (int,)
-        for i, r in enumerate(results):
-            at = f"$.results[{i}]"
-            yield f"{at}.verdict", r.verdict, (str,)
-            yield f"{at}.selector", r.selector, _STR_OR_NONE
-            yield f"{at}.egress_port", r.egress_port, (int,)
-            for header in HEADER_FIELD_BITS:
-                for key in getattr(r.packet, header) or ():
-                    yield f"{at}.{header} (a field name)", key, (str,)
-            for j, event in enumerate(r.trace):
-                yield f"{at}.trace[{j}].ordinal", event.ordinal, (int,)
-                yield f"{at}.trace[{j}].kind", event.kind, (str,)
-                for name in ("before", "after"):
-                    for k, value in enumerate(getattr(event, name)):
-                        yield f"{at}.trace[{j}].{name}[{k}]", value, (int,)
-            yield f"{at}.error", r.error, _STR_OR_NONE
+        at = f"$.results[{i}]"
+        yield f"{at}.verdict", r.verdict, (str,)
+        yield f"{at}.selector", r.selector, _STR_OR_NONE
+        yield f"{at}.egress_port", r.egress_port, (int,)
+        for header in HEADER_FIELD_BITS:
+            for key in getattr(r.packet, header) or ():
+                yield f"{at}.{header} (a field name)", key, (str,)
+        for j, event in enumerate(r.trace):
+            yield f"{at}.trace[{j}].ordinal", event.ordinal, (int,)
+            yield f"{at}.trace[{j}].kind", event.kind, (str,)
+            for name in ("before", "after"):
+                for k, value in enumerate(getattr(event, name)):
+                    yield f"{at}.trace[{j}].{name}[{k}]", value, (int,)
+        yield f"{at}.error", r.error, _STR_OR_NONE
 
     for path, value, classes in positions():
         if value.__class__ not in classes:
-            return f"{path}: cannot write a {type(value).__name__} to a results document"
+            return _cannot_write(path, value)
     return None
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as chain_from
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
 from .core_model import (
@@ -57,7 +57,7 @@ from .flow_ast import (
     VarRef,
     operand_fields,
 )
-from .selector import STACK_HEADERS, FlowSelector, ParserChain, ProtocolStack, Solution
+from .selector import FlowSelector, ParserChain, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -99,6 +99,8 @@ ipv4_header_bytes, _ipv4_checksum = _PACK["ipv4"]
 # The ipv4.protocol under which the template parser extracts each
 # transport header.
 _L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
+
+_U16_MASK = U16.mask
 
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 
@@ -165,16 +167,6 @@ class SimPacket:
         if self.tcp is not None:
             return ProtocolStack.IPV4_TCP
         return None
-
-    def copy(self) -> "SimPacket":
-        return SimPacket(
-            ingress_port=self.ingress_port,
-            eth=dict(self.eth),
-            ipv4=dict(self.ipv4),
-            udp=dict(self.udp) if self.udp is not None else None,
-            tcp=dict(self.tcp) if self.tcp is not None else None,
-            payload=bytes(self.payload),
-        )
 
     def to_bytes(self) -> bytes:
         headers = (
@@ -357,7 +349,8 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
                 "the parser would extract one from the payload"
             )
         return None
-    l4 = STACK_HEADERS[stack][-1]
+    # The stack is hashed once, for its chain: Enum.__hash__ is Python code.
+    l4 = "udp" if packet.udp is not None else "tcp"
     if protocol != _L4_PROTOCOL[l4]:
         raise MalformedPacket(
             f"packet has a {l4} header but ipv4.protocol {protocol}; "
@@ -553,21 +546,23 @@ _code = lru_cache(maxsize=256)(compile)
 
 
 def _egress_fixups(packet: SimPacket, payload: Optional[bytes]) -> SimPacket:
-    """Build the outgoing packet: the new payload of a processor with an
-    output replaces the old one, lengths shift by the byte delta, and
-    checksums follow the same rules the generated pipeline applies."""
-    out = packet.copy()
+    """Build the outgoing packet from fresh header maps, leaving the input
+    packet as it was: the new payload of a processor with an output
+    replaces the old one, lengths shift by the byte delta, and checksums
+    follow the same rules the generated pipeline applies."""
+    ipv4 = packet.ipv4
+    udp = dict(packet.udp) if packet.udp is not None else None
+    tcp = dict(packet.tcp) if packet.tcp is not None else None
     if payload is None:
-        return out
-    delta = len(payload) - len(packet.payload)
-    out.payload = payload
-    out.ipv4["totalLen"] = (out.ipv4["totalLen"] + delta) & U16.mask
-    if out.udp is not None:
-        out.udp["len"] = (out.udp["len"] + delta) & U16.mask
-        out.udp["checksum"] = 0
-    out.ipv4["hdrChecksum"] = 0
-    out.ipv4["hdrChecksum"] = _ipv4_checksum(out.ipv4)
-    return out
+        payload, ipv4 = bytes(packet.payload), dict(ipv4)
+    else:
+        delta = len(payload) - len(packet.payload)
+        ipv4 = {**ipv4, "totalLen": (ipv4["totalLen"] + delta) & _U16_MASK, "hdrChecksum": 0}
+        ipv4["hdrChecksum"] = _ipv4_checksum(ipv4)
+        if udp is not None:
+            udp["len"] = (udp["len"] + delta) & _U16_MASK
+            udp["checksum"] = 0
+    return SimPacket(packet.ingress_port, dict(packet.eth), ipv4, udp, tcp, payload)
 
 
 def simulate_packet(
@@ -597,11 +592,11 @@ def simulate_packet(
     return result, state
 
 
-def run_trace(solution: Solution, packets, seed: int = 0) -> list[SimResult]:
-    """Simulate packets in order through one shared state. Per-packet
-    malformed-packet errors are recorded on the result, not raised."""
+def iter_trace(solution: Solution, packets, seed: int = 0) -> Iterator[SimResult]:
+    """Simulate packets in order through one shared state, yielding each
+    result as soon as it is made. Per-packet malformed-packet errors are
+    recorded on the result, not raised."""
     state = initial_state(solution, seed)
-    results: list[SimResult] = []
     for packet in packets:
         try:
             result, state = simulate_packet(solution, state, packet)
@@ -613,5 +608,9 @@ def run_trace(solution: Solution, packets, seed: int = 0) -> list[SimResult]:
                 packet,
                 error=str(e),
             )
-        results.append(result)
-    return results
+        yield result
+
+
+def run_trace(solution: Solution, packets, seed: int = 0) -> list[SimResult]:
+    """The results of ``iter_trace`` as a list."""
+    return list(iter_trace(solution, packets, seed))

@@ -193,6 +193,23 @@ class TestSimulate:
         assert rc == 1
         assert "packets[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_bad_field_on_the_last_packet_writes_nothing(self, tmp_path, capsys, to_file):
+        # The trace is checked whole before the first result is written.
+        good = {"payload": "00", "udp": {"dstPort": "5555"}}
+        packets = [good] * 50 + [{"payload": "00", "udp": {"dstPort": "70000"}}]
+        path = write_doc(tmp_path / "trace.json", {"seed": 0, "packets": packets})
+        out = tmp_path / "results" / "results.json"
+        out.parent.mkdir()
+        argv = ["simulate", str(asset_path("guess_game")), "-t", str(path)]
+        rc = cli.main(argv + (["-o", str(out)] if to_file else []))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "packets[50].udp.dstPort" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "trace.json"]
+        assert list(out.parent.iterdir()) == []
+
     def test_packets_the_parser_does_not_reach_the_chain_with(self, tmp_path, capsys):
         packets = [
             {"payload": "0a", "udp": {"dstPort": "5555"}, "eth": {"etherType": "0x86DD"}},

@@ -21,6 +21,7 @@ from p4flowgen.codegen import (
     emit_processor_control,
     generate,
     load_template,
+    write_staged,
 )
 from p4flowgen.core_model import (
     U8,
@@ -378,3 +379,27 @@ class TestFileSetAlwaysComplete:
         fs = generate(builder())
         assert list(fs.files) == [*FRAGMENT_NAMES, COMBINED_NAME]
         assert fs.template_name == "v1model_basic.p4"
+
+
+class TestWriteStaged:
+    def test_chunks_are_written_as_one_text(self, tmp_path):
+        out = tmp_path / "out"
+        written = write_staged(out, {"a.txt": "whole", "b.txt": iter(["x", "", "yz\n"])})
+        assert written == [out / "a.txt", out / "b.txt"]
+        assert (out / "a.txt").read_text() == "whole"
+        assert (out / "b.txt").read_text() == "xyz\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_chunks_that_raise_partway_leave_nothing(self, tmp_path, existing):
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+
+        def chunks():
+            yield "first chunk\n"
+            raise ValueError("the producer failed")
+
+        with pytest.raises(ValueError, match="producer failed"):
+            write_staged(out, {"a.txt": "whole", "b.txt": chunks()})
+        assert list(tmp_path.iterdir()) == ([out] if existing else [])
+        assert not existing or list(out.iterdir()) == []

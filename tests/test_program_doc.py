@@ -2,6 +2,8 @@
 
 import copy
 import json
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from p4flowgen.program_doc import (
     DocSemanticError,
     dumps_doc,
     dumps_results,
+    iter_results_text,
     load_schema,
     packet_from_doc,
     parse_field_value,
@@ -40,6 +43,8 @@ from p4flowgen.simulator import (
     SimPacket,
     SimResult,
     TraceEvent,
+    iter_trace,
+    make_tcp_packet,
     make_udp_packet,
     run_trace,
 )
@@ -307,6 +312,27 @@ class TestTraceParsing:
             )
         assert "70000" in err.value.message
 
+    def test_out_of_range_value_names_its_path_and_width(self):
+        packets = [{"udp": {}, "payload": ""}, {"tcp": {"window": "0x10000"}, "payload": ""}]
+        with pytest.raises(DocError) as err:
+            trace_from_doc({"seed": 0, "packets": packets})
+        assert err.value.path == "packets[1].tcp.window"
+        assert err.value.message == "65536 does not fit in 16 bits"
+
+    def test_packets_of_one_length_share_no_header_map(self):
+        packets = [
+            {"udp": {"dstPort": "1"}, "eth": {"etherType": "0x86DD"}, "payload": "00"},
+            {"udp": {}, "payload": "01"},
+            {"tcp": {}, "payload": "0203"},
+            {"tcp": {"srcPort": "9"}, "ipv4": {"ttl": "1"}, "payload": "0405"},
+        ]
+        _, got = trace_from_doc({"seed": 0, "packets": packets})
+        want = [make_udp_packet(0, bytes([0])), make_udp_packet(0, bytes([1])),
+                make_tcp_packet(0, bytes([2, 3])), make_tcp_packet(0, bytes([4, 5]))]
+        want[0].udp["dstPort"], want[0].eth["etherType"] = 1, 0x86DD
+        want[3].tcp["srcPort"], want[3].ipv4["ttl"] = 9, 1
+        assert got == want
+
     def test_both_stacks_rejected_by_schema(self):
         with pytest.raises(DocError):
             validate_trace_doc(
@@ -482,6 +508,40 @@ class TestResultsWriter:
         assert text == dumps_doc(results_to_doc(0, results))
         assert text.index('"checksum"') < text.index('"srcPort"')
 
+    def test_chunks_follow_the_results_as_they_come(self):
+        produced = []
+
+        def results():
+            for r in (a_result(), a_result(selector=None)):
+                produced.append(r)
+                yield r
+
+        chunks = iter_results_text(3, results())
+        assert next(chunks) == '{\n  "seed": 3,\n  "results": '
+        assert produced == []
+        assert next(chunks).startswith('[\n    {\n      "verdict": ')
+        assert len(produced) == 1
+        assert "".join(chunks).endswith("\n    }\n  ]\n}\n")
+        assert len(produced) == 2
+
+    def test_a_stream_is_written_once(self):
+        results = [a_result(), a_result(error="boom")]
+        assert dumps_results(0, iter(results)) == dumps_results(0, results)
+
+    def test_unwritable_value_in_a_stream_names_its_index(self):
+        results = (a_result(egress_port=i if i < 2 else 2.0) for i in range(3))
+        with pytest.raises(TypeError) as err:
+            dumps_results(0, results)
+        assert str(err.value).startswith("$.results[2].egress_port: ")
+
+    def test_a_failing_stream_is_not_reworded(self):
+        def results():
+            yield a_result()
+            raise TypeError("from the producer")
+
+        with pytest.raises(TypeError, match="^from the producer$"):
+            dumps_results(0, results())
+
     @pytest.mark.parametrize(
         "seed, changes, path, kind",
         [
@@ -512,3 +572,24 @@ class TestResultsWriter:
             dumps_results(seed, results)
         assert str(err.value).startswith(f"{path}: ")
         assert kind in str(err.value)
+
+
+class TestStreamingMemory:
+    @staticmethod
+    def streamed_peak(solution, count: int) -> int:
+        """tracemalloc's peak while ``count`` guess_game packets with one
+        repeated guess are run and written, the chunks thrown away."""
+        packets = [make_udp_packet(GUESS_PORT, payload=bytes([7]))] * count
+        tracemalloc.start()
+        try:
+            deque(iter_results_text(0, iter_trace(solution, packets, 0)), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_results(self):
+        solution = guess_game_solution()
+        self.streamed_peak(solution, 10)  # compiles the processor
+        small = self.streamed_peak(solution, 1000)
+        large = self.streamed_peak(solution, 4000)
+        assert large <= small + 64 * 1024, (small, large)
