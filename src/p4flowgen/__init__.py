@@ -6,138 +6,56 @@ The pieces compose in one direction: declare layouts and variables
 result bit-exactly (simulator) or emit P4 sources (codegen). The
 program_doc module round-trips all of it through JSON, and cli fronts
 the whole pipeline.
+
+The public names below load their module on first use (PEP 562), so
+that ``import p4flowgen`` loads nothing else and each CLI subcommand
+loads only the layers it runs.
 """
 
-from .codegen import COMBINED_NAME, FRAGMENT_NAMES, GeneratedFileSet, generate
-from .core_model import (
-    U8,
-    U16,
-    U32,
-    U64,
-    FieldDecl,
-    HeaderLayout,
-    RingBufferDecl,
-    SharedVariableDecl,
-    UValue,
-    UWidth,
-    internet_checksum,
-    u8,
-    u16,
-    u32,
-    u64,
-    wrap_add,
-    wrap_sub,
-)
-from .errors import FlowgenError
-from .flow_ast import (
-    Add,
-    AssignConst,
-    AssignVar,
-    Cast,
-    Equals,
-    ErrorKind,
-    FlowProcessor,
-    Forward,
-    Greater,
-    Hint,
-    Rand,
-    RingPush,
-    RingReadHead,
-    SemanticError,
-    SendBack,
-    Sub,
-    bool_local,
-    local,
-    new_flow_processor,
-)
-from .program_doc import (
-    DocError,
-    DocSemanticError,
-    load_program,
-    load_trace,
-    solution_from_doc,
-    solution_to_doc,
-)
-from .selector import Criterion, FlowSelector, ProtocolStack, Solution, new_flow_selector
-from .simulator import (
-    PASSTHROUGH,
-    PROCESSED,
-    SimPacket,
-    SimResult,
-    classify,
-    initial_state,
-    iter_trace,
-    make_tcp_packet,
-    make_udp_packet,
-    run_trace,
-    simulate_packet,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMBINED_NAME",
-    "FRAGMENT_NAMES",
-    "GeneratedFileSet",
-    "Solution",
-    "generate",
-    "U8",
-    "U16",
-    "U32",
-    "U64",
-    "FieldDecl",
-    "HeaderLayout",
-    "RingBufferDecl",
-    "SharedVariableDecl",
-    "UValue",
-    "UWidth",
-    "internet_checksum",
-    "u8",
-    "u16",
-    "u32",
-    "u64",
-    "wrap_add",
-    "wrap_sub",
-    "FlowgenError",
-    "Add",
-    "AssignConst",
-    "AssignVar",
-    "Cast",
-    "Equals",
-    "ErrorKind",
-    "FlowProcessor",
-    "Forward",
-    "Greater",
-    "Hint",
-    "Rand",
-    "RingPush",
-    "RingReadHead",
-    "SemanticError",
-    "SendBack",
-    "Sub",
-    "bool_local",
-    "local",
-    "new_flow_processor",
-    "DocError",
-    "DocSemanticError",
-    "load_program",
-    "load_trace",
-    "solution_from_doc",
-    "solution_to_doc",
-    "Criterion",
-    "FlowSelector",
-    "ProtocolStack",
-    "new_flow_selector",
-    "PASSTHROUGH",
-    "PROCESSED",
-    "SimPacket",
-    "SimResult",
-    "classify",
-    "initial_state",
-    "iter_trace",
-    "make_tcp_packet",
-    "make_udp_packet",
-    "run_trace",
-    "simulate_packet",
-    "__version__",
-]
+# Each public name's module, grouped by module.
+_EXPORTS = {
+    "codegen": ("COMBINED_NAME", "FRAGMENT_NAMES", "GeneratedFileSet", "generate"),
+    "core_model": (
+        "U8", "U16", "U32", "U64", "FieldDecl", "HeaderLayout", "RingBufferDecl",
+        "SharedVariableDecl", "UValue", "UWidth", "internet_checksum",
+        "u8", "u16", "u32", "u64", "wrap_add", "wrap_sub",
+    ),
+    "errors": ("FlowgenError", "DocError"),
+    "flow_ast": (
+        "Add", "AssignConst", "AssignVar", "Cast", "Equals", "ErrorKind",
+        "FlowProcessor", "Forward", "Greater", "Hint", "Rand", "RingPush",
+        "RingReadHead", "SemanticError", "SendBack", "Sub", "bool_local",
+        "local", "new_flow_processor",
+    ),
+    "program_doc": (
+        "DocSemanticError", "load_program", "load_trace", "solution_from_doc",
+        "solution_to_doc",
+    ),
+    "selector": ("Criterion", "FlowSelector", "ProtocolStack", "Solution", "new_flow_selector"),
+    "packet": ("SimPacket", "make_tcp_packet", "make_udp_packet"),
+    "simulator": (
+        "PASSTHROUGH", "PROCESSED", "SimResult", "classify", "initial_state",
+        "iter_trace", "run_trace", "simulate_packet",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

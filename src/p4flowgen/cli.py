@@ -1,8 +1,16 @@
 """Command-line front end.
 
 Subcommands: check, generate, simulate, examples. Exit codes: 0 for
-success, 1 for I/O and schema problems, 2 for semantic errors. All
-diagnostics go to stderr; stdout carries machine-readable output only.
+success, 1 for I/O and schema problems, 2 for semantic errors and usage
+errors. All diagnostics go to stderr; stdout carries machine-readable
+output only.
+
+Each subcommand imports the layers it runs when it starts, so that a
+run loads no more than it needs: ``check`` loads the document layer
+(program_doc, and the core_model, flow_ast, selector and packet modules
+under it); ``generate`` adds codegen, ``simulate`` adds simulator, and
+``examples`` loads builtin_examples. Names are looked up in their module
+at call time, so a tracer that swaps module attributes sees every call.
 """
 
 from __future__ import annotations
@@ -11,26 +19,24 @@ import argparse
 import sys
 from pathlib import Path
 
-from .builtin_examples import EXAMPLE_BUILDERS, asset_path
-from .codegen import generate, write_staged
-from .errors import FlowgenError
-from .program_doc import (
-    DocError,
-    iter_results_text,
-    load_json,
-    load_trace,
-    solution_from_doc,
-)
-from .simulator import iter_trace
+from .errors import DocError, FlowgenError
+
+# SplitMix64 state is 64 bits wide; a seed outside is refused, not aliased.
+SEED_MAX = (1 << 64) - 1
 
 
 def cmd_check(args) -> int:
+    from .program_doc import load_json, solution_from_doc
+
     solution_from_doc(load_json(args.program))
     print(f"{args.program}: ok")
     return 0
 
 
 def cmd_generate(args) -> int:
+    from .codegen import generate
+    from .program_doc import load_json, solution_from_doc
+
     solution = solution_from_doc(load_json(args.program))
     for path in generate(solution).write_to(args.out_dir):
         print(path)
@@ -40,6 +46,10 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     """The trace is loaded and checked whole; then each result is run and
     written in turn, so only the one being written is held."""
+    from .program_doc import iter_results_text, load_json, load_trace, solution_from_doc
+    from .simulator import iter_trace
+    from .staging import write_staged
+
     solution = solution_from_doc(load_json(args.program))
     seed, packets = load_trace(args.trace)
     if args.seed is not None:
@@ -54,6 +64,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .builtin_examples import EXAMPLE_BUILDERS, asset_path
+    from .staging import write_staged
+
     if args.name is not None and args.name not in EXAMPLE_BUILDERS:
         names = ", ".join(sorted(EXAMPLE_BUILDERS))
         print(
@@ -66,6 +79,17 @@ def cmd_examples(args) -> int:
     for path in write_staged(args.out_dir, files):
         print(path)
     return 0
+
+
+def seed_arg(text: str) -> int:
+    """A ``--seed`` value: an integer the generator's 64-bit state holds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..{SEED_MAX}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a packet trace through a program")
     p.add_argument("program", help="program JSON file")
     p.add_argument("-t", "--trace", required=True, help="trace JSON file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the trace's rng seed")
+    p.add_argument("--seed", type=seed_arg, default=None,
+                   help=f"override the trace's rng seed (0 to {SEED_MAX})")
     p.add_argument("-o", "--out", default=None,
                    help="write results here instead of stdout")
     p.set_defaults(func=cmd_simulate)

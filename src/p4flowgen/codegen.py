@@ -20,14 +20,12 @@ the source program.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core_model import HEADER_BYTES, HeaderLayout, UValue
+from .core_model import HEADER_BYTES, TEMPLATE, HeaderLayout, UValue
 from .flow_ast import (
     Add,
     AssignConst,
@@ -59,6 +57,7 @@ from .selector import (
     ProtocolStack,
     Solution,
 )
+from .staging import write_staged
 
 FRAGMENT_NAMES = (
     "headers.p4inc",
@@ -69,10 +68,6 @@ FRAGMENT_NAMES = (
 )
 
 COMBINED_NAME = "program.p4"
-
-
-# The one shipped template, named by a program document's "template" tag.
-TEMPLATE = "v1model_basic"
 
 # One nesting level in every emitted fragment.
 INDENT = "    "
@@ -91,33 +86,6 @@ class GeneratedFileSet:
         """Write every file plus the template copy, all or nothing;
         returns the written paths."""
         return write_staged(directory, {**self.files, self.template_name: self.template_text})
-
-
-def write_staged(target_dir, files: dict[str, str | Iterable[str]]) -> list[Path]:
-    """Write a file set without ever leaving partial output behind:
-    everything is staged in a temp directory next to ``target_dir``
-    first, then moved in. The parent of ``target_dir`` must exist.
-
-    A file's text is a str or an iterable of str chunks, written as they
-    come; if producing one raises, nothing is moved in."""
-    target_dir = Path(target_dir)
-    try:
-        staging = Path(tempfile.mkdtemp(dir=target_dir.parent, prefix=".stage-"))
-    except OSError as e:
-        raise OSError(f"cannot write under {target_dir.parent}: {e}") from None
-    try:
-        for name, text in files.items():
-            with open(staging / name, "w") as f:
-                f.writelines([text] if isinstance(text, str) else text)
-        target_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name in files:
-            final = target_dir / name
-            (staging / name).replace(final)
-            written.append(final)
-        return written
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def load_template(name: str) -> str:

@@ -133,6 +133,9 @@ HEADER_BYTES: dict[str, int] = {
     for header, fields in STANDARD_HEADERS.items()
 }
 
+# The one shipped template, named by a program document's "template" tag.
+TEMPLATE = "v1model_basic"
+
 # P4-16 keywords plus every name the shipped template declares at file scope.
 # User identifiers may not collide with either group; collisions would only
 # surface as compile errors in the generated code, far away from the mistake.

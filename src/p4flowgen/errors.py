@@ -40,3 +40,13 @@ class MissingLookahead(FlowgenError):
 
 class MalformedPacket(FlowgenError):
     """A packet is too short or structurally unfit for the matched flow."""
+
+
+class DocError(FlowgenError):
+    """Structural problem in a document: schema violation or a value the
+    format itself cannot express."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message

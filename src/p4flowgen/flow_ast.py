@@ -527,6 +527,9 @@ class FlowProcessor:
         self.body = Block(self)
         self._ordinal = 0
         self._open_scopes = 0
+        # The simulator's run function and the builder ordinal it was
+        # compiled at (simulator._compiled).
+        self._compiled = (None, None)
 
     def _bump(self) -> int:
         self._ordinal += 1

@@ -30,11 +30,11 @@ from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .codegen import TEMPLATE
 from .core_model import (
     HEADER_FIELD_BITS,
+    TEMPLATE,
     FieldDecl,
     HeaderLayout,
     RingBufferDecl,
@@ -42,7 +42,7 @@ from .core_model import (
     UValue,
     UWidth,
 )
-from .errors import FlowgenError
+from .errors import DocError, FlowgenError
 from .flow_ast import (
     OPERAND_FIELDS,
     OPS,
@@ -53,18 +53,11 @@ from .flow_ast import (
     new_flow_processor,
     uvalue_doc,
 )
+from .packet import SimPacket, make_tcp_packet, make_udp_packet
 from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_flow_selector
-from .simulator import SimPacket, SimResult, TraceEvent, make_tcp_packet, make_udp_packet
 
-
-class DocError(FlowgenError):
-    """Structural problem in a document: schema violation or a value the
-    format itself cannot express."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
+if TYPE_CHECKING:  # importing the simulator at run time would load it for ``check``
+    from .simulator import SimResult, TraceEvent
 
 
 class DocSemanticError(FlowgenError):

@@ -6,34 +6,27 @@ generated code has, applies the same length and checksum fixups, and
 threads shared state (registers, rings, the random generator) across
 packets. No P4 is involved.
 
+The packets themselves (``SimPacket`` and its builders) live in the
+packet module; they are importable from here too.
+
 ``classify`` looks packets up in an index keyed by the standard-header
 values the selectors match on. On its first match, a processor is
 compiled into one Python function from generated source, the way
-``_packer`` compiles header packing, and again after each builder call.
+``packet._packer`` compiles header packing, and again after each builder
+call.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as chain_from
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
-from weakref import WeakKeyDictionary
 
-from .core_model import (
-    ETHERTYPE_IPV4,
-    HEADER_BYTES,
-    HEADER_FIELD_BITS,
-    HeaderLayout,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    STANDARD_HEADERS,
-    U16,
-    UValue,
-    complement_fold,
-)
+from .core_model import ETHERTYPE_IPV4, IPPROTO_TCP, IPPROTO_UDP, U16, HeaderLayout, UValue
 from .errors import MalformedPacket
 from .flow_ast import (
     Add,
@@ -57,52 +50,20 @@ from .flow_ast import (
     VarRef,
     operand_fields,
 )
-from .selector import FlowSelector, ParserChain, ProtocolStack, Solution
+from .packet import (  # the packet names are re-exported from here too
+    _L4_PROTOCOL,
+    SimPacket,
+    _ipv4_checksum,
+    ipv4_header_bytes,
+    make_tcp_packet,
+    make_udp_packet,
+)
+from .selector import FlowSelector, ParserChain, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
 
-
-def _packer(header: str):
-    """Two functions of a header's field map, compiled once from
-    STANDARD_HEADERS (the way dataclasses compiles ``__init__``) so that
-    they run no per-field loop: its wire bytes, as one shift-and-or
-    expression, and its checksum, the one's-complement sum of its 16-bit
-    words with each field added at its offset within its word. A field
-    that does not fit its width raises OverflowError; the reserved nibble
-    packs as zero."""
-    shift = HEADER_BYTES[header] * 8
-    fields, words, overflow = [], [], []
-    for name, bits in STANDARD_HEADERS[header]:
-        shift -= bits
-        if name != "res":
-            fields.append(f"v[{name!r}] << {shift}")
-            words.append(f"(v[{name!r}] << {shift % 16})")
-            overflow.append(f"v[{name!r}] >> {bits}")
-    check = f"_out_of_range({header!r}, v) if {' | '.join(overflow)} else"
-    return (
-        eval(f"lambda v: {check} ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')"),
-        eval(f"lambda v: {check} complement_fold({' + '.join(words)})"),
-    )
-
-
-def _out_of_range(header: str, values: dict[str, int]):
-    raise OverflowError(f"{header} field out of range in {values}")
-
-
-_PACK = {header: _packer(header) for header in STANDARD_HEADERS}
-
-# The 20 IPv4 header bytes of a field map, in wire order (options
-# unsupported), and its header checksum once hdrChecksum is 0.
-ipv4_header_bytes, _ipv4_checksum = _PACK["ipv4"]
-
-# The ipv4.protocol under which the template parser extracts each
-# transport header.
-_L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
-
 _U16_MASK = U16.mask
-
-_FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 
 
 class SplitMix64:
@@ -131,126 +92,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
         return z ^ (z >> 31)
-
-
-
-@dataclass
-class SimPacket:
-    """A synthetic packet: standard-header field maps plus raw payload.
-
-    The udp and tcp maps are mutually exclusive; a packet with neither
-    is plain IPv4 and passes through unless ipv4.protocol names UDP/TCP.
-    """
-
-    ingress_port: int
-    eth: dict[str, int]
-    ipv4: dict[str, int]
-    udp: Optional[dict[str, int]] = None
-    tcp: Optional[dict[str, int]] = None
-    payload: bytes = b""
-
-    def validate(self) -> None:
-        if not 0 <= self.ingress_port <= 0xFFFF:
-            raise MalformedPacket(f"ingress port {self.ingress_port} out of range")
-        if self.udp is not None and self.tcp is not None:
-            raise MalformedPacket("packet cannot carry both UDP and TCP")
-        if not isinstance(self.payload, (bytes, bytearray)):
-            raise MalformedPacket("payload must be bytes")
-        for header, names in _FIELD_NAMES.items():
-            fields = getattr(self, header)
-            if fields is not None and fields.keys() != names:
-                raise MalformedPacket(f"{header} fields {sorted(fields)} are not {sorted(names)}")
-
-    def stack(self) -> Optional[ProtocolStack]:
-        if self.udp is not None:
-            return ProtocolStack.IPV4_UDP
-        if self.tcp is not None:
-            return ProtocolStack.IPV4_TCP
-        return None
-
-    def to_bytes(self) -> bytes:
-        headers = (
-            pack(getattr(self, header))
-            for header, (pack, _) in _PACK.items()
-            if getattr(self, header) is not None
-        )
-        return b"".join(headers) + bytes(self.payload)
-
-
-def _make_packet(
-    l4: str,
-    fields: dict[str, int],
-    payload: bytes,
-    ingress_port: int,
-    src_addr: int,
-    dst_addr: int,
-    ttl: int,
-) -> SimPacket:
-    ipv4 = _zeroed("ipv4") | {
-        "version": 4,
-        "ihl": 5,
-        "totalLen": HEADER_BYTES["ipv4"] + HEADER_BYTES[l4] + len(payload),
-        "ttl": ttl,
-        "protocol": _L4_PROTOCOL[l4],
-        "srcAddr": src_addr,
-        "dstAddr": dst_addr,
-    }
-    ipv4["hdrChecksum"] = _ipv4_checksum(ipv4)
-    return SimPacket(
-        ingress_port=ingress_port,
-        eth={
-            "dstAddr": 0x020000000002,
-            "srcAddr": 0x020000000001,
-            "etherType": ETHERTYPE_IPV4,
-        },
-        ipv4=ipv4,
-        payload=bytes(payload),
-        **{l4: _zeroed(l4) | fields},
-    )
-
-
-def _zeroed(header: str) -> dict[str, int]:
-    """A field map of a standard header with every field zero."""
-    return dict.fromkeys(HEADER_FIELD_BITS[header], 0)
-
-
-def make_udp_packet(
-    dst_port: int,
-    payload: bytes = b"",
-    src_port: int = 40000,
-    ingress_port: int = 0,
-    src_addr: int = 0x0A000001,
-    dst_addr: int = 0x0A000002,
-    ttl: int = 64,
-) -> SimPacket:
-    """A consistent UDP packet: lengths derived from the payload, valid
-    IPv4 header checksum, UDP checksum left unused (0)."""
-    udp = {
-        "srcPort": src_port,
-        "dstPort": dst_port,
-        "len": HEADER_BYTES["udp"] + len(payload),
-    }
-    return _make_packet("udp", udp, payload, ingress_port, src_addr, dst_addr, ttl)
-
-
-def make_tcp_packet(
-    dst_port: int,
-    payload: bytes = b"",
-    src_port: int = 40000,
-    ingress_port: int = 0,
-    src_addr: int = 0x0A000001,
-    dst_addr: int = 0x0A000002,
-    ttl: int = 64,
-) -> SimPacket:
-    """A consistent TCP packet with a bare 20-byte header."""
-    tcp = {
-        "srcPort": src_port,
-        "dstPort": dst_port,
-        "dataOffset": 5,
-        "flags": 0x18,
-        "window": 65535,
-    }
-    return _make_packet("tcp", tcp, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 @dataclass
@@ -304,12 +145,13 @@ class SimResult:
 # fields some selectors match on. The key reads them from a packet, the
 # table maps their values to those selectors as (registration position,
 # selector, lookahead bytes or 0, lookahead criteria as (start, end, value)
-# payload slices, input bytes).
-_INDEX: WeakKeyDictionary[ParserChain, list] = WeakKeyDictionary()
+# payload slices, input bytes). Keyed by id(chain), so that a lookup is
+# one C-level dict.get; a finalizer drops the entry with its chain.
+_INDEX: dict[int, list] = {}
 
 
 def _index(chain: ParserChain) -> list:
-    index = _INDEX.get(chain)
+    index = _INDEX.get(id(chain))
     if index is None:
         tables: dict[str, dict] = {}
         for position, sel in enumerate(chain.links):
@@ -323,7 +165,8 @@ def _index(chain: ParserChain) -> list:
             entry = (position, sel, start, peek, sel.processor.input.byte_size)
             table = tables.setdefault(f"lambda p: ({key})", {})
             table.setdefault(tuple(value for _, value in standard), []).append(entry)
-        index = _INDEX[chain] = [(eval(key), table) for key, table in tables.items()]
+        index = _INDEX[id(chain)] = [(eval(key), table) for key, table in tables.items()]
+        weakref.finalize(chain, _INDEX.pop, id(chain), None)
     return index
 
 
@@ -499,14 +342,11 @@ class _Compiler:
             self.block(block, depth + 1)
 
 
-# Each processor's run function and the builder ordinal it was compiled at.
-_COMPILED: WeakKeyDictionary[FlowProcessor, tuple] = WeakKeyDictionary()
-
-
 def _compiled(proc: FlowProcessor):
     """The run function of a processor, compiled again whenever its
-    builder has taken another call since."""
-    ordinal, run = _COMPILED.get(proc, (None, None))
+    builder has taken another call since. It is kept on the processor, as
+    ``(builder ordinal, run function)`` in ``proc._compiled``."""
+    ordinal, run = proc._compiled
     if ordinal == proc._ordinal:
         return run
     c = _Compiler(proc)
@@ -532,7 +372,7 @@ def _compiled(proc: FlowProcessor):
         c.emit(1, f"return events, egress, pack({_format(proc.output)!r}, {values}){tail}")
     namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
     exec(_code("\n".join(c.lines), "<processor>", "exec"), namespace)
-    _COMPILED[proc] = (proc._ordinal, namespace["run"])
+    proc._compiled = (proc._ordinal, namespace["run"])
     return namespace["run"]
 
 

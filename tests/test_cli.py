@@ -227,6 +227,52 @@ class TestSimulate:
         assert "ipv4.protocol 6" in results[1]["error"]
 
 
+SEED_MAX = 2**64 - 1
+
+
+class TestSeedRange:
+    """A seed is the generator's 64-bit state: one outside 0..2**64-1 is
+    refused, not run as the seed it aliases."""
+
+    PACKETS = [{"payload": "0a", "udp": {"dstPort": "5555"}}]
+
+    def simulate(self, tmp_path, trace_seed, *options):
+        path = write_doc(tmp_path / "trace.json", {"seed": trace_seed, "packets": self.PACKETS})
+        return cli.main(["simulate", str(asset_path("guess_game")), "-t", str(path), *options])
+
+    @pytest.mark.parametrize("seed", [0, SEED_MAX])
+    def test_trace_seed_at_a_bound_runs(self, tmp_path, capsys, seed):
+        assert self.simulate(tmp_path, seed) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+    @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1])
+    def test_trace_seed_past_a_bound_exits_1(self, tmp_path, capsys, seed):
+        assert self.simulate(tmp_path, seed) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: seed: {seed} is ")
+
+    @pytest.mark.parametrize("seed", [0, SEED_MAX])
+    def test_seed_option_at_a_bound_runs(self, tmp_path, capsys, seed):
+        assert self.simulate(tmp_path, 1, "--seed", str(seed)) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+    @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1])
+    def test_seed_option_past_a_bound_exits_2(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            self.simulate(tmp_path, 1, "--seed", str(seed))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed {seed} is outside 0..{SEED_MAX}" in captured.err
+
+    def test_seed_option_must_be_an_integer(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.simulate(tmp_path, 1, "--seed", "7.5")
+        assert exc.value.code == 2
+        assert "invalid int value: '7.5'" in capsys.readouterr().err
+
+
 class TestParser:
     def test_no_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ Reference behaviors (the rng stream, the three-way comparator, the
 checksum) come from tests/oracles.py and never touch package code.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -867,6 +868,15 @@ class TestIndexedClassify:
         else:
             assert classify(sol, pkt).name == "narrow"
 
+    def test_dropping_a_solution_frees_its_index_entry(self):
+        sol = insert_agg_solution()
+        assert classify(sol, make_udp_packet(AGG_PORT, payload=bytes(4))) is not None
+        key = id(sol.chains[ProtocolStack.IPV4_UDP])
+        assert key in simulator._INDEX
+        del sol
+        gc.collect()
+        assert key not in simulator._INDEX
+
 
 class TestHeaderFields:
     @pytest.mark.parametrize("header, change", [
@@ -882,6 +892,37 @@ class TestHeaderFields:
             classify(GUESS, pkt)
         (res,) = run_trace(GUESS, [pkt], seed=0)
         assert res.verdict == PASSTHROUGH and f"{header} fields" in res.error
+
+    UDP_FIELDS = "['checksum', 'dstPort', 'len', 'srcPort']"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"ingress_port": 0x10000}, "ingress port 65536 out of range"),
+        ({"ingress_port": -1}, "ingress port -1 out of range"),
+        ({"tcp": {}}, "packet cannot carry both UDP and TCP"),
+        ({"payload": "01"}, "payload must be bytes"),
+        # The checks run in one order: the first failure is the one worded.
+        ({"tcp": {}, "payload": "01"}, "packet cannot carry both UDP and TCP"),
+        ({"tcp": {}, "eth": [1]}, "packet cannot carry both UDP and TCP"),
+        ({"udp": {"srcPort": 1}}, f"udp fields ['srcPort'] are not {UDP_FIELDS}"),
+    ])
+    def test_validate_words_the_first_failure(self, changes, message):
+        pkt = make_udp_packet(4444, payload=b"\x01")
+        for name, value in changes.items():
+            setattr(pkt, name, value)
+        with pytest.raises(MalformedPacket) as raised:
+            pkt.validate()
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("changes", [
+        {"payload": bytearray(b"\x01")},
+        {"udp": None},
+        {"ingress_port": 0xFFFF},
+    ])
+    def test_validate_accepts_well_formed_variants(self, changes):
+        pkt = make_udp_packet(4444, payload=b"\x01")
+        for name, value in changes.items():
+            setattr(pkt, name, value)
+        pkt.validate()
 
     def test_tcp_reserved_nibble_is_not_a_field(self):
         pkt = make_tcp_packet(80, payload=b"\x01")
