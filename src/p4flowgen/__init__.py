@@ -9,7 +9,8 @@ the whole pipeline.
 
 The public names below load their module on first use (PEP 562), so
 that ``import p4flowgen`` loads nothing else and each CLI subcommand
-loads only the layers it runs.
+loads only the layers it runs. A submodule is an attribute the same
+way: ``p4flowgen.simulator.run_trace`` works after ``import p4flowgen``.
 """
 
 import importlib
@@ -45,17 +46,22 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+_SUBMODULES = frozenset({*_EXPORTS, "builtin_examples", "cli", "staging"})
+
 __all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
-    if module is None:
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -19,10 +19,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from .core_model import SEED_MAX
 from .errors import DocError, FlowgenError
-
-# SplitMix64 state is 64 bits wide; a seed outside is refused, not aliased.
-SEED_MAX = (1 << 64) - 1
 
 
 def cmd_check(args) -> int:

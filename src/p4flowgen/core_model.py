@@ -40,6 +40,10 @@ U16 = UWidth.U16
 U32 = UWidth.U32
 U64 = UWidth.U64
 
+# The largest seed: a seed is the simulator's 64-bit SplitMix64 state, so
+# one outside 0..SEED_MAX is refused rather than aliased modulo 2**64.
+SEED_MAX = U64.mask
+
 
 @dataclass(frozen=True)
 class UValue:

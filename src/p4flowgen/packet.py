@@ -68,6 +68,12 @@ _ETH_NAMES, _IPV4_NAMES, _UDP_NAMES, _TCP_NAMES = (
 )
 
 
+def _misfit(header: str, fields: Optional[dict[str, int]]) -> MalformedPacket:
+    if fields is None:
+        return MalformedPacket(f"packet has no {header} header")
+    return MalformedPacket(f"{header} fields {sorted(fields)} are not {sorted(_FIELD_NAMES[header])}")
+
+
 @dataclass
 class SimPacket:
     """A synthetic packet: standard-header field maps plus raw payload.
@@ -85,35 +91,24 @@ class SimPacket:
 
     def validate(self) -> None:
         """Raise MalformedPacket for a port out of range, both transport
-        headers, a payload that is not bytes, or a header map whose fields
-        are not its header's. The straight-line test passes the packets the
-        package builds; anything else goes to ``_check``, which words the
-        failure. Both make their tests in the same order, so that a map
-        without ``keys`` raises the same error in both."""
+        headers, a payload that is not bytes, a missing eth or ipv4 map, or
+        a header map whose fields are not its header's; the first failing
+        test, in that order, words the error."""
         eth, ipv4, udp, tcp = self.eth, self.ipv4, self.udp, self.tcp
-        if (
-            0 <= self.ingress_port <= 0xFFFF
-            and self.payload.__class__ is bytes
-            and (udp is None or tcp is None)
-            and eth is not None and eth.keys() == _ETH_NAMES
-            and ipv4 is not None and ipv4.keys() == _IPV4_NAMES
-            and (udp is None or udp.keys() == _UDP_NAMES)
-            and (tcp is None or tcp.keys() == _TCP_NAMES)
-        ):
-            return
-        self._check()
-
-    def _check(self) -> None:
         if not 0 <= self.ingress_port <= 0xFFFF:
             raise MalformedPacket(f"ingress port {self.ingress_port} out of range")
-        if self.udp is not None and self.tcp is not None:
+        if udp is not None and tcp is not None:
             raise MalformedPacket("packet cannot carry both UDP and TCP")
         if not isinstance(self.payload, (bytes, bytearray)):
             raise MalformedPacket("payload must be bytes")
-        for header, names in _FIELD_NAMES.items():
-            fields = getattr(self, header)
-            if fields is not None and fields.keys() != names:
-                raise MalformedPacket(f"{header} fields {sorted(fields)} are not {sorted(names)}")
+        if eth is None or eth.keys() != _ETH_NAMES:
+            raise _misfit("eth", eth)
+        if ipv4 is None or ipv4.keys() != _IPV4_NAMES:
+            raise _misfit("ipv4", ipv4)
+        if udp is not None and udp.keys() != _UDP_NAMES:
+            raise _misfit("udp", udp)
+        if tcp is not None and tcp.keys() != _TCP_NAMES:
+            raise _misfit("tcp", tcp)
 
     def stack(self) -> Optional[ProtocolStack]:
         if self.udp is not None:

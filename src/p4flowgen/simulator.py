@@ -26,7 +26,15 @@ from itertools import chain as chain_from
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
-from .core_model import ETHERTYPE_IPV4, IPPROTO_TCP, IPPROTO_UDP, U16, HeaderLayout, UValue
+from .core_model import (
+    ETHERTYPE_IPV4,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    SEED_MAX,
+    U16,
+    HeaderLayout,
+    UValue,
+)
 from .errors import MalformedPacket
 from .flow_ast import (
     Add,
@@ -78,13 +86,16 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2^64
         output = z ^ (z >> 31)
 
-    A w-bit draw keeps the low w bits of the 64-bit output.
+    A w-bit draw keeps the low w bits of the 64-bit output. The seed is
+    the initial state, so it must lie in 0..SEED_MAX.
     """
 
-    MASK = (1 << 64) - 1
+    MASK = SEED_MAX
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & self.MASK
+        if not 0 <= seed <= SEED_MAX:
+            raise ValueError(f"seed {seed} is outside 0..{SEED_MAX}")
+        self.state = seed
 
     def next64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK

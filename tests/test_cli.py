@@ -272,6 +272,14 @@ class TestSeedRange:
         assert exc.value.code == 2
         assert "invalid int value: '7.5'" in capsys.readouterr().err
 
+    def test_one_bound_for_the_schema_the_option_and_the_generator(self):
+        from p4flowgen.core_model import SEED_MAX as bound
+        from p4flowgen.program_doc import load_schema
+        from p4flowgen.simulator import SplitMix64
+
+        assert bound == SEED_MAX == SplitMix64.MASK
+        assert load_schema("trace")["properties"]["seed"]["maximum"] == bound
+
 
 class TestParser:
     def test_no_command_exits_2(self, capsys):

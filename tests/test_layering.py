@@ -75,6 +75,19 @@ class TestLazyPackage:
     def test_dir_lists_every_public_name(self):
         assert set(p4flowgen.__all__) <= set(dir(p4flowgen))
 
+    def test_dir_lists_every_submodule(self):
+        modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+        assert modules <= set(dir(p4flowgen))
+
+    def test_a_submodule_is_an_attribute_after_a_plain_import(self, tmp_path):
+        code = (
+            "import p4flowgen\n"
+            "assert p4flowgen.simulator.run_trace is p4flowgen.run_trace\n"
+            "assert p4flowgen.codegen.generate is p4flowgen.generate\n"
+            "assert p4flowgen.staging.write_staged\n"
+        )
+        assert loaded_by(tmp_path, code) >= {"simulator", "codegen", "staging"}
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             p4flowgen.no_such_name

@@ -104,6 +104,13 @@ class TestSplitMix64:
         for _ in range(20):
             assert rng.next64() == next(ref)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_is_refused_not_aliased(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside 0..{2**64 - 1}"):
+            SplitMix64(seed)
+        with pytest.raises(ValueError, match="is outside"):
+            run_trace(GUESS, [], seed)
+
 
 class TestPacketBuilders:
     def test_udp_lengths_consistent(self):
@@ -904,6 +911,9 @@ class TestHeaderFields:
         ({"tcp": {}, "payload": "01"}, "packet cannot carry both UDP and TCP"),
         ({"tcp": {}, "eth": [1]}, "packet cannot carry both UDP and TCP"),
         ({"udp": {"srcPort": 1}}, f"udp fields ['srcPort'] are not {UDP_FIELDS}"),
+        ({"eth": None}, "packet has no eth header"),
+        ({"ipv4": None}, "packet has no ipv4 header"),
+        ({"eth": None, "ipv4": None}, "packet has no eth header"),
     ])
     def test_validate_words_the_first_failure(self, changes, message):
         pkt = make_udp_packet(4444, payload=b"\x01")
@@ -912,6 +922,14 @@ class TestHeaderFields:
         with pytest.raises(MalformedPacket) as raised:
             pkt.validate()
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("header", ["eth", "ipv4"])
+    def test_missing_eth_or_ipv4_is_a_per_packet_error(self, header):
+        pkt = make_udp_packet(GUESS_PORT, payload=b"\x01")
+        setattr(pkt, header, None)
+        bad, good = run_trace(GUESS, [pkt, make_udp_packet(GUESS_PORT, payload=b"\x01")], seed=0)
+        assert bad.verdict == PASSTHROUGH and bad.error == f"packet has no {header} header"
+        assert good.verdict == PROCESSED and good.error is None
 
     @pytest.mark.parametrize("changes", [
         {"payload": bytearray(b"\x01")},
