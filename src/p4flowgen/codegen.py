@@ -12,6 +12,11 @@ through ``#include`` hooks:
 
 plus ``program.p4``, the template with every fragment spliced in.
 
+Every fragment is built as nested lists of lines, a nested list one
+level deeper, and indented by ``flow_ast.flatten``. A processor's body is
+printed by ``flow_ast.render`` in the ``_P4`` dialect, the same walk the
+simulator compiles and the document form follows.
+
 Output is deterministic: identical Solutions yield byte-identical files.
 User constants are emitted verbatim, never folded. Every builder call is
 echoed as a ``// [ordinal] Kind`` comment so generated lines trace back to
@@ -22,31 +27,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core_model import HEADER_BYTES, TEMPLATE, HeaderLayout, UValue
 from .flow_ast import (
     Add,
     AssignConst,
     AssignVar,
-    AtomicNode,
-    Block,
     Cast,
     Equals,
     FlowProcessor,
     Forward,
     Greater,
     Hint,
-    IfNode,
     Rand,
     RingPush,
     RingReadHead,
     Scope,
     SendBack,
     Sub,
-    SwitchNode,
     VarRef,
+    flatten,
+    render,
     walk,
 )
 from .selector import (
@@ -68,9 +70,6 @@ FRAGMENT_NAMES = (
 )
 
 COMBINED_NAME = "program.p4"
-
-# One nesting level in every emitted fragment.
-INDENT = "    "
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,27 +97,6 @@ def load_template(name: str) -> str:
 # -- low-level emission helpers ---------------------------------------------
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def line(self, depth: int, text: str = "") -> None:
-        self.lines.append(INDENT * depth + text if text else "")
-
-    def nested(self, depth: int, items: list) -> None:
-        """Lines at ``depth``; a nested list goes one level deeper."""
-        for item in items:
-            if isinstance(item, list):
-                self.nested(depth + 1, item)
-            else:
-                self.line(depth, item)
-
-    def text(self) -> str:
-        if not self.lines:
-            return ""
-        return "\n".join(self.lines) + "\n"
-
-
 def _const(v: UValue) -> str:
     return f"{v.width.bits}w{v.magnitude}"
 
@@ -133,12 +111,6 @@ def _lvalue(proc: FlowProcessor, ref: VarRef) -> str:
     return f"{proc.name}__{ref.name}"
 
 
-def _operand(proc: FlowProcessor, op) -> str:
-    if isinstance(op, UValue):
-        return _const(op)
-    return _lvalue(proc, op)
-
-
 def _eq_base(proc: FlowProcessor, ordinal: int) -> str:
     return f"{proc.name}__eq__{ordinal}"
 
@@ -146,51 +118,55 @@ def _eq_base(proc: FlowProcessor, ordinal: int) -> str:
 # -- command emission --------------------------------------------------------
 
 
-def _emit_block(w: _Writer, proc: FlowProcessor, block: Block, depth: int) -> None:
-    for cmd in block.commands:
-        _emit_command(w, proc, cmd, depth)
+class _P4:
+    """The P4 dialect of ``flow_ast.render`` for one processor's body:
+    every builder call echoed as a ``// [n] Kind`` comment in front of its
+    statements."""
 
+    def __init__(self, proc: FlowProcessor) -> None:
+        self.proc = proc
 
-def _emit_command(w: _Writer, proc: FlowProcessor, cmd, depth: int) -> None:
-    emit = _EMIT.get(type(cmd))
-    if emit is not None:
-        # Each field in its P4 form: the target and the operands as
-        # lvalues or constants, plain values as they are.
-        p4 = SimpleNamespace(**{
-            name: _operand(proc, v) if isinstance(v, (VarRef, UValue)) else v
-            for name, v in vars(cmd).items()
-        })
-        w.line(depth, f"// [{cmd.ordinal}] {type(cmd).__name__}")
-        w.nested(depth, emit(proc, cmd, p4))
+    def operand(self, op) -> str:
+        return _const(op) if isinstance(op, UValue) else _lvalue(self.proc, op)
+
+    def op(self, cmd, p4) -> list:
+        lines = [f"// [{cmd.ordinal}] {type(cmd).__name__}"]
+        lines += _EMIT[type(cmd)](self.proc, cmd, p4)
         if hasattr(cmd, "target") and cmd.target.scope is Scope.SHARED:
-            w.line(depth, f"reg__{proc.name}__{cmd.target.name}.write(0, {p4.target});")
-    elif isinstance(cmd, IfNode):
-        w.line(depth, f"// [{cmd.ordinal}] If")
-        w.line(depth, f"if ({_lvalue(proc, cmd.cond)} == 8w1) {{")
-        _emit_block(w, proc, cmd.then_block, depth + 1)
-        w.line(depth, "}")
-        if cmd.else_block is not None:
-            w.line(depth, f"// [{cmd.else_ordinal}] Else")
-            w.line(depth, "else {")
-            _emit_block(w, proc, cmd.else_block, depth + 1)
-            w.line(depth, "}")
-    elif isinstance(cmd, SwitchNode):
-        w.line(depth, f"// [{cmd.ordinal}] Switch")
-        selector = _operand(proc, cmd.selector)
-        for i, (value, ordinal, case_block) in enumerate(cmd.cases):
+            lines.append(f"reg__{self.proc.name}__{cmd.target.name}.write(0, {p4.target});")
+        return lines
+
+    def if_(self, cmd, then: list, orelse: Optional[list]) -> list:
+        lines = [
+            f"// [{cmd.ordinal}] If",
+            f"if ({_lvalue(self.proc, cmd.cond)} == 8w1) {{",
+            then,
+            "}",
+        ]
+        if orelse is not None:
+            lines += [f"// [{cmd.else_ordinal}] Else", "else {", orelse, "}"]
+        return lines
+
+    def switch(self, cmd, cases: list) -> list:
+        selector = self.operand(cmd.selector)
+        lines = [f"// [{cmd.ordinal}] Switch"]
+        for i, (value, ordinal, body) in enumerate(cases):
             keyword = "if" if i == 0 else "else if"
-            w.line(depth, f"{keyword} ({selector} == {_const(value)}) {{")
-            w.line(depth + 1, f"// [{ordinal}] Case")
-            _emit_block(w, proc, case_block, depth + 1)
-            w.line(depth, "}")
-    elif isinstance(cmd, AtomicNode):
-        w.line(depth, f"// [{cmd.ordinal}] Atomic")
-        w.line(depth, "ATOMIC_BEGIN")
-        _emit_block(w, proc, cmd.block, depth)
-        w.line(depth, f"// [{cmd.end_ordinal}] EndAtomic")
-        w.line(depth, "ATOMIC_END")
-    else:
-        raise TypeError(f"cannot emit {cmd!r}")
+            lines += [
+                f"{keyword} ({selector} == {_const(value)}) {{",
+                [f"// [{ordinal}] Case", *body],
+                "}",
+            ]
+        return lines
+
+    def atomic(self, cmd, body: list) -> list:
+        return [
+            f"// [{cmd.ordinal}] Atomic",
+            "ATOMIC_BEGIN",
+            *body,
+            f"// [{cmd.end_ordinal}] EndAtomic",
+            "ATOMIC_END",
+        ]
 
 
 def _set_flag(p4, sign: str) -> list:
@@ -235,7 +211,7 @@ def _emit_ring_read_head(proc: FlowProcessor, cmd: RingReadHead, p4) -> list:
 
 
 # One entry per plain op: its P4 statements, a nested list one level
-# deeper. _emit_command adds the ``// [n] Kind`` comment in front and,
+# deeper. _P4.op adds the ``// [n] Kind`` comment in front and,
 # for a shared target, the register writeback behind.
 _EMIT = {
     AssignConst: lambda proc, cmd, p4: [f"{p4.target} = {p4.value};"],
@@ -272,24 +248,23 @@ def _unique_layouts(selectors: Sequence[FlowSelector]) -> list[HeaderLayout]:
 
 
 def _emit_headers(layouts: Sequence[HeaderLayout]) -> str:
-    w = _Writer()
-    for i, layout in enumerate(layouts):
-        if i:
-            w.line(0)
-        w.line(0, f"header {layout.name}_t {{")
-        for f in layout.fields:
-            w.line(1, f"bit<{f.width.bits}> {f.name};")
-        w.line(0, "}")
-    return w.text()
+    return "\n".join(
+        flatten([
+            f"header {layout.name}_t {{",
+            [f"bit<{f.width.bits}> {f.name};" for f in layout.fields],
+            "}",
+        ], 0)
+        for layout in layouts
+    )
 
 
 def _emit_structs(procs: Sequence[FlowProcessor]) -> str:
-    w = _Writer()
+    items = []
     for p in procs:
-        w.line(1, f"{p.input.name}_t {p.name}__in;")
+        items.append(f"{p.input.name}_t {p.name}__in;")
         if p.output is not None:
-            w.line(1, f"{p.output.name}_t {p.name}__out;")
-    return w.text()
+            items.append(f"{p.output.name}_t {p.name}__out;")
+    return flatten(items, 1)
 
 
 def _criterion_key(c: Criterion) -> str:
@@ -305,158 +280,153 @@ def emit_parser_chain(chain: ParserChain, flow_ids: Sequence[int]) -> str:
     if not chain.links:
         raise ValueError("cannot emit an empty parser chain")
     name = chain.stack.value.lower()
-    w = _Writer()
+    items = []
     for k, (sel, flow_id) in enumerate(zip(chain.links, flow_ids)):
         is_last = k == len(chain.links) - 1
         miss = "accept" if is_last else f"chain_{name}_{k + 1}"
-        w.line(1, f"state chain_{name}_{k} {{")
+        lookahead = []
         if sel.lookahead is not None:
-            w.line(
-                2,
+            lookahead.append(
                 f"{sel.lookahead.name}_t la = "
-                f"pkt.lookahead<{sel.lookahead.name}_t>();",
+                f"pkt.lookahead<{sel.lookahead.name}_t>();"
             )
         keys = ", ".join(_criterion_key(c) for c in sel.criteria)
-        w.line(2, f"transition select({keys}) {{")
         values = ", ".join(_const(c.value) for c in sel.criteria)
         if len(sel.criteria) > 1:
             values = f"({values})"
-        w.line(3, f"{values}: chain_{name}_{k}_hit;")
-        w.line(3, f"default: {miss};")
-        w.line(2, "}")
-        w.line(1, "}")
-        w.line(1, f"state chain_{name}_{k}_hit {{")
-        w.line(2, f"pkt.extract(hdr.{sel.processor.name}__in);")
-        w.line(2, f"meta.app_flow = 16w{flow_id};")
-        w.line(2, "transition accept;")
-        w.line(1, "}")
-    return w.text()
+        items += [
+            f"state chain_{name}_{k} {{",
+            [
+                *lookahead,
+                f"transition select({keys}) {{",
+                [f"{values}: chain_{name}_{k}_hit;", f"default: {miss};"],
+                "}",
+            ],
+            "}",
+            f"state chain_{name}_{k}_hit {{",
+            [
+                f"pkt.extract(hdr.{sel.processor.name}__in);",
+                f"meta.app_flow = 16w{flow_id};",
+                "transition accept;",
+            ],
+            "}",
+        ]
+    return flatten(items, 1)
 
 
 def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, int]) -> str:
-    parts: list[str] = []
-    defines = [
-        f"#define PARROT_CHAIN_{stack.value}"
-        for stack in ProtocolStack
-        if stack in chains
-    ]
-    if defines:
-        parts.append("\n".join(defines) + "\n")
-    for stack in ProtocolStack:
-        if stack in chains:
-            chain = chains[stack]
-            ids = [flow_ids[sel.name] for sel in chain.links]
-            parts.append(emit_parser_chain(chain, ids))
+    stacks = [stack for stack in ProtocolStack if stack in chains]
+    parts = [flatten([f"#define PARROT_CHAIN_{stack.value}" for stack in stacks], 0)]
+    for stack in stacks:
+        ids = [flow_ids[sel.name] for sel in chains[stack].links]
+        parts.append(emit_parser_chain(chains[stack], ids))
     return "".join(parts)
 
 
-def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
-    w = _Writer()
-    first = True
-    for p in procs:
-        if not first:
-            w.line(0)
-        first = False
-        w.line(1, f"// processor {p.name}")
-        for d in p.locals:
-            w.line(1, f"bit<{d.width.bits}> {p.name}__{d.name};")
-        for d in p.shared:
-            w.line(1, f"bit<{d.width.bits}> {p.name}__{d.name};")
-            w.line(1, f"register<bit<{d.width.bits}>>(1) reg__{p.name}__{d.name};")
-        if any(d.initial.magnitude != 0 for d in p.shared):
-            w.line(1, f"bit<1> {p.name}__boot__v;")
-            w.line(1, f"register<bit<1>>(1) reg__{p.name}__boot__v;")
-        for r in p.rings:
-            w.line(1, f"bit<32> {p.name}__{r.name}__head;")
-            w.line(1, f"register<bit<32>>(1) ring__{p.name}__{r.name}__head;")
-            w.line(
-                1,
-                f"register<bit<{r.element_width.bits}>>({r.capacity}) "
-                f"ring__{p.name}__{r.name};",
-            )
-        table_hints = [
-            c for c in walk(p.body) if isinstance(c, Equals) and c.hint is Hint.TABLE
+def _decls(p: FlowProcessor) -> list:
+    items = [f"// processor {p.name}"]
+    items += [f"bit<{d.width.bits}> {p.name}__{d.name};" for d in p.locals]
+    for d in p.shared:
+        items.append(f"bit<{d.width.bits}> {p.name}__{d.name};")
+        items.append(f"register<bit<{d.width.bits}>>(1) reg__{p.name}__{d.name};")
+    if any(d.initial.magnitude != 0 for d in p.shared):
+        items.append(f"bit<1> {p.name}__boot__v;")
+        items.append(f"register<bit<1>>(1) reg__{p.name}__boot__v;")
+    for r in p.rings:
+        items.append(f"bit<32> {p.name}__{r.name}__head;")
+        items.append(f"register<bit<32>>(1) ring__{p.name}__{r.name}__head;")
+        items.append(
+            f"register<bit<{r.element_width.bits}>>({r.capacity}) "
+            f"ring__{p.name}__{r.name};"
+        )
+    table_hints = [
+        c for c in walk(p.body) if isinstance(c, Equals) and c.hint is Hint.TABLE
+    ]
+    for eq in table_hints:
+        base = _eq_base(p, eq.ordinal)
+        width = eq.lhs.width
+        target = _lvalue(p, eq.target)
+        items += [
+            f"bit<{width.bits}> {base};",
+            f"action {base}__hit() {{ {target} = 8w1; }}",
+            f"action {base}__miss() {{ {target} = 8w0; }}",
+            f"table {base}__t {{",
+            [
+                f"key = {{ {base} : exact; }}",
+                f"actions = {{ {base}__hit; {base}__miss; }}",
+                "const entries = {",
+                [f"{width.bits}w0 : {base}__hit();"],
+                "}",
+                f"const default_action = {base}__miss();",
+            ],
+            "}",
         ]
-        for eq in table_hints:
-            base = _eq_base(p, eq.ordinal)
-            width = eq.lhs.width
-            target = _lvalue(p, eq.target)
-            w.line(1, f"bit<{width.bits}> {base};")
-            w.line(1, f"action {base}__hit() {{ {target} = 8w1; }}")
-            w.line(1, f"action {base}__miss() {{ {target} = 8w0; }}")
-            w.line(1, f"table {base}__t {{")
-            w.line(2, f"key = {{ {base} : exact; }}")
-            w.line(2, f"actions = {{ {base}__hit; {base}__miss; }}")
-            w.line(2, "const entries = {")
-            w.line(3, f"{width.bits}w0 : {base}__hit();")
-            w.line(2, "}")
-            w.line(2, f"const default_action = {base}__miss();")
-            w.line(1, "}")
-    return w.text()
+    return items
+
+
+def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
+    return "\n".join(flatten(_decls(p), 1) for p in procs)
+
+
+def _control(p: FlowProcessor, stack: ProtocolStack) -> list:
+    """The items of ``emit_processor_control``."""
+    p.validate_complete()
+    items = [f"{p.name}__{d.name} = {d.width.bits}w0;" for d in p.locals]
+    if any(d.initial.magnitude != 0 for d in p.shared):
+        boot = f"{p.name}__boot__v"
+        items += [
+            f"reg__{p.name}__boot__v.read({boot}, 0);",
+            f"if ({boot} == 1w0) {{",
+            [
+                *(f"reg__{p.name}__{d.name}.write(0, {_const(d.initial)});" for d in p.shared),
+                f"reg__{p.name}__boot__v.write(0, 1w1);",
+            ],
+            "}",
+        ]
+    items += [f"reg__{p.name}__{d.name}.read({p.name}__{d.name}, 0);" for d in p.shared]
+    if p.output is not None:
+        items.append(f"hdr.{p.name}__out.setValid();")
+        items += [f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;" for f in p.output.fields]
+    items += render(p.body, _P4(p))
+    if p.output is not None:
+        # Bytes of the standard headers in front of the application payload.
+        fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
+        out_size = p.output.byte_size
+        items.append(f"hdr.{p.name}__in.setInvalid();")
+        items.append(f"meta.app_added_bytes = 16w{out_size};")
+        if p.truncate_payload:
+            # Truncation drops the whole residual payload, so the removed
+            # count is everything behind the fixed headers, not just the
+            # input layout.
+            items.append(
+                "meta.app_removed_bytes = hdr.ipv4.totalLen - "
+                f"16w{fixed - HEADER_BYTES['eth']};"
+            )
+            items.append(f"truncate(32w{fixed + out_size});")
+        else:
+            items.append(f"meta.app_removed_bytes = 16w{p.input.byte_size};")
+    return items
 
 
 def emit_processor_control(p: FlowProcessor, stack: ProtocolStack) -> str:
     """The statements executed when a packet hits this processor: zeroed
     locals, register boot and reads, output activation, the command body,
     then header-validity flips and byte-delta bookkeeping, sized for the
-    headers of ``stack``."""
-    p.validate_complete()
-    depth = 3  # inside the flow branch that _emit_apply opens at depth 2
-    w = _Writer()
-    for d in p.locals:
-        w.line(depth, f"{p.name}__{d.name} = {d.width.bits}w0;")
-    if any(d.initial.magnitude != 0 for d in p.shared):
-        boot = f"{p.name}__boot__v"
-        w.line(depth, f"reg__{p.name}__boot__v.read({boot}, 0);")
-        w.line(depth, f"if ({boot} == 1w0) {{")
-        for d in p.shared:
-            w.line(
-                depth + 1,
-                f"reg__{p.name}__{d.name}.write(0, {_const(d.initial)});",
-            )
-        w.line(depth + 1, f"reg__{p.name}__boot__v.write(0, 1w1);")
-        w.line(depth, "}")
-    for d in p.shared:
-        w.line(depth, f"reg__{p.name}__{d.name}.read({p.name}__{d.name}, 0);")
-    if p.output is not None:
-        w.line(depth, f"hdr.{p.name}__out.setValid();")
-        for f in p.output.fields:
-            w.line(depth, f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;")
-    _emit_block(w, p, p.body, depth)
-    if p.output is not None:
-        # Bytes of the standard headers in front of the application payload.
-        fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
-        out_size = p.output.byte_size
-        w.line(depth, f"hdr.{p.name}__in.setInvalid();")
-        w.line(depth, f"meta.app_added_bytes = 16w{out_size};")
-        if p.truncate_payload:
-            # Truncation drops the whole residual payload, so the removed
-            # count is everything behind the fixed headers, not just the
-            # input layout.
-            w.line(
-                depth,
-                "meta.app_removed_bytes = hdr.ipv4.totalLen - "
-                f"16w{fixed - HEADER_BYTES['eth']};",
-            )
-            w.line(depth, f"truncate(32w{fixed + out_size});")
-        else:
-            w.line(depth, f"meta.app_removed_bytes = 16w{p.input.byte_size};")
-    return w.text()
+    headers of ``stack``. They are indented for the flow branch that
+    ``_emit_apply`` opens at depth 2."""
+    return flatten(_control(p, stack), 3)
 
 
 def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int]) -> str:
-    w = _Writer()
-    first = True
-    for sel in selectors:
-        if not first:
-            w.line(0)
-        first = False
-        w.line(2, f"// flow {sel.name}")
-        w.line(2, f"if (meta.app_flow == 16w{flow_ids[sel.name]}) {{")
-        body = emit_processor_control(sel.processor, sel.stack)
-        w.lines.extend(body.splitlines())
-        w.line(2, "}")
-    return w.text()
+    return "\n".join(
+        flatten([
+            f"// flow {sel.name}",
+            f"if (meta.app_flow == 16w{flow_ids[sel.name]}) {{",
+            _control(sel.processor, sel.stack),
+            "}",
+        ], 2)
+        for sel in selectors
+    )
 
 
 def _combine(template_text: str, files: dict[str, str]) -> str:
@@ -466,9 +436,7 @@ def _combine(template_text: str, files: dict[str, str]) -> str:
         if stripped.startswith('#include "') and stripped.endswith('"'):
             name = stripped[len('#include "') : -1]
             if name in files:
-                fragment = files[name]
-                if fragment:
-                    lines.extend(fragment.splitlines())
+                lines.extend(files[name].splitlines())
                 continue
         lines.append(line)
     return "\n".join(lines) + "\n"

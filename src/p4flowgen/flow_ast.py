@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import ClassVar, Iterator, Optional, Union, get_args
 
 from .core_model import (
@@ -298,6 +299,52 @@ def walk(block: "Block") -> Iterator[Union[Command, Node]]:
         if isinstance(cmd, (IfNode, SwitchNode, AtomicNode)):
             for inner in cmd.blocks():
                 yield from walk(inner)
+
+
+# One nesting level of every printed form.
+INDENT = "    "
+
+
+def render(block: "Block", dialect) -> list:
+    """The one walk of a command tree: each command of ``block`` printed by
+    ``dialect``, in body order, as items where a nested list is one deeper.
+
+    A plain command prints as ``dialect.op(cmd, ns)``; ``ns`` holds its
+    fields, the target and operands through ``dialect.operand``. A scope
+    renders its blocks first, then prints as ``dialect.if_(cmd, then,
+    orelse)`` (``orelse`` None without an Else), ``dialect.switch(cmd,
+    [(value, ordinal, body)])`` or ``dialect.atomic(cmd, body)``."""
+    items = []
+    for cmd in block.commands:
+        if isinstance(cmd, IfNode):
+            then = render(cmd.then_block, dialect)
+            orelse = None if cmd.else_block is None else render(cmd.else_block, dialect)
+            items += dialect.if_(cmd, then, orelse)
+        elif isinstance(cmd, SwitchNode):
+            cases = [(value, ordinal, render(body, dialect)) for value, ordinal, body in cmd.cases]
+            items += dialect.switch(cmd, cases)
+        elif isinstance(cmd, AtomicNode):
+            items += dialect.atomic(cmd, render(cmd.block, dialect))
+        else:
+            ns = SimpleNamespace(**{
+                name: dialect.operand(v) if isinstance(v, (VarRef, UValue)) else v
+                for name, v in vars(cmd).items()
+            })
+            items += dialect.op(cmd, ns)
+    return items
+
+
+def flatten(items: list, depth: int) -> str:
+    """The text of rendered items at ``depth``, one newline-terminated
+    line per item: one INDENT per level, a nested list one level deeper,
+    and an empty item an empty line."""
+    parts = []
+    for item in items:
+        if isinstance(item, list):
+            parts.append(flatten(item, depth + 1))
+        else:
+            parts.append(f"{INDENT * depth}{item}\n" if item else "\n")
+    return "".join(parts)
 
 
 class Block:
@@ -739,7 +786,7 @@ class FlowProcessor:
                 for r in self.rings
             ],
             "truncate_payload": self.truncate_payload,
-            "body": _block_doc(self.body),
+            "body": render(self.body, _Doc()),
         }
 
 
@@ -827,41 +874,46 @@ def _field_doc(name: str, value):
     return value.value if isinstance(value, enum.Enum) else value
 
 
-def _block_doc(block: Block) -> list:
-    return [_command_doc(c) for c in block.commands]
+class _Doc:
+    """The document dialect of ``render``: one JSON-ready dict per
+    command, its fields in declaration order."""
 
+    def operand(self, op: Operand) -> Operand:
+        return op  # _field_doc words it by the field that holds it
 
-def _command_doc(cmd) -> dict:
-    if isinstance(cmd, IfNode):
-        return {
+    def op(self, cmd, ns) -> list:
+        doc = {"op": cmd.op, "ordinal": cmd.ordinal}
+        for name, value in vars(ns).items():
+            if name != "ordinal":
+                doc[name] = _field_doc(name, value)
+        return [doc]
+
+    def if_(self, cmd: IfNode, then: list, orelse: Optional[list]) -> list:
+        return [{
             "op": "if",
             "ordinal": cmd.ordinal,
             "cond": cmd.cond.name,
-            "then": _block_doc(cmd.then_block),
-            "else": _block_doc(cmd.else_block) if cmd.else_block else None,
+            "then": then,
+            "else": orelse,
             "else_ordinal": cmd.else_ordinal,
             "end_ordinal": cmd.end_ordinal,
-        }
-    if isinstance(cmd, SwitchNode):
-        return {
+        }]
+
+    def switch(self, cmd: SwitchNode, cases: list) -> list:
+        return [{
             "op": "switch",
             "ordinal": cmd.ordinal,
             "selector": _operand_doc(cmd.selector),
             "cases": [
-                {"value": uvalue_doc(v), "ordinal": o, "body": _block_doc(b)}
-                for v, o, b in cmd.cases
+                {"value": uvalue_doc(v), "ordinal": o, "body": body} for v, o, body in cases
             ],
             "end_ordinal": cmd.end_ordinal,
-        }
-    if isinstance(cmd, AtomicNode):
-        return {
+        }]
+
+    def atomic(self, cmd: AtomicNode, body: list) -> list:
+        return [{
             "op": "atomic",
             "ordinal": cmd.ordinal,
             "end_ordinal": cmd.end_ordinal,
-            "body": _block_doc(cmd.block),
-        }
-    doc = {"op": cmd.op, "ordinal": cmd.ordinal}
-    for f in fields(cmd):
-        if f.name != "ordinal":
-            doc[f.name] = _field_doc(f.name, getattr(cmd, f.name))
-    return doc
+            "body": body,
+        }]

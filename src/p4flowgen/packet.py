@@ -62,6 +62,9 @@ ipv4_header_bytes, _ipv4_checksum = _PACK["ipv4"]
 # transport header.
 _L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
 
+# The ingress ports a packet may arrive on.
+PORT_MAX = 0xFFFF
+
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 _ETH_NAMES, _IPV4_NAMES, _UDP_NAMES, _TCP_NAMES = (
     _FIELD_NAMES[header] for header in ("eth", "ipv4", "udp", "tcp")
@@ -90,13 +93,16 @@ class SimPacket:
     payload: bytes = b""
 
     def validate(self) -> None:
-        """Raise MalformedPacket for a port out of range, both transport
-        headers, a payload that is not bytes, a missing eth or ipv4 map, or
-        a header map whose fields are not its header's; the first failing
-        test, in that order, words the error."""
-        eth, ipv4, udp, tcp = self.eth, self.ipv4, self.udp, self.tcp
-        if not 0 <= self.ingress_port <= 0xFFFF:
-            raise MalformedPacket(f"ingress port {self.ingress_port} out of range")
+        """Raise MalformedPacket for a port that is not an int (a bool
+        included) or is out of range, both transport headers, a payload
+        that is not bytes, a missing eth or ipv4 map, or a header map whose
+        fields are not its header's; the first failing test, in that
+        order, words the error."""
+        port, eth, ipv4, udp, tcp = self.ingress_port, self.eth, self.ipv4, self.udp, self.tcp
+        if port.__class__ is not int:
+            raise MalformedPacket(f"ingress port {port!r} is not an int")
+        if not 0 <= port <= PORT_MAX:
+            raise MalformedPacket(f"ingress port {port} out of range")
         if udp is not None and tcp is not None:
             raise MalformedPacket("packet cannot carry both UDP and TCP")
         if not isinstance(self.payload, (bytes, bytearray)):

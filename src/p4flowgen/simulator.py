@@ -11,9 +11,9 @@ packet module; they are importable from here too.
 
 ``classify`` looks packets up in an index keyed by the standard-header
 values the selectors match on. On its first match, a processor is
-compiled into one Python function from generated source, the way
-``packet._packer`` compiles header packing, and again after each builder
-call.
+compiled into one Python function, and again after each builder call:
+``flow_ast.render`` prints its body in ``_Compiler``'s Python dialect,
+the walk codegen prints in P4.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as chain_from
-from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
 from .core_model import (
@@ -40,26 +39,24 @@ from .flow_ast import (
     Add,
     AssignConst,
     AssignVar,
-    AtomicNode,
-    Block,
     Cast,
     Equals,
     FlowProcessor,
     Forward,
     Greater,
-    IfNode,
     Rand,
     RingPush,
     RingReadHead,
     Scope,
     SendBack,
     Sub,
-    SwitchNode,
-    VarRef,
+    flatten,
     operand_fields,
+    render,
 )
 from .packet import (  # the packet names are re-exported from here too
     _L4_PROTOCOL,
+    PORT_MAX,
     SimPacket,
     _ipv4_checksum,
     ipv4_header_bytes,
@@ -240,9 +237,10 @@ _NAMESPACE = {
     "TE": TraceEvent, "UValue": UValue, "MATCH": TraceEvent(0, "match", (), ()),
 }
 
-# One entry per plain op, as in codegen._EMIT: for an op with a ``target``
-# the expression of the value written (the compiler writes the target and
-# records the event), for any other op its statements.
+# One entry per plain op, as codegen._EMIT has one for the P4 dialect: for
+# an op with a ``target`` the expression of the value written
+# (_Compiler.op writes the target and records the event), for any other op
+# its statements.
 _PY = {
     AssignConst: lambda c, cmd, py: py.value,
     AssignVar: lambda c, cmd, py: py.source,
@@ -268,15 +266,17 @@ _PY = {
 
 
 class _Compiler:
-    """The source of one processor's run function: (payload, ingress port,
-    state) to (trace events, egress port or None, new payload or None).
-    Variables are the locals ``v<i>`` in declaration order, rings ``r<i>``.
-    Constants that tell processors of one shape apart (state keys, operand
-    values, ports, events) are the namespace's ``k<i>``, so that such
-    processors share one source text and one code object."""
+    """The Python dialect of ``flow_ast.render``, for the source of one
+    processor's run function: (payload, ingress port, state) to (trace
+    events, egress port or None, new payload or None). Every hook returns
+    statements. Variables are the locals ``v<i>`` in declaration order,
+    rings ``r<i>``. Constants that tell processors of one shape apart
+    (state keys, operand values, ports, events) are the namespace's
+    ``k<i>``, so that such processors share one source text and one code
+    object."""
 
     def __init__(self, proc: FlowProcessor) -> None:
-        self.consts, self.lines = [], []
+        self.consts = []
         self.outputs = proc.output.fields if proc.output is not None else ()
         decls = (*proc.input.fields, *self.outputs, *proc.locals, *proc.shared)
         self.var = {d.name: f"v{i}" for i, d in enumerate(decls)}
@@ -294,27 +294,12 @@ class _Compiler:
         """The statement recording a constant trace event."""
         return f"append({self.const(TraceEvent(ordinal, kind, seen, seen))})"
 
-    def emit(self, depth: int, *lines: str) -> None:
-        self.lines.extend("    " * depth + line for line in lines)
-
-    def block(self, block: Block, depth: int) -> None:
-        if not block.commands:
-            self.emit(depth, "pass")
-        for cmd in block.commands:
-            self.command(cmd, depth)
-
-    def command(self, cmd, depth: int) -> None:
-        entry = _PY.get(type(cmd))
-        if entry is None:
-            return self.scope(cmd, depth)
-        py = SimpleNamespace(**{
-            name: self.operand(v) if isinstance(v, (VarRef, UValue)) else v
-            for name, v in vars(cmd).items()
-        })
+    def op(self, cmd, py) -> list:
+        entry = _PY[type(cmd)]
         if hasattr(cmd, "ring"):
             py.ring = self.ring[cmd.ring]
         if not hasattr(cmd, "target"):
-            return self.emit(depth, *entry(self, cmd, py))
+            return entry(self, cmd, py)
         # Operands are recorded as read before the write: one that is the
         # target itself reads as its old value ``t``.
         names = operand_fields(type(cmd))
@@ -322,35 +307,41 @@ class _Compiler:
             if getattr(py, name) == py.target:
                 setattr(py, name, "t")
         py.mask = hex(cmd.target.width.mask)
-        self.emit(depth, f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}")
+        lines = [f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}"]
         if cmd.target.scope is Scope.SHARED:
             key, width = self.key[cmd.target.name], self.const(cmd.target.width)
-            self.emit(depth, f"shared[{key}] = UValue({width}, {py.target})")
+            lines.append(f"shared[{key}] = UValue({width}, {py.target})")
         read = "".join(f"{getattr(py, name)}, " for name in names)
-        self.emit(depth, f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), "
-                         f"({py.target}, {read}))))")
+        lines.append(f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), "
+                     f"({py.target}, {read}))))")
+        return lines
 
-    def scope(self, cmd, depth: int) -> None:
-        if isinstance(cmd, AtomicNode):
-            self.emit(depth, self.event(cmd.ordinal, "atomic_begin"))
-            self.block(cmd.block, depth)
-            return self.emit(depth, self.event(cmd.end_ordinal, "atomic_end"))
-        if isinstance(cmd, IfNode):
-            seen, kind = self.var[cmd.cond.name], "if"
-            arms = [(f"if {seen} == 1", cmd.then_block)]
-            arms += [("else", cmd.else_block)] if cmd.else_block is not None else []
-        elif isinstance(cmd, SwitchNode):
-            seen, kind = self.operand(cmd.selector), "switch"
-            arms = [
-                (f"{'elif' if i else 'if'} {seen} == {self.const(value.magnitude)}", block)
-                for i, (value, _, block) in enumerate(cmd.cases)
-            ]
-        else:
-            raise TypeError(f"cannot simulate {cmd!r}")
-        self.emit(depth, f"c = ({seen},)", f"append(new(TE, ({cmd.ordinal}, {kind!r}, c, c)))")
-        for head, block in arms:
-            self.emit(depth, f"{head}:")
-            self.block(block, depth + 1)
+    @staticmethod
+    def _branch(cmd, kind: str, seen: str) -> list:
+        """The statements recording the value a branch is chosen on."""
+        return [f"c = ({seen},)", f"append(new(TE, ({cmd.ordinal}, {kind!r}, c, c)))"]
+
+    def if_(self, cmd, then: list, orelse: Optional[list]) -> list:
+        seen = self.var[cmd.cond.name]
+        lines = [*self._branch(cmd, "if", seen), f"if {seen} == 1:", then or ["pass"]]
+        if orelse is not None:
+            lines += ["else:", orelse or ["pass"]]
+        return lines
+
+    def switch(self, cmd, cases: list) -> list:
+        seen = self.operand(cmd.selector)
+        lines = self._branch(cmd, "switch", seen)
+        for i, (value, _, body) in enumerate(cases):
+            head = f"{'elif' if i else 'if'} {seen} == {self.const(value.magnitude)}"
+            lines += [f"{head}:", body or ["pass"]]
+        return lines
+
+    def atomic(self, cmd, body: list) -> list:
+        return [
+            self.event(cmd.ordinal, "atomic_begin"),
+            *body,
+            self.event(cmd.end_ordinal, "atomic_end"),
+        ]
 
 
 def _compiled(proc: FlowProcessor):
@@ -362,9 +353,7 @@ def _compiled(proc: FlowProcessor):
         return run
     c = _Compiler(proc)
     unpack = "".join(f"{c.var[f.name]}, " for f in proc.input.fields)
-    c.emit(0, "def run(payload, ingress, state):")
-    c.emit(
-        1,
+    body = [
         "shared, rng = state.shared, state.rng",
         f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
         *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
@@ -372,17 +361,18 @@ def _compiled(proc: FlowProcessor):
         *(f"{c.ring[r.name]} = state.rings[{c.key[r.name]}]" for r in proc.rings),
         "egress, events = None, [MATCH]",
         "append = events.append",
-    )
-    c.block(proc.body, 1)
+        *render(proc.body, c),
+    ]
     if proc.output is None:
-        c.emit(1, "return events, egress, None")
+        body.append("return events, egress, None")
     else:
         # struct.pack checks that every output value fits its width.
         values = "".join(f"{c.var[f.name]}, " for f in c.outputs)
         tail = "" if proc.truncate_payload else f" + payload[{proc.input.byte_size}:]"
-        c.emit(1, f"return events, egress, pack({_format(proc.output)!r}, {values}){tail}")
+        body.append(f"return events, egress, pack({_format(proc.output)!r}, {values}){tail}")
+    source = flatten(["def run(payload, ingress, state):", body], 0)
     namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
-    exec(_code("\n".join(c.lines), "<processor>", "exec"), namespace)
+    exec(_code(source, "<processor>", "exec"), namespace)
     proc._compiled = (proc._ordinal, namespace["run"])
     return namespace["run"]
 
@@ -424,8 +414,8 @@ def simulate_packet(
     The input packet is never mutated; a PASSTHROUGH result carries it
     unchanged, a PROCESSED result carries a rebuilt copy.
     """
+    sel = classify(solution, packet)  # validates the packet, its port first
     default_egress = packet.ingress_port ^ 1
-    sel = classify(solution, packet)
     if sel is None:
         return (
             SimResult(PASSTHROUGH, None, default_egress, packet),
@@ -446,16 +436,19 @@ def simulate_packet(
 def iter_trace(solution: Solution, packets, seed: int = 0) -> Iterator[SimResult]:
     """Simulate packets in order through one shared state, yielding each
     result as soon as it is made. Per-packet malformed-packet errors are
-    recorded on the result, not raised."""
+    recorded on the result, not raised; such a result leaves through the
+    default egress ``ingress_port ^ 1``, or -1 (no port) when the ingress
+    port itself is not an int in 0..65535."""
     state = initial_state(solution, seed)
     for packet in packets:
         try:
             result, state = simulate_packet(solution, state, packet)
         except MalformedPacket as e:
+            port = packet.ingress_port
             result = SimResult(
                 PASSTHROUGH,
                 None,
-                packet.ingress_port ^ 1,
+                port ^ 1 if port.__class__ is int and 0 <= port <= PORT_MAX else -1,
                 packet,
                 error=str(e),
             )

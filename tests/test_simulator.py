@@ -6,6 +6,7 @@ checksum) come from tests/oracles.py and never touch package code.
 
 import gc
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from p4flowgen.core_model import (
     wrap_sub,
 )
 from p4flowgen.errors import MalformedPacket
+from p4flowgen.program_doc import dumps_results
 from p4flowgen.flow_ast import (
     Add,
     AssignConst,
@@ -799,11 +801,26 @@ class TestLazyCompile:
             proc.body.add(Greater(proc.var("big"), proc.var("v"), u8(threshold)))
             proc.body.add(Add(proc.var("total"), proc.var("total"), proc.var("v")))
             proc.body.add(Forward(port))
+            (proc.body.If(proc.var("big"))
+                .add(AssignConst(proc.var("total"), u8(threshold)))
+                .Else().add(Forward(port + 1)).EndIf())
+            (proc.body.Switch(proc.var("v"))
+                .Case(u8(threshold)).add(Add(proc.var("total"), proc.var("v"), u8(port)))
+                .Case(u8(threshold + 1)).EndSwitch())
+            proc.body.Atomic().add(Sub(proc.var("total"), proc.var("total"), u8(1))).EndAtomic()
             return proc
 
         low, high = build("low", 3, 7), build("high", 200, 9)
         assert simulator._compiled(low).__code__ is simulator._compiled(high).__code__
         assert simulator._compiled(low) is not simulator._compiled(high)
+        # The shared code still runs each processor with its own constants.
+        for proc in (low, high):
+            sol = udp_solution(proc, 1009)
+            for v in (3, 4, 200, 201, 0):
+                res, _ = simulate_packet(sol, initial_state(sol), make_udp_packet(1009, bytes([v])))
+                events, egress, _ = ref_sim.run(proc, bytes([v]), 0, ref_sim.RefState(proc, 0))
+                assert [tuple(e) for e in res.trace] == events
+                assert res.egress_port == egress
 
     def test_open_scopes_simulate(self):
         proc = new_flow_processor(
@@ -905,6 +922,12 @@ class TestHeaderFields:
     @pytest.mark.parametrize("changes, message", [
         ({"ingress_port": 0x10000}, "ingress port 65536 out of range"),
         ({"ingress_port": -1}, "ingress port -1 out of range"),
+        # The port's class is checked before its range; a bool is no port.
+        ({"ingress_port": 1.5}, "ingress port 1.5 is not an int"),
+        ({"ingress_port": "3"}, "ingress port '3' is not an int"),
+        ({"ingress_port": None}, "ingress port None is not an int"),
+        ({"ingress_port": True}, "ingress port True is not an int"),
+        ({"ingress_port": "3", "tcp": {}}, "ingress port '3' is not an int"),
         ({"tcp": {}}, "packet cannot carry both UDP and TCP"),
         ({"payload": "01"}, "payload must be bytes"),
         # The checks run in one order: the first failure is the one worded.
@@ -930,6 +953,25 @@ class TestHeaderFields:
         bad, good = run_trace(GUESS, [pkt, make_udp_packet(GUESS_PORT, payload=b"\x01")], seed=0)
         assert bad.verdict == PASSTHROUGH and bad.error == f"packet has no {header} header"
         assert good.verdict == PROCESSED and good.error is None
+
+    @pytest.mark.parametrize("port", [1.5, "3", None, True, False, -1, 0x10000, 70000])
+    def test_bad_ingress_port_is_a_per_packet_error_with_no_egress(self, port):
+        pkt = make_udp_packet(GUESS_PORT, payload=b"\x01")
+        pkt.ingress_port = port
+        with pytest.raises(MalformedPacket, match="ingress port"):
+            simulate_packet(GUESS, initial_state(GUESS), pkt)
+        bad, good = run_trace(GUESS, [pkt, make_udp_packet(GUESS_PORT, payload=b"\x01")], seed=0)
+        assert (bad.verdict, bad.egress_port, bad.packet) == (PASSTHROUGH, -1, pkt)
+        assert bad.error.startswith("ingress port")
+        assert good.verdict == PROCESSED and good.error is None
+        text = dumps_results(0, [bad, good])
+        assert json.loads(text)["results"][0]["egress_port"] == -1
+
+    @pytest.mark.parametrize("port", [0, 7, 0xFFFF])
+    def test_malformed_packet_on_a_valid_port_leaves_by_the_default_egress(self, port):
+        pkt = make_udp_packet(GUESS_PORT, payload=b"", ingress_port=port)
+        (res,) = run_trace(GUESS, [pkt], seed=0)
+        assert res.error is not None and res.egress_port == port ^ 1
 
     @pytest.mark.parametrize("changes", [
         {"payload": bytearray(b"\x01")},
