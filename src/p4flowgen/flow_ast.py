@@ -215,7 +215,7 @@ class Forward:
     ordinal: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.port, int) or not 0 <= self.port <= 0xFFFF:
+        if type(self.port) is not int or not 0 <= self.port <= 0xFFFF:  # not a bool
             raise ValueError(f"port {self.port!r} is not an unsigned 16-bit value")
 
 

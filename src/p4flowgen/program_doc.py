@@ -138,6 +138,32 @@ def _all(tests):
     return tests[0] if len(tests) == 1 else check
 
 
+def _tagged_union(members):
+    """``(key, {tag: [then, ...]})`` when every member of the allOf
+    ``members`` is exactly ``{"if": {"properties": {key: TEST}}, "then":
+    THEN}``, one key for all, with TEST ``{"const": tag}`` or ``{"enum":
+    [tag, ...]}`` and every tag a str; each tag lists the THENs of the
+    members that name it, in order. None for any other allOf."""
+    key, table = None, {}
+    for member in members:
+        plain = isinstance(member, dict) and member.keys() == {"if", "then"}
+        cond = member["if"] if plain else None
+        props = cond.get("properties") if isinstance(cond, dict) and len(cond) == 1 else None
+        if not isinstance(props, dict) or len(props) != 1:
+            return None
+        (name, test), = props.items()
+        if not isinstance(test, dict) or len(test) != 1 or key not in (None, name):
+            return None
+        (word, tags), = test.items()
+        tags = [tags] if word == "const" else tags if word == "enum" else None
+        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+            return None
+        key = name
+        for tag in tags:
+            table.setdefault(tag, []).append(member["then"])
+    return None if key is None else (key, table)
+
+
 def _brief(x) -> str:
     """``repr(x)``, cut short for a message."""
     text = repr(x)
@@ -173,6 +199,13 @@ def compile_schema(root: dict):
     ``_rank`` (the node's own keywords first, unevaluatedProperties
     last), and follows a keyword that applies a subschema down into its
     first failing member.
+
+    An allOf that ``_tagged_union`` reads as a union tagged by key K
+    (each member ``{"if": {"properties": {K: {"const"|"enum": ...}}},
+    "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``,
+    and so is its annotation for unevaluatedProperties; without K, or on
+    a non-object, every member runs. Acceptance and every diagnostic are
+    those of the plain allOf: ``why`` still walks its members.
 
     Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
     a list of types, a list or object in const/enum, and a ``$ref``
@@ -254,7 +287,20 @@ def compile_schema(root: dict):
         if name == "$ref":
             return check(resolve(value))
         if name == "allOf":
-            return _all([check(s) for s in value])
+            every = _all([check(s) for s in value])
+            union = _tagged_union(value)
+            if union is None:
+                return every
+            tag_key, thens = union
+            table = {tag: _all([check(s) for s in ss]) for tag, ss in thens.items()}
+
+            def dispatch(x):
+                if not isinstance(x, dict) or tag_key not in x:
+                    return every(x)  # each if holds vacuously
+                tag = x[tag_key]
+                return not isinstance(tag, str) or tag not in table or table[tag](x)
+
+            return dispatch
         if name == "oneOf":
             subs = [check(s) for s in value]
             return lambda x: sum(1 for sub in subs if sub(x)) == 1
@@ -284,7 +330,12 @@ def compile_schema(root: dict):
             parts.append((None, lambda x: names & x.keys()))
         if "$ref" in schema:
             parts.append((None, annotate(resolve(schema["$ref"]))))
-        parts += [(None, annotate(s)) for s in schema.get("allOf", ())]
+        members = schema.get("allOf", ())
+        union = _tagged_union(members)
+        if union is not None:
+            parts.append((None, annotate_tagged(members, *union)))
+        else:
+            parts += [(None, annotate(s)) for s in members]
         parts += [(check(s), annotate(s)) for s in schema.get("oneOf", ())]
         if "if" in schema:
             cond = check(schema["if"])
@@ -297,6 +348,23 @@ def compile_schema(root: dict):
                 if cond is None or cond(x):
                     keys |= part(x)
             return keys
+
+        return evaluated
+
+    def annotate_tagged(members, tag_key, thens):
+        """``annotate`` of the members of an allOf that ``_tagged_union``
+        reads as ``(tag_key, thens)``: the tag and the keys of the THENs
+        it names, or, without a tag, those of every THEN (each if holds
+        vacuously and its own annotation is empty)."""
+        every = {id(s["then"]): annotate(s["then"]) for s in members}
+        table = {tag: [every[id(s)] for s in ss] for tag, ss in thens.items()}
+
+        def evaluated(x):
+            if tag_key not in x:
+                return set().union(*[part(x) for part in every.values()])
+            tag = x[tag_key]
+            parts = table.get(tag) if isinstance(tag, str) else None
+            return {tag_key}.union(*[part(x) for part in parts]) if parts else set()
 
         return evaluated
 

@@ -204,8 +204,9 @@ class TestAdd:
     def test_send_back_and_forward(self):
         p = make_proc()
         p.body.add(SendBack()).add(Forward(7))
-        with pytest.raises(ValueError):
-            Forward(70000)
+        for port in (70000, True, False):  # a bool would be emitted as 16wTrue
+            with pytest.raises(ValueError):
+                Forward(port)
 
     def test_equals_on_output_and_shared_targets(self):
         p = make_proc()

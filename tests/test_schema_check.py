@@ -25,6 +25,7 @@ from p4flowgen import cli
 from p4flowgen.builtin_examples import asset_path
 from p4flowgen.program_doc import (
     DocError,
+    _tagged_union,
     compile_schema,
     load_schema,
     schema_check,
@@ -143,7 +144,56 @@ UNEVALUATED_NOT = {
     "unevaluatedProperties": False,
 }
 ONE_OF = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
+# An allOf of if/then pairs on one string tag, checked by a lookup of the
+# tag (see _tagged_union); "y" is evaluated only by the "b"/"c" branch.
+TAGGED_MEMBERS = [
+    {
+        "if": {"properties": {"op": {"const": "a"}}},
+        "then": {"required": ["x"], "properties": {"x": {"type": "integer"}}},
+    },
+    {
+        "if": {"properties": {"op": {"enum": ["b", "c"]}}},
+        "then": {"type": "object", "required": ["y"], "properties": {"y": {}}},
+    },
+]
+TAGGED = {"allOf": TAGGED_MEMBERS}
+TAGGED_UNEVALUATED = {
+    "properties": {"op": {}},
+    "allOf": TAGGED_MEMBERS,
+    "unevaluatedProperties": False,
+}
+# Here only an if that holds evaluates the tag itself.
+TAGGED_BARE = {"allOf": TAGGED_MEMBERS, "unevaluatedProperties": False}
 KEYWORD_CASES = [
+    (TAGGED, {"op": "a", "x": 1}, True),
+    (TAGGED, {"op": "a", "x": 1.5}, False),  # the matched then fails
+    (TAGGED, {"op": "a", "y": 1}, False),
+    (TAGGED, {"op": "c", "y": 1}, True),  # a tag of an enum member
+    (TAGGED, {"op": "c", "x": 1}, False),
+    # no tag: every if holds vacuously, so every then applies
+    (TAGGED, {"x": 1}, False),
+    (TAGGED, {"x": 1, "y": 1}, True),
+    # a tag that is not a str, or an unknown one: no then applies
+    (TAGGED, {"op": 5, "x": "z"}, True),
+    (TAGGED, {"op": True}, True),
+    (TAGGED, {"op": None}, True),
+    (TAGGED, {"op": ["a"]}, True),
+    (TAGGED, {"op": "d"}, True),
+    # not an object: every then applies, and one demands an object
+    (TAGGED, "a", False),
+    (TAGGED, [], False),
+    (TAGGED_UNEVALUATED, {"op": "a", "x": 1}, True),
+    (TAGGED_UNEVALUATED, {"op": "b", "y": 1}, True),
+    (TAGGED_UNEVALUATED, {"op": "a", "x": 1, "y": 1}, False),
+    (TAGGED_UNEVALUATED, {"op": "d", "y": 1}, False),
+    (TAGGED_UNEVALUATED, {"op": 5, "x": 1}, False),
+    (TAGGED_UNEVALUATED, {"op": 5}, True),
+    (TAGGED_UNEVALUATED, {"x": 1, "y": 1}, True),
+    (TAGGED_UNEVALUATED, {"x": 1, "y": 1, "z": 1}, False),
+    (TAGGED_BARE, {"op": "a", "x": 1}, True),
+    (TAGGED_BARE, {"op": "d"}, False),
+    (TAGGED_BARE, {"op": 5}, False),
+    (TAGGED_BARE, {"x": 1, "y": 1}, True),
     (UNEVALUATED_IF, {"op": "a", "x": 1}, True),
     (UNEVALUATED_IF, {"op": "b", "x": 1}, False),
     (UNEVALUATED_IF, {"op": "a", "x": 1.0}, False),
@@ -194,6 +244,34 @@ KEYWORD_CASES = [
     ({"if": {"minimum": 5}, "then": {"maximum": 7}}, 3, True),
 ]
 
+# Commands whose "body" is a block of commands, as in the program schema.
+BLOCK = {
+    "$defs": {
+        "command": {
+            "type": "object",
+            "required": ["op"],
+            "properties": {"op": {"type": "string"}},
+            "allOf": [
+                {
+                    "if": {"properties": {"op": {"const": "atomic"}}},
+                    "then": {
+                        "required": ["body"],
+                        "properties": {"body": {"items": {"$ref": "#/$defs/command"}}},
+                    },
+                },
+                {
+                    "if": {"properties": {"op": {"const": "rand"}}},
+                    "then": {
+                        "required": ["target"],
+                        "properties": {"target": {"pattern": "^[a-z]+$"}},
+                    },
+                },
+            ],
+            "unevaluatedProperties": False,
+        }
+    },
+    "$ref": "#/$defs/command",
+}
 
 DIAGNOSIS_CASES = [
     # (schema, rejected document, reported path, words of the message)
@@ -240,6 +318,11 @@ DIAGNOSIS_CASES = [
      {"a": 1, "c": 1}, "$", "additional properties are not allowed: 'c'"),
     # ... and unevaluatedProperties after them: the member error is named
     (UNEVALUATED_IF, {"op": "a", "x": 1.0}, "x", "not of type 'integer'"),
+    # a bad command inside a dispatched branch is named by its path
+    (BLOCK, {"op": "atomic", "body": [{"op": "rand", "target": "X"}]},
+     "body[0].target", "pattern '^[a-z]+$'"),
+    (BLOCK, {"op": "atomic", "body": [{"op": "rand", "body": []}]},
+     "body[0]", "'target' is a required property"),
 ]
 
 
@@ -318,6 +401,40 @@ class TestCompiler:
     def test_unimplemented_schema_raises(self, schema):
         with pytest.raises(ValueError):
             compile_schema(schema)
+
+    def test_shipped_command_union_dispatches_on_its_op(self):
+        # Each command is checked by one lookup of its op; a schema edit
+        # that leaves this shape would fall back to trying every member.
+        command = load_schema("program")["$defs"]["command"]
+        key, thens = _tagged_union(command["allOf"])
+        assert key == "op"
+        assert set(thens) == set(command["properties"]["op"]["enum"]) - {"send_back"}
+
+    @pytest.mark.parametrize(
+        "members, key",
+        [
+            (TAGGED_MEMBERS, "op"),
+            (BLOCK["$defs"]["command"]["allOf"], "op"),
+            ([], None),
+            ([True], None),
+            ([{"if": {"properties": {"op": {"const": 1}}}, "then": {}}], None),
+            ([{"if": {"properties": {"op": {"enum": ["a", 1]}}}, "then": {}}], None),
+            ([{"if": {"properties": {"op": {"const": "a"}}}, "then": {}, "else": {}}], None),
+            ([{"if": {"properties": {"op": {"const": "a"}}}}], None),
+            ([{"if": {"properties": {"op": {"const": "a"}}, "required": ["op"]},
+               "then": {}}], None),
+            ([{"if": {"properties": {"op": {"const": "a", "type": "string"}}},
+               "then": {}}], None),
+            ([{"if": {"properties": {"op": {"pattern": "a"}}}, "then": {}}], None),
+            ([{"if": {"properties": {"op": True}}, "then": {}}], None),
+            ([{"if": {"properties": {"op": {"const": "a"}, "v": {}}}, "then": {}}], None),
+            ([*TAGGED_MEMBERS, {"if": {"properties": {"kind": {"const": "a"}}},
+                                "then": {}}], None),
+        ],
+    )
+    def test_tagged_union_shape(self, members, key):
+        union = _tagged_union(members)
+        assert (union and union[0]) == key
 
     @pytest.mark.parametrize("schema, doc, valid", KEYWORD_CASES)
     def test_keyword_semantics(self, schema, doc, valid):
