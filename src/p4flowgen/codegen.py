@@ -14,8 +14,9 @@ plus ``program.p4``, the template with every fragment spliced in.
 
 Every fragment is built as nested lists of lines, a nested list one
 level deeper, and indented by ``flow_ast.flatten``. A processor's body is
-printed by ``flow_ast.render`` in the ``_P4`` dialect, the same walk the
-simulator compiles and the document form follows.
+printed once by ``flow_ast.render`` in the ``_P4`` dialect, the same walk
+the simulator compiles and the document form follows; that one print
+gives both the processor's statements and the declarations they need.
 
 Output is deterministic: identical Solutions yield byte-identical files.
 User constants are emitted verbatim, never folded. Every builder call is
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 
 from .core_model import HEADER_BYTES, TEMPLATE, HeaderLayout, UValue
 from .flow_ast import (
+    TARGET,
     Add,
     AssignConst,
     AssignVar,
@@ -49,7 +51,6 @@ from .flow_ast import (
     VarRef,
     flatten,
     render,
-    walk,
 )
 from .selector import (
     STACK_HEADERS,
@@ -119,21 +120,26 @@ def _eq_base(proc: FlowProcessor, ordinal: int) -> str:
 
 
 class _P4:
-    """The P4 dialect of ``flow_ast.render`` for one processor's body:
-    every builder call echoed as a ``// [n] Kind`` comment in front of its
-    statements."""
+    """The P4 dialect of ``flow_ast.render``, and one processor's body
+    printed in it: ``body`` echoes every builder call as a ``// [n] Kind``
+    comment in front of its statements, and ``decls`` holds the
+    control-scope declarations those need, the table of each TABLE-hint
+    Equals."""
 
     def __init__(self, proc: FlowProcessor) -> None:
         self.proc = proc
+        self.decls: list = []
+        self.body = render(proc.body, self)
 
     def operand(self, op) -> str:
         return _const(op) if isinstance(op, UValue) else _lvalue(self.proc, op)
 
     def op(self, cmd, p4) -> list:
         lines = [f"// [{cmd.ordinal}] {type(cmd).__name__}"]
-        lines += _EMIT[type(cmd)](self.proc, cmd, p4)
-        if hasattr(cmd, "target") and cmd.target.scope is Scope.SHARED:
-            lines.append(f"reg__{self.proc.name}__{cmd.target.name}.write(0, {p4.target});")
+        lines += _EMIT[type(cmd)](self, cmd, p4)
+        for _, role in cmd.roles:
+            if role is TARGET and cmd.target.scope is Scope.SHARED:
+                lines.append(f"reg__{self.proc.name}__{cmd.target.name}.write(0, {p4.target});")
         return lines
 
     def if_(self, cmd, then: list, orelse: Optional[list]) -> list:
@@ -181,55 +187,71 @@ def _set_flag(p4, sign: str) -> list:
     ]
 
 
-def _table_lookup(proc: FlowProcessor, cmd: Equals, p4) -> list:
-    """Equals through the exact-match table that _emit_decls declares."""
-    base = _eq_base(proc, cmd.ordinal)
+def _table_lookup(d: _P4, cmd: Equals, p4) -> list:
+    """Equals through an exact-match table, declared in ``d.decls``."""
+    base = _eq_base(d.proc, cmd.ordinal)
+    width = cmd.lhs.width
+    d.decls += [
+        f"bit<{width.bits}> {base};",
+        f"action {base}__hit() {{ {p4.target} = 8w1; }}",
+        f"action {base}__miss() {{ {p4.target} = 8w0; }}",
+        f"table {base}__t {{",
+        [
+            f"key = {{ {base} : exact; }}",
+            f"actions = {{ {base}__hit; {base}__miss; }}",
+            "const entries = {",
+            [f"{width.bits}w0 : {base}__hit();"],
+            "}",
+            f"const default_action = {base}__miss();",
+        ],
+        "}",
+    ]
     return [f"{base} = {p4.lhs} ^ {p4.rhs};", f"{base}__t.apply();"]
 
 
-def _emit_rand(proc: FlowProcessor, cmd: Rand, p4) -> list:
+def _emit_rand(d: _P4, cmd: Rand, p4) -> list:
     width = cmd.target.width
     return [f"random({p4.target}, {width.bits}w0, {width.bits}w{width.mask});"]
 
 
-def _emit_ring_push(proc: FlowProcessor, cmd: RingPush, p4) -> list:
-    head, reg = f"{proc.name}__{cmd.ring}__head", f"ring__{proc.name}__{cmd.ring}"
+def _emit_ring_push(d: _P4, cmd: RingPush, p4) -> list:
+    head, reg = f"{d.proc.name}__{cmd.ring}__head", f"ring__{d.proc.name}__{cmd.ring}"
     return [
         f"{reg}__head.read({head}, 0);",
         f"{reg}.write({head}, {p4.source});",
         f"{head} = {head} + 32w1;",
-        f"if ({head} == 32w{proc.ring(cmd.ring).capacity}) {{",
+        f"if ({head} == 32w{d.proc.ring(cmd.ring).capacity}) {{",
         [f"{head} = 32w0;"],
         "}",
         f"{reg}__head.write(0, {head});",
     ]
 
 
-def _emit_ring_read_head(proc: FlowProcessor, cmd: RingReadHead, p4) -> list:
-    head, reg = f"{proc.name}__{cmd.ring}__head", f"ring__{proc.name}__{cmd.ring}"
+def _emit_ring_read_head(d: _P4, cmd: RingReadHead, p4) -> list:
+    head, reg = f"{d.proc.name}__{cmd.ring}__head", f"ring__{d.proc.name}__{cmd.ring}"
     return [f"{reg}__head.read({head}, 0);", f"{reg}.read({p4.target}, {head});"]
 
 
-# One entry per plain op: its P4 statements, a nested list one level
-# deeper. _P4.op adds the ``// [n] Kind`` comment in front and,
-# for a shared target, the register writeback behind.
+# One entry per plain op, called with the dialect: its P4 statements, a
+# nested list one level deeper. _P4.op adds the ``// [n] Kind`` comment
+# in front and, for a shared target, the register writeback behind.
 _EMIT = {
-    AssignConst: lambda proc, cmd, p4: [f"{p4.target} = {p4.value};"],
-    AssignVar: lambda proc, cmd, p4: [f"{p4.target} = {p4.source};"],
-    Cast: lambda proc, cmd, p4: [
+    AssignConst: lambda d, cmd, p4: [f"{p4.target} = {p4.value};"],
+    AssignVar: lambda d, cmd, p4: [f"{p4.target} = {p4.source};"],
+    Cast: lambda d, cmd, p4: [
         f"{p4.target} = (bit<{cmd.target.width.bits}>){p4.source};"
     ],
-    Add: lambda proc, cmd, p4: [f"{p4.target} = {p4.lhs} + {p4.rhs};"],
-    Sub: lambda proc, cmd, p4: [f"{p4.target} = {p4.lhs} - {p4.rhs};"],
-    Equals: lambda proc, cmd, p4: (
-        _table_lookup(proc, cmd, p4) if cmd.hint is Hint.TABLE else _set_flag(p4, "==")
+    Add: lambda d, cmd, p4: [f"{p4.target} = {p4.lhs} + {p4.rhs};"],
+    Sub: lambda d, cmd, p4: [f"{p4.target} = {p4.lhs} - {p4.rhs};"],
+    Equals: lambda d, cmd, p4: (
+        _table_lookup(d, cmd, p4) if cmd.hint is Hint.TABLE else _set_flag(p4, "==")
     ),
-    Greater: lambda proc, cmd, p4: _set_flag(p4, ">"),
+    Greater: lambda d, cmd, p4: _set_flag(p4, ">"),
     Rand: _emit_rand,
     RingPush: _emit_ring_push,
     RingReadHead: _emit_ring_read_head,
-    SendBack: lambda proc, cmd, p4: ["smeta.egress_spec = smeta.ingress_port;"],
-    Forward: lambda proc, cmd, p4: [f"smeta.egress_spec = (bit<9>)16w{p4.port};"],
+    SendBack: lambda d, cmd, p4: ["smeta.egress_spec = smeta.ingress_port;"],
+    Forward: lambda d, cmd, p4: [f"smeta.egress_spec = (bit<9>)16w{p4.port};"],
 }
 
 
@@ -323,7 +345,7 @@ def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, i
     return "".join(parts)
 
 
-def _decls(p: FlowProcessor) -> list:
+def _decls(p: FlowProcessor, tables: list) -> list:
     items = [f"// processor {p.name}"]
     items += [f"bit<{d.width.bits}> {p.name}__{d.name};" for d in p.locals]
     for d in p.shared:
@@ -339,37 +361,12 @@ def _decls(p: FlowProcessor) -> list:
             f"register<bit<{r.element_width.bits}>>({r.capacity}) "
             f"ring__{p.name}__{r.name};"
         )
-    table_hints = [
-        c for c in walk(p.body) if isinstance(c, Equals) and c.hint is Hint.TABLE
-    ]
-    for eq in table_hints:
-        base = _eq_base(p, eq.ordinal)
-        width = eq.lhs.width
-        target = _lvalue(p, eq.target)
-        items += [
-            f"bit<{width.bits}> {base};",
-            f"action {base}__hit() {{ {target} = 8w1; }}",
-            f"action {base}__miss() {{ {target} = 8w0; }}",
-            f"table {base}__t {{",
-            [
-                f"key = {{ {base} : exact; }}",
-                f"actions = {{ {base}__hit; {base}__miss; }}",
-                "const entries = {",
-                [f"{width.bits}w0 : {base}__hit();"],
-                "}",
-                f"const default_action = {base}__miss();",
-            ],
-            "}",
-        ]
-    return items
+    return items + tables
 
 
-def _emit_decls(procs: Sequence[FlowProcessor]) -> str:
-    return "\n".join(flatten(_decls(p), 1) for p in procs)
-
-
-def _control(p: FlowProcessor, stack: ProtocolStack) -> list:
-    """The items of ``emit_processor_control``."""
+def _control(p: FlowProcessor, stack: ProtocolStack, body: list) -> list:
+    """The items of ``emit_processor_control``, ``body`` the rendered
+    commands."""
     p.validate_complete()
     items = [f"{p.name}__{d.name} = {d.width.bits}w0;" for d in p.locals]
     if any(d.initial.magnitude != 0 for d in p.shared):
@@ -387,7 +384,7 @@ def _control(p: FlowProcessor, stack: ProtocolStack) -> list:
     if p.output is not None:
         items.append(f"hdr.{p.name}__out.setValid();")
         items += [f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;" for f in p.output.fields]
-    items += render(p.body, _P4(p))
+    items += body
     if p.output is not None:
         # Bytes of the standard headers in front of the application payload.
         fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
@@ -414,15 +411,15 @@ def emit_processor_control(p: FlowProcessor, stack: ProtocolStack) -> str:
     then header-validity flips and byte-delta bookkeeping, sized for the
     headers of ``stack``. They are indented for the flow branch that
     ``_emit_apply`` opens at depth 2."""
-    return flatten(_control(p, stack), 3)
+    return flatten(_control(p, stack, _P4(p).body), 3)
 
 
-def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int]) -> str:
+def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int], printed: dict) -> str:
     return "\n".join(
         flatten([
             f"// flow {sel.name}",
             f"if (meta.app_flow == 16w{flow_ids[sel.name]}) {{",
-            _control(sel.processor, sel.stack),
+            _control(sel.processor, sel.stack, printed[sel.processor].body),
             "}",
         ], 2)
         for sel in selectors
@@ -448,12 +445,13 @@ def generate(solution: Solution) -> GeneratedFileSet:
     selectors = solution.selectors
     procs = solution.processors()
     flow_ids = {sel.name: i + 1 for i, sel in enumerate(selectors)}
+    printed = {p: _P4(p) for p in procs}
     files = {
         "headers.p4inc": _emit_headers(_unique_layouts(selectors)),
         "parser.p4inc": _emit_parser(solution.chains, flow_ids),
         "structs.p4inc": _emit_structs(procs),
-        "decls.p4inc": _emit_decls(procs),
-        "apply.p4inc": _emit_apply(selectors, flow_ids),
+        "decls.p4inc": "\n".join(flatten(_decls(p, printed[p].decls), 1) for p in procs),
+        "apply.p4inc": _emit_apply(selectors, flow_ids, printed),
     }
     template_text = load_template(TEMPLATE)
     files[COMBINED_NAME] = _combine(template_text, files)

@@ -49,6 +49,13 @@ class ErrorKind(enum.Enum):
     OPEN_SCOPE = "OpenScope"
     ATOMIC_NESTING = "AtomicNesting"
     RESERVED_NAME = "ReservedName"
+    NESTING_TOO_DEEP = "NestingTooDeep"
+
+
+# The most scopes (If, Switch and Atomic) one command may sit inside. The
+# simulator compiles a body to Python source, one indent per scope, and
+# Python allows at most 100 levels of indentation.
+MAX_NESTING = 64
 
 
 class SemanticError(FlowgenError):
@@ -104,11 +111,17 @@ Operand = Union[VarRef, UValue]
 
 # Each plain command class below is the one declaration of its op: ``op``
 # is its document tag and trace-event kind, and its dataclass fields, in
-# document order, carry roles fixed by their names. ``target`` is the
-# variable the op writes, ``value`` a constant, ``source``/``lhs``/``rhs``
-# operands, and ``ring``/``port``/``hint`` plain values. The ops read
-# their OPERAND_FIELDS (``value`` included) in field order.
-OPERAND_FIELDS = ("value", "source", "lhs", "rhs")
+# document order, have roles fixed by their names. ``target`` is the
+# variable the op writes (TARGET), ``value`` a constant (CONST),
+# ``source``/``lhs``/``rhs`` operands (OPERAND) and ``ring`` a ring's name
+# (RING). A field with an enum default has its enum class as its role, and
+# any other field is PLAIN.
+TARGET, CONST, OPERAND, RING, PLAIN = "target", "const", "operand", "ring", "plain"
+READS = (CONST, OPERAND)  # the roles of the fields an op reads
+_ROLE_OF_NAME = {
+    "target": TARGET, "value": CONST, "source": OPERAND, "lhs": OPERAND, "rhs": OPERAND,
+    "ring": RING,
+}
 
 
 @dataclass(frozen=True)
@@ -234,13 +247,24 @@ Command = Union[
     Forward,
 ]
 
-# The op table: every plain command class, keyed by its op name.
-OPS: dict[str, type] = {cls.op: cls for cls in get_args(Command)}
+
+def _role(f):
+    """The role of the command field ``f``."""
+    if f.name in _ROLE_OF_NAME:
+        return _ROLE_OF_NAME[f.name]
+    return type(f.default) if isinstance(f.default, enum.Enum) else PLAIN
 
 
-def operand_fields(cls: type) -> tuple[str, ...]:
-    """The fields a plain command class reads, in field order."""
-    return tuple(f.name for f in fields(cls) if f.name in OPERAND_FIELDS)
+def _op_table(*classes: type) -> dict[str, type]:
+    """The op table: every plain command class, keyed by its op name. Each
+    class gets ``roles``: its fields but ``ordinal``, in field order, each
+    as ``(name, role)``."""
+    for cls in classes:
+        cls.roles = tuple((f.name, _role(f)) for f in fields(cls) if f.name != "ordinal")
+    return {cls.op: cls for cls in classes}
+
+
+OPS = _op_table(*get_args(Command))
 
 
 class IfNode:
@@ -256,9 +280,6 @@ class IfNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
-    def blocks(self) -> list["Block"]:
-        return [self.then_block] + ([self.else_block] if self.else_block else [])
-
 
 class SwitchNode:
     """A Switch command: selector plus (value, block) cases in call order."""
@@ -271,9 +292,6 @@ class SwitchNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
-    def blocks(self) -> list["Block"]:
-        return [block for _, _, block in self.cases]
-
 
 class AtomicNode:
     """An Atomic command: its block executes indivisibly."""
@@ -285,20 +303,8 @@ class AtomicNode:
         self.end_ordinal: Optional[int] = None
         self.closed = False
 
-    def blocks(self) -> list["Block"]:
-        return [self.block]
-
 
 Node = Union[IfNode, SwitchNode, AtomicNode]
-
-
-def walk(block: "Block") -> Iterator[Union[Command, Node]]:
-    """Every command and node under a block, depth first in body order."""
-    for cmd in block.commands:
-        yield cmd
-        if isinstance(cmd, (IfNode, SwitchNode, AtomicNode)):
-            for inner in cmd.blocks():
-                yield from walk(inner)
 
 
 # One nesting level of every printed form.
@@ -310,7 +316,7 @@ def render(block: "Block", dialect) -> list:
     ``dialect``, in body order, as items where a nested list is one deeper.
 
     A plain command prints as ``dialect.op(cmd, ns)``; ``ns`` holds its
-    fields, the target and operands through ``dialect.operand``. A scope
+    fields, the target and what it reads through ``dialect.operand``. A scope
     renders its blocks first, then prints as ``dialect.if_(cmd, then,
     orelse)`` (``orelse`` None without an Else), ``dialect.switch(cmd,
     [(value, ordinal, body)])`` or ``dialect.atomic(cmd, body)``."""
@@ -326,10 +332,10 @@ def render(block: "Block", dialect) -> list:
         elif isinstance(cmd, AtomicNode):
             items += dialect.atomic(cmd, render(cmd.block, dialect))
         else:
-            ns = SimpleNamespace(**{
-                name: dialect.operand(v) if isinstance(v, (VarRef, UValue)) else v
-                for name, v in vars(cmd).items()
-            })
+            ns = SimpleNamespace(ordinal=cmd.ordinal)
+            for name, role in cmd.roles:
+                value = getattr(cmd, name)
+                setattr(ns, name, dialect.operand(value) if role is TARGET or role in READS else value)
             items += dialect.op(cmd, ns)
     return items
 
@@ -353,15 +359,10 @@ class Block:
 
     _takes_commands = True
 
-    def __init__(
-        self,
-        proc: "FlowProcessor",
-        parent: Optional["Block"] = None,
-        owner: Optional[Node] = None,
-    ) -> None:
+    def __init__(self, proc: "FlowProcessor", owner: Optional[Node] = None) -> None:
         self._proc = proc
-        self.parent = parent
         self._owner = owner
+        self._depth = 0 if owner is None else owner.container._depth + 1  # enclosing scopes
         self.commands: list[Union[Command, Node]] = []
 
     # -- scope bookkeeping -------------------------------------------------
@@ -381,7 +382,7 @@ class Block:
                     site,
                 )
 
-    def _begin(self) -> int:
+    def _begin(self, opens_scope: bool = False) -> int:
         """Consume the ordinal of a call that adds to this block."""
         site = self._proc._bump()
         if not self._takes_commands:
@@ -389,6 +390,10 @@ class Block:
                 ErrorKind.OPEN_SCOPE, "commands must be inside a Case", site
             )
         self._guard(site)
+        if opens_scope and self._depth >= MAX_NESTING:
+            raise SemanticError(
+                ErrorKind.NESTING_TOO_DEEP, f"scopes may nest at most {MAX_NESTING} deep", site
+            )
         return site
 
     # -- builder calls -----------------------------------------------------
@@ -405,24 +410,24 @@ class Block:
         return self
 
     def If(self, cond: VarRef) -> "ThenBlock":
-        site = self._begin()
+        site = self._begin(opens_scope=True)
         self._proc._require_bool_cond(cond, site)
         node = IfNode(cond, self, site)
-        node.then_block = ThenBlock(self._proc, parent=self, owner=node)
+        node.then_block = ThenBlock(self._proc, node)
         self.commands.append(node)
         self._proc._open_scopes += 1
         return node.then_block
 
     def Switch(self, selector: Operand) -> "SwitchBlock":
-        site = self._begin()
+        site = self._begin(opens_scope=True)
         self._proc._operand_info(selector, site)
         node = SwitchNode(selector, self, site)
         self.commands.append(node)
         self._proc._open_scopes += 1
-        return SwitchBlock(self._proc, parent=self, owner=node)
+        return SwitchBlock(self._proc, node)
 
     def Atomic(self) -> "AtomicBlock":
-        site = self._begin()
+        site = self._begin(opens_scope=True)
         for node in self._owner_chain():
             if isinstance(node, AtomicNode):
                 raise SemanticError(
@@ -431,7 +436,7 @@ class Block:
                     site,
                 )
         node = AtomicNode(self, site)
-        node.block = AtomicBlock(self._proc, parent=self, owner=node)
+        node.block = AtomicBlock(self._proc, node)
         self.commands.append(node)
         self._proc._open_scopes += 1
         return node.block
@@ -470,7 +475,7 @@ class ThenBlock(Block):
             raise SemanticError(
                 ErrorKind.OPEN_SCOPE, "this If already has an Else branch", site
             )
-        node.else_block = ElseBlock(self._proc, parent=node.container, owner=node)
+        node.else_block = ElseBlock(self._proc, node)
         node.else_ordinal = site
         return node.else_block
 
@@ -530,7 +535,7 @@ def _open_case(block: Block, value: UValue) -> CaseBlock:
         raise SemanticError(
             ErrorKind.DUPLICATE_NAME, f"duplicate case value {value}", site
         )
-    case_block = CaseBlock(proc, parent=node.container, owner=node)
+    case_block = CaseBlock(proc, node)
     node.cases.append((value, site, case_block))
     return case_block
 
@@ -571,6 +576,23 @@ class FlowProcessor:
         self.shared = shared
         self.rings = rings
         self.truncate_payload = truncate_payload
+        # The name tables: each variable's reference, and each ring. A name
+        # declared twice is refused here.
+        self._vars: dict[str, VarRef] = {}
+        self._rings = {r.name: r for r in rings}
+        outputs = output.fields if output is not None else ()
+        seen: set[str] = set()
+        for scope, decls in zip((*Scope, None), (input.fields, outputs, locals, shared, rings)):
+            for d in decls:
+                if d.name in seen:
+                    raise SemanticError(
+                        ErrorKind.DUPLICATE_NAME,
+                        f"name {d.name!r} is declared more than once in processor {name!r}",
+                        0,
+                    )
+                seen.add(d.name)
+                if scope is not None:
+                    self._vars[d.name] = VarRef(scope, d.name, d.width, _decl_is_bool(d))
         self.body = Block(self)
         self._ordinal = 0
         self._open_scopes = 0
@@ -584,35 +606,25 @@ class FlowProcessor:
 
     # -- name resolution ---------------------------------------------------
 
-    def _scopes(self) -> dict[Scope, tuple[FieldDecl, ...]]:
-        """The declarations of each scope, in name resolution order."""
-        return {
-            Scope.INPUT: self.input.fields,
-            Scope.OUTPUT: self.output.fields if self.output is not None else (),
-            Scope.LOCAL: self.locals,
-            Scope.SHARED: self.shared,
-        }
-
     def var(self, name: str) -> VarRef:
         """Resolve a declared name to a reference usable in commands.
 
         Raises UndeclaredName carrying the ordinal of the most recent
         builder call (resolution itself consumes no ordinal).
         """
-        for scope, decls in self._scopes().items():
-            decl = _find_field(decls, name)
-            if decl is not None:
-                return VarRef(scope, name, decl.width, _decl_is_bool(decl))
-        raise SemanticError(
-            ErrorKind.UNDECLARED_NAME,
-            f"{name!r} is not declared in processor {self.name!r}",
-            self._ordinal,
-        )
+        ref = self._vars.get(name)
+        if ref is None:
+            raise SemanticError(
+                ErrorKind.UNDECLARED_NAME,
+                f"{name!r} is not declared in processor {self.name!r}",
+                self._ordinal,
+            )
+        return ref
 
     def ring(self, name: str, site: Optional[int] = None) -> RingBufferDecl:
         """A declared ring by name. Raises UndeclaredName at ``site``, or
         at the most recent builder call when none is given."""
-        decl = _find_field(self.rings, name)
+        decl = self._rings.get(name)
         if decl is None:
             raise SemanticError(
                 ErrorKind.UNDECLARED_NAME,
@@ -632,14 +644,13 @@ class FlowProcessor:
                 f"processor {self.name!r} has no output layout",
                 site,
             )
-        decl = _find_field(self._scopes()[ref.scope], ref.name)
-        if decl is None:
+        decl = self._vars.get(ref.name)
+        if decl is None or decl.scope is not ref.scope:
             raise SemanticError(
                 ErrorKind.UNDECLARED_NAME,
                 f"{ref.name!r} is not declared in scope {ref.scope.value}",
                 site,
             )
-        is_bool = _decl_is_bool(decl)
         if ref.width is not decl.width:
             raise SemanticError(
                 ErrorKind.WIDTH_MISMATCH,
@@ -647,14 +658,14 @@ class FlowProcessor:
                 f"referenced as u{ref.width.bits}",
                 site,
             )
-        if ref.is_bool != is_bool:
+        if ref.is_bool != decl.is_bool:
             raise SemanticError(
                 ErrorKind.NOT_BOOLEAN,
                 f"bool marker on reference to {ref.name!r} does not match "
                 "its declaration",
                 site,
             )
-        return decl.width, is_bool
+        return decl.width, decl.is_bool
 
     def _operand_info(self, op: Operand, site: int) -> tuple[UWidth, bool]:
         if isinstance(op, UValue):
@@ -664,16 +675,6 @@ class FlowProcessor:
         raise TypeError(f"expected a VarRef or UValue operand, got {op!r}")
 
     # -- semantic checks ---------------------------------------------------
-
-    def _check_write(self, target: VarRef, site: int) -> tuple[UWidth, bool]:
-        width, is_bool = self._decl_of(target, site)
-        if target.scope is Scope.INPUT:
-            raise SemanticError(
-                ErrorKind.WRITE_TO_INPUT,
-                f"input field {target.name!r} is read-only",
-                site,
-            )
-        return width, is_bool
 
     def _require_bool_cond(self, cond: VarRef, site: int) -> None:
         if isinstance(cond, UValue):
@@ -697,28 +698,35 @@ class FlowProcessor:
             )
 
     def _check_command(self, cmd: Command, site: int) -> None:
-        """Resolve the ring, the target and the operands in field order,
-        then apply the op's own rules."""
+        """Resolve the fields by their roles, in field order (the ring and
+        the target come before what the op reads), then apply the op's own
+        rules."""
         kind = type(cmd).__name__
-        ring = self.ring(cmd.ring, site) if hasattr(cmd, "ring") else None
-        if hasattr(cmd, "target"):
-            width, is_bool = self._check_write(cmd.target, site)
-            if isinstance(cmd, (Equals, Greater)) and not is_bool:
-                raise SemanticError(
-                    ErrorKind.NOT_BOOLEAN,
-                    f"{kind} target {cmd.target.name!r} must be a boolean local",
-                    site,
-                )
-            if isinstance(cmd, (Cast, Add, Sub, Rand, RingReadHead)) and is_bool:
-                raise SemanticError(
-                    ErrorKind.NOT_BOOLEAN,
-                    f"{kind} cannot write boolean local {cmd.target.name!r}",
-                    site,
-                )
-        operands = [
-            self._operand_info(getattr(cmd, name), site)
-            for name in operand_fields(type(cmd))
-        ]
+        operands = []
+        for name, role in cmd.roles:
+            value = getattr(cmd, name)
+            if role is RING:
+                ring = self.ring(value, site)
+            elif role is TARGET:
+                width, is_bool = self._decl_of(value, site)
+                if value.scope is Scope.INPUT:
+                    raise SemanticError(
+                        ErrorKind.WRITE_TO_INPUT, f"input field {value.name!r} is read-only", site
+                    )
+                if isinstance(cmd, (Equals, Greater)) and not is_bool:
+                    raise SemanticError(
+                        ErrorKind.NOT_BOOLEAN,
+                        f"{kind} target {value.name!r} must be a boolean local",
+                        site,
+                    )
+                if isinstance(cmd, (Cast, Add, Sub, Rand, RingReadHead)) and is_bool:
+                    raise SemanticError(
+                        ErrorKind.NOT_BOOLEAN,
+                        f"{kind} cannot write boolean local {value.name!r}",
+                        site,
+                    )
+            elif role in READS:
+                operands.append(self._operand_info(value, site))
 
         if isinstance(cmd, AssignConst):
             if not isinstance(cmd.value, UValue):
@@ -794,13 +802,6 @@ def _decl_is_bool(decl: FieldDecl) -> bool:
     return isinstance(decl, LocalDecl) and decl.is_bool
 
 
-def _find_field(decls, name: str) -> Optional[FieldDecl]:
-    for d in decls:
-        if d.name == name:
-            return d
-    return None
-
-
 def new_flow_processor(
     name: str,
     input: HeaderLayout,
@@ -820,28 +821,9 @@ def new_flow_processor(
         check_identifier(name, "processor name")
     except ReservedName as e:
         raise SemanticError(ErrorKind.RESERVED_NAME, str(e), 0) from None
-    locals = tuple(locals)
-    shared = tuple(shared)
-    rings = tuple(rings)
-    seen: set[str] = set()
-    groups = [
-        input.fields,
-        output.fields if output is not None else (),
-        locals,
-        shared,
-        rings,
-    ]
-    for group in groups:
-        for d in group:
-            if d.name in seen:
-                raise SemanticError(
-                    ErrorKind.DUPLICATE_NAME,
-                    f"name {d.name!r} is declared more than once in "
-                    f"processor {name!r}",
-                    0,
-                )
-            seen.add(d.name)
-    return FlowProcessor(name, input, output, locals, shared, rings, bool(truncate_payload))
+    return FlowProcessor(
+        name, input, output, tuple(locals), tuple(shared), tuple(rings), bool(truncate_payload)
+    )
 
 
 # -- document form ---------------------------------------------------------
@@ -858,20 +840,43 @@ def uvalue_doc(v: UValue) -> dict:
     return {"width": v.width.bits, "value": v.magnitude}
 
 
+def uvalue_from_doc(doc: dict) -> UValue:
+    return UValue(UWidth(doc["width"]), doc["value"])
+
+
 def _operand_doc(op: Operand) -> dict:
     if isinstance(op, VarRef):
         return {"var": op.name}
     return {"const": uvalue_doc(op)}
 
 
-def _field_doc(name: str, value):
-    if name == "target":
+def operand_from_doc(proc: FlowProcessor, doc: dict) -> Operand:
+    if "var" in doc:
+        return proc.var(doc["var"])
+    return uvalue_from_doc(doc["const"])
+
+
+def _field_doc(role, value):
+    """The document form of a command field holding ``value``."""
+    if role is TARGET:
         return value.name
-    if name == "value":
+    if role is CONST:
         return uvalue_doc(value)
-    if name in OPERAND_FIELDS:
+    if role is OPERAND:
         return _operand_doc(value)
-    return value.value if isinstance(value, enum.Enum) else value
+    return value if role is RING or role is PLAIN else value.value
+
+
+def field_from_doc(proc: FlowProcessor, role, doc):
+    """The value of a command field from its document form, names resolved
+    in ``proc``: the inverse of ``_field_doc``."""
+    if role is TARGET:
+        return proc.var(doc)
+    if role is CONST:
+        return uvalue_from_doc(doc)
+    if role is OPERAND:
+        return operand_from_doc(proc, doc)
+    return doc if role is RING or role is PLAIN else role(doc)
 
 
 class _Doc:
@@ -879,13 +884,12 @@ class _Doc:
     command, its fields in declaration order."""
 
     def operand(self, op: Operand) -> Operand:
-        return op  # _field_doc words it by the field that holds it
+        return op  # _field_doc words it by the role of the field that holds it
 
     def op(self, cmd, ns) -> list:
         doc = {"op": cmd.op, "ordinal": cmd.ordinal}
-        for name, value in vars(ns).items():
-            if name != "ordinal":
-                doc[name] = _field_doc(name, value)
+        for name, role in cmd.roles:
+            doc[name] = _field_doc(role, getattr(ns, name))
         return [doc]
 
     def if_(self, cmd: IfNode, then: list, orelse: Optional[list]) -> list:

@@ -22,11 +22,9 @@ straight from the SimResults, one result at a time.
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -44,14 +42,16 @@ from .core_model import (
 )
 from .errors import DocError, FlowgenError
 from .flow_ast import (
-    OPERAND_FIELDS,
     OPS,
     FlowProcessor,
     SemanticError,
     bool_local,
+    field_from_doc,
     local,
     new_flow_processor,
+    operand_from_doc,
     uvalue_doc,
+    uvalue_from_doc,
 )
 from .packet import SimPacket, make_tcp_packet, make_udp_packet
 from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_flow_selector
@@ -452,7 +452,10 @@ def schema_check(name: str):
 
 
 def _validate(doc, schema_name: str) -> None:
-    error = schema_check(schema_name)(doc)
+    try:
+        error = schema_check(schema_name)(doc)
+    except RecursionError:
+        raise DocError("$", "nested too deeply to check") from None
     if error is not None:
         raise error
 
@@ -540,16 +543,6 @@ def _at(path: str):
         raise DocSemanticError(path, "WidthMismatch", str(e)) from None
 
 
-def _uvalue(doc) -> UValue:
-    return UValue(UWidth(doc["width"]), doc["value"])
-
-
-def _operand(proc: FlowProcessor, doc):
-    if "var" in doc:
-        return proc.var(doc["var"])
-    return _uvalue(doc["const"])
-
-
 def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
     """Replay one command doc; returns the block for the next command."""
     op = cdoc["op"]
@@ -565,11 +558,11 @@ def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
             return inner.EndIf()
     if op == "switch":
         with _at(site):
-            inner = block.Switch(_operand(proc, cdoc["selector"]))
+            inner = block.Switch(operand_from_doc(proc, cdoc["selector"]))
         for k, case in enumerate(cdoc["cases"]):
             case_site = f"{site}.cases[{k}]"
             with _at(case_site):
-                inner = inner.Case(_uvalue(case["value"]))
+                inner = inner.Case(uvalue_from_doc(case["value"]))
             _replay_body(proc, inner, case["body"], case_site + ".body")
         with _at(site):
             return inner.EndSwitch()
@@ -584,25 +577,9 @@ def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
     if cls is None:
         raise DocError(site, f"unknown op {op!r}")
     with _at(site):
-        args = {
-            f.name: _field_value(proc, f, cdoc[f.name])
-            for f in fields(cls)
-            if f.name != "ordinal" and f.name in cdoc
-        }
-        return block.add(cls(**args))
-
-
-def _field_value(proc: FlowProcessor, f, doc):
-    """Inverse of flow_ast's document form of one command field."""
-    if f.name == "target":
-        return proc.var(doc)
-    if f.name == "value":
-        return _uvalue(doc)
-    if f.name in OPERAND_FIELDS:
-        return _operand(proc, doc)
-    if isinstance(f.default, enum.Enum):
-        return type(f.default)(doc)
-    return doc
+        return block.add(cls(**{
+            name: field_from_doc(proc, role, cdoc[name]) for name, role in cls.roles if name in cdoc
+        }))
 
 
 def _replay_body(proc: FlowProcessor, block, body: list, path: str):
@@ -691,7 +668,7 @@ def solution_from_doc(doc) -> Solution:
         criteria = []
         for j, cdoc in enumerate(sdoc["criteria"]):
             with _at(f"{path}.criteria[{j}]"):
-                criterion = Criterion(cdoc["field"], _uvalue(cdoc))
+                criterion = Criterion(cdoc["field"], uvalue_from_doc(cdoc))
                 check_criterion(stack, criterion, lookahead)
             criteria.append(criterion)
         with _at(path):
@@ -714,11 +691,14 @@ def load_program(path) -> Solution:
 
 
 def load_json(path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DocError("$", f"not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise DocError("$", f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise DocError("$", "nested too deeply to read") from None
 
 
 # -- traces: packets in, results out -----------------------------------------
@@ -819,6 +799,9 @@ def results_to_doc(seed: int, results) -> dict:
 # events at 4, event fields at 5 and event values at 6.
 _HEADER_LEADS = tuple((h, f'\n      "{h}": ') for h in HEADER_FIELD_BITS)
 _VALUE_SEP = ",\n            "
+# The most trace-event texts iter_results_text keeps at once: more than
+# the distinct events of a 2,000-packet guess_game trace (about 2,200).
+_EVENTS_HELD = 4096
 _int_text = int.__repr__
 
 
@@ -835,8 +818,9 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
     the result being written is held, so ``results`` may be a stream.
 
     Header maps keep their own key order, as ``result_to_doc`` does. The
-    text of each distinct trace event is made once per call: a long trace
-    repeats few events.
+    text of a trace event is memoized, since a long trace repeats few
+    events; the memo is emptied whenever it holds ``_EVENTS_HELD`` events,
+    so a trace whose events never repeat holds no more than that.
 
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal and event value, a str verdict, kind and header field
@@ -901,6 +885,8 @@ def _result_text(r: SimResult, names: dict, events: dict) -> str:
                 raise TypeError
             text = events.get(event)
             if text is None:
+                if len(events) >= _EVENTS_HELD:
+                    events.clear()
                 text = events[event] = _event_text(event)
             texts.append(text)
         parts.append("[" + ",".join(texts) + "\n      ]")

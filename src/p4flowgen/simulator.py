@@ -13,7 +13,7 @@ packet module; they are importable from here too.
 values the selectors match on. On its first match, a processor is
 compiled into one Python function, and again after each builder call:
 ``flow_ast.render`` prints its body in ``_Compiler``'s Python dialect,
-the walk codegen prints in P4.
+as codegen prints it in P4.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .core_model import (
 )
 from .errors import MalformedPacket
 from .flow_ast import (
+    READS,
+    RING,
+    TARGET,
     Add,
     AssignConst,
     AssignVar,
@@ -51,7 +54,6 @@ from .flow_ast import (
     SendBack,
     Sub,
     flatten,
-    operand_fields,
     render,
 )
 from .packet import (  # the packet names are re-exported from here too
@@ -278,9 +280,8 @@ class _Compiler:
     def __init__(self, proc: FlowProcessor) -> None:
         self.consts = []
         self.outputs = proc.output.fields if proc.output is not None else ()
-        decls = (*proc.input.fields, *self.outputs, *proc.locals, *proc.shared)
-        self.var = {d.name: f"v{i}" for i, d in enumerate(decls)}
-        self.ring = {r.name: f"r{i}" for i, r in enumerate(proc.rings)}
+        self.var = {name: f"v{i}" for i, name in enumerate(proc._vars)}
+        self.ring = {name: f"r{i}" for i, name in enumerate(proc._rings)}
         self.key = {d.name: self.const((proc.name, d.name)) for d in (*proc.shared, *proc.rings)}
 
     def const(self, value) -> str:
@@ -296,22 +297,27 @@ class _Compiler:
 
     def op(self, cmd, py) -> list:
         entry = _PY[type(cmd)]
-        if hasattr(cmd, "ring"):
-            py.ring = self.ring[cmd.ring]
-        if not hasattr(cmd, "target"):
+        target, reads = None, []
+        for name, role in cmd.roles:
+            if role is TARGET:
+                target = getattr(cmd, name)
+            elif role is RING:
+                py.ring = self.ring[py.ring]
+            elif role in READS:
+                reads.append(name)
+        if target is None:
             return entry(self, cmd, py)
         # Operands are recorded as read before the write: one that is the
         # target itself reads as its old value ``t``.
-        names = operand_fields(type(cmd))
-        for name in names:
+        for name in reads:
             if getattr(py, name) == py.target:
                 setattr(py, name, "t")
-        py.mask = hex(cmd.target.width.mask)
+        py.mask = hex(target.width.mask)
         lines = [f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}"]
-        if cmd.target.scope is Scope.SHARED:
-            key, width = self.key[cmd.target.name], self.const(cmd.target.width)
+        if target.scope is Scope.SHARED:
+            key, width = self.key[target.name], self.const(target.width)
             lines.append(f"shared[{key}] = UValue({width}, {py.target})")
-        read = "".join(f"{getattr(py, name)}, " for name in names)
+        read = "".join(f"{getattr(py, name)}, " for name in reads)
         lines.append(f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), "
                      f"({py.target}, {read}))))")
         return lines

@@ -91,6 +91,95 @@ class TestCheck:
         assert "[WidthMismatch]" in err
 
 
+def nested_doc(depth: int, kind: str) -> tuple[dict, str]:
+    """A program whose innermost command sits in ``depth`` nested
+    ``kind`` scopes ("if" or "switch"), each taken by a packet with
+    payload 01; and the path of the deepest scope command."""
+    inner = [{"op": "assign_const", "target": "x", "value": {"width": 8, "value": 9}}]
+    for _ in range(depth):
+        if kind == "if":
+            inner = [{"op": "if", "cond": "ok", "then": inner}]
+        else:
+            case = {"value": {"width": 8, "value": 1}, "body": inner}
+            inner = [{"op": "switch", "selector": {"var": "a"}, "cases": [case]}]
+    step = ".then[0]" if kind == "if" else ".cases[0].body[0]"
+    doc = {
+        "version": 1,
+        "template": "v1model_basic",
+        "layouts": [
+            {"name": "nest_in", "fields": [{"name": "a", "width": 8}]},
+            {"name": "nest_out", "fields": [{"name": "x", "width": 8}]},
+        ],
+        "processors": [{
+            "name": "nest",
+            "input": "nest_in",
+            "output": "nest_out",
+            "locals": [{"name": "ok", "width": 8, "bool": True}],
+            "body": [
+                {"op": "assign_const", "target": "ok", "value": {"width": 8, "value": 1}},
+                *inner,
+            ],
+        }],
+        "selectors": [{
+            "name": "nest_sel",
+            "stack": "IPV4_UDP",
+            "criteria": [{"field": "udp.dstPort", "width": 16, "value": 4000}],
+            "processor": "nest",
+        }],
+    }
+    return doc, "processors[0].body[1]" + step * (depth - 1)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", ["if", "switch"])
+    def test_the_deepest_program_check_accepts_also_runs(self, tmp_path, capsys, kind):
+        doc, _ = nested_doc(64, kind)
+        program = str(write_doc(tmp_path / "deep.json", doc))
+        trace = {"seed": 0, "packets": [{"udp": {"dstPort": "4000"}, "payload": "01"}]}
+        trace_path = str(write_doc(tmp_path / "trace.json", trace))
+        out = tmp_path / "results.json"
+        assert cli.main(["check", program]) == 0
+        assert cli.main(["generate", program, "-o", str(tmp_path / "gen")]) == 0
+        assert cli.main(["simulate", program, "-t", trace_path, "-o", str(out)]) == 0
+        (result,) = json.loads(out.read_text())["results"]
+        assert result["payload_hex"] == "09"
+        assert result["trace"][-1]["kind"] == "assign_const"
+
+    @pytest.mark.parametrize("kind", ["if", "switch"])
+    def test_one_scope_deeper_is_refused_at_its_path(self, tmp_path, capsys, kind):
+        doc, path = nested_doc(65, kind)
+        assert cli.main(["check", str(write_doc(tmp_path / "deep.json", doc))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [NestingTooDeep] scopes may nest at most 64 deep\n"
+        )
+
+
+class TestHostileDocuments:
+    """Inputs that are not documents fail as a DocError at ``$``: exit 1
+    and one line on stderr, no traceback."""
+
+    def check(self, tmp_path, capsys, content: bytes) -> str:
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        assert cli.main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        err = self.check(tmp_path, capsys, b"\xff\xfe{}")
+        assert err.startswith("error: $: not UTF-8 text: ")
+
+    def test_json_nested_past_the_parser(self, tmp_path, capsys):
+        err = self.check(tmp_path, capsys, b"[" * 100000)
+        assert err == "error: $: nested too deeply to read\n"
+
+    def test_switches_nested_past_the_schema_check(self, tmp_path, capsys):
+        doc, _ = nested_doc(100, "switch")
+        err = self.check(tmp_path, capsys, json.dumps(doc).encode())
+        assert err == "error: $: nested too deeply to check\n"
+
+
 class TestGenerate:
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_matches_golden(self, tmp_path, capsys, name):

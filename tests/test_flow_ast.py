@@ -18,6 +18,7 @@ from p4flowgen.core_model import (
 )
 from p4flowgen.errors import WidthMismatch as CoreWidthMismatch
 from p4flowgen.flow_ast import (
+    MAX_NESTING,
     Add,
     AssignConst,
     AssignVar,
@@ -347,6 +348,54 @@ class TestAtomic:
     def test_empty_atomic_is_legal(self):
         p = make_proc()
         assert p.body.Atomic().EndAtomic() is p.body
+        p.validate_complete()
+
+
+OPENERS = {
+    "If": lambda p, block: block.If(p.var("ok")),
+    "Switch": lambda p, block: block.Switch(p.var("t8")).Case(u8(0)),
+    "Atomic": lambda p, block: block.Atomic(),
+}
+
+
+class TestNestingBound:
+    @staticmethod
+    def nest(p, kinds):
+        block = p.body
+        for kind in kinds:
+            block = OPENERS[kind](p, block)
+        return block
+
+    @pytest.mark.parametrize("kind", ["If", "Switch"])
+    def test_the_deepest_scope_takes_commands(self, kind):
+        p = make_proc()
+        inner = self.nest(p, [kind] * MAX_NESTING)
+        inner.add(Rand(p.var("t8")))
+        assert inner.commands[0].ordinal == p._ordinal
+
+    @pytest.mark.parametrize("kind", ["If", "Switch", "Atomic"])
+    def test_one_scope_deeper_is_refused_and_leaves_no_trace(self, kind):
+        p = make_proc()
+        inner = self.nest(p, ["If"] * MAX_NESTING)
+        before = p._ordinal
+        with pytest.raises(SemanticError) as e:
+            OPENERS[kind](p, inner)
+        assert (err(e).kind, err(e).message, err(e).site) == (
+            ErrorKind.NESTING_TOO_DEEP, "scopes may nest at most 64 deep", before + 1
+        )
+        assert inner.commands == []
+
+    def test_atomic_counts_as_a_scope(self):
+        p = make_proc()
+        inner = self.nest(p, ["Atomic"] + ["If"] * (MAX_NESTING - 1))
+        with pytest.raises(SemanticError) as e:
+            inner.If(p.var("ok"))
+        assert err(e).kind is ErrorKind.NESTING_TOO_DEEP
+
+    def test_closed_scopes_do_not_count(self):
+        p = make_proc()
+        for _ in range(MAX_NESTING + 1):
+            p.body.If(p.var("ok")).EndIf()
         p.validate_complete()
 
 

@@ -136,3 +136,30 @@ def test_lower_layers_do_not_import_the_upper_ones_at_load(module):
             parts = {*(node.module or "").split("."), *(alias.name for alias in node.names)}
         clash = parts & FORBIDDEN[module]
         assert not clash, f"{module}.py:{node.lineno} imports {', '.join(sorted(clash))} at load"
+
+
+# flow_ast settles each command fact once: the role of every field (the
+# op table's ``roles``) and the one walk of the tree (``render``). The
+# modules that read commands ask it, and do not work either out again.
+COMMAND_READERS = ["codegen", "program_doc", "simulator"]
+TREE_INTERNALS = {
+    "walk", "IfNode", "SwitchNode", "AtomicNode", "OPERAND_FIELDS", "operand_fields",
+}
+
+
+@pytest.mark.parametrize("module", COMMAND_READERS)
+def test_command_readers_call_no_hasattr(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id != "hasattr", f"{module}.py:{node.lineno} calls hasattr"
+
+
+@pytest.mark.parametrize("module", COMMAND_READERS)
+def test_command_readers_import_no_tree_internals(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+            clash = names & TREE_INTERNALS
+            assert not clash, f"{module}.py:{node.lineno} imports {', '.join(sorted(clash))}"

@@ -1,8 +1,8 @@
 """The op table in flow_ast is the one declaration of each plain command.
 
-These tests keep everything that must follow it in step: the
-hand-written program schema, the simulator's eval entries and the code
-generator's emit entries.
+These tests keep everything that must follow it in step: each class's
+role table, the hand-written program schema, the simulator's eval
+entries and the code generator's emit entries.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ from typing import get_args
 import pytest
 
 from p4flowgen import codegen, simulator
-from p4flowgen.flow_ast import OPS, Command
+from p4flowgen.flow_ast import CONST, OPERAND, OPS, PLAIN, RING, TARGET, Command, Hint
 from p4flowgen.program_doc import load_schema
 
 SCOPE_OPS = ["if", "switch", "atomic"]
@@ -68,3 +68,18 @@ def test_op_names_are_unique_per_class():
     assert list(OPS.values()) == list(get_args(Command))
     for op, cls in OPS.items():
         assert cls.op == op
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_roles_list_every_field_but_the_ordinal_in_order(op):
+    cls = OPS[op]
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "ordinal"]
+    assert [name for name, _ in cls.roles] == names
+
+
+def test_roles_follow_the_field_names():
+    roles = {name: role for cls in OPS.values() for name, role in cls.roles}
+    assert roles == {
+        "target": TARGET, "value": CONST, "source": OPERAND, "lhs": OPERAND, "rhs": OPERAND,
+        "ring": RING, "port": PLAIN, "hint": Hint,
+    }

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p4flowgen import program_doc
 from p4flowgen.builtin_examples import (
     EXAMPLE_BUILDERS,
     GUESS_PORT,
@@ -16,9 +17,27 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
-from p4flowgen.core_model import HEADER_FIELD_BITS, U8, U16, FieldDecl, HeaderLayout, u8, u16
+from p4flowgen.core_model import (
+    HEADER_FIELD_BITS,
+    U8,
+    U16,
+    U32,
+    FieldDecl,
+    HeaderLayout,
+    SharedVariableDecl,
+    u8,
+    u16,
+    u32,
+)
 from p4flowgen.errors import DuplicateName
-from p4flowgen.flow_ast import ErrorKind, Hint, SemanticError, bool_local, new_flow_processor
+from p4flowgen.flow_ast import (
+    Add,
+    ErrorKind,
+    Hint,
+    SemanticError,
+    bool_local,
+    new_flow_processor,
+)
 from p4flowgen.program_doc import (
     DocError,
     DocSemanticError,
@@ -36,7 +55,7 @@ from p4flowgen.program_doc import (
     validate_program_doc,
     validate_trace_doc,
 )
-from p4flowgen.selector import ProtocolStack, Solution, new_flow_selector
+from p4flowgen.selector import Criterion, ProtocolStack, Solution, new_flow_selector
 from p4flowgen.simulator import (
     PASSTHROUGH,
     PROCESSED,
@@ -577,8 +596,9 @@ class TestResultsWriter:
 class TestStreamingMemory:
     @staticmethod
     def streamed_peak(solution, count: int) -> int:
-        """tracemalloc's peak while ``count`` guess_game packets with one
-        repeated guess are run and written, the chunks thrown away."""
+        """tracemalloc's peak while ``count`` packets to the guess_game
+        port, each with the one payload byte 7, are run and written, the
+        chunks thrown away."""
         packets = [make_udp_packet(GUESS_PORT, payload=bytes([7]))] * count
         tracemalloc.start()
         try:
@@ -593,3 +613,23 @@ class TestStreamingMemory:
         small = self.streamed_peak(solution, 1000)
         large = self.streamed_peak(solution, 4000)
         assert large <= small + 64 * 1024, (small, large)
+
+    def test_peak_is_bounded_when_no_event_repeats(self, monkeypatch):
+        """Every packet bumps a shared counter, so no trace event repeats;
+        the writer's memo of event texts is emptied when it fills. The
+        memo's bound is lowered so that a short trace fills it."""
+        monkeypatch.setattr(program_doc, "_EVENTS_HELD", 128)
+        p = new_flow_processor(
+            "count",
+            input=HeaderLayout("count_in", [FieldDecl("b", U8)]),
+            shared=[SharedVariableDecl("n", U32, u32(0))],
+        )
+        p.body.add(Add(p.var("n"), p.var("n"), u32(1)))
+        sel = new_flow_selector(
+            "count_sel", ProtocolStack.IPV4_UDP, [Criterion("udp.dstPort", u16(GUESS_PORT))], p
+        )
+        solution = Solution([sel])
+        self.streamed_peak(solution, 10)  # compiles the processor
+        small = self.streamed_peak(solution, 500)
+        large = self.streamed_peak(solution, 2000)
+        assert large <= small * 1.25, (small, large)
