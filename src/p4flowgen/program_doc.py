@@ -83,13 +83,11 @@ def load_schema(name: str) -> dict:
 
 # Keywords with no bearing on validity.
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
-# Applied in this order, so the cheap type test runs first and
-# unevaluatedProperties runs after every keyword whose annotations it reads.
+# Applied in this order, so the cheap type test runs first.
 _KEYWORDS = (
     "type", "const", "enum", "pattern", "minimum", "maximum", "minItems",
     "required", "minProperties", "maxProperties", "properties",
     "additionalProperties", "items", "$ref", "allOf", "oneOf", "not", "if",
-    "unevaluatedProperties",
 )
 _IMPLEMENTED = _ANNOTATIONS | set(_KEYWORDS) | {"then"}
 # Keywords that apply a subschema to the value itself, and to its members.
@@ -179,9 +177,7 @@ def _json_path(parts: tuple) -> str:
 def _rank(name: str, value) -> int:
     """Diagnosis order of a keyword: the node's own keywords, then those
     that apply a subschema to the value itself, then those that apply one
-    to its members, then unevaluatedProperties."""
-    if name == "unevaluatedProperties":
-        return 3
+    to its members."""
     if name in _IN_PLACE:
         return 1
     return 2 if name in _MEMBERS and value is not False else 0
@@ -196,16 +192,15 @@ def compile_schema(root: dict):
     per keyword. Only after they reject a document is the rejection
     worded, by ``why``, with the same predicates: at each schema node it
     takes the first failing keyword in ``_KEYWORDS`` order, ranked by
-    ``_rank`` (the node's own keywords first, unevaluatedProperties
-    last), and follows a keyword that applies a subschema down into its
-    first failing member.
+    ``_rank`` (the node's own keywords first), and follows a keyword
+    that applies a subschema down into its first failing member.
 
     An allOf that ``_tagged_union`` reads as a union tagged by key K
     (each member ``{"if": {"properties": {K: {"const"|"enum": ...}}},
-    "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``,
-    and so is its annotation for unevaluatedProperties; without K, or on
-    a non-object, every member runs. Acceptance and every diagnostic are
-    those of the plain allOf: ``why`` still walks its members.
+    "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``;
+    without K, or on a non-object, every member runs. Acceptance and
+    every diagnostic are those of the plain allOf: ``why`` still walks
+    its members.
 
     Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
     a list of types, a list or object in const/enum, and a ``$ref``
@@ -213,7 +208,6 @@ def compile_schema(root: dict):
     silently weaken validation."""
     compiled: dict[int, object] = {}
     tests: dict[int, list] = {}  # id(schema) -> [(keyword, predicate)]
-    evaluations: dict[int, object] = {}  # id(schema) -> its unevaluatedProperties annotation
 
     def resolve(ref: str) -> dict:
         name = ref.removeprefix("#/$defs/")
@@ -307,66 +301,8 @@ def compile_schema(root: dict):
         if name == "not":
             sub = check(value)
             return lambda x: not sub(x)
-        if name == "if":
-            cond, then = check(value), check(schema.get("then", True))
-            return lambda x: not cond(x) or then(x)
-        if value is not False:
-            raise ValueError("only unevaluatedProperties: false is implemented")
-        evaluated = evaluations[id(schema)] = annotate(
-            {k: v for k, v in schema.items() if k != name}
-        )
-        return lambda x: not isinstance(x, dict) or x.keys() <= evaluated(x)
-
-    def annotate(schema):
-        """``doc -> keys`` that ``schema`` evaluates in an object ``doc``
-        already known to be valid against it."""
-        if isinstance(schema, bool):
-            return lambda x: set()
-        if "additionalProperties" in schema or "unevaluatedProperties" in schema:
-            return lambda x: set(x)
-        parts = []  # (condition or None, annotation)
-        if "properties" in schema:
-            names = schema["properties"].keys()
-            parts.append((None, lambda x: names & x.keys()))
-        if "$ref" in schema:
-            parts.append((None, annotate(resolve(schema["$ref"]))))
-        members = schema.get("allOf", ())
-        union = _tagged_union(members)
-        if union is not None:
-            parts.append((None, annotate_tagged(members, *union)))
-        else:
-            parts += [(None, annotate(s)) for s in members]
-        parts += [(check(s), annotate(s)) for s in schema.get("oneOf", ())]
-        if "if" in schema:
-            cond = check(schema["if"])
-            parts.append((cond, annotate(schema["if"])))
-            parts.append((cond, annotate(schema.get("then", True))))
-
-        def evaluated(x):
-            keys = set()
-            for cond, part in parts:
-                if cond is None or cond(x):
-                    keys |= part(x)
-            return keys
-
-        return evaluated
-
-    def annotate_tagged(members, tag_key, thens):
-        """``annotate`` of the members of an allOf that ``_tagged_union``
-        reads as ``(tag_key, thens)``: the tag and the keys of the THENs
-        it names, or, without a tag, those of every THEN (each if holds
-        vacuously and its own annotation is empty)."""
-        every = {id(s["then"]): annotate(s["then"]) for s in members}
-        table = {tag: [every[id(s)] for s in ss] for tag, ss in thens.items()}
-
-        def evaluated(x):
-            if tag_key not in x:
-                return set().union(*[part(x) for part in every.values()])
-            tag = x[tag_key]
-            parts = table.get(tag) if isinstance(tag, str) else None
-            return {tag_key}.union(*[part(x) for part in parts]) if parts else set()
-
-        return evaluated
+        cond, then = check(value), check(schema.get("then", True))  # "if"
+        return lambda x: not cond(x) or then(x)
 
     def why(schema, x, path: tuple) -> tuple:
         """``(path, keyword, message)`` for the first failure of ``x``, at
@@ -427,11 +363,8 @@ def compile_schema(root: dict):
                 message = f"{_brief(x)} is not valid under any of the oneOf schemas"
         elif name == "not":
             message = f"{_brief(x)} must not be valid under {value!r}"
-        elif name == "if":
+        else:  # "if"
             return why(schema.get("then", True), x, path)
-        else:
-            stray = [k for k in x if k not in evaluations[id(schema)](x)]
-            message = f"unevaluated properties are not allowed: {', '.join(map(repr, stray))}"
         return path, name, message
 
     valid = check(root)
@@ -697,6 +630,8 @@ def load_json(path):
         raise DocError("$", f"not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise DocError("$", f"not valid JSON: {e}") from None
+    except ValueError as e:  # an integer literal longer than int() converts
+        raise DocError("$", f"a number is too long to read: {e}") from None
     except RecursionError:
         raise DocError("$", "nested too deeply to read") from None
 
@@ -704,8 +639,15 @@ def load_json(path):
 # -- traces: packets in, results out -----------------------------------------
 
 def parse_field_value(text: str) -> int:
-    """Decimal by default, hex with an 0x prefix."""
-    return int(text, 16) if text.startswith("0x") else int(text, 10)
+    """Decimal by default, hex with an 0x prefix. A decimal with more
+    significant digits than int() converts (``sys.get_int_max_str_digits``)
+    raises ValueError; leading zeros do not count."""
+    if text.startswith("0x"):
+        return int(text, 16)
+    try:
+        return int(text, 10)
+    except ValueError:
+        return int(text.lstrip("0") or "0", 10)
 
 
 def packet_from_doc(pdoc: dict, path: str = "packet", defaults=None) -> SimPacket:
@@ -741,10 +683,15 @@ def packet_from_doc(pdoc: dict, path: str = "packet", defaults=None) -> SimPacke
             width = bits.get(name)
             if width is None:
                 raise DocError(f"{path}.{group}.{name}", f"unknown field {group}.{name}")
-            value = parse_field_value(text)
-            if value >> width:
+            try:
+                value = parse_field_value(text)
+            except ValueError:  # thousands of digits
+                value = None
+            if value is None or value >> width:
+                # a value too wide for str() is shown as written, cut short
+                shown = _brief(text) if value is None or value.bit_length() > 64 else value
                 raise DocError(
-                    f"{path}.{group}.{name}", f"{value} does not fit in {width} bits"
+                    f"{path}.{group}.{name}", f"{shown} does not fit in {width} bits"
                 )
             fields[name] = value
     return SimPacket(pdoc.get("ingress_port", 0), payload=payload, **headers)

@@ -80,6 +80,15 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 1
         assert "template" in capsys.readouterr().err
 
+    def test_stray_command_key_exit_1(self, tmp_path, capsys):
+        doc = load_asset_doc("guess_game")
+        doc["processors"][0]["body"][0]["stray"] = 1
+        path = write_doc(tmp_path / "bad.json", doc)
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: processors[0].body[0]: additional properties are not allowed: 'stray'\n"
+        )
+
     def test_semantic_error_exit_2(self, tmp_path, capsys):
         # Widen the source of an assignment: u16 destination, u32 source.
         doc = load_asset_doc("insert_agg")
@@ -173,6 +182,18 @@ class TestHostileDocuments:
     def test_json_nested_past_the_parser(self, tmp_path, capsys):
         err = self.check(tmp_path, capsys, b"[" * 100000)
         assert err == "error: $: nested too deeply to read\n"
+
+    def test_integer_past_the_int_digit_limit(self, tmp_path, capsys):
+        err = self.check(tmp_path, capsys, b'{"version": ' + b"9" * 5000 + b"}")
+        assert err.startswith("error: $: ")
+
+    def test_trace_integer_past_the_int_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b'{"seed": ' + b"9" * 5000 + b', "packets": []}')
+        rc = cli.main(["simulate", str(asset_path("guess_game")), "-t", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: ") and err.count("\n") == 1
 
     def test_switches_nested_past_the_schema_check(self, tmp_path, capsys):
         doc, _ = nested_doc(100, "switch")
@@ -274,6 +295,15 @@ class TestSimulate:
         path = write_doc(tmp_path / "trace.json", trace)
         rc = cli.main(["simulate", str(asset_path("guess_game")), "-t", str(path)])
         assert rc == 1
+
+    def test_trace_field_of_thousands_of_digits_exit_1(self, tmp_path, capsys):
+        trace = {"seed": 0, "packets": [{"payload": "00", "udp": {"dstPort": "9" * 5000}}]}
+        path = write_doc(tmp_path / "trace.json", trace)
+        rc = cli.main(["simulate", str(asset_path("guess_game")), "-t", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: packets[0].udp.dstPort: ") and err.count("\n") == 1
+        assert err.endswith(" does not fit in 16 bits\n")
 
     def test_trace_bad_field_exit_1(self, tmp_path, capsys):
         trace = {"seed": 0, "packets": [{"payload": "00", "udp": {"dstport": "5555"}}]}

@@ -36,11 +36,17 @@ def test_schema_op_enum_is_the_op_table_plus_scopes():
 
 @pytest.mark.parametrize("op", list(OPS))
 def test_schema_branch_lists_exactly_the_op_fields(op):
+    # Every op, one with no fields too, has one closed branch: its own
+    # fields beside the op and the ordinal, and no other key.
     fields = [f for f in dataclasses.fields(OPS[op]) if f.name != "ordinal"]
     branches = _branches(op)
-    assert len(branches) == (1 if fields else 0)
-    then = branches[0]["then"] if branches else {}
-    assert sorted(then.get("properties", {})) == sorted(f.name for f in fields)
+    assert len(branches) == 1
+    then = branches[0]["then"]
+    assert then["additionalProperties"] is False
+    assert then["properties"]["op"] is True and then["properties"]["ordinal"] is True
+    assert sorted(then["properties"].keys() - {"op", "ordinal"}) == sorted(
+        f.name for f in fields
+    )
     required = [
         f.name
         for f in fields
@@ -54,6 +60,14 @@ def test_every_schema_branch_names_known_ops():
     schema = load_schema("program")
     for branch in schema["$defs"]["command"]["allOf"]:
         assert set(_branch_ops(branch)) <= set(OPS) | set(SCOPE_OPS)
+
+
+def test_every_schema_branch_is_closed():
+    schema = load_schema("program")
+    for branch in schema["$defs"]["command"]["allOf"]:
+        then = branch["then"]
+        assert then["additionalProperties"] is False
+        assert {"op", "ordinal"} <= then["properties"].keys()
 
 
 def test_simulator_has_one_entry_per_plain_op():

@@ -118,6 +118,21 @@ class TestSchemas:
         with pytest.raises(DocError):
             validate_program_doc(doc)
 
+    @pytest.mark.parametrize("orelse, message", [
+        (None, None), ([], None), (5, "5 is not of type 'array'"),
+    ])
+    def test_else_is_a_block_or_null(self, orelse, message):
+        doc = guess_doc()
+        doc["processors"][0]["body"].insert(
+            0, {"op": "if", "cond": "ok", "then": [], "else": orelse}
+        )
+        if message is None:
+            validate_program_doc(doc)
+            return
+        with pytest.raises(DocError) as err:
+            validate_program_doc(doc)
+        assert (err.value.path, err.value.message) == ("processors[0].body[0].else", message)
+
     def test_bool_local_must_be_u8(self):
         doc = guess_doc()
         doc["processors"][0]["locals"][0]["width"] = 16
@@ -330,6 +345,21 @@ class TestTraceParsing:
                 {"udp": {"dstPort": "70000"}, "payload": ""}, "packets[0]"
             )
         assert "70000" in err.value.message
+
+    @pytest.mark.parametrize("text", ["9" * 5000, "0x" + "f" * 5000])
+    def test_value_of_thousands_of_digits_does_not_fit(self, text):
+        # More digits than int() converts, or than str() prints.
+        with pytest.raises(DocError) as err:
+            packet_from_doc({"udp": {"dstPort": text}, "payload": ""}, "packets[0]")
+        assert err.value.path == "packets[0].udp.dstPort"
+        assert err.value.message.endswith(" does not fit in 16 bits")
+        assert len(err.value.message) < 100
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        _, packets = trace_from_doc(
+            {"seed": 0, "packets": [{"udp": {"dstPort": "0" * 4400 + "7"}, "payload": ""}]}
+        )
+        assert packets[0].udp["dstPort"] == 7
 
     def test_out_of_range_value_names_its_path_and_width(self):
         packets = [{"udp": {}, "payload": ""}, {"tcp": {"window": "0x10000"}, "payload": ""}]

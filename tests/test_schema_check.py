@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
 import p4flowgen
-from p4flowgen import cli
+from p4flowgen import cli, program_doc
 from p4flowgen.builtin_examples import asset_path
 from p4flowgen.program_doc import (
     DocError,
@@ -93,10 +93,6 @@ def best_match_of(validator, doc):
     return (path[2:] if path.startswith("$.") else path), error.validator
 
 
-def lies_under(path: str, outer: str) -> bool:
-    return outer == "$" or path.startswith((outer + ".", outer + "["))
-
-
 @st.composite
 def mutated(draw, docs, most=3):
     """A copy of one of ``docs`` with one to ``most`` keys or items
@@ -117,35 +113,9 @@ def mutated(draw, docs, most=3):
     return doc
 
 
-UNEVALUATED_IF = {
-    "properties": {"op": {"enum": ["a", "b"]}},
-    "allOf": [
-        {
-            "if": {"properties": {"op": {"const": "a"}}},
-            "then": {"properties": {"x": {"type": "integer"}}},
-        }
-    ],
-    "unevaluatedProperties": False,
-}
-UNEVALUATED_ONE_OF = {
-    "oneOf": [
-        {"required": ["a"], "properties": {"a": {"type": "integer"}}},
-        {"required": ["b"], "properties": {"b": {}}},
-    ],
-    "unevaluatedProperties": False,
-}
-UNEVALUATED_REF = {
-    "$defs": {"x": {"properties": {"a": {}}}},
-    "$ref": "#/$defs/x",
-    "unevaluatedProperties": False,
-}
-UNEVALUATED_NOT = {
-    "not": {"required": ["b"], "properties": {"a": {}}},
-    "unevaluatedProperties": False,
-}
 ONE_OF = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
 # An allOf of if/then pairs on one string tag, checked by a lookup of the
-# tag (see _tagged_union); "y" is evaluated only by the "b"/"c" branch.
+# tag (see _tagged_union).
 TAGGED_MEMBERS = [
     {
         "if": {"properties": {"op": {"const": "a"}}},
@@ -157,13 +127,24 @@ TAGGED_MEMBERS = [
     },
 ]
 TAGGED = {"allOf": TAGGED_MEMBERS}
-TAGGED_UNEVALUATED = {
-    "properties": {"op": {}},
-    "allOf": TAGGED_MEMBERS,
-    "unevaluatedProperties": False,
-}
-# Here only an if that holds evaluates the tag itself.
-TAGGED_BARE = {"allOf": TAGGED_MEMBERS, "unevaluatedProperties": False}
+# The same union with closed branches, the shape of the shipped command.
+TAGGED_CLOSED = {"allOf": [
+    {
+        "if": {"properties": {"op": {"const": "a"}}},
+        "then": {
+            "additionalProperties": False,
+            "properties": {"op": True, "x": {"type": "integer"}},
+        },
+    },
+    {
+        "if": {"properties": {"op": {"enum": ["b", "c"]}}},
+        "then": {
+            "additionalProperties": False,
+            "required": ["y"],
+            "properties": {"op": True, "y": {}},
+        },
+    },
+]}
 KEYWORD_CASES = [
     (TAGGED, {"op": "a", "x": 1}, True),
     (TAGGED, {"op": "a", "x": 1.5}, False),  # the matched then fails
@@ -182,28 +163,17 @@ KEYWORD_CASES = [
     # not an object: every then applies, and one demands an object
     (TAGGED, "a", False),
     (TAGGED, [], False),
-    (TAGGED_UNEVALUATED, {"op": "a", "x": 1}, True),
-    (TAGGED_UNEVALUATED, {"op": "b", "y": 1}, True),
-    (TAGGED_UNEVALUATED, {"op": "a", "x": 1, "y": 1}, False),
-    (TAGGED_UNEVALUATED, {"op": "d", "y": 1}, False),
-    (TAGGED_UNEVALUATED, {"op": 5, "x": 1}, False),
-    (TAGGED_UNEVALUATED, {"op": 5}, True),
-    (TAGGED_UNEVALUATED, {"x": 1, "y": 1}, True),
-    (TAGGED_UNEVALUATED, {"x": 1, "y": 1, "z": 1}, False),
-    (TAGGED_BARE, {"op": "a", "x": 1}, True),
-    (TAGGED_BARE, {"op": "d"}, False),
-    (TAGGED_BARE, {"op": 5}, False),
-    (TAGGED_BARE, {"x": 1, "y": 1}, True),
-    (UNEVALUATED_IF, {"op": "a", "x": 1}, True),
-    (UNEVALUATED_IF, {"op": "b", "x": 1}, False),
-    (UNEVALUATED_IF, {"op": "a", "x": 1.0}, False),
-    (UNEVALUATED_ONE_OF, {"a": 1}, True),
-    (UNEVALUATED_ONE_OF, {"b": 1}, True),
-    (UNEVALUATED_ONE_OF, {"a": 1, "c": 1}, False),
-    (UNEVALUATED_REF, {"a": 1}, True),
-    (UNEVALUATED_REF, {"b": 1}, False),
-    (UNEVALUATED_NOT, {"a": 1}, False),
-    (UNEVALUATED_NOT, {}, True),
+    (TAGGED_CLOSED, {"op": "a", "x": 1}, True),
+    (TAGGED_CLOSED, {"op": "c", "y": 1}, True),
+    (TAGGED_CLOSED, {"op": "a", "x": 1, "y": 1}, False),  # a key of another branch
+    (TAGGED_CLOSED, {"op": "b", "x": 1, "y": 1}, False),
+    # an unknown or non-str tag applies no branch, so nothing is closed
+    (TAGGED_CLOSED, {"op": "d", "z": 1}, True),
+    (TAGGED_CLOSED, {"op": 5, "z": 1}, True),
+    # no tag: every closed branch applies, and none lists the other's key
+    (TAGGED_CLOSED, {"x": 1}, False),
+    (TAGGED_CLOSED, {}, False),
+    (TAGGED_CLOSED, "a", True),
     (ONE_OF, -1, True),
     (ONE_OF, 0.5, True),
     (ONE_OF, 1, False),
@@ -255,19 +225,23 @@ BLOCK = {
                 {
                     "if": {"properties": {"op": {"const": "atomic"}}},
                     "then": {
+                        "additionalProperties": False,
                         "required": ["body"],
-                        "properties": {"body": {"items": {"$ref": "#/$defs/command"}}},
+                        "properties": {
+                            "op": True,
+                            "body": {"items": {"$ref": "#/$defs/command"}},
+                        },
                     },
                 },
                 {
                     "if": {"properties": {"op": {"const": "rand"}}},
                     "then": {
+                        "additionalProperties": False,
                         "required": ["target"],
-                        "properties": {"target": {"pattern": "^[a-z]+$"}},
+                        "properties": {"op": True, "target": {"pattern": "^[a-z]+$"}},
                     },
                 },
             ],
-            "unevaluatedProperties": False,
         }
     },
     "$ref": "#/$defs/command",
@@ -307,22 +281,24 @@ DIAGNOSIS_CASES = [
     ({"not": {"type": "string"}}, "a", "$", "must not be valid under"),
     ({"if": {"minimum": 5}, "then": {"maximum": 7}}, 9, "$", "maximum of 7"),
     ({"properties": {"a": False}}, {"a": 1}, "a", "not allowed"),
-    (UNEVALUATED_REF, {"a": 1, "b": 1}, "$", "unevaluated properties are not allowed: 'b'"),
     # the node's own keywords, and those that judge the value as a
-    # whole, come before its members ...
+    # whole, come before its members
     ({"properties": {"t": {"type": "object"}}, "not": {"required": ["t"]}},
      {"t": 1}, "$", "must not be valid under"),
     ({"required": ["a"], "properties": {"b": {"type": "string"}}}, {"b": 1}, "$",
      "'a' is a required property"),
     ({"properties": {"a": {"type": "string"}}, "additionalProperties": False},
      {"a": 1, "c": 1}, "$", "additional properties are not allowed: 'c'"),
-    # ... and unevaluatedProperties after them: the member error is named
-    (UNEVALUATED_IF, {"op": "a", "x": 1.0}, "x", "not of type 'integer'"),
     # a bad command inside a dispatched branch is named by its path
     (BLOCK, {"op": "atomic", "body": [{"op": "rand", "target": "X"}]},
      "body[0].target", "pattern '^[a-z]+$'"),
     (BLOCK, {"op": "atomic", "body": [{"op": "rand", "body": []}]},
      "body[0]", "'target' is a required property"),
+    # a stray key is named before a bad member
+    (TAGGED_CLOSED, {"op": "a", "x": 1.5, "y": 1}, "$",
+     "additional properties are not allowed: 'y'"),
+    (BLOCK, {"op": "rand", "target": "X", "x": 1}, "$",
+     "additional properties are not allowed: 'x'"),
 ]
 
 
@@ -361,16 +337,12 @@ class TestDiagnostics:
         )
     ))
     def test_single_mutation_path_agrees_with_best_match(self, named):
-        # Where best_match names an enclosing unevaluatedProperties
-        # complaint, the compiled checker names the member error under it.
         name, doc = named
         error = schema_check(name)(doc)
         if error is None:
             return
         path, keyword = best_match_of(jsonschema_validator(name), doc)
-        assert error.path == path or (
-            keyword == "unevaluatedProperties" and lies_under(error.path, path)
-        ), (error, path, keyword)
+        assert error.path == path, (error, path, keyword)
 
     @pytest.mark.parametrize("schema, doc, path, words", DIAGNOSIS_CASES)
     def test_each_keyword_names_its_failure(self, schema, doc, path, words):
@@ -394,6 +366,7 @@ class TestCompiler:
             {"$defs": {"a": {"anyOf": [True]}}, "$ref": "#/$defs/a"},
             {"if": {"type": "string"}, "else": False},
             {"unevaluatedProperties": {"type": "string"}},
+            {"unevaluatedProperties": False},
             {"$ref": "other.schema.json"},
             {"$ref": "#/$defs/missing"},
         ],
@@ -402,13 +375,34 @@ class TestCompiler:
         with pytest.raises(ValueError):
             compile_schema(schema)
 
+    def test_implements_only_what_the_shipped_schemas_use(self):
+        used = set()
+
+        def walk(schema):
+            if not isinstance(schema, dict):
+                return
+            used.update(schema)
+            for name, value in schema.items():
+                if name in ("properties", "$defs"):
+                    for sub in value.values():
+                        walk(sub)
+                elif name in ("allOf", "oneOf"):
+                    for sub in value:
+                        walk(sub)
+                elif name in ("additionalProperties", "items", "not", "if", "then"):
+                    walk(value)
+
+        walk(load_schema("program"))
+        walk(load_schema("trace"))
+        assert program_doc._IMPLEMENTED == used
+
     def test_shipped_command_union_dispatches_on_its_op(self):
         # Each command is checked by one lookup of its op; a schema edit
         # that leaves this shape would fall back to trying every member.
         command = load_schema("program")["$defs"]["command"]
         key, thens = _tagged_union(command["allOf"])
         assert key == "op"
-        assert set(thens) == set(command["properties"]["op"]["enum"]) - {"send_back"}
+        assert set(thens) == set(command["properties"]["op"]["enum"])
 
     @pytest.mark.parametrize(
         "members, key",
