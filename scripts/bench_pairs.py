@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Benchmark the working tree against a parent commit in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_REF --pairs N [--workload W] > BENCH_x.json
+
+Each pair runs ``perfbench/run.py --workload W`` once on an exported copy
+of PARENT_REF and once on the working tree, the parent first in odd pairs
+and the change first in even ones, so that a slow spell of the host does
+not fall on one side only. After the pairs, each side runs each workload
+once more with ``--trace 1`` for the per-layer numbers (unscaled).
+
+The record, printed as JSON (progress goes to stderr), holds the stdout
+of every run and, per workload and end-to-end metric of BENCHMARK.json,
+the parent's and the change's q1/median/q3 over the pairs and the number
+of pairs the change wins (a win is a strictly better value in the
+metric's direction). Without ``--workload`` every workload of BENCHMARK.json
+runs.
+
+The parent is exported with ``git archive`` into a temporary directory,
+which is removed at the end; the repository itself is left as it was.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+
+
+def export(ref: str, into: Path) -> str:
+    """Write the tree of ``ref`` into the directory ``into``; returns its
+    commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {commit} failed")
+    return commit
+
+
+def run(checkout: Path, workload: str, trace: int) -> tuple[str, dict]:
+    """One benchmark run in ``checkout``: its stdout and its last line's
+    JSON. The benchmark measures the package of the checkout it runs from."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if not proc.stdout.strip():
+        raise SystemExit(f"{checkout}: {workload} printed nothing (exit {proc.returncode})\n"
+                         f"{proc.stderr}")
+    return proc.stdout, json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, median, q3]
+
+
+def summarize(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per metric, both sides' q1/median/q3 and the change's wins."""
+    summary = {}
+    for name, better in BETTER.items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        summary[name] = {
+            "parent_q1_median_q3": quartiles(parent),
+            "change_q1_median_q3": quartiles(change),
+            "change_wins": f"{wins}/{len(pairs)}",
+        }
+    summary["failed"] = {
+        "parent": sum(p["failed"] for p, _ in pairs),
+        "change": sum(c["failed"] for _, c in pairs),
+    }
+    return summary
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": cpu, "vcpus": os.cpu_count(), "python": platform.python_version()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", metavar="PARENT_REF")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable); default: those of BENCHMARK.json")
+    parser.add_argument("--description", default="", help="the record's description")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
+    sides = {"change": ROOT}
+    runs, results = [], {w: [] for w in workloads}
+
+    def record(workload, pair, side, first, trace):
+        stdout, result = run(sides[side], workload, trace)
+        runs.append({"workload": workload, "pair": pair, "side": side, "first": first,
+                     "trace": trace, "stdout": stdout})
+        print(f"{workload} pair {pair} {side}: "
+              + ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
+              file=sys.stderr)
+        return result
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        commit = export(args.parent, Path(tmp))
+        sides["parent"] = Path(tmp)
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for workload in workloads:
+                got = {side: record(workload, pair, side, side == order[0], 0) for side in order}
+                results[workload].append((got["parent"], got["change"]))
+        for workload in workloads:
+            for side in ("parent", "change"):
+                record(workload, None, side, side == "parent", 1)
+
+    doc = {
+        "description": args.description,
+        "parent_commit": commit,
+        "host": host(),
+        "commands": [f"python3 perfbench/run.py --workload {w} --trace {t}"
+                     for t in (0, 1) for w in workloads],
+        "summary": {w: summarize(results[w]) for w in workloads},
+        "runs": runs,
+    }
+    print(json.dumps(doc, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -399,14 +399,20 @@ class Block:
     # -- builder calls -----------------------------------------------------
 
     def add(self, cmd: Command) -> "Block":
-        """Append a plain command; returns this block."""
+        """Append a plain command; returns this block. The command is
+        stored with the ordinal of this call: one not added before takes
+        it in place, one already stored is copied."""
         site = self._begin()
         if OPS.get(getattr(cmd, "op", None)) is not type(cmd):
             raise TypeError(
                 f"{cmd!r} is not a command; use If/Switch/Atomic for scopes"
             )
         self._proc._check_command(cmd, site)
-        self.commands.append(replace(cmd, ordinal=site))
+        if cmd.ordinal:  # stored before: its copy takes this site
+            cmd = replace(cmd, ordinal=site)
+        else:  # a new command takes its site in place, built once
+            object.__setattr__(cmd, "ordinal", site)
+        self.commands.append(cmd)
         return self
 
     def If(self, cond: VarRef) -> "ThenBlock":

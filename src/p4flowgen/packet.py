@@ -3,13 +3,15 @@
 A ``SimPacket`` is what the simulator classifies and runs, and what a
 trace document's packets load into. ``make_udp_packet`` and
 ``make_tcp_packet`` build consistent ones (lengths from the payload, a
-valid IPv4 header checksum), and the header packers give the wire bytes
-and checksum of a field map. Nothing here runs a program.
+valid IPv4 header checksum). The header packers give the wire bytes of a
+field map, and ``resized_ipv4`` the IPv4 map of a packet whose payload
+changed length. Nothing here runs a program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .core_model import (
@@ -26,26 +28,20 @@ from .selector import ProtocolStack
 
 
 def _packer(header: str):
-    """Two functions of a header's field map, compiled once from
-    STANDARD_HEADERS (the way dataclasses compiles ``__init__``) so that
-    they run no per-field loop: its wire bytes, as one shift-and-or
-    expression, and its checksum, the one's-complement sum of its 16-bit
-    words with each field added at its offset within its word. A field
+    """The wire bytes of a header's field map, compiled once from
+    STANDARD_HEADERS (the way dataclasses compiles ``__init__``) into one
+    shift-and-or expression, so that it runs no per-field loop. A field
     that does not fit its width raises OverflowError; the reserved nibble
     packs as zero."""
     shift = HEADER_BYTES[header] * 8
-    fields, words, overflow = [], [], []
+    fields, overflow = [], []
     for name, bits in STANDARD_HEADERS[header]:
         shift -= bits
         if name != "res":
             fields.append(f"v[{name!r}] << {shift}")
-            words.append(f"(v[{name!r}] << {shift % 16})")
             overflow.append(f"v[{name!r}] >> {bits}")
     check = f"_out_of_range({header!r}, v) if {' | '.join(overflow)} else"
-    return (
-        eval(f"lambda v: {check} ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')"),
-        eval(f"lambda v: {check} complement_fold({' + '.join(words)})"),
-    )
+    return eval(f"lambda v: {check} ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')")
 
 
 def _out_of_range(header: str, values: dict[str, int]):
@@ -55,8 +51,74 @@ def _out_of_range(header: str, values: dict[str, int]):
 _PACK = {header: _packer(header) for header in STANDARD_HEADERS}
 
 # The 20 IPv4 header bytes of a field map, in wire order (options
-# unsupported), and its header checksum once hdrChecksum is 0.
-ipv4_header_bytes, _ipv4_checksum = _PACK["ipv4"]
+# unsupported).
+ipv4_header_bytes = _PACK["ipv4"]
+
+# The IPv4 fields in wire order, and the 13 values of a field map read
+# with one call.
+_IPV4_FIELDS = tuple(HEADER_FIELD_BITS["ipv4"].items())
+_ipv4_values = itemgetter(*HEADER_FIELD_BITS["ipv4"])
+
+
+def _misfit_ipv4(ipv4: dict[str, int]) -> MalformedPacket:
+    """The error for the first IPv4 field, in wire order, that is not an
+    int within its width."""
+    for name, bits in _IPV4_FIELDS:
+        value = ipv4[name]
+        if not isinstance(value, int):
+            return MalformedPacket(f"ipv4.{name} {value!r} is not an int")
+        if value >> bits:
+            return MalformedPacket(f"ipv4.{name} {value} does not fit {bits} bits")
+    raise AssertionError(f"every ipv4 field fits: {ipv4}")
+
+
+def _ipv4_functions():
+    """Two functions of an IPv4 field map, compiled once from
+    STANDARD_HEADERS like ``_packer``: each reads the 13 fields with one
+    call and sums the header's 16-bit words with each field added at its
+    offset within its word.
+
+    - ``checksum(v)``: the header checksum of a map whose hdrChecksum is
+      0. A field that does not fit its width raises OverflowError.
+    - ``resized(v, delta)``: the map of a packet whose payload grows by
+      ``delta`` bytes, a copy with totalLen shifted by ``delta`` (mod
+      2^16) and the header checksum recomputed. A field that is not an
+      int within its width raises MalformedPacket naming it."""
+    names, overflow, words, shift = [], [], [], HEADER_BYTES["ipv4"] * 8
+    for name, bits in _IPV4_FIELDS:
+        shift -= bits
+        names.append(name)
+        overflow.append(f"{name} >> {bits}")
+        words.append(f"({name} << {shift % 16})")
+    read, bad, total = f"{', '.join(names)} = values(v)", " | ".join(overflow), " + ".join(words)
+    source = f"""
+def checksum(v):
+    {read}
+    if {bad}:
+        out_of_range('ipv4', v)
+    return fold({total})
+
+def resized(v, delta):
+    {read}
+    try:
+        bad = {bad}
+        totalLen = (totalLen + delta) & 0xFFFF
+    except TypeError:
+        bad = 1
+    if bad:
+        raise misfit_ipv4(v)
+    hdrChecksum = 0
+    return {{**v, 'totalLen': totalLen, 'hdrChecksum': fold({total})}}
+"""
+    namespace = {
+        "values": _ipv4_values, "fold": complement_fold,
+        "out_of_range": _out_of_range, "misfit_ipv4": _misfit_ipv4,
+    }
+    exec(source, namespace)
+    return namespace["checksum"], namespace["resized"]
+
+
+_ipv4_checksum, resized_ipv4 = _ipv4_functions()
 
 # The ipv4.protocol under which the template parser extracts each
 # transport header.
@@ -66,15 +128,33 @@ _L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
 PORT_MAX = 0xFFFF
 
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
-_ETH_NAMES, _IPV4_NAMES, _UDP_NAMES, _TCP_NAMES = (
-    _FIELD_NAMES[header] for header in ("eth", "ipv4", "udp", "tcp")
-)
 
 
 def _misfit(header: str, fields: Optional[dict[str, int]]) -> MalformedPacket:
     if fields is None:
         return MalformedPacket(f"packet has no {header} header")
     return MalformedPacket(f"{header} fields {sorted(fields)} are not {sorted(_FIELD_NAMES[header])}")
+
+
+# SimPacket.validate's tests in order, as statements over the locals port,
+# eth, ipv4, udp, tcp and payload, and the names they read. The method
+# runs them, and the simulator's compiled classifier inlines them, so that
+# both word a failure alike.
+VALIDATE_LINES = (
+    "if port.__class__ is not int: raise MalformedPacket(f'ingress port {port!r} is not an int')",
+    "if not 0 <= port <= PORT_MAX: raise MalformedPacket(f'ingress port {port} out of range')",
+    "if udp is not None and tcp is not None: "
+    "raise MalformedPacket('packet cannot carry both UDP and TCP')",
+    "if not isinstance(payload, (bytes, bytearray)): raise MalformedPacket('payload must be bytes')",
+    "if eth is None or eth.keys() != ETH_NAMES: raise misfit('eth', eth)",
+    "if ipv4 is None or ipv4.keys() != IPV4_NAMES: raise misfit('ipv4', ipv4)",
+    "if udp is not None and udp.keys() != UDP_NAMES: raise misfit('udp', udp)",
+    "if tcp is not None and tcp.keys() != TCP_NAMES: raise misfit('tcp', tcp)",
+)
+VALIDATE_NAMES = {
+    "MalformedPacket": MalformedPacket, "PORT_MAX": PORT_MAX, "misfit": _misfit,
+    **{f"{header.upper()}_NAMES": names for header, names in _FIELD_NAMES.items()},
+}
 
 
 @dataclass
@@ -98,23 +178,7 @@ class SimPacket:
         that is not bytes, a missing eth or ipv4 map, or a header map whose
         fields are not its header's; the first failing test, in that
         order, words the error."""
-        port, eth, ipv4, udp, tcp = self.ingress_port, self.eth, self.ipv4, self.udp, self.tcp
-        if port.__class__ is not int:
-            raise MalformedPacket(f"ingress port {port!r} is not an int")
-        if not 0 <= port <= PORT_MAX:
-            raise MalformedPacket(f"ingress port {port} out of range")
-        if udp is not None and tcp is not None:
-            raise MalformedPacket("packet cannot carry both UDP and TCP")
-        if not isinstance(self.payload, (bytes, bytearray)):
-            raise MalformedPacket("payload must be bytes")
-        if eth is None or eth.keys() != _ETH_NAMES:
-            raise _misfit("eth", eth)
-        if ipv4 is None or ipv4.keys() != _IPV4_NAMES:
-            raise _misfit("ipv4", ipv4)
-        if udp is not None and udp.keys() != _UDP_NAMES:
-            raise _misfit("udp", udp)
-        if tcp is not None and tcp.keys() != _TCP_NAMES:
-            raise _misfit("tcp", tcp)
+        _validate(self.ingress_port, self.eth, self.ipv4, self.udp, self.tcp, self.payload)
 
     def stack(self) -> Optional[ProtocolStack]:
         if self.udp is not None:
@@ -126,10 +190,18 @@ class SimPacket:
     def to_bytes(self) -> bytes:
         headers = (
             pack(getattr(self, header))
-            for header, (pack, _) in _PACK.items()
+            for header, pack in _PACK.items()
             if getattr(self, header) is not None
         )
         return b"".join(headers) + bytes(self.payload)
+
+
+exec(
+    "def validate(port, eth, ipv4, udp, tcp, payload):\n"
+    + "".join(f"    {line}\n" for line in VALIDATE_LINES),
+    _namespace := dict(VALIDATE_NAMES),
+)
+_validate = _namespace["validate"]
 
 
 def _make_packet(

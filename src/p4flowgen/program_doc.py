@@ -162,9 +162,18 @@ def _tagged_union(members):
     return None if key is None else (key, table)
 
 
+def _repr(x) -> str:
+    """``repr(x)``, or a stand-in when it holds an int too long to print
+    (CPython prints at most 4,300 digits)."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
 def _brief(x) -> str:
-    """``repr(x)``, cut short for a message."""
-    text = repr(x)
+    """``_repr(x)``, cut short for a message."""
+    text = _repr(x)
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -321,9 +330,9 @@ def compile_schema(root: dict):
         elif name == "pattern":
             message = f"{_brief(x)} does not match the pattern {value!r}"
         elif name == "minimum":
-            message = f"{x!r} is less than the minimum of {value!r}"
+            message = f"{_repr(x)} is less than the minimum of {value!r}"
         elif name == "maximum":
-            message = f"{x!r} is greater than the maximum of {value!r}"
+            message = f"{_repr(x)} is greater than the maximum of {value!r}"
         elif name == "minItems":
             message = f"has {len(x)} items, fewer than the minItems of {value}"
         elif name == "required":

@@ -198,6 +198,9 @@ class Solution:
     def __init__(self, selectors) -> None:
         object.__setattr__(self, "selectors", tuple(selectors))
         object.__setattr__(self, "chains", build_chains(self.selectors))
+        # The simulator's classify function, compiled on its first use
+        # (simulator._classifier).
+        object.__setattr__(self, "_classify", None)
         procs: dict[str, FlowProcessor] = {}
         layouts: dict[str, HeaderLayout] = {}
         for sel in self.selectors:
@@ -209,6 +212,10 @@ class Solution:
                     raise DuplicateName(
                         f"two different layouts share the name {layout.name!r}"
                     )
+
+    def __getstate__(self) -> dict:
+        # A copy compiles its own classifier, over its own selectors.
+        return {**self.__dict__, "_classify": None}
 
     def processors(self) -> list[FlowProcessor]:
         """Referenced processors, first appearance order, deduplicated."""

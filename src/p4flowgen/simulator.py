@@ -9,20 +9,28 @@ packets. No P4 is involved.
 The packets themselves (``SimPacket`` and its builders) live in the
 packet module; they are importable from here too.
 
-``classify`` looks packets up in an index keyed by the standard-header
-values the selectors match on. On its first match, a processor is
-compiled into one Python function, and again after each builder call:
-``flow_ast.render`` prints its body in ``_Compiler``'s Python dialect,
-as codegen prints it in P4.
+The per-packet work is generated Python, as codegen generates P4:
+
+- A Solution's first ``classify`` call compiles its classifier, kept on
+  the Solution: the packet checks of ``SimPacket.validate``, the parser's
+  gates, and per chain one dict lookup per signature of standard-header
+  values, with the lookahead and input-length checks written out.
+- On its first match, a processor is compiled into one run function,
+  and again after each builder call: ``flow_ast.render`` prints its body
+  in ``_Compiler``'s Python dialect, between the code that reads the
+  input layout and the code that builds the outgoing packet, with the
+  length and checksum fixups of its output layout written out.
+
+``iter_trace`` calls ``simulate_packet``, and ``simulate_packet`` calls
+``classify``, through the module globals, so that a profiler can tell
+classification from execution.
 """
 
 from __future__ import annotations
 
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain as chain_from
 from typing import Iterator, NamedTuple, Optional
 
 from .core_model import (
@@ -59,13 +67,15 @@ from .flow_ast import (
 from .packet import (  # the packet names are re-exported from here too
     _L4_PROTOCOL,
     PORT_MAX,
+    VALIDATE_LINES,
+    VALIDATE_NAMES,
     SimPacket,
-    _ipv4_checksum,
     ipv4_header_bytes,
     make_tcp_packet,
     make_udp_packet,
+    resized_ipv4,
 )
-from .selector import FlowSelector, ParserChain, Solution
+from .selector import STACK_HEADERS, FlowSelector, ParserChain, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -141,7 +151,7 @@ class TraceEvent(NamedTuple):
     after: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimResult:
     verdict: str
     selector: Optional[str]
@@ -150,34 +160,13 @@ class SimResult:
     trace: tuple[TraceEvent, ...] = ()
     error: Optional[str] = None
 
-
-# Per parser chain, a (key, table) pair per signature: the sorted standard
-# fields some selectors match on. The key reads them from a packet, the
-# table maps their values to those selectors as (registration position,
-# selector, lookahead bytes or 0, lookahead criteria as (start, end, value)
-# payload slices, input bytes). Keyed by id(chain), so that a lookup is
-# one C-level dict.get; a finalizer drops the entry with its chain.
-_INDEX: dict[int, list] = {}
-
-
-def _index(chain: ParserChain) -> list:
-    index = _INDEX.get(id(chain))
-    if index is None:
-        tables: dict[str, dict] = {}
-        for position, sel in enumerate(chain.links):
-            standard = sorted((c.field, c.value.magnitude) for c in sel.criteria if "." in c.field)
-            key = "".join("p.{}[{!r}], ".format(*field.split(".")) for field, _ in standard)
-            spans, start = {}, 0
-            for f in sel.lookahead.fields if sel.lookahead is not None else ():
-                spans[f.name] = (start, start + f.width.nbytes)
-                start += f.width.nbytes
-            peek = tuple((*spans[c.field], c.value.magnitude) for c in sel.criteria if "." not in c.field)
-            entry = (position, sel, start, peek, sel.processor.input.byte_size)
-            table = tables.setdefault(f"lambda p: ({key})", {})
-            table.setdefault(tuple(value for _, value in standard), []).append(entry)
-        index = _INDEX[id(chain)] = [(eval(key), table) for key, table in tables.items()]
-        weakref.finalize(chain, _INDEX.pop, id(chain), None)
-    return index
+    def __init__(self, verdict, selector, egress_port, packet, trace=(), error=None) -> None:
+        # Writes the instance dict, where a frozen dataclass's own __init__
+        # makes one object.__setattr__ call per field: half the cost.
+        fields = self.__dict__
+        fields["verdict"], fields["selector"] = verdict, selector
+        fields["egress_port"], fields["packet"] = egress_port, packet
+        fields["trace"], fields["error"] = trace, error
 
 
 def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
@@ -190,45 +179,97 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
     non-payload criteria match but the payload is too short for its
     lookahead window or input layout.
     """
-    packet.validate()
-    if packet.eth["etherType"] != ETHERTYPE_IPV4:
-        return None
-    stack = packet.stack()
-    protocol = packet.ipv4["protocol"]
-    if stack is None:
-        if protocol == IPPROTO_UDP or protocol == IPPROTO_TCP:
-            raise MalformedPacket(
-                f"packet has no udp/tcp header but ipv4.protocol {protocol}; "
-                "the parser would extract one from the payload"
-            )
-        return None
-    # The stack is hashed once, for its chain: Enum.__hash__ is Python code.
-    l4 = "udp" if packet.udp is not None else "tcp"
-    if protocol != _L4_PROTOCOL[l4]:
-        raise MalformedPacket(
-            f"packet has a {l4} header but ipv4.protocol {protocol}; "
-            f"the parser extracts {l4} only for protocol {_L4_PROTOCOL[l4]}"
-        )
-    chain = solution.chains.get(stack)
-    if chain is None:
-        return None
-    # One lookup per signature; merging the hits by registration position
-    # keeps first-registration-wins across signatures.
-    hits = [hit for key, table in _index(chain) if (hit := table.get(key(packet)))]
-    for _, sel, window, peek, need in hits[0] if len(hits) == 1 else sorted(chain_from(*hits)):
-        if window:
-            if len(packet.payload) < window:
-                raise MalformedPacket(
-                    f"payload too short for lookahead of selector {sel.name!r}"
-                )
-            if any(int.from_bytes(packet.payload[a:b], "big") != v for a, b, v in peek):
-                continue
-        if len(packet.payload) < need:
-            raise MalformedPacket(
-                f"payload too short for input of selector {sel.name!r}"
-            )
-        return sel
-    return None
+    return (solution._classify or _classifier(solution))(packet)
+
+
+def _classifier(solution: Solution):
+    """The classify function of a Solution, compiled on its first use and
+    kept on it as ``solution._classify``.
+
+    It runs ``SimPacket.validate``'s tests and the parser's gates, then
+    looks each signature of the packet's chain up once: a signature is the
+    sorted standard fields some selectors match on, read straight from the
+    header maps, and its table maps their values to those selectors as
+    (registration position, selector, lookahead bytes or 0, lookahead test
+    or None, input bytes). A chain of several signatures merges the hits
+    by registration position, which keeps first-registration-wins across
+    signatures."""
+    namespace = dict(VALIDATE_NAMES)
+    lines = [
+        "port, eth, ipv4, udp, tcp, payload = "
+        "packet.ingress_port, packet.eth, packet.ipv4, packet.udp, packet.tcp, packet.payload",
+        *VALIDATE_LINES,
+        f"if eth['etherType'] != {ETHERTYPE_IPV4}:", ["return None"],
+        "protocol = ipv4['protocol']",
+    ]
+    for stack in ProtocolStack:
+        l4, chain = STACK_HEADERS[stack][-1], solution.chains.get(stack)
+        protocol = _L4_PROTOCOL[l4]
+        lines += [f"if {l4} is not None:", [
+            f"if protocol != {protocol}:", [
+                f"raise MalformedPacket(f'packet has a {l4} header but ipv4.protocol {{protocol}}; "
+                f"the parser extracts {l4} only for protocol {protocol}')"],
+            *(["return None"] if chain is None else _chain_lines(chain, namespace)),
+        ]]
+    lines += [
+        f"if protocol == {IPPROTO_UDP} or protocol == {IPPROTO_TCP}:", [
+            "raise MalformedPacket(f'packet has no udp/tcp header but ipv4.protocol {protocol}; "
+            "the parser would extract one from the payload')"],
+        "return None",
+    ]
+    exec(flatten(["def classify(packet):", lines], 0), namespace)
+    object.__setattr__(solution, "_classify", namespace["classify"])
+    return namespace["classify"]
+
+
+def _chain_lines(chain: ParserChain, namespace: dict) -> list:
+    """The statements that classify a packet on ``chain``; its signature
+    tables go into ``namespace``."""
+    tables: dict[str, dict] = {}
+    peeks = any(sel.lookahead is not None for sel in chain.links)
+    for position, sel in enumerate(chain.links):
+        standard = sorted((c.field, c.value.magnitude) for c in sel.criteria if "." in c.field)
+        reads = ["{}[{!r}]".format(*field.split(".")) for field, _ in standard]
+        if len(reads) == 1:
+            key, value = reads[0], standard[0][1]
+        else:
+            key, value = "(" + "".join(f"{read}, " for read in reads) + ")", tuple(
+                value for _, value in standard)
+        wanted = {c.field: c.value.magnitude for c in sel.criteria if "." not in c.field}
+        tests, start = [], 0
+        for f in sel.lookahead.fields if sel.lookahead is not None else ():
+            end = start + f.width.nbytes
+            if f.name in wanted:
+                expected = wanted[f.name].to_bytes(end - start, "big")
+                tests.append(f"payload[{start}:{end}] == {expected!r}")
+            start = end
+        test = eval(f"lambda payload: {' and '.join(tests)}") if tests else None
+        entry = (position, sel, start, test, sel.processor.input.byte_size)
+        hits = tables.setdefault(key, {}).setdefault(value, [])
+        # Without lookahead tests the first registration of a key wins.
+        if peeks or not hits:
+            hits.append(entry)
+    gets = []
+    for i, (key, table) in enumerate(tables.items()):
+        name = f"{chain.stack.value}_{i}"
+        namespace[name] = {value: tuple(hits) for value, hits in table.items()}
+        gets.append(f"{name}.get({key}, ())")
+    merged = gets[0] if len(gets) == 1 else "sorted((" + "".join(f"*{g}, " for g in gets) + "))"
+    return [
+        f"hits = {merged}",
+        "for _, sel, window, test, need in hits:", [
+            *([
+                "if len(payload) < window:", [
+                    "raise MalformedPacket("
+                    "f'payload too short for lookahead of selector {sel.name!r}')"],
+                "if test is not None and not test(payload):", ["continue"],
+            ] if peeks else []),
+            "if len(payload) < need:", [
+                "raise MalformedPacket(f'payload too short for input of selector {sel.name!r}')"],
+            "return sel",
+        ],
+        "return None",
+    ]
 
 
 # -- the processor compiler ----------------------------------------------------
@@ -237,6 +278,7 @@ def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
 _NAMESPACE = {
     "pack": struct.pack, "unpack_from": struct.unpack_from, "new": tuple.__new__,
     "TE": TraceEvent, "UValue": UValue, "MATCH": TraceEvent(0, "match", (), ()),
+    "SimPacket": SimPacket, "resized_ipv4": resized_ipv4,
 }
 
 # One entry per plain op, as codegen._EMIT has one for the P4 dialect: for
@@ -268,14 +310,13 @@ _PY = {
 
 
 class _Compiler:
-    """The Python dialect of ``flow_ast.render``, for the source of one
-    processor's run function: (payload, ingress port, state) to (trace
-    events, egress port or None, new payload or None). Every hook returns
-    statements. Variables are the locals ``v<i>`` in declaration order,
-    rings ``r<i>``. Constants that tell processors of one shape apart
-    (state keys, operand values, ports, events) are the namespace's
-    ``k<i>``, so that such processors share one source text and one code
-    object."""
+    """The Python dialect of ``flow_ast.render``, for the body of one
+    processor's run function: (packet, state) to (trace events, egress
+    port, outgoing packet). Every hook returns statements. Variables are
+    the locals ``v<i>`` in declaration order, rings ``r<i>``. Constants
+    that tell processors of one shape apart (state keys, operand values,
+    ports, events) are the namespace's ``k<i>``, so that such processors
+    share one source text and one code object."""
 
     def __init__(self, proc: FlowProcessor) -> None:
         self.consts = []
@@ -359,24 +400,41 @@ def _compiled(proc: FlowProcessor):
         return run
     c = _Compiler(proc)
     unpack = "".join(f"{c.var[f.name]}, " for f in proc.input.fields)
+    output = proc.output
+    head = ["payload, ingress = packet.payload, packet.ingress_port"]
+    if output is not None:
+        # The outgoing IPv4 header is built first, so that a field that
+        # does not fit leaves the state untouched.
+        delta = f"{output.byte_size} - len(payload)" if proc.truncate_payload else (
+            output.byte_size - proc.input.byte_size)
+        head += [f"delta = {delta}", "ipv4 = resized_ipv4(packet.ipv4, delta)"]
     body = [
+        *head,
         "shared, rng = state.shared, state.rng",
         f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
         *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
         *(f"{c.var[d.name]} = shared[{c.key[d.name]}].magnitude" for d in proc.shared),
         *(f"{c.ring[r.name]} = state.rings[{c.key[r.name]}]" for r in proc.rings),
-        "egress, events = None, [MATCH]",
+        "egress, events = ingress ^ 1, [MATCH]",
         "append = events.append",
         *render(proc.body, c),
     ]
-    if proc.output is None:
-        body.append("return events, egress, None")
+    if output is None:
+        body.append("ipv4 = dict(packet.ipv4)")
+        udp, payload = "dict(udp)", "bytes(payload)"
     else:
+        udp = f"{{**udp, 'len': (udp['len'] + delta) & {_U16_MASK}, 'checksum': 0}}"
         # struct.pack checks that every output value fits its width.
         values = "".join(f"{c.var[f.name]}, " for f in c.outputs)
         tail = "" if proc.truncate_payload else f" + payload[{proc.input.byte_size}:]"
-        body.append(f"return events, egress, pack({_format(proc.output)!r}, {values}){tail}")
-    source = flatten(["def run(payload, ingress, state):", body], 0)
+        payload = f"pack({_format(output)!r}, {values}){tail}"
+    body += [
+        "udp, tcp = packet.udp, packet.tcp",
+        "if udp is None:", ["tcp = dict(tcp)"], "else:", [f"udp = {udp}"],
+        "return tuple(events), egress, "
+        f"SimPacket(ingress, dict(packet.eth), ipv4, udp, tcp, {payload})",
+    ]
+    source = flatten(["def run(packet, state):", body], 0)
     namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
     exec(_code(source, "<processor>", "exec"), namespace)
     proc._compiled = (proc._ordinal, namespace["run"])
@@ -392,26 +450,6 @@ def _format(layout: HeaderLayout) -> str:
 _code = lru_cache(maxsize=256)(compile)
 
 
-def _egress_fixups(packet: SimPacket, payload: Optional[bytes]) -> SimPacket:
-    """Build the outgoing packet from fresh header maps, leaving the input
-    packet as it was: the new payload of a processor with an output
-    replaces the old one, lengths shift by the byte delta, and checksums
-    follow the same rules the generated pipeline applies."""
-    ipv4 = packet.ipv4
-    udp = dict(packet.udp) if packet.udp is not None else None
-    tcp = dict(packet.tcp) if packet.tcp is not None else None
-    if payload is None:
-        payload, ipv4 = bytes(packet.payload), dict(ipv4)
-    else:
-        delta = len(payload) - len(packet.payload)
-        ipv4 = {**ipv4, "totalLen": (ipv4["totalLen"] + delta) & _U16_MASK, "hdrChecksum": 0}
-        ipv4["hdrChecksum"] = _ipv4_checksum(ipv4)
-        if udp is not None:
-            udp["len"] = (udp["len"] + delta) & _U16_MASK
-            udp["checksum"] = 0
-    return SimPacket(packet.ingress_port, dict(packet.eth), ipv4, udp, tcp, payload)
-
-
 def simulate_packet(
     solution: Solution, state: SimState, packet: SimPacket
 ) -> tuple[SimResult, SimState]:
@@ -421,22 +459,10 @@ def simulate_packet(
     unchanged, a PROCESSED result carries a rebuilt copy.
     """
     sel = classify(solution, packet)  # validates the packet, its port first
-    default_egress = packet.ingress_port ^ 1
     if sel is None:
-        return (
-            SimResult(PASSTHROUGH, None, default_egress, packet),
-            state,
-        )
-    run = _compiled(sel.processor)
-    events, egress, payload = run(packet.payload, packet.ingress_port, state)
-    result = SimResult(
-        PROCESSED,
-        sel.name,
-        default_egress if egress is None else egress,
-        _egress_fixups(packet, payload),
-        tuple(events),
-    )
-    return result, state
+        return SimResult(PASSTHROUGH, None, packet.ingress_port ^ 1, packet), state
+    events, egress, out = _compiled(sel.processor)(packet, state)
+    return SimResult(PROCESSED, sel.name, egress, out, events), state
 
 
 def iter_trace(solution: Solution, packets, seed: int = 0) -> Iterator[SimResult]:

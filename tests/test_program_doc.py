@@ -397,6 +397,15 @@ class TestTraceParsing:
                 {"seed": 0, "packets": [{"udp": {}, "payload": "abc"}]}
             )
 
+    @pytest.mark.parametrize("sign, bound", [(1, "maximum"), (-1, "minimum")])
+    def test_seed_too_long_to_print_is_a_doc_error(self, sign, bound):
+        # repr refuses an int of more than 4,300 digits.
+        with pytest.raises(DocError) as err:
+            validate_trace_doc({"seed": sign * 10**5000, "packets": []})
+        assert err.value.path == "seed"
+        assert err.value.message.startswith("<int too long to print> is ")
+        assert f"the {bound} of" in err.value.message
+
 
 class TestResultDocs:
     def test_processed_result_fields(self):

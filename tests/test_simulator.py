@@ -4,9 +4,11 @@ Reference behaviors (the rng stream, the three-way comparator, the
 checksum) come from tests/oracles.py and never touch package code.
 """
 
+import copy
 import gc
 import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
-from p4flowgen import simulator
+from p4flowgen import packet, simulator
 from p4flowgen.codegen import Solution
 from p4flowgen.codegen import generate
 from p4flowgen.core_model import (
@@ -54,6 +56,7 @@ from p4flowgen.flow_ast import (
     Forward,
     Greater,
     Hint,
+    Rand,
     RingPush,
     RingReadHead,
     Sub,
@@ -893,13 +896,145 @@ class TestIndexedClassify:
             assert classify(sol, pkt).name == "narrow"
 
     def test_dropping_a_solution_frees_its_index_entry(self):
+        """The compiled classifier, which holds the signature tables, is
+        kept on its Solution and goes with it."""
         sol = insert_agg_solution()
         assert classify(sol, make_udp_packet(AGG_PORT, payload=bytes(4))) is not None
-        key = id(sol.chains[ProtocolStack.IPV4_UDP])
-        assert key in simulator._INDEX
+        compiled = weakref.ref(sol._classify)
         del sol
         gc.collect()
-        assert key not in simulator._INDEX
+        assert compiled() is None
+
+    def test_a_copied_solution_classifies_to_its_own_selectors(self):
+        pkt = make_udp_packet(AGG_PORT, payload=bytes(4))
+        sol = insert_agg_solution()
+        classify(sol, pkt)
+        twin = copy.deepcopy(sol)
+        assert classify(twin, pkt) is twin.selectors[0]
+        assert classify(sol, pkt) is sol.selectors[0]
+
+
+# The standard-field signatures a random selector draws from, per stack
+# (an empty one matches on lookahead criteria alone), and the few values
+# each field takes, so that packets often hit and signatures collide.
+SIGNATURES = {
+    ProtocolStack.IPV4_UDP: (("udp.dstPort",), ("ipv4.srcAddr", "udp.dstPort"), ("ipv4.ttl",)),
+    ProtocolStack.IPV4_TCP: (("tcp.dstPort",), ("ipv4.srcAddr", "tcp.dstPort"), ()),
+}
+POOL = {"udp.dstPort": (7, 8), "tcp.dstPort": (7, 8), "ipv4.srcAddr": (1, 2), "ipv4.ttl": (63, 64)}
+WIDTHS = {"udp.dstPort": U16, "tcp.dstPort": U16, "ipv4.srcAddr": U32, "ipv4.ttl": U8}
+TAGS = (9, 10)
+
+
+@st.composite
+def random_selectors(draw, i):
+    stack = draw(st.sampled_from(list(ProtocolStack)))
+    signature = draw(st.sampled_from(SIGNATURES[stack]))
+    criteria = [(f, UValue(WIDTHS[f], draw(st.sampled_from(POOL[f])))) for f in signature]
+    lookahead, window = None, 0
+    if not signature or draw(st.booleans()):
+        pad = draw(st.integers(0, 2))
+        lookahead = HeaderLayout(
+            f"peek_{i}", [FieldDecl(f"pad{k}", U8) for k in range(pad)] + [FieldDecl("tag", U16)]
+        )
+        window = pad + 2
+        if not signature or draw(st.booleans()):
+            criteria.append(("tag", u16(draw(st.sampled_from(TAGS)))))
+    need = draw(st.integers(1, window or 4))
+    proc = new_flow_processor(
+        f"p_{i}", input=HeaderLayout(f"in_{i}", [FieldDecl(f"x{k}", U8) for k in range(need)])
+    )
+    return new_flow_selector(f"s_{i}", stack, criteria, proc, lookahead=lookahead)
+
+
+@st.composite
+def random_packets(draw):
+    l4 = draw(st.sampled_from(["udp", "udp", "tcp", "tcp", None]))
+    payload = bytes(draw(st.lists(st.sampled_from([0, 9, 10]), max_size=5)))
+    make = make_tcp_packet if l4 == "tcp" else make_udp_packet
+    pkt = make(
+        draw(st.sampled_from((7, 8))),
+        payload,
+        src_addr=draw(st.sampled_from((1, 2))),
+        ttl=draw(st.sampled_from((63, 64))),
+    )
+    if l4 is None:
+        pkt.udp = None
+    if draw(st.integers(0, 9)) == 0:
+        pkt.ipv4["protocol"] = draw(st.sampled_from((1, 6, 17)))
+    if draw(st.integers(0, 19)) == 0:
+        pkt.eth["etherType"] = 0x86DD
+    return pkt
+
+
+def linear_classify(solution, pkt):
+    """First selector, in registration order, whose criteria all match:
+    the template parser's gates, then one selector at a time."""
+    pkt.validate()
+    if pkt.eth["etherType"] != 0x0800:
+        return None
+    protocol = pkt.ipv4["protocol"]
+    l4 = "udp" if pkt.udp is not None else "tcp" if pkt.tcp is not None else None
+    if l4 is None:
+        if protocol in (17, 6):
+            raise MalformedPacket(
+                f"packet has no udp/tcp header but ipv4.protocol {protocol}; "
+                "the parser would extract one from the payload"
+            )
+        return None
+    wanted = {"udp": 17, "tcp": 6}[l4]
+    if protocol != wanted:
+        raise MalformedPacket(
+            f"packet has a {l4} header but ipv4.protocol {protocol}; "
+            f"the parser extracts {l4} only for protocol {wanted}"
+        )
+    for sel in solution.selectors:
+        if sel.stack.value != f"IPV4_{l4.upper()}":
+            continue
+        standard = [c for c in sel.criteria if "." in c.field]
+        if any(getattr(pkt, c.field.split(".")[0])[c.field.split(".")[1]] != c.value.magnitude
+               for c in standard):
+            continue
+        if sel.lookahead is not None:
+            if len(pkt.payload) < sel.lookahead.byte_size:
+                raise MalformedPacket(f"payload too short for lookahead of selector {sel.name!r}")
+            offset, values = 0, {}
+            for f in sel.lookahead.fields:
+                values[f.name] = int.from_bytes(pkt.payload[offset:offset + f.width.nbytes], "big")
+                offset += f.width.nbytes
+            peeked = [c for c in sel.criteria if "." not in c.field]
+            if any(values[c.field] != c.value.magnitude for c in peeked):
+                continue
+        if len(pkt.payload) < sel.processor.input.byte_size:
+            raise MalformedPacket(f"payload too short for input of selector {sel.name!r}")
+        return sel
+    return None
+
+
+def classified(classifier, solution, pkt):
+    """The selector name, or the MalformedPacket message."""
+    try:
+        sel = classifier(solution, pkt)
+    except MalformedPacket as e:
+        return ("error", str(e))
+    return None if sel is None else sel.name
+
+
+class TestClassifyMatchesLinearReference:
+    """The compiled classifier against a selector-at-a-time scan, over
+    random Solutions on both stacks in every registration order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        selectors=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(*(random_selectors(i) for i in range(n)))
+        ).flatmap(st.permutations),
+        packets=st.lists(random_packets(), min_size=1, max_size=8),
+    )
+    def test_random_solutions(self, selectors, packets):
+        sol = Solution(selectors)
+        for pkt in packets:
+            assert classified(classify, sol, pkt) == classified(linear_classify, sol, pkt)
 
 
 class TestHeaderFields:
@@ -990,11 +1125,42 @@ class TestHeaderFields:
         with pytest.raises(MalformedPacket, match="tcp fields"):
             classify(GUESS, pkt)
 
-    def test_out_of_range_ipv4_field_overflows_at_egress(self):
-        pkt = make_udp_packet(GUESS_PORT, payload=bytes([10]))
-        pkt.ipv4["ttl"] = 300
-        with pytest.raises(OverflowError):
-            simulate_packet(GUESS, initial_state(GUESS), pkt)
+    @pytest.mark.parametrize("field, value, message", [
+        ("ttl", 300, "ipv4.ttl 300 does not fit 8 bits"),
+        ("ttl", -1, "ipv4.ttl -1 does not fit 8 bits"),
+        ("ttl", "x", "ipv4.ttl 'x' is not an int"),
+        ("ttl", 1.5, "ipv4.ttl 1.5 is not an int"),
+        ("totalLen", None, "ipv4.totalLen None is not an int"),
+        ("hdrChecksum", 1 << 16, "ipv4.hdrChecksum 65536 does not fit 16 bits"),
+    ])
+    def test_bad_ipv4_field_is_a_per_packet_error_before_the_body(self, field, value, message):
+        """A processor with an output rebuilds the IPv4 header; a field
+        that cannot be rebuilt fails the packet before any state moves."""
+        proc = new_flow_processor(
+            "keep",
+            input=HeaderLayout("keep_req", [FieldDecl("v", U8)]),
+            output=HeaderLayout("keep_resp", [FieldDecl("r", U8)]),
+            shared=[SharedVariableDecl("total", U8, u8(1))],
+            rings=[RingBufferDecl("seen", U8, 2)],
+        )
+        proc.body.add(Add(proc.var("total"), proc.var("total"), proc.var("v")))
+        proc.body.add(RingPush("seen", proc.var("v")))
+        proc.body.add(Rand(proc.var("r")))
+        for sol in (udp_solution(proc, 1010), GUESS):
+            port = sol.selectors[0].criteria[0].value.magnitude
+            bad = make_udp_packet(port, payload=b"\x07")
+            bad.ipv4[field] = value
+            state = initial_state(sol, seed=3)
+            with pytest.raises(MalformedPacket) as raised:
+                simulate_packet(sol, state, bad)
+            assert str(raised.value) == message
+            fresh = initial_state(sol, seed=3)
+            assert (state.shared, state.rings, state.rng.state) == (
+                fresh.shared, fresh.rings, fresh.rng.state)
+            good = make_udp_packet(port, payload=b"\x07")
+            failed, after = run_trace(sol, [bad, good], seed=3)
+            assert (failed.verdict, failed.error) == (PASSTHROUGH, message)
+            assert result_key(after) == result_key(run_trace(sol, [good], seed=3)[0])
 
     @given(st.fixed_dictionaries({
         name: st.integers(0, (1 << bits) - 1) for name, bits in HEADER_FIELD_BITS["ipv4"].items()
@@ -1002,4 +1168,4 @@ class TestHeaderFields:
     @settings(max_examples=200, deadline=None)
     def test_field_checksum_matches_the_byte_oracle(self, ipv4):
         ipv4["hdrChecksum"] = 0
-        assert simulator._ipv4_checksum(ipv4) == rfc1071_naive(ipv4_header_bytes(ipv4))
+        assert packet._ipv4_checksum(ipv4) == rfc1071_naive(ipv4_header_bytes(ipv4))
