@@ -124,23 +124,23 @@ class _P4:
     printed in it: ``body`` echoes every builder call as a ``// [n] Kind``
     comment in front of its statements, and ``decls`` holds the
     control-scope declarations those need, the table of each TABLE-hint
-    Equals."""
+    Equals. ``written`` names each shared variable and ring the body
+    writes, whose register ``_control`` writes back behind it."""
 
     def __init__(self, proc: FlowProcessor) -> None:
         self.proc = proc
         self.decls: list = []
+        self.written: set[str] = set()
         self.body = render(proc.body, self)
 
     def operand(self, op) -> str:
         return _const(op) if isinstance(op, UValue) else _lvalue(self.proc, op)
 
     def op(self, cmd, p4) -> list:
-        lines = [f"// [{cmd.ordinal}] {type(cmd).__name__}"]
-        lines += _EMIT[type(cmd)](self, cmd, p4)
         for _, role in cmd.roles:
             if role is TARGET and cmd.target.scope is Scope.SHARED:
-                lines.append(f"reg__{self.proc.name}__{cmd.target.name}.write(0, {p4.target});")
-        return lines
+                self.written.add(cmd.target.name)
+        return [f"// [{cmd.ordinal}] {type(cmd).__name__}", *_EMIT[type(cmd)](self, cmd, p4)]
 
     def if_(self, cmd, then: list, orelse: Optional[list]) -> list:
         lines = [
@@ -215,26 +215,20 @@ def _emit_rand(d: _P4, cmd: Rand, p4) -> list:
 
 
 def _emit_ring_push(d: _P4, cmd: RingPush, p4) -> list:
-    head, reg = f"{d.proc.name}__{cmd.ring}__head", f"ring__{d.proc.name}__{cmd.ring}"
+    d.written.add(cmd.ring)
+    head = f"{d.proc.name}__{cmd.ring}__head"
     return [
-        f"{reg}__head.read({head}, 0);",
-        f"{reg}.write({head}, {p4.source});",
+        f"ring__{d.proc.name}__{cmd.ring}.write({head}, {p4.source});",
         f"{head} = {head} + 32w1;",
         f"if ({head} == 32w{d.proc.ring(cmd.ring).capacity}) {{",
         [f"{head} = 32w0;"],
         "}",
-        f"{reg}__head.write(0, {head});",
     ]
-
-
-def _emit_ring_read_head(d: _P4, cmd: RingReadHead, p4) -> list:
-    head, reg = f"{d.proc.name}__{cmd.ring}__head", f"ring__{d.proc.name}__{cmd.ring}"
-    return [f"{reg}__head.read({head}, 0);", f"{reg}.read({p4.target}, {head});"]
 
 
 # One entry per plain op, called with the dialect: its P4 statements, a
 # nested list one level deeper. _P4.op adds the ``// [n] Kind`` comment
-# in front and, for a shared target, the register writeback behind.
+# in front.
 _EMIT = {
     AssignConst: lambda d, cmd, p4: [f"{p4.target} = {p4.value};"],
     AssignVar: lambda d, cmd, p4: [f"{p4.target} = {p4.source};"],
@@ -249,7 +243,9 @@ _EMIT = {
     Greater: lambda d, cmd, p4: _set_flag(p4, ">"),
     Rand: _emit_rand,
     RingPush: _emit_ring_push,
-    RingReadHead: _emit_ring_read_head,
+    RingReadHead: lambda d, cmd, p4: [
+        f"ring__{d.proc.name}__{cmd.ring}.read({p4.target}, {d.proc.name}__{cmd.ring}__head);"
+    ],
     SendBack: lambda d, cmd, p4: ["smeta.egress_spec = smeta.ingress_port;"],
     Forward: lambda d, cmd, p4: [f"smeta.egress_spec = (bit<9>)16w{p4.port};"],
 }
@@ -351,9 +347,6 @@ def _decls(p: FlowProcessor, tables: list) -> list:
     for d in p.shared:
         items.append(f"bit<{d.width.bits}> {p.name}__{d.name};")
         items.append(f"register<bit<{d.width.bits}>>(1) reg__{p.name}__{d.name};")
-    if any(d.initial.magnitude != 0 for d in p.shared):
-        items.append(f"bit<1> {p.name}__boot__v;")
-        items.append(f"register<bit<1>>(1) reg__{p.name}__boot__v;")
     for r in p.rings:
         items.append(f"bit<32> {p.name}__{r.name}__head;")
         items.append(f"register<bit<32>>(1) ring__{p.name}__{r.name}__head;")
@@ -364,27 +357,32 @@ def _decls(p: FlowProcessor, tables: list) -> list:
     return items + tables
 
 
-def _control(p: FlowProcessor, stack: ProtocolStack, body: list) -> list:
-    """The items of ``emit_processor_control``, ``body`` the rendered
-    commands."""
+def _control(p: FlowProcessor, stack: ProtocolStack, printed: _P4) -> list:
+    """The items of ``emit_processor_control``, ``printed`` the body."""
     p.validate_complete()
     items = [f"{p.name}__{d.name} = {d.width.bits}w0;" for d in p.locals]
-    if any(d.initial.magnitude != 0 for d in p.shared):
-        boot = f"{p.name}__boot__v"
-        items += [
-            f"reg__{p.name}__boot__v.read({boot}, 0);",
-            f"if ({boot} == 1w0) {{",
-            [
-                *(f"reg__{p.name}__{d.name}.write(0, {_const(d.initial)});" for d in p.shared),
-                f"reg__{p.name}__boot__v.write(0, 1w1);",
-            ],
-            "}",
-        ]
-    items += [f"reg__{p.name}__{d.name}.read({p.name}__{d.name}, 0);" for d in p.shared]
+    # Each shared variable and ring head is read from its register once, in
+    # front of the body, and written back once behind it if the body writes
+    # it. A shared register holds value ^ initial, so its zero reset reads
+    # as the declared initial value.
+    writes = []
+    for d in p.shared:
+        var, reg = f"{p.name}__{d.name}", f"reg__{p.name}__{d.name}"
+        key = f" ^ {_const(d.initial)}" if d.initial.magnitude else ""
+        items.append(f"{reg}.read({var}, 0);")
+        if key:
+            items.append(f"{var} = {var}{key};")
+        if d.name in printed.written:
+            writes.append(f"{reg}.write(0, {var}{key});")
+    for r in p.rings:
+        head = f"{p.name}__{r.name}__head"
+        items.append(f"ring__{head}.read({head}, 0);")
+        if r.name in printed.written:
+            writes.append(f"ring__{head}.write(0, {head});")
     if p.output is not None:
         items.append(f"hdr.{p.name}__out.setValid();")
         items += [f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;" for f in p.output.fields]
-    items += body
+    items += printed.body + writes
     if p.output is not None:
         # Bytes of the standard headers in front of the application payload.
         fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
@@ -407,11 +405,11 @@ def _control(p: FlowProcessor, stack: ProtocolStack, body: list) -> list:
 
 def emit_processor_control(p: FlowProcessor, stack: ProtocolStack) -> str:
     """The statements executed when a packet hits this processor: zeroed
-    locals, register boot and reads, output activation, the command body,
-    then header-validity flips and byte-delta bookkeeping, sized for the
-    headers of ``stack``. They are indented for the flow branch that
-    ``_emit_apply`` opens at depth 2."""
-    return flatten(_control(p, stack, _P4(p).body), 3)
+    locals, register reads, output activation, the command body, register
+    write-backs, then header-validity flips and byte-delta bookkeeping,
+    sized for the headers of ``stack``. They are indented for the flow
+    branch that ``_emit_apply`` opens at depth 2."""
+    return flatten(_control(p, stack, _P4(p)), 3)
 
 
 def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int], printed: dict) -> str:
@@ -419,7 +417,7 @@ def _emit_apply(selectors: Sequence[FlowSelector], flow_ids: dict[str, int], pri
         flatten([
             f"// flow {sel.name}",
             f"if (meta.app_flow == 16w{flow_ids[sel.name]}) {{",
-            _control(sel.processor, sel.stack, printed[sel.processor].body),
+            _control(sel.processor, sel.stack, printed[sel.processor]),
             "}",
         ], 2)
         for sel in selectors

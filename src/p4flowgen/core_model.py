@@ -11,7 +11,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import MissingField, ReservedName, TooShort, WidthMismatch
+from .errors import MissingField, ReservedName, WidthMismatch
 
 
 class UWidth(enum.IntEnum):
@@ -125,6 +125,10 @@ STANDARD_HEADERS: dict[str, tuple[tuple[str, int], ...]] = {
 ETHERTYPE_IPV4 = 0x0800
 IPPROTO_UDP = 17
 IPPROTO_TCP = 6
+
+# The largest port number: ingress ports and Forward's egress port lie in
+# 0..PORT_MAX, as both schemas bound them.
+PORT_MAX = 0xFFFF
 
 # Field name -> bits of each standard header, without the reserved nibble.
 HEADER_FIELD_BITS: dict[str, dict[str, int]] = {
@@ -267,40 +271,6 @@ class RingBufferDecl:
             object.__setattr__(self, "element_width", UWidth(self.element_width))
         if not isinstance(self.capacity, int) or self.capacity < 1:
             raise ValueError(f"ring {self.name!r} needs capacity >= 1")
-
-
-def serialize_layout(layout: HeaderLayout, values) -> bytes:
-    """Pack ``values`` (name -> UValue) into bytes, fields in declaration
-    order, each big-endian."""
-    out = bytearray()
-    for f in layout.fields:
-        try:
-            v = values[f.name]
-        except KeyError:
-            raise MissingField(
-                f"no value for field {f.name!r} of layout {layout.name!r}"
-            ) from None
-        if v.width is not f.width:
-            raise WidthMismatch(
-                f"field {f.name!r} is u{f.width.bits}, got u{v.width.bits}"
-            )
-        out += v.magnitude.to_bytes(f.width.nbytes, "big")
-    return bytes(out)
-
-
-def deserialize_layout(layout: HeaderLayout, data: bytes) -> dict[str, UValue]:
-    """Inverse of serialize_layout on the leading bytes of ``data``."""
-    if len(data) < layout.byte_size:
-        raise TooShort(
-            f"layout {layout.name!r} needs {layout.byte_size} bytes, got {len(data)}"
-        )
-    values: dict[str, UValue] = {}
-    offset = 0
-    for f in layout.fields:
-        n = f.width.nbytes
-        values[f.name] = UValue(f.width, int.from_bytes(data[offset : offset + n], "big"))
-        offset += n
-    return values
 
 
 def internet_checksum(data: bytes) -> UValue:

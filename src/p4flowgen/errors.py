@@ -13,10 +13,6 @@ class MissingField(FlowgenError):
     """A layout field has no value in the supplied map."""
 
 
-class TooShort(FlowgenError):
-    """A byte sequence is shorter than the layout it should fill."""
-
-
 class ReservedName(FlowgenError):
     """An identifier is malformed, reserved, or collides with generated names."""
 

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 from typing import ClassVar, Iterator, Optional, Union, get_args
 
 from .core_model import (
+    PORT_MAX,
     U8,
     FieldDecl,
     HeaderLayout,
@@ -228,7 +229,7 @@ class Forward:
     ordinal: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.port) is not int or not 0 <= self.port <= 0xFFFF:  # not a bool
+        if type(self.port) is not int or not 0 <= self.port <= PORT_MAX:  # not a bool
             raise ValueError(f"port {self.port!r} is not an unsigned 16-bit value")
 
 

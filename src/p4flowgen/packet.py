@@ -4,8 +4,9 @@ A ``SimPacket`` is what the simulator classifies and runs, and what a
 trace document's packets load into. ``make_udp_packet`` and
 ``make_tcp_packet`` build consistent ones (lengths from the payload, a
 valid IPv4 header checksum). The header packers give the wire bytes of a
-field map, and ``resized_ipv4`` the IPv4 map of a packet whose payload
-changed length. Nothing here runs a program.
+field map, and ``resized_ipv4`` and ``resized_udp`` the IPv4 and UDP
+maps of a packet whose payload changed length. Nothing here runs a
+program.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core_model import (
     HEADER_FIELD_BITS,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    PORT_MAX,
     STANDARD_HEADERS,
     complement_fold,
 )
@@ -120,12 +122,23 @@ def resized(v, delta):
 
 _ipv4_checksum, resized_ipv4 = _ipv4_functions()
 
+
+def resized_udp(udp: dict[str, int], delta: int) -> dict[str, int]:
+    """The UDP map of a packet whose payload grows by ``delta`` bytes, a
+    copy with len shifted by ``delta`` (mod 2^16) and the checksum unused
+    (0). A len that is not an int within 16 bits raises MalformedPacket
+    naming it, as ``resized_ipv4`` does for an IPv4 field."""
+    length = udp["len"]
+    if not isinstance(length, int):
+        raise MalformedPacket(f"udp.len {length!r} is not an int")
+    if length >> 16:
+        raise MalformedPacket(f"udp.len {length} does not fit 16 bits")
+    return {**udp, "len": (length + delta) & 0xFFFF, "checksum": 0}
+
+
 # The ipv4.protocol under which the template parser extracts each
 # transport header.
 _L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
-
-# The ingress ports a packet may arrive on.
-PORT_MAX = 0xFFFF
 
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 

@@ -53,10 +53,10 @@ from .flow_ast import (
     uvalue_doc,
     uvalue_from_doc,
 )
-from .packet import SimPacket, make_tcp_packet, make_udp_packet
 from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_flow_selector
 
-if TYPE_CHECKING:  # importing the simulator at run time would load it for ``check``
+if TYPE_CHECKING:  # importing these at run time would load them for ``check``
+    from .packet import SimPacket
     from .simulator import SimResult, TraceEvent
 
 
@@ -659,60 +659,67 @@ def parse_field_value(text: str) -> int:
         return int(text.lstrip("0") or "0", 10)
 
 
-def packet_from_doc(pdoc: dict, path: str = "packet", defaults=None) -> SimPacket:
+def packet_from_doc(pdoc: dict, path: str = "packet") -> SimPacket:
     """Build a SimPacket from its document: defaults first (lengths and
-    checksums derived from the payload), explicit fields overlaid.
+    checksums derived from the payload), explicit fields overlaid."""
+    return _packet_reader()(pdoc, path)
 
-    ``defaults`` memoizes the default header maps by (transport header,
-    payload length), so that ``trace_from_doc`` makes each set once per
-    trace; every packet gets its own copies."""
-    try:
-        payload = bytes.fromhex(pdoc["payload"])
-    except ValueError as e:
-        raise DocError(f"{path}.payload", str(e)) from None
-    l4 = "udp" if "udp" in pdoc else "tcp"
-    key = (l4, len(payload))
-    if defaults is None:
-        defaults = {}
-    maps = defaults.get(key)
-    if maps is None:
-        base = (make_udp_packet if l4 == "udp" else make_tcp_packet)(0, payload=payload)
-        maps = defaults[key] = {
-            group: getattr(base, group)
-            for group in HEADER_FIELD_BITS
-            if getattr(base, group) is not None
-        }
-    headers = {group: dict(fields) for group, fields in maps.items()}
-    for group, fields in headers.items():
-        overrides = pdoc.get(group)
-        if overrides is None:
-            continue
-        bits = HEADER_FIELD_BITS[group]
-        for name, text in overrides.items():
-            width = bits.get(name)
-            if width is None:
-                raise DocError(f"{path}.{group}.{name}", f"unknown field {group}.{name}")
-            try:
-                value = parse_field_value(text)
-            except ValueError:  # thousands of digits
-                value = None
-            if value is None or value >> width:
-                # a value too wide for str() is shown as written, cut short
-                shown = _brief(text) if value is None or value.bit_length() > 64 else value
-                raise DocError(
-                    f"{path}.{group}.{name}", f"{shown} does not fit in {width} bits"
-                )
-            fields[name] = value
-    return SimPacket(pdoc.get("ingress_port", 0), payload=payload, **headers)
+
+def _packet_reader():
+    """``packet_from_doc`` for the packets of one trace. It loads the
+    packet module, which ``check`` and ``generate`` never need, and
+    memoizes the default header maps by (transport header, payload
+    length), so that it makes each set once per trace; every packet gets
+    its own copies."""
+    from .packet import SimPacket, make_tcp_packet, make_udp_packet
+
+    defaults: dict[tuple[str, int], dict] = {}
+
+    def read(pdoc: dict, path: str) -> SimPacket:
+        try:
+            payload = bytes.fromhex(pdoc["payload"])
+        except ValueError as e:
+            raise DocError(f"{path}.payload", str(e)) from None
+        l4 = "udp" if "udp" in pdoc else "tcp"
+        key = (l4, len(payload))
+        maps = defaults.get(key)
+        if maps is None:
+            base = (make_udp_packet if l4 == "udp" else make_tcp_packet)(0, payload=payload)
+            maps = defaults[key] = {
+                group: getattr(base, group)
+                for group in HEADER_FIELD_BITS
+                if getattr(base, group) is not None
+            }
+        headers = {group: dict(fields) for group, fields in maps.items()}
+        for group, fields in headers.items():
+            overrides = pdoc.get(group)
+            if overrides is None:
+                continue
+            bits = HEADER_FIELD_BITS[group]
+            for name, text in overrides.items():
+                width = bits.get(name)
+                if width is None:
+                    raise DocError(f"{path}.{group}.{name}", f"unknown field {group}.{name}")
+                try:
+                    value = parse_field_value(text)
+                except ValueError:  # thousands of digits
+                    value = None
+                if value is None or value >> width:
+                    # a value too wide for str() is shown as written, cut short
+                    shown = _brief(text) if value is None or value.bit_length() > 64 else value
+                    raise DocError(
+                        f"{path}.{group}.{name}", f"{shown} does not fit in {width} bits"
+                    )
+                fields[name] = value
+        return SimPacket(pdoc.get("ingress_port", 0), payload=payload, **headers)
+
+    return read
 
 
 def trace_from_doc(doc) -> tuple[int, list[SimPacket]]:
     validate_trace_doc(doc)
-    defaults: dict[tuple[str, int], dict] = {}
-    packets = [
-        packet_from_doc(pdoc, f"packets[{i}]", defaults)
-        for i, pdoc in enumerate(doc["packets"])
-    ]
+    read = _packet_reader()
+    packets = [read(pdoc, f"packets[{i}]") for i, pdoc in enumerate(doc["packets"])]
     return doc["seed"], packets
 
 
@@ -779,8 +786,8 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
     so a trace whose events never repeat holds no more than that.
 
     Every field must hold exactly its declared type: an int seed, egress
-    port, ordinal and event value, a str verdict, kind and header field
-    name, a str or None selector and error. Anything else, a bool or a
+    port, ordinal, event value and header field value, a str verdict,
+    kind and header field name, a str or None selector and error. Anything else, a bool or a
     float included, raises TypeError naming its JSON path; the chunks
     before it have been yielded by then.
     """
@@ -826,7 +833,7 @@ def _result_text(r: SimResult, names: dict, events: dict) -> str:
             continue
         items = []
         for key, value in field_map.items():
-            if key.__class__ is not str:
+            if key.__class__ is not str or value.__class__ is not int:
                 raise TypeError
             name = names.get(key)
             if name is None:
@@ -872,8 +879,9 @@ def _misfit(i: int, r: SimResult):
         yield f"{at}.selector", r.selector, _STR_OR_NONE
         yield f"{at}.egress_port", r.egress_port, (int,)
         for header in HEADER_FIELD_BITS:
-            for key in getattr(r.packet, header) or ():
+            for key, value in (getattr(r.packet, header) or {}).items():
                 yield f"{at}.{header} (a field name)", key, (str,)
+                yield f"{at}.{header}.{key}", value, (int,)
         for j, event in enumerate(r.trace):
             yield f"{at}.trace[{j}].ordinal", event.ordinal, (int,)
             yield f"{at}.trace[{j}].kind", event.kind, (str,)

@@ -37,8 +37,8 @@ from .core_model import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    PORT_MAX,
     SEED_MAX,
-    U16,
     HeaderLayout,
     UValue,
 )
@@ -66,7 +66,6 @@ from .flow_ast import (
 )
 from .packet import (  # the packet names are re-exported from here too
     _L4_PROTOCOL,
-    PORT_MAX,
     VALIDATE_LINES,
     VALIDATE_NAMES,
     SimPacket,
@@ -74,13 +73,12 @@ from .packet import (  # the packet names are re-exported from here too
     make_tcp_packet,
     make_udp_packet,
     resized_ipv4,
+    resized_udp,
 )
 from .selector import STACK_HEADERS, FlowSelector, ParserChain, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
-
-_U16_MASK = U16.mask
 
 
 class SplitMix64:
@@ -278,7 +276,7 @@ def _chain_lines(chain: ParserChain, namespace: dict) -> list:
 _NAMESPACE = {
     "pack": struct.pack, "unpack_from": struct.unpack_from, "new": tuple.__new__,
     "TE": TraceEvent, "UValue": UValue, "MATCH": TraceEvent(0, "match", (), ()),
-    "SimPacket": SimPacket, "resized_ipv4": resized_ipv4,
+    "SimPacket": SimPacket, "resized_ipv4": resized_ipv4, "resized_udp": resized_udp,
 }
 
 # One entry per plain op, as codegen._EMIT has one for the P4 dialect: for
@@ -402,14 +400,20 @@ def _compiled(proc: FlowProcessor):
     unpack = "".join(f"{c.var[f.name]}, " for f in proc.input.fields)
     output = proc.output
     head = ["payload, ingress = packet.payload, packet.ingress_port"]
-    if output is not None:
-        # The outgoing IPv4 header is built first, so that a field that
-        # does not fit leaves the state untouched.
+    if output is None:
+        head.append("ipv4 = dict(packet.ipv4)")
+        udp = "dict(udp)"
+    else:
+        # The outgoing headers are built first, so that a field that does
+        # not fit leaves the state untouched.
         delta = f"{output.byte_size} - len(payload)" if proc.truncate_payload else (
             output.byte_size - proc.input.byte_size)
         head += [f"delta = {delta}", "ipv4 = resized_ipv4(packet.ipv4, delta)"]
+        udp = "resized_udp(udp, delta)"
     body = [
         *head,
+        "udp, tcp = packet.udp, packet.tcp",
+        "if udp is None:", ["tcp = dict(tcp)"], "else:", [f"udp = {udp}"],
         "shared, rng = state.shared, state.rng",
         f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
         *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
@@ -420,20 +424,16 @@ def _compiled(proc: FlowProcessor):
         *render(proc.body, c),
     ]
     if output is None:
-        body.append("ipv4 = dict(packet.ipv4)")
-        udp, payload = "dict(udp)", "bytes(payload)"
+        payload = "bytes(payload)"
     else:
-        udp = f"{{**udp, 'len': (udp['len'] + delta) & {_U16_MASK}, 'checksum': 0}}"
         # struct.pack checks that every output value fits its width.
         values = "".join(f"{c.var[f.name]}, " for f in c.outputs)
         tail = "" if proc.truncate_payload else f" + payload[{proc.input.byte_size}:]"
         payload = f"pack({_format(output)!r}, {values}){tail}"
-    body += [
-        "udp, tcp = packet.udp, packet.tcp",
-        "if udp is None:", ["tcp = dict(tcp)"], "else:", [f"udp = {udp}"],
+    body.append(
         "return tuple(events), egress, "
-        f"SimPacket(ingress, dict(packet.eth), ipv4, udp, tcp, {payload})",
-    ]
+        f"SimPacket(ingress, dict(packet.eth), ipv4, udp, tcp, {payload})"
+    )
     source = flatten(["def run(packet, state):", body], 0)
     namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
     exec(_code(source, "<processor>", "exec"), namespace)

@@ -1,9 +1,11 @@
 """Structural scanners for emitted P4 text, used by the tests.
 
-Two checks matter: every brace/paren/bracket closes in order, and every
+Three checks matter: every brace/paren/bracket closes in order, every
 identifier a fragment references is defined either in the fragments
-themselves or by the static template. Angle brackets are left out of the
-balance check because ``>`` doubles as the comparison operator.
+themselves or by the static template, and every flow branch touches each
+state register at most once per direction, around its body. Angle
+brackets are left out of the balance check because ``>`` doubles as the
+comparison operator.
 """
 
 import re
@@ -92,3 +94,51 @@ def unresolved_names(fragments: dict, template_text: str) -> set:
     scannable = [t for n, t in fragments.items() if n.endswith(".p4inc")]
     defined = defined_names(template_text, *scannable) | VOCABULARY
     return referenced_names(*scannable) - defined
+
+
+_FLOW = re.compile(r"^\s*// flow (\w+)$")
+_ORDINAL = re.compile(r"^\s*// \[\d+\]")
+_ACCESS = re.compile(r"\b((?:reg|ring)__\w+)\.(read|write)\(")
+_REGISTER = re.compile(r"\bregister<.*>\s*\(\d+\)\s+(\w+)\s*;")
+
+
+def flow_branches(apply: str) -> dict:
+    """The lines of each flow branch of an apply fragment, by selector name."""
+    branches = {}
+    lines = None
+    for line in apply.splitlines():
+        m = _FLOW.match(line)
+        if m:
+            lines = branches[m.group(1)] = []
+        elif lines is not None:
+            lines.append(line)
+    return branches
+
+
+def _is_state(register: str) -> bool:
+    """A shared variable's register or a ring head, not a ring's slots."""
+    return register.startswith("reg__") or register.endswith("__head")
+
+
+def check_state_access(apply: str, decls: str) -> None:
+    """Raise AssertionError unless, in every flow branch, each state
+    register (``reg__*`` and ``ring__*__head``) has at most one ``.read(``,
+    in front of the body's first ``// [n]`` comment, and at most one
+    ``.write(``, behind its last; and unless every register the apply
+    fragment uses is declared in ``decls``."""
+    declared = set(_REGISTER.findall(_clean(decls)))
+    for flow, lines in flow_branches(apply).items():
+        ordinals = [i for i, line in enumerate(lines) if _ORDINAL.match(line)]
+        first, last = (ordinals[0], ordinals[-1]) if ordinals else (len(lines), -1)
+        seen = set()
+        for i, line in enumerate(lines):
+            for register, kind in _ACCESS.findall(_COMMENT.sub("", line)):
+                assert register in declared, f"flow {flow}: {register} is not declared"
+                if not _is_state(register):
+                    continue
+                if kind == "read":
+                    assert i < first, f"flow {flow}: {register} is read inside the body"
+                else:
+                    assert i > last, f"flow {flow}: {register} is written inside the body"
+                assert (register, kind) not in seen, f"flow {flow}: second {kind} of {register}"
+                seen.add((register, kind))

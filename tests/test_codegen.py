@@ -1,11 +1,12 @@
 """Checks on the emitted P4 fragments and the template splice."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 from all_ops import all_ops_solution
-from p4scan import check_balanced, unresolved_names
+from p4scan import check_balanced, check_state_access, flow_branches, unresolved_names
 
 from p4flowgen import core_model
 from p4flowgen.builtin_examples import (
@@ -26,22 +27,29 @@ from p4flowgen.codegen import (
 from p4flowgen.core_model import (
     U8,
     U16,
+    U32,
     FieldDecl,
     HeaderLayout,
     RingBufferDecl,
     SharedVariableDecl,
     u8,
     u16,
+    u32,
 )
 from p4flowgen.errors import DuplicateName
 from p4flowgen.flow_ast import (
+    Add,
     AssignConst,
+    AssignVar,
     ErrorKind,
     Forward,
+    Greater,
     Hint,
     RingPush,
     RingReadHead,
     SemanticError,
+    SendBack,
+    bool_local,
     new_flow_processor,
 )
 from p4flowgen.selector import ProtocolStack, build_chains, new_flow_selector
@@ -234,18 +242,9 @@ class TestDeclsFragment:
         assert "bit<8> guess__secret;" in text
         assert "register<bit<8>>(1) reg__guess__secret;" in text
 
-    def test_boot_flag_only_for_nonzero_initials(self):
-        with_init = generate(guess_game_solution()).files["decls.p4inc"]
-        assert "reg__guess__boot__v" in with_init
-
-        proc = new_flow_processor(
-            "z",
-            input=HeaderLayout("z_req", [FieldDecl("x", U8)]),
-            shared=[SharedVariableDecl("count", U8, u8(0))],
-        )
-        without = generate(Solution([udp_selector("s", 1, proc)]))
-        assert "boot" not in without.files["decls.p4inc"]
-        assert "boot" not in without.files["apply.p4inc"]
+    def test_no_flag_register_beside_the_state(self):
+        decls = generate(guess_game_solution()).files["decls.p4inc"]
+        assert re.findall(r"register<bit<\d+>>\(\d+\) (\w+);", decls) == ["reg__guess__secret"]
 
     def test_ring_scratch_and_registers(self):
         text = generate(ring_solution()).files["decls.p4inc"]
@@ -305,10 +304,44 @@ class TestApplyFragment:
         assert "app_added_bytes" not in text
         assert "(bit<9>)16w4;" in text
 
-    def test_shared_write_followed_by_register_writeback(self):
-        text = generate(guess_game_solution()).files["apply.p4inc"]
+    def test_nonzero_initial_is_xored_after_the_read_and_in_the_write(self):
+        lines = generate(guess_game_solution()).files["apply.p4inc"].splitlines()
+        text = [line.strip() for line in lines]
+        read = text.index("reg__guess__secret.read(guess__secret, 0);")
+        assert text[read + 1] == "guess__secret = guess__secret ^ 8w42;"
         assert "random(guess__secret, 8w0, 8w255);" in text
-        assert "reg__guess__secret.write(0, guess__secret);" in text
+        write = text.index("reg__guess__secret.write(0, guess__secret ^ 8w42);")
+        assert write > text.index("// [18] SendBack")
+
+    def test_zero_initial_is_stored_as_is(self):
+        proc = new_flow_processor(
+            "z",
+            input=HeaderLayout("z_req", [FieldDecl("x", U8)]),
+            shared=[SharedVariableDecl("count", U8, u8(0))],
+        )
+        proc.body.add(Add(proc.var("count"), proc.var("count"), proc.var("x")))
+        text = generate(Solution([udp_selector("s", 1, proc)])).files["apply.p4inc"]
+        assert "reg__z__count.read(z__count, 0);" in text
+        assert "reg__z__count.write(0, z__count);" in text
+        assert "^" not in text
+
+    def test_read_only_shared_is_never_written(self):
+        proc = new_flow_processor(
+            "ro",
+            input=HeaderLayout("ro_req", [FieldDecl("x", U8)]),
+            output=HeaderLayout("ro_resp", [FieldDecl("y", U8)]),
+            shared=[SharedVariableDecl("limit", U8, u8(9))],
+        )
+        proc.body.add(AssignVar(proc.var("y"), proc.var("limit")))
+        text = generate(Solution([udp_selector("s", 1, proc)])).files["apply.p4inc"]
+        assert "ro__limit = ro__limit ^ 8w9;" in text
+        assert "reg__ro__limit.write" not in text
+
+    def test_ring_head_is_read_in_front_and_written_behind(self):
+        text = generate(ring_solution()).files["apply.p4inc"]
+        assert text.count("ring__ringy__window__head.read(ringy__window__head, 0);") == 1
+        assert text.count("ring__ringy__window__head.write(0, ringy__window__head);") == 1
+        assert "ring__ringy__window.read(hdr.ringy__out.oldest, ringy__window__head);" in text
 
     def test_open_scope_rejected(self):
         proc = simple_processor("open", "open_req")
@@ -322,6 +355,113 @@ class TestApplyFragment:
         with pytest.raises(SemanticError) as err:
             generate(sol)
         assert err.value.kind is ErrorKind.OPEN_SCOPE
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def stateful_solution():
+    """Three processors with shared variables and rings, behind four
+    selectors: state written under If, Switch and Atomic, a read-only
+    variable, a ring only read, and one processor behind two selectors."""
+    counter = new_flow_processor(
+        "counter",
+        input=HeaderLayout("counter_req", [FieldDecl("sel", U8), FieldDecl("n", U16)]),
+        output=HeaderLayout("counter_resp", [FieldDecl("sum", U16), FieldDecl("old", U8)]),
+        locals=[bool_local("big")],
+        shared=[
+            SharedVariableDecl("total", U16, u16(100)),
+            SharedVariableDecl("limit", U16, u16(500)),
+            SharedVariableDecl("pushes", U32, u32(0)),
+        ],
+        rings=[RingBufferDecl("last", U8, 4), RingBufferDecl("seen", U8, 2)],
+    )
+    v = counter.var
+    body = counter.body
+    body.add(Greater(v("big"), v("n"), v("limit")))
+    big = body.If(v("big"))
+    big.add(Add(v("total"), v("total"), v("n")))
+    big.Else().add(Add(v("total"), v("total"), u16(1))).EndIf()
+    case = body.Switch(v("sel")).Case(u8(0))
+    case.add(RingPush("last", v("sel"))).add(RingReadHead("last", v("old")))
+    atomic = case.Case(u8(1)).Atomic()
+    atomic.add(RingPush("last", u8(1))).add(Add(v("pushes"), v("pushes"), u32(1)))
+    atomic.EndAtomic().EndSwitch()
+    body.add(RingReadHead("seen", v("old"))).add(AssignVar(v("sum"), v("total")))
+    body.add(SendBack())
+
+    gauge = new_flow_processor(
+        "gauge",
+        input=HeaderLayout("gauge_req", [FieldDecl("x", U8)]),
+        output=HeaderLayout("gauge_resp", [FieldDecl("y", U8)]),
+        shared=[SharedVariableDecl("level", U8, u8(3))],
+    )
+    gauge.body.add(AssignVar(gauge.var("y"), gauge.var("level")))
+
+    logger = new_flow_processor(
+        "logger",
+        input=HeaderLayout("logger_req", [FieldDecl("x", U8)]),
+        shared=[SharedVariableDecl("count", U8, u8(0))],
+        rings=[RingBufferDecl("log", U8, 3)],
+    )
+    logger.body.add(RingPush("log", logger.var("x")))
+    logger.body.add(Add(logger.var("count"), logger.var("count"), u8(1))).add(Forward(2))
+    return Solution([
+        udp_selector("counter_udp", 4001, counter),
+        udp_selector("gauge_sel", 4002, gauge),
+        new_flow_selector(
+            "counter_tcp", ProtocolStack.IPV4_TCP, [("tcp.dstPort", u16(4001))], counter
+        ),
+        udp_selector("logger_sel", 4003, logger),
+    ])
+
+
+class TestStateAccess:
+    """Each state register is read once in front of a flow branch's body
+    and written at most once behind it."""
+
+    @pytest.mark.parametrize("name", ["guess_game", "insert_agg", "all_ops"])
+    def test_golden_branches(self, name):
+        apply = (GOLDEN / name / "apply.p4inc").read_text()
+        decls = (GOLDEN / name / "decls.p4inc").read_text()
+        assert flow_branches(apply)
+        check_state_access(apply, decls)
+
+    def test_several_stateful_processors(self):
+        files = generate(stateful_solution()).files
+        apply = files["apply.p4inc"]
+        check_state_access(apply, files["decls.p4inc"])
+        branches = flow_branches(apply)
+        assert list(branches) == ["counter_udp", "gauge_sel", "counter_tcp", "logger_sel"]
+        counter = "\n".join(branches["counter_tcp"])
+        for written in ("reg__counter__total", "reg__counter__pushes",
+                        "ring__counter__last__head"):
+            assert f"{written}.write(0, " in counter
+        for kept in ("reg__counter__limit", "ring__counter__seen__head"):
+            assert f"{kept}.read(" in counter and f"{kept}.write" not in counter
+        assert "reg__gauge__level.write" not in apply
+        assert "reg__logger__count.write(0, logger__count);" in apply
+
+    @pytest.mark.parametrize(
+        "after, line, message",
+        [
+            ("guess__secret = guess__secret ^ 8w42;", "reg__guess__secret.read(guess__secret, 0);",
+             "second read"),
+            ("reg__guess__secret.write(0, guess__secret ^ 8w42);",
+             "reg__guess__secret.write(0, guess__secret);", "second write"),
+            ("random(guess__secret, 8w0, 8w255);", "reg__guess__secret.read(guess__secret, 0);",
+             "read inside the body"),
+            ("// [1] Atomic", "reg__guess__secret.write(0, guess__secret);",
+             "written inside the body"),
+            ("// [1] Atomic", "reg__guess__other.read(guess__secret, 0);", "not declared"),
+        ],
+    )
+    def test_scan_refuses_a_misplaced_access(self, after, line, message):
+        files = generate(guess_game_solution()).files
+        apply = files["apply.p4inc"].replace(f"{after}\n", f"{after}\n{line}\n", 1)
+        assert apply != files["apply.p4inc"]
+        with pytest.raises(AssertionError, match=message):
+            check_state_access(apply, files["decls.p4inc"])
 
 
 class TestEmitProcessorControl:

@@ -16,9 +16,7 @@ from p4flowgen.core_model import (
     UWidth,
     cast_value,
     check_identifier,
-    deserialize_layout,
     internet_checksum,
-    serialize_layout,
     u8,
     u16,
     u32,
@@ -29,7 +27,6 @@ from p4flowgen.core_model import (
 from p4flowgen.errors import (
     MissingField,
     ReservedName,
-    TooShort,
     WidthMismatch,
 )
 
@@ -192,54 +189,6 @@ class TestDecls:
         RingBufferDecl("log", U32, 1)
         with pytest.raises(ValueError):
             RingBufferDecl("log", U32, 0)
-
-
-LAYOUT_AB = HeaderLayout("req", [FieldDecl("a", U8), FieldDecl("b", U16)])
-
-
-def layouts_with_values():
-    """Random layout together with a complete, width-correct value map."""
-
-    def build(specs):
-        fields = tuple(FieldDecl(f"f{i}", w) for i, (w, _) in enumerate(specs))
-        layout = HeaderLayout("gen", fields)
-        values = {
-            f.name: UValue(f.width, m % (f.width.mask + 1))
-            for f, (_, m) in zip(fields, specs)
-        }
-        return layout, values
-
-    spec = st.tuples(any_width, st.integers(min_value=0, max_value=2**64 - 1))
-    return st.lists(spec, min_size=1, max_size=6).map(build)
-
-
-class TestSerialization:
-    def test_fields_pack_big_endian_in_order(self):
-        data = serialize_layout(LAYOUT_AB, {"a": u8(1), "b": u16(258)})
-        assert data == bytes([0x01, 0x01, 0x02])
-
-    def test_missing_value_rejected(self):
-        with pytest.raises(MissingField):
-            serialize_layout(LAYOUT_AB, {"a": u8(1)})
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(WidthMismatch):
-            serialize_layout(LAYOUT_AB, {"a": u8(1), "b": u8(2)})
-
-    def test_short_input_rejected(self):
-        with pytest.raises(TooShort):
-            deserialize_layout(LAYOUT_AB, b"\x01\x01")
-
-    def test_trailing_bytes_ignored(self):
-        values = deserialize_layout(LAYOUT_AB, bytes([1, 1, 2, 0xEE, 0xFF]))
-        assert values == {"a": u8(1), "b": u16(258)}
-
-    @given(layouts_with_values())
-    def test_round_trip(self, case):
-        layout, values = case
-        data = serialize_layout(layout, values)
-        assert len(data) == layout.byte_size
-        assert deserialize_layout(layout, data) == values
 
 
 class TestInternetChecksum:

@@ -2,7 +2,7 @@
 
 Each subcommand imports the layers it runs when it starts (cli.py), and
 the package resolves its public names on first use, so ``check`` loads
-neither the simulator nor the code generator. The subprocess tests see
+neither the simulator, the packet module nor the code generator. The subprocess tests see
 what a run loads; the static test names the module-level import that
 would undo it.
 """
@@ -22,7 +22,7 @@ GUESS = PACKAGE / "assets" / "guess_game.json"
 TRACE = Path(__file__).parent / "data" / "guess_game_trace.json"
 
 # The layers a subcommand may leave unloaded.
-OPTIONAL = {"codegen", "simulator", "builtin_examples"}
+OPTIONAL = {"codegen", "simulator", "builtin_examples", "packet"}
 
 
 def loaded_by(tmp_path, code: str) -> set[str]:
@@ -43,7 +43,7 @@ def loaded_by(tmp_path, code: str) -> set[str]:
 @pytest.mark.parametrize("command, runs", [
     ("check", set()),
     ("generate", {"codegen"}),
-    ("simulate", {"simulator"}),
+    ("simulate", {"simulator", "packet"}),
     ("examples", {"builtin_examples"}),
 ])
 def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, command, runs):
@@ -102,8 +102,8 @@ FORBIDDEN = {
     "selector": {"codegen", "simulator"},
     "packet": {"codegen", "simulator"},
     "staging": {"codegen", "simulator"},
-    "program_doc": {"codegen", "simulator"},
-    "cli": {"codegen", "simulator", "builtin_examples"},
+    "program_doc": {"codegen", "simulator", "packet"},
+    "cli": {"codegen", "simulator", "builtin_examples", "packet"},
 }
 
 

@@ -632,6 +632,21 @@ class TestResultsWriter:
         assert kind in str(err.value)
 
 
+    @pytest.mark.parametrize("port, verdict", [(GUESS_PORT, PROCESSED), (4444, PASSTHROUGH)])
+    def test_bool_header_value_names_its_path(self, port, verdict):
+        """A bool is an int to the simulator, but not to the results
+        schema: the writer refuses it rather than write "True"."""
+        packet = make_udp_packet(port, payload=bytes([10]))
+        packet.ipv4["ttl"] = True
+        results = run_trace(guess_game_solution(), [make_udp_packet(port), packet])
+        assert results[1].verdict == verdict
+        with pytest.raises(TypeError) as err:
+            dumps_results(0, results)
+        assert str(err.value) == (
+            "$.results[1].ipv4.ttl: cannot write a bool to a results document"
+        )
+
+
 class TestStreamingMemory:
     @staticmethod
     def streamed_peak(solution, count: int) -> int:

@@ -23,6 +23,7 @@ from jsonschema.exceptions import best_match
 import p4flowgen
 from p4flowgen import cli, program_doc
 from p4flowgen.builtin_examples import asset_path
+from p4flowgen.core_model import PORT_MAX
 from p4flowgen.program_doc import (
     DocError,
     _tagged_union,
@@ -491,6 +492,24 @@ class TestStrictIntegers:
         program = str(DATA / "all_ops.json")
         assert cli.main(["simulate", program, "-t", str(trace)]) == 1
         assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_both_schemas_bound_ports_by_port_max():
+    def forward_ports(node):  # the port schema of each forward branch
+        if isinstance(node, dict):
+            if node.get("if", {}).get("properties", {}).get("op") == {"const": "forward"}:
+                yield node["then"]["properties"]["port"]
+            for value in node.values():
+                yield from forward_ports(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from forward_ports(value)
+
+    ingress = load_schema("trace")["$defs"]["packet"]["properties"]["ingress_port"]
+    ports = [ingress, *forward_ports(load_schema("program"))]
+    assert len(ports) == 2
+    for port in ports:
+        assert (port["minimum"], port["maximum"]) == (0, PORT_MAX)
 
 
 def test_no_package_module_imports_jsonschema():

@@ -39,7 +39,6 @@ from p4flowgen.core_model import (
     UValue,
     UWidth,
     cast_value,
-    deserialize_layout,
     u8,
     u16,
     wrap_add,
@@ -680,7 +679,11 @@ class TestArithmeticMatchesHelpers:
         res, _ = simulate_packet(
             sol, initial_state(sol), make_udp_packet(1004, payload=payload)
         )
-        got = deserialize_layout(out, res.packet.payload)
+        got, offset = {}, 0
+        for f in out.fields:
+            end = offset + f.width.nbytes
+            got[f.name] = UValue(f.width, int.from_bytes(res.packet.payload[offset:end], "big"))
+            offset = end
         ua, ub = UValue(width, a), UValue(width, b)
         assert got["sum"] == wrap_add(ua, ub)
         assert got["diff"] == wrap_sub(ua, ub)
@@ -1136,6 +1139,20 @@ class TestHeaderFields:
     def test_bad_ipv4_field_is_a_per_packet_error_before_the_body(self, field, value, message):
         """A processor with an output rebuilds the IPv4 header; a field
         that cannot be rebuilt fails the packet before any state moves."""
+        self.assert_fails_before_the_body("ipv4", field, value, message)
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "udp.len 'x' is not an int"),
+        (70000, "udp.len 70000 does not fit 16 bits"),
+        (-1, "udp.len -1 does not fit 16 bits"),
+    ])
+    def test_bad_udp_len_is_a_per_packet_error_before_the_body(self, value, message):
+        """The UDP header is rebuilt with the IPv4 one: a len that cannot
+        be shifted neither crashes the run nor wraps into the packet."""
+        self.assert_fails_before_the_body("udp", "len", value, message)
+
+    @staticmethod
+    def assert_fails_before_the_body(header, field, value, message):
         proc = new_flow_processor(
             "keep",
             input=HeaderLayout("keep_req", [FieldDecl("v", U8)]),
@@ -1149,7 +1166,7 @@ class TestHeaderFields:
         for sol in (udp_solution(proc, 1010), GUESS):
             port = sol.selectors[0].criteria[0].value.magnitude
             bad = make_udp_packet(port, payload=b"\x07")
-            bad.ipv4[field] = value
+            getattr(bad, header)[field] = value
             state = initial_state(sol, seed=3)
             with pytest.raises(MalformedPacket) as raised:
                 simulate_packet(sol, state, bad)
