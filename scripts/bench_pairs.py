@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the working tree against a parent commit in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_REF --pairs N [--workload W] > BENCH_x.json
+    python3 scripts/bench_pairs.py PARENT_REF --pairs N [--workload W] [--seed S] > BENCH_x.json
 
 Each pair runs ``perfbench/run.py --workload W`` once on an exported copy
 of PARENT_REF and once on the working tree, the parent first in odd pairs
@@ -14,7 +14,10 @@ of every run and, per workload and end-to-end metric of BENCHMARK.json,
 the parent's and the change's q1/median/q3 over the pairs and the number
 of pairs the change wins (a win is a strictly better value in the
 metric's direction). Without ``--workload`` every workload of BENCHMARK.json
-runs.
+runs. ``--seed`` is passed to every run and kept in the record; without it
+each run uses perfbench's default seed and the record's seed is null. A
+claim made on the default seed is checked again on a seed not used while
+the change was written.
 
 The parent is exported with ``git archive`` into a temporary directory,
 which is removed at the end; the repository itself is left as it was.
@@ -31,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -50,12 +54,18 @@ def export(ref: str, into: Path) -> str:
     return commit
 
 
-def run(checkout: Path, workload: str, trace: int) -> tuple[str, dict]:
+def perfbench_args(workload: str, trace: int, seed: Optional[int]) -> list[str]:
+    """The arguments of one ``perfbench/run.py`` run."""
+    args = ["perfbench/run.py", "--workload", workload, "--trace", str(trace)]
+    return args if seed is None else [*args, "--seed", str(seed)]
+
+
+def run(checkout: Path, workload: str, trace: int, seed: Optional[int]) -> tuple[str, dict]:
     """One benchmark run in ``checkout``: its stdout and its last line's
     JSON. The benchmark measures the package of the checkout it runs from."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)],
+        [sys.executable, *perfbench_args(workload, trace, seed)],
         cwd=checkout, env=env, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"{checkout}: {workload} printed nothing (exit {proc.returncode})\n"
@@ -107,6 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable); default: those of BENCHMARK.json")
+    parser.add_argument("--seed", type=int,
+                        help="the workload seed of every run; default: perfbench's own")
     parser.add_argument("--description", default="", help="the record's description")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -116,7 +128,7 @@ def main(argv=None) -> int:
     runs, results = [], {w: [] for w in workloads}
 
     def record(workload, pair, side, first, trace):
-        stdout, result = run(sides[side], workload, trace)
+        stdout, result = run(sides[side], workload, trace, args.seed)
         runs.append({"workload": workload, "pair": pair, "side": side, "first": first,
                      "trace": trace, "stdout": stdout})
         print(f"{workload} pair {pair} {side}: "
@@ -139,8 +151,9 @@ def main(argv=None) -> int:
     doc = {
         "description": args.description,
         "parent_commit": commit,
+        "seed": args.seed,
         "host": host(),
-        "commands": [f"python3 perfbench/run.py --workload {w} --trace {t}"
+        "commands": [" ".join(["python3", *perfbench_args(w, t, args.seed)])
                      for t in (0, 1) for w in workloads],
         "summary": {w: summarize(results[w]) for w in workloads},
         "runs": runs,

@@ -26,11 +26,10 @@ the source program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core_model import HEADER_BYTES, TEMPLATE, HeaderLayout, UValue
+from .core_model import HEADER_BYTES, TEMPLATE, HeaderLayout, UValue, record
 from .flow_ast import (
     TARGET,
     Add,
@@ -73,7 +72,7 @@ FRAGMENT_NAMES = (
 COMBINED_NAME = "program.p4"
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class GeneratedFileSet:
     """The emitted fragments plus the combined program, and the template
     they splice into."""

@@ -1,4 +1,5 @@
-"""Fixed-width unsigned values, header layouts and the internet checksum.
+"""Fixed-width unsigned values, header layouts and the internet checksum,
+plus ``record``, the decorator that builds the package's record classes.
 
 Everything here is immutable after construction and arithmetic always wraps
 modulo the width, mirroring what a P4 target does with ``bit<N>`` operands.
@@ -9,9 +10,85 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import MissingField, ReservedName, WidthMismatch
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def _refuse_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+def record(cls=None, *, frozen: bool = False, eq: bool = True):
+    """Class decorator for a record class: its fields are its annotated
+    names, those of a record base class first and ``ClassVar`` ones left
+    out, and a class attribute of a field's name is that field's default.
+    A record has at least one field.
+
+    The class gets ``FIELDS``, the field names in order, and, where its
+    body does not define them itself:
+
+    - ``__init__``, which takes the fields in order, stores each one
+      (with ``object.__setattr__`` when frozen) and then calls
+      ``__post_init__`` if the class has one. It is the one method
+      compiled from source, with one ``exec`` per class;
+    - ``__repr__``, as ``Name(field=value, ...)``;
+    - with ``eq``, ``__eq__`` by field values, only with an instance of
+      the very same class, and ``__hash__`` of the field values when
+      frozen or None (unhashable) when not; without ``eq``, the identity
+      equality and hash of ``object``.
+
+    A frozen instance refuses attribute writes and deletes with an
+    AttributeError; its own constructor, a copy and a pickle go round it.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, eq=eq)
+    names = [name for base in cls.__bases__ for name in getattr(base, "FIELDS", ())]
+    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+        if not str(annotation).startswith(("ClassVar", "typing.ClassVar")) and name not in names:
+            names.append(name)
+    cls.FIELDS = names = tuple(names)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    methods = {"__repr__": __repr__}
+    if eq:
+        values = attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __hash__(self):
+            return hash(values(self))
+
+        methods["__eq__"] = __eq__
+        methods["__hash__"] = __hash__ if frozen else None
+    if "__init__" not in cls.__dict__:
+        defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+        store = "_set(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
+        body = [store.format(name) for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec("\n    ".join([f"def __init__(self, {params}):", *body]), namespace)
+        methods["__init__"] = namespace["__init__"]
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            if method is not None:
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    return cls
 
 
 class UWidth(enum.IntEnum):
@@ -45,7 +122,7 @@ U64 = UWidth.U64
 SEED_MAX = U64.mask
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UValue:
     """An unsigned integer with an explicit width."""
 
@@ -191,7 +268,7 @@ def check_identifier(name: str, what: str = "identifier") -> str:
     return name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl:
     """A named fixed-width field inside a layout."""
 
@@ -204,7 +281,7 @@ class FieldDecl:
             object.__setattr__(self, "width", UWidth(self.width))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HeaderLayout:
     """An ordered sequence of fields describing a byte region of a packet."""
 
@@ -238,7 +315,7 @@ class HeaderLayout:
         return any(f.name == name for f in self.fields)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SharedVariableDecl:
     """A register-backed variable that persists across packets."""
 
@@ -257,7 +334,7 @@ class SharedVariableDecl:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingBufferDecl:
     """A fixed-capacity ring of registers plus one head-index register."""
 

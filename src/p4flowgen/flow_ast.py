@@ -14,7 +14,6 @@ and generated-code comments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import ClassVar, Iterator, Optional, Union, get_args
 
@@ -28,6 +27,7 @@ from .core_model import (
     UValue,
     UWidth,
     check_identifier,
+    record,
 )
 from .errors import FlowgenError, ReservedName
 from .errors import WidthMismatch as CoreWidthMismatch
@@ -76,7 +76,7 @@ class Hint(enum.Enum):
     TABLE = "table"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalDecl(FieldDecl):
     """A per-packet scratch variable. Booleans are u8 restricted to {0,1}."""
 
@@ -98,7 +98,7 @@ def bool_local(name: str) -> LocalDecl:
     return LocalDecl(name, U8, is_bool=True)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarRef:
     """A resolved reference to a declared field or variable."""
 
@@ -111,8 +111,8 @@ class VarRef:
 Operand = Union[VarRef, UValue]
 
 # Each plain command class below is the one declaration of its op: ``op``
-# is its document tag and trace-event kind, and its dataclass fields, in
-# document order, have roles fixed by their names. ``target`` is the
+# is its document tag and trace-event kind, and its FIELDS, in document
+# order, have roles fixed by their names. ``target`` is the
 # variable the op writes (TARGET), ``value`` a constant (CONST),
 # ``source``/``lhs``/``rhs`` operands (OPERAND) and ``ring`` a ring's name
 # (RING). A field with an enum default has its enum class as its role, and
@@ -125,7 +125,7 @@ _ROLE_OF_NAME = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssignConst:
     op: ClassVar[str] = "assign_const"
     target: VarRef
@@ -133,7 +133,7 @@ class AssignConst:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssignVar:
     op: ClassVar[str] = "assign_var"
     target: VarRef
@@ -141,7 +141,7 @@ class AssignVar:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cast:
     """The only width-changing command: narrows by truncation, widens
     by zero extension."""
@@ -152,7 +152,7 @@ class Cast:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Add:
     op: ClassVar[str] = "add"
     target: VarRef
@@ -161,7 +161,7 @@ class Add:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sub:
     op: ClassVar[str] = "sub"
     target: VarRef
@@ -170,7 +170,7 @@ class Sub:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Equals:
     op: ClassVar[str] = "equals"
     target: VarRef
@@ -180,7 +180,7 @@ class Equals:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Greater:
     op: ClassVar[str] = "greater"
     target: VarRef
@@ -189,7 +189,7 @@ class Greater:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rand:
     """Uniform random value over the target's full width."""
 
@@ -198,7 +198,7 @@ class Rand:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingPush:
     op: ClassVar[str] = "ring_push"
     ring: str
@@ -206,7 +206,7 @@ class RingPush:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingReadHead:
     op: ClassVar[str] = "ring_read_head"
     ring: str
@@ -214,7 +214,7 @@ class RingReadHead:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SendBack:
     """Return the packet through its ingress port."""
 
@@ -222,7 +222,7 @@ class SendBack:
     ordinal: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forward:
     op: ClassVar[str] = "forward"
     port: int
@@ -249,19 +249,20 @@ Command = Union[
 ]
 
 
-def _role(f):
-    """The role of the command field ``f``."""
-    if f.name in _ROLE_OF_NAME:
-        return _ROLE_OF_NAME[f.name]
-    return type(f.default) if isinstance(f.default, enum.Enum) else PLAIN
+def _role(cls: type, name: str):
+    """The role of the field ``name`` of the command class ``cls``."""
+    if name in _ROLE_OF_NAME:
+        return _ROLE_OF_NAME[name]
+    default = getattr(cls, name, None)
+    return type(default) if isinstance(default, enum.Enum) else PLAIN
 
 
 def _op_table(*classes: type) -> dict[str, type]:
     """The op table: every plain command class, keyed by its op name. Each
-    class gets ``roles``: its fields but ``ordinal``, in field order, each
-    as ``(name, role)``."""
+    class gets ``roles``: its FIELDS but ``ordinal``, in order, each as
+    ``(name, role)``."""
     for cls in classes:
-        cls.roles = tuple((f.name, _role(f)) for f in fields(cls) if f.name != "ordinal")
+        cls.roles = tuple((name, _role(cls, name)) for name in cls.FIELDS if name != "ordinal")
     return {cls.op: cls for cls in classes}
 
 
@@ -410,7 +411,7 @@ class Block:
             )
         self._proc._check_command(cmd, site)
         if cmd.ordinal:  # stored before: its copy takes this site
-            cmd = replace(cmd, ordinal=site)
+            cmd = type(cmd)(*(getattr(cmd, name) for name, _ in cmd.roles), ordinal=site)
         else:  # a new command takes its site in place, built once
             object.__setattr__(cmd, "ordinal", site)
         self.commands.append(cmd)

@@ -11,7 +11,6 @@ program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -24,6 +23,7 @@ from .core_model import (
     PORT_MAX,
     STANDARD_HEADERS,
     complement_fold,
+    record,
 )
 from .errors import MalformedPacket
 from .selector import ProtocolStack
@@ -31,10 +31,10 @@ from .selector import ProtocolStack
 
 def _packer(header: str):
     """The wire bytes of a header's field map, compiled once from
-    STANDARD_HEADERS (the way dataclasses compiles ``__init__``) into one
-    shift-and-or expression, so that it runs no per-field loop. A field
-    that does not fit its width raises OverflowError; the reserved nibble
-    packs as zero."""
+    STANDARD_HEADERS (the way ``core_model.record`` compiles ``__init__``)
+    into one shift-and-or expression, so that it runs no per-field loop. A
+    field that does not fit its width raises OverflowError; the reserved
+    nibble packs as zero."""
     shift = HEADER_BYTES[header] * 8
     fields, overflow = [], []
     for name, bits in STANDARD_HEADERS[header]:
@@ -170,7 +170,7 @@ VALIDATE_NAMES = {
 }
 
 
-@dataclass
+@record
 class SimPacket:
     """A synthetic packet: standard-header field maps plus raw payload.
 

@@ -727,7 +727,11 @@ def load_trace(path) -> tuple[int, list[SimPacket]]:
     return trace_from_doc(load_json(path))
 
 
-def result_to_doc(result: SimResult) -> dict:
+def result_to_doc(result: SimResult, at: str = "$") -> dict:
+    """The results-document form of one result, found at JSON path ``at``.
+    A header field value that is not exactly an int raises TypeError naming
+    its path, as ``iter_results_text`` does, rather than be written as
+    text (``"True"`` for a bool)."""
     packet = result.packet
     doc = {
         "verdict": result.verdict,
@@ -737,6 +741,9 @@ def result_to_doc(result: SimResult) -> dict:
     for header in HEADER_FIELD_BITS:
         fields = getattr(packet, header)
         if fields is not None:
+            for k, v in fields.items():
+                if v.__class__ is not int:
+                    raise TypeError(_cannot_write(f"{at}.{header}.{k}", v))
             doc[header] = {k: str(v) for k, v in fields.items()}
     doc["payload_hex"] = packet.payload.hex()
     doc["trace"] = [
@@ -754,7 +761,10 @@ def result_to_doc(result: SimResult) -> dict:
 
 
 def results_to_doc(seed: int, results) -> dict:
-    return {"seed": seed, "results": [result_to_doc(r) for r in results]}
+    return {
+        "seed": seed,
+        "results": [result_to_doc(r, f"$.results[{i}]") for i, r in enumerate(results)],
+    }
 
 
 # The layout of a results document is fixed, so each depth's indent is a

@@ -12,7 +12,6 @@ generator emits them as parser states.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .core_model import (
@@ -23,6 +22,7 @@ from .core_model import (
     HeaderLayout,
     UValue,
     check_identifier,
+    record,
 )
 from .errors import (
     DuplicateName,
@@ -68,7 +68,7 @@ PARSER_GATE = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Criterion:
     """One exact-match requirement: a field name and the value it must hold.
 
@@ -80,7 +80,7 @@ class Criterion:
     value: UValue
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class FlowSelector:
     name: str
     stack: ProtocolStack
@@ -89,7 +89,7 @@ class FlowSelector:
     processor: FlowProcessor
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ParserChain:
     """The selectors of one stack in registration order."""
 
@@ -184,7 +184,7 @@ def build_chains(selectors) -> dict[ProtocolStack, ParserChain]:
     }
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Solution:
     """Selectors in registration order plus the per-stack chains built
     from them, which both the simulator and the code generator walk.

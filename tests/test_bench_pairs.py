@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: the summary of alternating benchmark pairs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -31,3 +32,29 @@ def test_a_win_is_a_strictly_better_value_in_the_metric_direction():
 
 def test_one_pair_has_its_value_as_every_quartile():
     assert bench_pairs.quartiles([4.0]) == [4.0, 4.0, 4.0]
+
+
+def test_the_seed_reaches_every_run_and_the_record(monkeypatch, capsys, tmp_path):
+    seen = []
+
+    def fake_run(checkout, workload, trace, seed):
+        seen.append((workload, trace, seed))
+        return "", result()
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(["HEAD", "--pairs", "2", "--workload", "guess_stream",
+                             "--seed", "7"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["seed"] == 7
+    assert {seed for _, _, seed in seen} == {7}
+    assert len(seen) == 2 * 2 + 2  # both sides of each pair, then one traced run each
+    assert record["commands"] == [
+        "python3 perfbench/run.py --workload guess_stream --trace 0 --seed 7",
+        "python3 perfbench/run.py --workload guess_stream --trace 1 --seed 7",
+    ]
+
+
+def test_without_a_seed_perfbench_keeps_its_default():
+    assert "--seed" not in bench_pairs.perfbench_args("many_flows", 0, None)
+    assert bench_pairs.perfbench_args("many_flows", 1, 3)[-2:] == ["--seed", "3"]

@@ -25,19 +25,40 @@ TRACE = Path(__file__).parent / "data" / "guess_game_trace.json"
 OPTIONAL = {"codegen", "simulator", "builtin_examples", "packet"}
 
 
-def loaded_by(tmp_path, code: str) -> set[str]:
-    """The p4flowgen modules a fresh interpreter holds after ``code``."""
+def modules_after(tmp_path, code: str) -> set[str]:
+    """The names of the modules a fresh interpreter holds after ``code``."""
     listing = tmp_path / "modules.json"
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
         f"{code}\n"
-        "names = [m.split('.', 1)[1] for m in sys.modules if m.startswith('p4flowgen.')]\n"
-        f"open({str(listing)!r}, 'w').write(json.dumps(names))\n"
+        f"open({str(listing)!r}, 'w').write(json.dumps(list(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(listing.read_text()))
+
+
+def loaded_by(tmp_path, code: str) -> set[str]:
+    """The p4flowgen modules a fresh interpreter holds after ``code``."""
+    return {
+        name.split(".", 1)[1] for name in modules_after(tmp_path, code)
+        if name.startswith("p4flowgen.")
+    }
+
+
+def cli_run(tmp_path, command: str) -> str:
+    """Code that runs the CLI ``command`` on guess_game."""
+    argv = {
+        "check": [str(GUESS)],
+        "generate": [str(GUESS), "-o", str(tmp_path / "gen")],
+        "simulate": [str(GUESS), "-t", str(TRACE), "-o", str(tmp_path / "sim.json")],
+        "examples": ["-o", str(tmp_path / "examples")],
+    }[command]
+    return (
+        "from p4flowgen import cli\n"
+        f"assert cli.main({[command, *argv]!r}) == 0\n"
+    )
 
 
 @pytest.mark.parametrize("command, runs", [
@@ -47,17 +68,18 @@ def loaded_by(tmp_path, code: str) -> set[str]:
     ("examples", {"builtin_examples"}),
 ])
 def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, command, runs):
-    argv = {
-        "check": [str(GUESS)],
-        "generate": [str(GUESS), "-o", str(tmp_path / "gen")],
-        "simulate": [str(GUESS), "-t", str(TRACE), "-o", str(tmp_path / "sim.json")],
-        "examples": ["-o", str(tmp_path / "examples")],
-    }[command]
-    code = (
-        "from p4flowgen import cli\n"
-        f"assert cli.main({[command, *argv]!r}) == 0\n"
-    )
-    assert loaded_by(tmp_path, code) & OPTIONAL == runs
+    assert loaded_by(tmp_path, cli_run(tmp_path, command)) & OPTIONAL == runs
+
+
+# Standard modules that cost start-up time and that the package does not
+# need: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis``
+# and ``tokenize``. The record classes are built by ``core_model.record``.
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", ["check", "generate", "simulate"])
+def test_subcommands_load_no_dataclasses_or_inspect(tmp_path, command):
+    assert modules_after(tmp_path, cli_run(tmp_path, command)) & SLOW_STDLIB == set()
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):

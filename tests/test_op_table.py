@@ -5,7 +5,6 @@ role table, the hand-written program schema, the simulator's eval
 entries and the code generator's emit entries.
 """
 
-import dataclasses
 from typing import get_args
 
 import pytest
@@ -38,21 +37,15 @@ def test_schema_op_enum_is_the_op_table_plus_scopes():
 def test_schema_branch_lists_exactly_the_op_fields(op):
     # Every op, one with no fields too, has one closed branch: its own
     # fields beside the op and the ordinal, and no other key.
-    fields = [f for f in dataclasses.fields(OPS[op]) if f.name != "ordinal"]
+    cls = OPS[op]
+    fields = [name for name in cls.FIELDS if name != "ordinal"]
     branches = _branches(op)
     assert len(branches) == 1
     then = branches[0]["then"]
     assert then["additionalProperties"] is False
     assert then["properties"]["op"] is True and then["properties"]["ordinal"] is True
-    assert sorted(then["properties"].keys() - {"op", "ordinal"}) == sorted(
-        f.name for f in fields
-    )
-    required = [
-        f.name
-        for f in fields
-        if f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
+    assert sorted(then["properties"].keys() - {"op", "ordinal"}) == sorted(fields)
+    required = [name for name in fields if not hasattr(cls, name)]  # no default
     assert sorted(then.get("required", [])) == sorted(required)
 
 
@@ -87,7 +80,7 @@ def test_op_names_are_unique_per_class():
 @pytest.mark.parametrize("op", list(OPS))
 def test_roles_list_every_field_but_the_ordinal_in_order(op):
     cls = OPS[op]
-    names = [f.name for f in dataclasses.fields(cls) if f.name != "ordinal"]
+    names = [name for name in cls.FIELDS if name != "ordinal"]
     assert [name for name, _ in cls.roles] == names
 
 

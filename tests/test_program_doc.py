@@ -635,7 +635,8 @@ class TestResultsWriter:
     @pytest.mark.parametrize("port, verdict", [(GUESS_PORT, PROCESSED), (4444, PASSTHROUGH)])
     def test_bool_header_value_names_its_path(self, port, verdict):
         """A bool is an int to the simulator, but not to the results
-        schema: the writer refuses it rather than write "True"."""
+        schema: the writer and the document form both refuse it, with the
+        same path, rather than write "True"."""
         packet = make_udp_packet(port, payload=bytes([10]))
         packet.ipv4["ttl"] = True
         results = run_trace(guess_game_solution(), [make_udp_packet(port), packet])
@@ -645,6 +646,11 @@ class TestResultsWriter:
         assert str(err.value) == (
             "$.results[1].ipv4.ttl: cannot write a bool to a results document"
         )
+        with pytest.raises(TypeError) as as_doc:
+            results_to_doc(0, results)
+        assert str(as_doc.value) == str(err.value)
+        with pytest.raises(TypeError, match=r"^\$\.ipv4\.ttl: cannot write a bool "):
+            result_to_doc(results[1])
 
 
 class TestStreamingMemory:
