@@ -438,6 +438,23 @@ class TestOrdinals:
         assert if_node.then_block.commands[0].ordinal == 3
         assert if_node.end_ordinal == 4
 
+    def test_a_stored_command_added_again_is_copied_with_the_new_ordinal(self):
+        p = make_proc()
+        first = [
+            Equals(p.var("ok"), p.var("a"), u8(3), Hint.TABLE),
+            Forward(7),
+            RingPush("log", p.var("t32")),
+        ]
+        for cmd in first:
+            p.body.add(cmd)
+        for cmd in first:
+            p.body.add(cmd)
+        assert [c.ordinal for c in first] == [1, 2, 3]
+        for cmd, again in zip(first, p.body.commands[3:]):
+            assert again is not cmd and type(again) is type(cmd)
+            assert again.ordinal == cmd.ordinal + 3
+            assert all(getattr(again, name) == getattr(cmd, name) for name, _ in cmd.roles)
+
     def test_failed_call_consumes_an_ordinal(self):
         p = make_proc()
         with pytest.raises(SemanticError):
