@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Refresh the frozen documents and outputs: the shipped assets,
-tests/data/all_ops.json and everything under tests/golden/.
+"""Refresh the frozen documents and outputs: the shipped schemas and
+assets, tests/data/all_ops.json and everything under tests/golden/.
 
-The frozen files pin four things:
+The frozen files pin five things:
 
+* the two shipped schemas (src/p4flowgen/schemas/): the command op enum
+  and plain-op branches come from flow_ast.OPS, the seed and port maxima
+  from core_model, and the hand-written rest is rewritten by dumps_doc,
 * the document of each packaged example, built by its entry in
   EXAMPLE_BUILDERS (src/p4flowgen/assets/<name>.json),
 * the document of the all_ops program built by tests/all_ops.py
@@ -13,9 +16,9 @@ The frozen files pin four things:
 * the simulate results for the trace fixtures in tests/data/
   (tests/golden/<name>_results.json).
 
-Run this after an intentional change to code generation or to the
-simulator, review the diff, and commit the result together with the
-change that caused it. With --check nothing is written; the script
+Run this after an intentional change to the op table, code generation
+or the simulator, review the diff, and commit the result together with
+the change that caused it. With --check nothing is written; the script
 exits 1 if the tree no longer matches what the package produces.
 """
 
@@ -35,7 +38,10 @@ sys.path.insert(0, str(TESTS))
 from all_ops import all_ops_solution
 from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
+from p4flowgen.core_model import PORT_MAX, SEED_MAX
+from p4flowgen.flow_ast import CONST, OPERAND, OPS, PLAIN, RING, TARGET
 from p4flowgen.program_doc import (
+    SCHEMA_DIR,
     dumps_doc,
     dumps_results,
     load_trace,
@@ -47,6 +53,46 @@ from p4flowgen.simulator import run_trace
 GOLDEN = TESTS / "golden"
 DATA = TESTS / "data"
 ALL_OPS_DOC = DATA / "all_ops.json"
+
+# The ops whose command branches are hand-written: the scopes.
+SCOPE_OPS = ["if", "switch", "atomic"]
+# A plain op's field schema by its role, or by its name for a PLAIN field.
+FIELD_SCHEMAS = {
+    TARGET: {"$ref": "#/$defs/identifier"}, RING: {"$ref": "#/$defs/identifier"},
+    CONST: {"$ref": "#/$defs/uvalue"}, OPERAND: {"$ref": "#/$defs/operand"},
+    "port": {"type": "integer", "minimum": 0, "maximum": PORT_MAX},
+}
+
+
+def schema_outputs() -> dict[Path, str]:
+    """Both shipped schemas with their derived parts rebuilt. The plain
+    ops get one closed command branch per distinct set of fields, in
+    op-table order; a field with an enum default takes its enum's values."""
+    groups: dict[str, tuple[dict, list[str]]] = {}
+    for op, cls in OPS.items():
+        fields = {
+            name: {"enum": [m.value for m in role]} if isinstance(role, type)
+            else FIELD_SCHEMAS[name if role == PLAIN else role]
+            for name, role in cls.roles
+        }
+        then = {"additionalProperties": False}
+        required = [name for name in fields if not hasattr(cls, name)]  # no default
+        if required:
+            then["required"] = required
+        then["properties"] = {"op": True, "ordinal": True, **fields}
+        groups.setdefault(json.dumps(then), (then, []))[1].append(op)
+    paths = [SCHEMA_DIR / f"{name}.schema.json" for name in ("program", "trace")]
+    program, trace = (json.loads(path.read_text()) for path in paths)
+    command = program["$defs"]["command"]
+    command["properties"]["op"]["enum"] = list(OPS) + SCOPE_OPS
+    command["allOf"] = [
+        {"if": {"properties": {"op": {"const": ops[0]} if len(ops) == 1 else {"enum": ops}}},
+         "then": then}
+        for then, ops in groups.values()
+    ] + [m for m in command["allOf"] if m["if"]["properties"]["op"].get("const") in SCOPE_OPS]
+    trace["properties"]["seed"]["maximum"] = SEED_MAX
+    trace["$defs"]["packet"]["properties"]["ingress_port"]["maximum"] = PORT_MAX
+    return dict(zip(paths, map(dumps_doc, (program, trace))))
 
 
 def _program_outputs(name: str, doc_path: Path, solution) -> dict[Path, str]:
@@ -76,7 +122,7 @@ def build_outputs() -> dict[Path, str]:
     return out
 
 
-def check(expected: dict[Path, str]) -> int:
+def check(expected: dict[Path, str], orphans: bool = True) -> int:
     stale = []
     for path, text in expected.items():
         rel = path.relative_to(ROOT)
@@ -84,7 +130,7 @@ def check(expected: dict[Path, str]) -> int:
             stale.append(f"missing: {rel}")
         elif path.read_text() != text:
             stale.append(f"differs: {rel}")
-    for path in sorted(GOLDEN.rglob("*")):
+    for path in sorted(GOLDEN.rglob("*")) if orphans else ():
         if path.is_file() and path not in expected:
             stale.append(f"orphaned: {path.relative_to(ROOT)}")
     for line in stale:
@@ -110,8 +156,12 @@ def main(argv: list[str] | None = None) -> int:
         help="compare instead of writing; exit 1 on any drift",
     )
     args = parser.parse_args(argv)
-    expected = build_outputs()
-    return check(expected) if args.check else write(expected)
+    # The programs below load through the schemas, so those come first.
+    schemas = schema_outputs()
+    if args.check:
+        return check(schemas, orphans=False) or check(build_outputs())
+    write(schemas)
+    return write(build_outputs())
 
 
 if __name__ == "__main__":

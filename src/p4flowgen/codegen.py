@@ -253,17 +253,6 @@ _EMIT = {
 # -- fragment builders --------------------------------------------------------
 
 
-def _unique_layouts(selectors: Sequence[FlowSelector]) -> list[HeaderLayout]:
-    """Every layout once, in first-use order; Solution guarantees that a
-    name means one structure."""
-    layouts: dict[str, HeaderLayout] = {}
-    for sel in selectors:
-        for layout in (sel.lookahead, sel.processor.input, sel.processor.output):
-            if layout is not None:
-                layouts.setdefault(layout.name, layout)
-    return list(layouts.values())
-
-
 def _emit_headers(layouts: Sequence[HeaderLayout]) -> str:
     return "\n".join(
         flatten([
@@ -444,7 +433,7 @@ def generate(solution: Solution) -> GeneratedFileSet:
     flow_ids = {sel.name: i + 1 for i, sel in enumerate(selectors)}
     printed = {p: _P4(p) for p in procs}
     files = {
-        "headers.p4inc": _emit_headers(_unique_layouts(selectors)),
+        "headers.p4inc": _emit_headers(solution.layouts()),
         "parser.p4inc": _emit_parser(solution.chains, flow_ids),
         "structs.p4inc": _emit_structs(procs),
         "decls.p4inc": "\n".join(flatten(_decls(p, printed[p].decls), 1) for p in procs),

@@ -23,6 +23,7 @@ from .core_model import (
     PORT_MAX,
     STANDARD_HEADERS,
     complement_fold,
+    internet_checksum,
     record,
 )
 from .errors import MalformedPacket
@@ -56,10 +57,8 @@ _PACK = {header: _packer(header) for header in STANDARD_HEADERS}
 # unsupported).
 ipv4_header_bytes = _PACK["ipv4"]
 
-# The IPv4 fields in wire order, and the 13 values of a field map read
-# with one call.
+# The IPv4 fields in wire order.
 _IPV4_FIELDS = tuple(HEADER_FIELD_BITS["ipv4"].items())
-_ipv4_values = itemgetter(*HEADER_FIELD_BITS["ipv4"])
 
 
 def _misfit_ipv4(ipv4: dict[str, int]) -> MalformedPacket:
@@ -74,53 +73,38 @@ def _misfit_ipv4(ipv4: dict[str, int]) -> MalformedPacket:
     raise AssertionError(f"every ipv4 field fits: {ipv4}")
 
 
-def _ipv4_functions():
-    """Two functions of an IPv4 field map, compiled once from
-    STANDARD_HEADERS like ``_packer``: each reads the 13 fields with one
-    call and sums the header's 16-bit words with each field added at its
-    offset within its word.
-
-    - ``checksum(v)``: the header checksum of a map whose hdrChecksum is
-      0. A field that does not fit its width raises OverflowError.
-    - ``resized(v, delta)``: the map of a packet whose payload grows by
-      ``delta`` bytes, a copy with totalLen shifted by ``delta`` (mod
-      2^16) and the header checksum recomputed. A field that is not an
-      int within its width raises MalformedPacket naming it."""
+def _compile_resized_ipv4():
+    """``resized_ipv4(v, delta)``, compiled once from STANDARD_HEADERS like
+    ``_packer``: the map of a packet whose payload grows by ``delta`` bytes,
+    a copy with totalLen shifted by ``delta`` (mod 2^16) and the header
+    checksum recomputed from the 13 fields, read with one call, each added
+    at its offset within its 16-bit word. A field that is not an int
+    within its width raises MalformedPacket naming it."""
     names, overflow, words, shift = [], [], [], HEADER_BYTES["ipv4"] * 8
     for name, bits in _IPV4_FIELDS:
         shift -= bits
         names.append(name)
         overflow.append(f"{name} >> {bits}")
         words.append(f"({name} << {shift % 16})")
-    read, bad, total = f"{', '.join(names)} = values(v)", " | ".join(overflow), " + ".join(words)
     source = f"""
-def checksum(v):
-    {read}
-    if {bad}:
-        out_of_range('ipv4', v)
-    return fold({total})
-
 def resized(v, delta):
-    {read}
+    {', '.join(names)} = values(v)
     try:
-        bad = {bad}
+        bad = {' | '.join(overflow)}
         totalLen = (totalLen + delta) & 0xFFFF
     except TypeError:
         bad = 1
     if bad:
         raise misfit_ipv4(v)
     hdrChecksum = 0
-    return {{**v, 'totalLen': totalLen, 'hdrChecksum': fold({total})}}
+    return {{**v, 'totalLen': totalLen, 'hdrChecksum': fold({' + '.join(words)})}}
 """
-    namespace = {
-        "values": _ipv4_values, "fold": complement_fold,
-        "out_of_range": _out_of_range, "misfit_ipv4": _misfit_ipv4,
-    }
+    namespace = {"values": itemgetter(*names), "fold": complement_fold, "misfit_ipv4": _misfit_ipv4}
     exec(source, namespace)
-    return namespace["checksum"], namespace["resized"]
+    return namespace["resized"]
 
 
-_ipv4_checksum, resized_ipv4 = _ipv4_functions()
+resized_ipv4 = _compile_resized_ipv4()
 
 
 def resized_udp(udp: dict[str, int], delta: int) -> dict[str, int]:
@@ -235,7 +219,7 @@ def _make_packet(
         "srcAddr": src_addr,
         "dstAddr": dst_addr,
     }
-    ipv4["hdrChecksum"] = _ipv4_checksum(ipv4)
+    ipv4["hdrChecksum"] = internet_checksum(ipv4_header_bytes(ipv4)).magnitude
     return SimPacket(
         ingress_port=ingress_port,
         eth={

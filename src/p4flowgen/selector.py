@@ -212,6 +212,9 @@ class Solution:
                     raise DuplicateName(
                         f"two different layouts share the name {layout.name!r}"
                     )
+        # Both indexes, as attributes that a copy or pickle carries.
+        object.__setattr__(self, "_processors", tuple(procs.values()))
+        object.__setattr__(self, "_layouts", tuple(layouts.values()))
 
     def __getstate__(self) -> dict:
         # A copy compiles its own classifier, over its own selectors.
@@ -219,4 +222,8 @@ class Solution:
 
     def processors(self) -> list[FlowProcessor]:
         """Referenced processors, first appearance order, deduplicated."""
-        return list(dict.fromkeys(sel.processor for sel in self.selectors))
+        return list(self._processors)
+
+    def layouts(self) -> list[HeaderLayout]:
+        """Every layout once, in first-use order (lookahead, input, output)."""
+        return list(self._layouts)

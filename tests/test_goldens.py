@@ -1,11 +1,11 @@
 """The frozen files are what the package produces now.
 
 Runs ``scripts/regen_goldens.py --check``, so a stale golden, shipped
-asset or ``tests/data/all_ops.json`` fails the suite. The script writes
-trace results with ``dumps_results``, while ``tests/test_all_ops.py``
-compares them with ``dumps_doc(results_to_doc(...))`` and
-``tests/test_cli.py`` with the ``simulate`` output, so all three paths
-are pinned to the same bytes.
+schema or asset, or ``tests/data/all_ops.json`` fails the suite. The
+script writes trace results with ``dumps_results``, while
+``tests/test_all_ops.py`` compares them with ``dumps_doc(results_to_doc(...))``
+and ``tests/test_cli.py`` with the ``simulate`` output, so all three
+paths are pinned to the same bytes.
 """
 
 import subprocess

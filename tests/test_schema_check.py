@@ -9,9 +9,11 @@ against.
 import ast
 import copy
 import json
+import re
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem
 from pathlib import Path
 
 import jsonschema
@@ -23,7 +25,6 @@ from jsonschema.exceptions import best_match
 import p4flowgen
 from p4flowgen import cli, program_doc
 from p4flowgen.builtin_examples import asset_path
-from p4flowgen.core_model import PORT_MAX
 from p4flowgen.program_doc import (
     DocError,
     _tagged_union,
@@ -494,22 +495,44 @@ class TestStrictIntegers:
         assert f"error: {path}:" in capsys.readouterr().err
 
 
-def test_both_schemas_bound_ports_by_port_max():
-    def forward_ports(node):  # the port schema of each forward branch
-        if isinstance(node, dict):
-            if node.get("if", {}).get("properties", {}).get("op") == {"const": "forward"}:
-                yield node["then"]["properties"]["port"]
-            for value in node.values():
-                yield from forward_ports(value)
-        elif isinstance(node, list):
-            for value in node:
-                yield from forward_ports(value)
+# Every pattern in the shipped schemas, with one string it accepts. Python's
+# ``$`` also matches before a final newline; ``(?!\n)`` refuses one there.
+PATTERN_SAMPLES = {
+    "^[A-Za-z_][A-Za-z0-9_]*$(?!\\n)": "guess_req",
+    "^[A-Za-z_][A-Za-z0-9_]*(\\.[A-Za-z_][A-Za-z0-9_]*)?$(?!\\n)": "udp.dstPort",
+    "^(0x[0-9a-fA-F]+|[0-9]+)$(?!\\n)": "0x1f",
+    "^([0-9a-fA-F]{2})*$(?!\\n)": "0a",
+}
 
-    ingress = load_schema("trace")["$defs"]["packet"]["properties"]["ingress_port"]
-    ports = [ingress, *forward_ports(load_schema("program"))]
-    assert len(ports) == 2
-    for port in ports:
-        assert (port["minimum"], port["maximum"]) == (0, PORT_MAX)
+
+def test_every_shipped_pattern_refuses_a_trailing_newline():
+    slots = []
+    _slots([load_schema("program"), load_schema("trace")], slots)
+    assert {node[key] for node, key in slots if key == "pattern"} == PATTERN_SAMPLES.keys()
+    for pattern, sample in PATTERN_SAMPLES.items():
+        schema = {"pattern": pattern}
+        for text, valid in ((sample, True), (sample + "\n", False)):
+            assert (compile_schema(schema)(text) is None) is valid
+            assert StrictValidator(schema).is_valid(text) is valid
+
+
+@pytest.mark.parametrize("path", [
+    "layouts[0].name", "selectors[0].criteria[0].field",
+    "packets[0].udp.dstPort", "packets[0].payload",
+])
+def test_a_value_with_a_trailing_newline_is_a_doc_error(tmp_path, capsys, path):
+    program = json.loads(asset_path("guess_game").read_text())
+    trace = {"seed": 0, "packets": [{"udp": {"dstPort": "5555"}, "payload": "07"}]}
+    *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+    reduce(getitem, keys, trace if keys[0] == "packets" else program)[last] += "\n"
+    with pytest.raises(DocError) as err:
+        solution_from_doc(program)
+        trace_from_doc(trace)
+    assert err.value.path == path
+    (tmp_path / "p.json").write_text(json.dumps(program))
+    (tmp_path / "t.json").write_text(json.dumps(trace))
+    assert cli.main(["simulate", str(tmp_path / "p.json"), "-t", str(tmp_path / "t.json")]) == 1
+    assert f"error: {path}:" in capsys.readouterr().err
 
 
 def test_no_package_module_imports_jsonschema():

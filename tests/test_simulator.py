@@ -1185,4 +1185,4 @@ class TestHeaderFields:
     @settings(max_examples=200, deadline=None)
     def test_field_checksum_matches_the_byte_oracle(self, ipv4):
         ipv4["hdrChecksum"] = 0
-        assert packet._ipv4_checksum(ipv4) == rfc1071_naive(ipv4_header_bytes(ipv4))
+        assert packet.resized_ipv4(ipv4, 0)["hdrChecksum"] == rfc1071_naive(ipv4_header_bytes(ipv4))
