@@ -11,6 +11,10 @@ run loads no more than it needs: ``check`` loads the document layer
 under it); ``generate`` adds codegen, ``simulate`` adds simulator, and
 ``examples`` loads builtin_examples. Names are looked up in their module
 at call time, so a tracer that swaps module attributes sees every call.
+
+``simulate`` checks the whole trace before it writes anything, then
+streams: it builds, runs and writes one packet at a time, so its memory
+grows with the parsed trace document, not with the packets or results.
 """
 
 from __future__ import annotations
@@ -42,14 +46,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """The trace is loaded and checked whole; then each result is run and
-    written in turn, so only the one being written is held."""
-    from .program_doc import iter_results_text, load_json, load_trace, solution_from_doc
+    """The whole trace document is checked first, so that every trace
+    error is reported before any output; then each packet is built, run
+    and written in turn, so only the one in hand is held."""
+    from .program_doc import iter_results_text, load_json, solution_from_doc, stream_trace
     from .simulator import iter_trace
     from .staging import write_staged
 
     solution = solution_from_doc(load_json(args.program))
-    seed, packets = load_trace(args.trace)
+    seed, packets = stream_trace(load_json(args.trace))
     if args.seed is not None:
         seed = args.seed
     chunks = iter_results_text(seed, iter_trace(solution, packets, seed))

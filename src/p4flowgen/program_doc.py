@@ -11,7 +11,8 @@ Each schema is compiled once per process, on first use, into a tree of
 closures (``compile_schema``) that answer valid or invalid; only when
 they reject a document do the same closures find the one failure to
 report, worded as a ``DocError`` with its JSON path. Only JSON integers
-are integers.
+are integers. A trace is checked whole by one walk (``check_trace_doc``)
+before ``stream_trace`` builds its packets one at a time.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -426,21 +426,12 @@ def dumps_doc(doc) -> str:
 
 def solution_to_doc(solution: Solution) -> dict:
     """Hoist layouts out of the processors and selectors into one named
-    section; everything else mirrors the builder state. An open scope
-    raises SemanticError (OpenScope), as in ``generate``."""
-    layouts: dict[str, HeaderLayout] = {}
-
-    def register(layout):
-        if layout is None:
-            return None
-        layouts.setdefault(layout.name, layout)
-        return layout.name
-
+    section, in ``Solution.layouts()`` order (the order of
+    ``headers.p4inc``); everything else mirrors the builder state. An
+    open scope raises SemanticError (OpenScope), as in ``generate``."""
     processors = []
     for proc in solution.processors():
         proc.validate_complete()
-        register(proc.input)
-        register(proc.output)
         processors.append(proc.to_doc())
     selectors = []
     for sel in solution.selectors:
@@ -451,7 +442,7 @@ def solution_to_doc(solution: Solution) -> dict:
                 "criteria": [
                     {"field": c.field, **uvalue_doc(c.value)} for c in sel.criteria
                 ],
-                "lookahead": register(sel.lookahead),
+                "lookahead": None if sel.lookahead is None else sel.lookahead.name,
                 "processor": sel.processor.name,
             }
         )
@@ -463,26 +454,34 @@ def solution_to_doc(solution: Solution) -> dict:
                 "name": layout.name,
                 "fields": [{"name": f.name, "width": f.width.bits} for f in layout.fields],
             }
-            for layout in layouts.values()
+            for layout in solution.layouts()
         ],
         "processors": processors,
         "selectors": selectors,
     }
 
 
-@contextmanager
-def _at(path: str):
+class _at:
     """Wrap builder exceptions with the JSON path of the current node."""
-    try:
-        yield
-    except DocSemanticError:
-        raise
-    except SemanticError as e:
-        raise DocSemanticError(path, e.kind.value, e.message) from None
-    except FlowgenError as e:
-        raise DocSemanticError(path, type(e).__name__, str(e)) from None
-    except ValueError as e:
-        raise DocSemanticError(path, "WidthMismatch", str(e)) from None
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, error, traceback) -> bool:
+        if kind is None or isinstance(error, DocSemanticError):
+            return False
+        if isinstance(error, SemanticError):
+            raise DocSemanticError(self.path, error.kind.value, error.message) from None
+        if isinstance(error, FlowgenError):
+            raise DocSemanticError(self.path, type(error).__name__, str(error)) from None
+        if isinstance(error, ValueError):
+            raise DocSemanticError(self.path, "WidthMismatch", str(error)) from None
+        return False
 
 
 def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
@@ -716,11 +715,102 @@ def _packet_reader():
     return read
 
 
-def trace_from_doc(doc) -> tuple[int, list[SimPacket]]:
+@lru_cache(maxsize=None)
+def _trace_accepts():
+    """The accept path of ``check_trace_doc``: a predicate that walks a
+    trace document once, builds nothing, and is True only when the trace
+    schema accepts it and the reader would build every packet (each
+    header field known and fitting its width). Its constants come from
+    ``trace.schema.json`` and ``HEADER_FIELD_BITS``. False only means
+    "not shown valid"."""
+    schema = load_schema("trace")
+    top, packet = schema["properties"], schema["$defs"]["packet"]
+    props = packet["properties"]
+    doc_keys, doc_required = frozenset(top), frozenset(schema["required"])
+    packet_keys = frozenset(props)
+    (payload,) = packet["required"]
+    (port,) = packet_keys - HEADER_FIELD_BITS.keys() - {payload}
+    first, second = (branch["required"][0] for branch in packet["oneOf"])
+    seed_lo, seed_hi = top["seed"]["minimum"], top["seed"]["maximum"]
+    port_lo, port_hi = props[port]["minimum"], props[port]["maximum"]
+    payload_ok = re.compile(props[payload]["pattern"]).search
+    value_ok = re.compile(schema["$defs"]["fieldvalue"]["pattern"]).search
+
+    def accepts(doc) -> bool:
+        if doc.__class__ is not dict or not doc_required <= doc.keys() <= doc_keys:
+            return False
+        seed, packets = doc["seed"], doc["packets"]
+        if seed.__class__ is not int or not seed_lo <= seed <= seed_hi or (
+            packets.__class__ is not list
+        ):
+            return False
+        for p in packets:
+            if (
+                p.__class__ is not dict
+                or payload not in p
+                or (first in p) is (second in p)  # not exactly one transport group
+                or not p.keys() <= packet_keys
+            ):
+                return False
+            for key, value in p.items():
+                bits = HEADER_FIELD_BITS.get(key)
+                if bits is not None:
+                    if value.__class__ is not dict:
+                        return False
+                    for name, text in value.items():
+                        width = bits.get(name)
+                        if (
+                            width is None
+                            or text.__class__ is not str
+                            or not value_ok(text)
+                            or parse_field_value(text) >> width
+                        ):
+                            return False
+                elif key == payload:
+                    if value.__class__ is not str or not payload_ok(value):
+                        return False
+                elif value.__class__ is not int or not port_lo <= value <= port_hi:
+                    return False
+        return True
+
+    def check(doc) -> bool:
+        try:
+            return accepts(doc)
+        except ValueError:  # a field of thousands of digits
+            return False
+
+    return check
+
+
+def check_trace_doc(doc) -> None:
+    """Raise the ``DocError`` that reading the trace document ``doc``
+    would raise: a schema error anywhere first, then the first unknown or
+    too-wide header field in packet order. A valid trace takes one walk
+    of ``_trace_accepts``; any other gets the schema check of the whole
+    document and then the reader over each packet, whose error is the
+    one reported."""
+    if _trace_accepts()(doc):
+        return
     validate_trace_doc(doc)
     read = _packet_reader()
-    packets = [read(pdoc, f"packets[{i}]") for i, pdoc in enumerate(doc["packets"])]
-    return doc["seed"], packets
+    for i, pdoc in enumerate(doc["packets"]):
+        read(pdoc, f"packets[{i}]")
+
+
+def stream_trace(doc) -> tuple[int, Iterator[SimPacket]]:
+    """Check the whole trace document ``doc``, then return its seed and a
+    generator that builds each packet only when asked for it, so that a
+    caller running the packets in turn holds one at a time."""
+    check_trace_doc(doc)
+    read = _packet_reader()
+    packets = doc["packets"]
+    return doc["seed"], (read(pdoc, f"packets[{i}]") for i, pdoc in enumerate(packets))
+
+
+def trace_from_doc(doc) -> tuple[int, list[SimPacket]]:
+    """The seed and every packet of ``stream_trace``, as a list."""
+    seed, packets = stream_trace(doc)
+    return seed, list(packets)
 
 
 def load_trace(path) -> tuple[int, list[SimPacket]]:

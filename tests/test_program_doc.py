@@ -2,14 +2,16 @@
 
 import copy
 import json
+import re
 import tracemalloc
+import weakref
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p4flowgen import program_doc
+from p4flowgen import cli, program_doc, simulator
 from p4flowgen.builtin_examples import (
     EXAMPLE_BUILDERS,
     GUESS_PORT,
@@ -29,6 +31,7 @@ from p4flowgen.core_model import (
     u16,
     u32,
 )
+from p4flowgen.codegen import generate
 from p4flowgen.errors import DuplicateName
 from p4flowgen.flow_ast import (
     Add,
@@ -168,6 +171,18 @@ class TestRoundTrip:
         assert [result_key(r) for r in original] == [
             result_key(r) for r in replayed
         ]
+
+    def test_layouts_are_listed_in_the_order_of_the_headers(self):
+        sel = guess_game_solution().selectors[0]
+        tag = HeaderLayout("la", [FieldDecl("tag", U8)])
+        solution = Solution(
+            [new_flow_selector(sel.name, sel.stack, sel.criteria, sel.processor, lookahead=tag)]
+        )
+        doc = solution_to_doc(solution)
+        headers = re.findall(r"^header (\w+)_t \{", generate(solution).files["headers.p4inc"], re.M)
+        assert [layout["name"] for layout in doc["layouts"]] == headers
+        assert headers == ["la", "guess_req", "guess_resp"]
+        assert solution_to_doc(solution_from_doc(doc)) == doc
 
     def test_stored_ordinals_are_informational(self):
         doc = guess_doc()
@@ -693,3 +708,68 @@ class TestStreamingMemory:
         small = self.streamed_peak(solution, 500)
         large = self.streamed_peak(solution, 2000)
         assert large <= small * 1.25, (small, large)
+
+    def test_cli_builds_each_trace_packet_when_it_runs(self, tmp_path, monkeypatch):
+        """While ``simulate`` runs, each trace packet is built only when the
+        simulator asks for it: besides the packet just built, only the one
+        before it (still named by the loops that ran and wrote it) is
+        alive."""
+        live = [0]  # built packets not yet freed
+        reader = program_doc._packet_reader
+
+        def freed():
+            live[0] -= 1
+
+        def counting_reader():
+            read = reader()
+
+            def counted(pdoc, path):
+                packet = read(pdoc, path)
+                live[0] += 1
+                weakref.finalize(packet, freed)
+                return packet
+
+            return counted
+
+        alive = []
+        run = simulator.iter_trace
+
+        def watched(solution, packets, seed=0):
+            def each():
+                for packet in packets:
+                    alive.append(live[0])
+                    yield packet
+
+            return run(solution, each(), seed)
+
+        monkeypatch.setattr(program_doc, "_packet_reader", counting_reader)
+        monkeypatch.setattr(simulator, "iter_trace", watched)
+        packets = [{"udp": {"dstPort": str(GUESS_PORT)}, "payload": f"{i % 256:02x}"}
+                   for i in range(500)]
+        (tmp_path / "trace.json").write_text(json.dumps({"seed": 0, "packets": packets}))
+        out = tmp_path / "results.json"
+        argv = ["simulate", str(asset_path("guess_game")), "-t", str(tmp_path / "trace.json")]
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["results"]) == len(alive) == 500
+        assert max(alive) <= 2, max(alive)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    @pytest.mark.parametrize("last, path", [
+        ({"udp": {"dstport": "1"}, "payload": "00"}, "packets[999].udp.dstport"),
+        ({"udp": {}, "payload": "0"}, "packets[999].payload"),
+    ], ids=["unknown_field", "schema"])
+    def test_an_error_in_the_last_packet_writes_nothing(self, tmp_path, capsys, to_file, last,
+                                                        path):
+        # A too-wide field there is tests/test_cli.py's
+        # test_bad_field_on_the_last_packet_writes_nothing.
+        good = {"udp": {"dstPort": str(GUESS_PORT)}, "payload": "07"}
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"seed": 0, "packets": [good] * 999 + [last]}))
+        out = tmp_path / "out" / "results.json"
+        out.parent.mkdir()
+        argv = ["simulate", str(asset_path("guess_game")), "-t", str(trace)]
+        assert cli.main(argv + (["-o", str(out)] if to_file else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert list(out.parent.iterdir()) == []

@@ -25,7 +25,7 @@ from jsonschema.exceptions import best_match
 import p4flowgen
 from p4flowgen import cli, program_doc
 from p4flowgen.builtin_examples import asset_path
-from p4flowgen.core_model import PORT_MAX
+from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, SEED_MAX
 from p4flowgen.program_doc import (
     DocError,
     _tagged_union,
@@ -584,3 +584,174 @@ def test_rejection_is_worded_without_jsonschema(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert "selectors[0].criteria[0].value" in proc.stderr
+
+
+# -- the trace check's accept path against the reference sequence ----------
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _bench_trace(trace, count=12):
+    """The first ``count`` packets of a generated benchmark trace."""
+    return {"seed": trace["seed"], "packets": trace["packets"][:count]}
+
+
+BENCH_TRACES = [
+    _bench_trace(workloads.guess_stream(workloads.DEFAULT_SEED)[0]),
+    _bench_trace(workloads.many_flows(workloads.DEFAULT_SEED)[1]),
+]
+ALL_TRACES = TRACE_DOCS + BENCH_TRACES
+
+
+@lru_cache(maxsize=None)
+def _compiled_trace_schema():
+    return compile_schema(load_schema("trace"))
+
+
+def reference_load(doc):
+    """The trace as the reader gives it after the whole-document schema
+    check: ``(seed, packets)``, or the first DocError raised."""
+    error = _compiled_trace_schema()(doc)
+    if error is not None:
+        raise error
+    read = program_doc._packet_reader()
+    return doc["seed"], [read(p, f"packets[{i}]") for i, p in enumerate(doc["packets"])]
+
+
+def outcome(load, doc):
+    """``("ok", seed, packets)`` or ``("error", path, message)``."""
+    try:
+        seed, packets = load(doc)
+    except DocError as e:
+        return "error", e.path, e.message
+    return "ok", seed, list(packets)
+
+
+def assert_loads_as_the_reference(doc):
+    expected = outcome(reference_load, doc)
+    assert outcome(trace_from_doc, doc) == expected
+    assert outcome(program_doc.stream_trace, doc) == expected
+    # The accept path alone decides every trace the reader builds.
+    assert program_doc._trace_accepts()(doc) is (expected[0] == "ok")
+
+
+def _field_texts(width):
+    return [
+        str(2**width - 1), str(2**width), hex(2**width - 1), hex(2**width),
+        "0", "07", "0x", "0X1f", "0xg", "", " 5", "+5", "1_0", "\u0663",
+        "5\n", "0x1f\n", "0" * 4400 + "7", "9" * 5000, "0x" + "f" * 5000,
+    ]
+
+
+@st.composite
+def field_mutated(draw, docs):
+    """A copy of one of ``docs`` with one header field of one packet set
+    to a text just inside or outside what the trace format accepts."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    packet = draw(st.sampled_from(doc["packets"]))
+    group = draw(st.sampled_from(sorted(HEADER_FIELD_BITS)))
+    fields = packet.setdefault(group, {})
+    name = draw(st.sampled_from([*HEADER_FIELD_BITS[group], "bogus"]))
+    width = HEADER_FIELD_BITS[group].get(name, 16)
+    fields[name] = draw(st.sampled_from(_field_texts(width)))
+    return doc
+
+
+_DROP = object()
+
+
+def _packet(**changes):
+    """A one-byte UDP trace packet with ``changes`` applied; a key given
+    ``_DROP`` is removed."""
+    packet = {"udp": {"dstPort": "5555"}, "payload": "07"}
+    packet.update(changes)
+    return {key: value for key, value in packet.items() if value is not _DROP}
+
+
+# (id, trace, the path of its DocError or None when it loads)
+PINNED_TRACES = [
+    *[
+        (f"{group}.{name}={text}", {"seed": 0, "packets": [_packet(**{group: {name: text}})]},
+         None if fits else f"packets[0].{group}.{name}")
+        for group, name in (("ipv4", "ttl"), ("udp", "dstPort"), ("eth", "dstAddr"))
+        for width in [HEADER_FIELD_BITS[group][name]]
+        for text, fits in (
+            (str(2**width - 1), True), (str(2**width), False),
+            (hex(2**width - 1), True), (hex(2**width), False),
+        )
+    ],
+    ("hex", {"seed": 0, "packets": [_packet(udp={"dstPort": "0x15b3"})]}, None),
+    ("hex upper prefix", {"seed": 0, "packets": [_packet(udp={"dstPort": "0X15b3"})]},
+     "packets[0].udp.dstPort"),
+    ("hex no digits", {"seed": 0, "packets": [_packet(udp={"dstPort": "0x"})]},
+     "packets[0].udp.dstPort"),
+    ("leading zeros", {"seed": 0, "packets": [_packet(udp={"dstPort": "0" * 4400 + "7"})]},
+     None),
+    ("digits past the limit", {"seed": 0, "packets": [_packet(udp={"dstPort": "1" * 4400})]},
+     "packets[0].udp.dstPort"),
+    ("null group", {"seed": 0, "packets": [_packet(eth=None)]}, "packets[0].eth"),
+    ("bool port", {"seed": 0, "packets": [_packet(ingress_port=True)]},
+     "packets[0].ingress_port"),
+    ("float port", {"seed": 0, "packets": [_packet(ingress_port=1.0)]},
+     "packets[0].ingress_port"),
+    ("port at the maximum", {"seed": 0, "packets": [_packet(ingress_port=PORT_MAX)]}, None),
+    ("port past the maximum", {"seed": 0, "packets": [_packet(ingress_port=PORT_MAX + 1)]},
+     "packets[0].ingress_port"),
+    ("negative port", {"seed": 0, "packets": [_packet(ingress_port=-1)]},
+     "packets[0].ingress_port"),
+    ("seed at the maximum", {"seed": SEED_MAX, "packets": []}, None),
+    ("seed past the maximum", {"seed": SEED_MAX + 1, "packets": []}, "seed"),
+    ("negative seed", {"seed": -1, "packets": []}, "seed"),
+    ("udp and tcp", {"seed": 0, "packets": [_packet(tcp={})]}, "packets[0]"),
+    ("no transport", {"seed": 0, "packets": [_packet(udp=_DROP)]}, "packets[0]"),
+    ("newline in a field", {"seed": 0, "packets": [_packet(udp={"dstPort": "5555\n"})]},
+     "packets[0].udp.dstPort"),
+    ("newline in the payload", {"seed": 0, "packets": [_packet(payload="07\n")]},
+     "packets[0].payload"),
+    ("unknown field", {"seed": 0, "packets": [_packet(udp={"dstport": "1"})]},
+     "packets[0].udp.dstport"),
+    # A schema error anywhere is reported before a width error in an
+    # earlier packet.
+    ("schema error after a width error", {"seed": 0, "packets": [
+        _packet(udp={"dstPort": "70000"}), _packet(payload="0"),
+    ]}, "packets[1].payload"),
+    ("width error after an unknown field", {"seed": 0, "packets": [
+        _packet(udp={"dstport": "1"}), _packet(udp={"dstPort": "70000"}),
+    ]}, "packets[0].udp.dstport"),
+]
+
+
+class TestTraceAcceptPath:
+    @pytest.mark.parametrize("doc", ALL_TRACES)
+    def test_shipped_and_bench_traces_load_as_the_reference(self, doc):
+        assert outcome(trace_from_doc, doc)[0] == "ok"
+        assert_loads_as_the_reference(doc)
+
+    @DIFFERENTIAL
+    @given(mutated(ALL_TRACES, most=1))
+    def test_single_mutations_load_as_the_reference(self, doc):
+        assert_loads_as_the_reference(doc)
+
+    @DIFFERENTIAL
+    @given(field_mutated(ALL_TRACES))
+    def test_field_mutations_load_as_the_reference(self, doc):
+        assert_loads_as_the_reference(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path", [case[1:] for case in PINNED_TRACES], ids=[case[0] for case in PINNED_TRACES]
+    )
+    def test_pinned_cases(self, doc, path):
+        assert_loads_as_the_reference(doc)
+        got = outcome(trace_from_doc, doc)
+        assert got[0] == ("ok" if path is None else "error")
+        if path is not None:
+            assert got[1] == path
+
+    @pytest.mark.parametrize("doc", [case[1] for case in PINNED_TRACES] + ALL_TRACES)
+    def test_a_refusal_falls_back_to_the_reference(self, doc, monkeypatch):
+        # Whatever the accept path says, the outcome is the reference's:
+        # a valid trace it refuses still loads.
+        monkeypatch.setattr(program_doc, "_trace_accepts", lambda: lambda doc: False)
+        expected = outcome(reference_load, doc)
+        assert outcome(trace_from_doc, doc) == expected
