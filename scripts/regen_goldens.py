@@ -38,7 +38,7 @@ sys.path.insert(0, str(TESTS))
 from all_ops import all_ops_solution
 from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
-from p4flowgen.core_model import PORT_MAX, SEED_MAX
+from p4flowgen.core_model import PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.flow_ast import CONST, OPERAND, OPS, PLAIN, RING, TARGET
 from p4flowgen.program_doc import (
     SCHEMA_DIR,
@@ -90,6 +90,7 @@ def schema_outputs() -> dict[Path, str]:
          "then": then}
         for then, ops in groups.values()
     ] + [m for m in command["allOf"] if m["if"]["properties"]["op"].get("const") in SCOPE_OPS]
+    program["$defs"]["ring"]["properties"]["capacity"]["maximum"] = RING_CAPACITY_MAX
     trace["properties"]["seed"]["maximum"] = SEED_MAX
     trace["$defs"]["packet"]["properties"]["ingress_port"]["maximum"] = PORT_MAX
     return dict(zip(paths, map(dumps_doc, (program, trace))))

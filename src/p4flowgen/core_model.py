@@ -132,7 +132,7 @@ class UValue:
     def __post_init__(self) -> None:
         if not isinstance(self.width, UWidth):
             object.__setattr__(self, "width", UWidth(self.width))
-        if not isinstance(self.magnitude, int):
+        if type(self.magnitude) is not int:  # not a bool
             raise TypeError("magnitude must be an int")
         if not 0 <= self.magnitude <= self.width.mask:
             raise ValueError(
@@ -206,6 +206,11 @@ IPPROTO_TCP = 6
 # The largest port number: ingress ports and Forward's egress port lie in
 # 0..PORT_MAX, as both schemas bound them.
 PORT_MAX = 0xFFFF
+
+# The most slots of a ring. V1Model sizes a register array, and the emitted
+# code compares a ring's head with its capacity, in bit<32>; this much lower
+# bound keeps the simulator's zeroed list of one ring at 512 KiB.
+RING_CAPACITY_MAX = 1 << 16
 
 # Field name -> bits of each standard header, without the reserved nibble.
 HEADER_FIELD_BITS: dict[str, dict[str, int]] = {
@@ -346,8 +351,10 @@ class RingBufferDecl:
         check_identifier(self.name, "ring buffer name")
         if not isinstance(self.element_width, UWidth):
             object.__setattr__(self, "element_width", UWidth(self.element_width))
-        if not isinstance(self.capacity, int) or self.capacity < 1:
+        if type(self.capacity) is not int or self.capacity < 1:  # not a bool
             raise ValueError(f"ring {self.name!r} needs capacity >= 1")
+        if self.capacity > RING_CAPACITY_MAX:
+            raise ValueError(f"ring {self.name!r} needs capacity <= {RING_CAPACITY_MAX}")
 
 
 def internet_checksum(data: bytes) -> UValue:

@@ -8,11 +8,11 @@ a call ordinal.
 
 Before replay, a document is checked against its shipped JSON Schema.
 Each schema is compiled once per process, on first use, into a tree of
-closures (``compile_schema``) that answer valid or invalid; only when
-they reject a document do the same closures find the one failure to
-report, worded as a ``DocError`` with its JSON path. Only JSON integers
-are integers. A trace is checked whole by one walk (``check_trace_doc``)
-before ``stream_trace`` builds its packets one at a time.
+closures (``compile_schema``) that return the first failure they meet,
+which is worded, only then, as a ``DocError`` with its JSON path. Only
+JSON integers are integers. A trace is checked whole by one walk
+(``check_trace_doc``) before ``stream_trace`` builds its packets one at
+a time.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
@@ -83,7 +83,7 @@ def load_schema(name: str) -> dict:
 
 # Keywords with no bearing on validity.
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
-# Applied in this order, so the cheap type test runs first.
+# Tried in this order within each ``_rank``, so the cheap type test runs first.
 _KEYWORDS = (
     "type", "const", "enum", "pattern", "minimum", "maximum", "minItems",
     "required", "minProperties", "maxProperties", "properties",
@@ -95,45 +95,47 @@ _IN_PLACE = frozenset({"$ref", "allOf", "oneOf", "not", "if"})
 _MEMBERS = frozenset({"properties", "additionalProperties", "items"})
 
 
-def _is_integer(x) -> bool:
-    """A JSON integer: ``5.0`` and ``True`` are not one."""
-    return type(x) is int
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+# The class of each type: an integer is exactly an int, not ``5.0`` or ``True``.
 _TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "integer": _is_integer,
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
+    "object": dict, "array": list, "string": str, "integer": int, "boolean": bool,
+    "null": type(None),
 }
 
 
-def _one_of_values(values):
-    """Membership with JSON equality, as jsonschema's const and enum use
-    it: ``1 == 1.0``, but a boolean equals only a boolean."""
+def _one_of_values(values, failure):
+    """The check of a const or enum: membership with JSON equality, as
+    jsonschema's const and enum use it (``1 == 1.0``, but a boolean
+    equals only a boolean), and ``failure(x)`` for a value outside it."""
     if any(isinstance(v, (list, dict)) for v in values):
         raise ValueError(f"const/enum {values!r} not implemented")
     bools = frozenset(v for v in values if isinstance(v, bool))
     others = frozenset(v for v in values if not isinstance(v, bool))
-    return lambda x: x in bools if isinstance(x, bool) else (
+    return lambda x: None if (x in bools if isinstance(x, bool) else (
         not isinstance(x, (list, dict)) and x in others
-    )
+    )) else failure(x)
 
 
-def _all(tests):
+def _first(tests):
+    """One check that runs ``tests`` in turn and returns the first failure."""
+
     def check(x):
         for test in tests:
-            if not test(x):
-                return False
-        return True
+            failure = test(x)
+            if failure is not None:
+                return failure
+        return None
 
     return tests[0] if len(tests) == 1 else check
+
+
+def _under(key, failure):
+    """A member's ``failure`` as its container sees it, at ``key``."""
+    path, name, say, x = failure
+    return (key, *path), name, say, x
 
 
 def _tagged_union(members):
@@ -195,28 +197,31 @@ def _rank(name: str, value) -> int:
 def compile_schema(root: dict):
     """Compile a JSON Schema (draft 2020-12) into one function
     ``doc -> DocError | None``: why ``doc`` is rejected, or None when it
-    is valid. Integers are strict (see ``_is_integer``).
+    is valid. Integers are strict (see ``_TYPES``).
 
-    A valid document only runs a tree of predicates compiled once, one
-    per keyword. Only after they reject a document is the rejection
-    worded, by ``why``, with the same predicates: at each schema node it
-    takes the first failing keyword in ``_KEYWORDS`` order, ranked by
-    ``_rank`` (the node's own keywords first), and follows a keyword
-    that applies a subschema down into its first failing member.
+    Each keyword is compiled once into a check that returns None when the
+    value satisfies it, or its first failure ``(path, keyword, say, x)``:
+    the path of the failing value ``x`` relative to the checked one, the
+    keyword that refused it, and ``say``, which words the refusal as
+    ``say(x)`` only when it is reported, so that the failures a valid
+    document meets inside oneOf, not and if cost no text. A schema node
+    tries its keywords ranked by ``_rank`` (the node's own keywords
+    first), in ``_KEYWORDS`` order within a rank, and returns the first
+    failure; a keyword that applies a subschema to a member puts the
+    member's key or index in front of its path.
 
     An allOf that ``_tagged_union`` reads as a union tagged by key K
     (each member ``{"if": {"properties": {K: {"const"|"enum": ...}}},
     "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``;
     without K, or on a non-object, every member runs. Acceptance and
-    every diagnostic are those of the plain allOf: ``why`` still walks
-    its members.
+    every diagnostic are those of the plain allOf, whose first failing
+    member is the first failing then that the tag selects.
 
     Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
     a list of types, a list or object in const/enum, and a ``$ref``
     outside ``#/$defs/`` raise ValueError, so a schema edit cannot
     silently weaken validation."""
     compiled: dict[int, object] = {}
-    tests: dict[int, list] = {}  # id(schema) -> [(keyword, predicate)]
 
     def resolve(ref: str) -> dict:
         name = ref.removeprefix("#/$defs/")
@@ -232,157 +237,145 @@ def compile_schema(root: dict):
         return compiled[key] or (lambda x: compiled[key](x))
 
     def build(schema):
-        if isinstance(schema, bool):
-            return lambda x: schema
+        if schema is True:
+            return lambda x: None
+        if schema is False:
+            say = lambda x: f"{_brief(x)} is not allowed here"
+            return lambda x: ((), "false", say, x)
         unknown = schema.keys() - _IMPLEMENTED
         if unknown:
             raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-        pairs = tests[id(schema)] = [
-            (k, keyword(k, schema[k], schema)) for k in _KEYWORDS if k in schema
-        ]
-        return _all([test for _, test in pairs] or [lambda x: True])
+        names = sorted((k for k in _KEYWORDS if k in schema), key=lambda k: _rank(k, schema[k]))
+        return _first([keyword(k, schema[k], schema) for k in names])
 
     def keyword(name: str, value, schema):
+        fail = lambda x: ((), name, say, x)  # each keyword binds its say
         if name == "type":
             if not isinstance(value, str) or value not in _TYPES:
                 raise ValueError(f"type {value!r} not implemented")
-            return _TYPES[value]
+            say = lambda x: f"{_brief(x)} is not of type {value!r}"
+            cls = _TYPES[value]
+            if cls is int:
+                return lambda x: None if type(x) is int else fail(x)
+            return lambda x: None if isinstance(x, cls) else fail(x)
         if name == "const":
-            return _one_of_values([value])
+            say = lambda x: f"{value!r} was expected, not {_brief(x)}"
+            return _one_of_values([value], fail)
         if name == "enum":
-            return _one_of_values(value)
+            say = lambda x: f"{_brief(x)} is not one of {value!r}"
+            return _one_of_values(value, fail)
         if name == "pattern":
             search = re.compile(value).search
-            return lambda x: not isinstance(x, str) or search(x) is not None
+            say = lambda x: f"{_brief(x)} does not match the pattern {value!r}"
+            return lambda x: None if not isinstance(x, str) or search(x) else fail(x)
         if name == "minimum":
-            return lambda x: not _is_number(x) or x >= value
+            say = lambda x: f"{_repr(x)} is less than the minimum of {value!r}"
+            return lambda x: None if not _is_number(x) or x >= value else fail(x)
         if name == "maximum":
-            return lambda x: not _is_number(x) or x <= value
+            say = lambda x: f"{_repr(x)} is greater than the maximum of {value!r}"
+            return lambda x: None if not _is_number(x) or x <= value else fail(x)
         if name == "minItems":
-            return lambda x: not isinstance(x, list) or len(x) >= value
+            say = lambda x: f"has {len(x)} items, fewer than the minItems of {value}"
+            return lambda x: None if not isinstance(x, list) or len(x) >= value else fail(x)
         if name == "required":
-            names = frozenset(value)
-            return lambda x: not isinstance(x, dict) or x.keys() >= names
+            needed = frozenset(value)
+            say = lambda x: f"{next(k for k in value if k not in x)!r} is a required property"
+            return lambda x: None if not isinstance(x, dict) or x.keys() >= needed else fail(x)
         if name == "minProperties":
-            return lambda x: not isinstance(x, dict) or len(x) >= value
+            say = lambda x: f"has {len(x)} properties, fewer than the minProperties of {value}"
+            return lambda x: None if not isinstance(x, dict) or len(x) >= value else fail(x)
         if name == "maxProperties":
-            return lambda x: not isinstance(x, dict) or len(x) <= value
+            say = lambda x: f"has {len(x)} properties, more than the maxProperties of {value}"
+            return lambda x: None if not isinstance(x, dict) or len(x) <= value else fail(x)
         if name == "properties":
             subs = [(k, check(s)) for k, s in value.items()]
 
             def properties(x):
                 if isinstance(x, dict):
                     for k, sub in subs:
-                        if k in x and not sub(x[k]):
-                            return False
-                return True
+                        if k in x and (failure := sub(x[k])) is not None:
+                            return _under(k, failure)
+                return None
 
             return properties
         if name == "additionalProperties":
             known = frozenset(schema.get("properties", ()))
+            if value is False:
+                say = lambda x: "additional properties are not allowed: " + ", ".join(
+                    repr(k) for k in x if k not in known
+                )
+                return lambda x: None if not isinstance(x, dict) or x.keys() <= known else fail(x)
             sub = check(value)
-            return lambda x: not isinstance(x, dict) or all(
-                sub(x[k]) for k in x.keys() - known
-            )
+
+            def additional(x):
+                if isinstance(x, dict):
+                    for k in x:  # in document order
+                        if k not in known and (failure := sub(x[k])) is not None:
+                            return _under(k, failure)
+                return None
+
+            return additional
         if name == "items":
             sub = check(value)
-            return lambda x: not isinstance(x, list) or all(map(sub, x))
+
+            def items(x):
+                if isinstance(x, list) and any(map(sub, x)):  # a failure is truthy
+                    return next(_under(i, f) for i, f in enumerate(map(sub, x)) if f)
+                return None
+
+            return items
         if name == "$ref":
             return check(resolve(value))
         if name == "allOf":
-            every = _all([check(s) for s in value])
+            every = _first([check(s) for s in value])
             union = _tagged_union(value)
             if union is None:
                 return every
             tag_key, thens = union
-            table = {tag: _all([check(s) for s in ss]) for tag, ss in thens.items()}
+            table = {tag: _first([check(s) for s in ss]) for tag, ss in thens.items()}
 
             def dispatch(x):
                 if not isinstance(x, dict) or tag_key not in x:
                     return every(x)  # each if holds vacuously
                 tag = x[tag_key]
-                return not isinstance(tag, str) or tag not in table or table[tag](x)
+                then = table.get(tag) if isinstance(tag, str) else None
+                return None if then is None else then(x)
 
             return dispatch
         if name == "oneOf":
             subs = [check(s) for s in value]
-            return lambda x: sum(1 for sub in subs if sub(x)) == 1
+
+            def one_of(x):
+                found = [sub(x) for sub in subs]
+                passed = found.count(None)
+                if passed == 1:
+                    return None
+                if passed:
+                    return (), name, many(passed), x
+                # The deepest failure of one branch, a type mismatch last;
+                # a tie is reported at the oneOf itself.
+                ranks = [(len(f[0]), f[1] != "type") for f in found]
+                best = max(ranks)
+                return found[ranks.index(best)] if ranks.count(best) == 1 else fail(x)
+
+            say = lambda x: f"{_brief(x)} is not valid under any of the oneOf schemas"
+            many = lambda n: lambda x: f"{_brief(x)} is valid under {n} of the oneOf schemas, not one"
+            return one_of
         if name == "not":
             sub = check(value)
-            return lambda x: not sub(x)
+            say = lambda x: f"{_brief(x)} must not be valid under {value!r}"
+            return lambda x: None if sub(x) is not None else fail(x)
         cond, then = check(value), check(schema.get("then", True))  # "if"
-        return lambda x: not cond(x) or then(x)
-
-    def why(schema, x, path: tuple) -> tuple:
-        """``(path, keyword, message)`` for the first failure of ``x``, at
-        ``path``, against ``schema``, which rejects it."""
-        if schema is False:
-            return path, "false", f"{_brief(x)} is not allowed here"
-        ranked = sorted(tests[id(schema)], key=lambda kt: _rank(kt[0], schema[kt[0]]))
-        name = next(k for k, test in ranked if not test(x))
-        value = schema[name]
-        if name == "type":
-            message = f"{_brief(x)} is not of type {value!r}"
-        elif name == "const":
-            message = f"{value!r} was expected, not {_brief(x)}"
-        elif name == "enum":
-            message = f"{_brief(x)} is not one of {value!r}"
-        elif name == "pattern":
-            message = f"{_brief(x)} does not match the pattern {value!r}"
-        elif name == "minimum":
-            message = f"{_repr(x)} is less than the minimum of {value!r}"
-        elif name == "maximum":
-            message = f"{_repr(x)} is greater than the maximum of {value!r}"
-        elif name == "minItems":
-            message = f"has {len(x)} items, fewer than the minItems of {value}"
-        elif name == "required":
-            missing = next(k for k in value if k not in x)
-            message = f"{missing!r} is a required property"
-        elif name == "minProperties":
-            message = f"has {len(x)} properties, fewer than the minProperties of {value}"
-        elif name == "maxProperties":
-            message = f"has {len(x)} properties, more than the maxProperties of {value}"
-        elif name == "properties":
-            k = next(k for k, s in value.items() if k in x and not check(s)(x[k]))
-            return why(value[k], x[k], path + (k,))
-        elif name == "additionalProperties":
-            extra = [k for k in x if k not in schema.get("properties", ())]
-            if value is not False:
-                k = next(k for k in extra if not check(value)(x[k]))
-                return why(value, x[k], path + (k,))
-            message = f"additional properties are not allowed: {', '.join(map(repr, extra))}"
-        elif name == "items":
-            i = next(i for i, item in enumerate(x) if not check(value)(item))
-            return why(value, x[i], path + (i,))
-        elif name == "$ref":
-            return why(resolve(value), x, path)
-        elif name == "allOf":
-            return why(next(s for s in value if not check(s)(x)), x, path)
-        elif name == "oneOf":
-            passed = sum(1 for s in value if check(s)(x))
-            if passed:
-                message = f"{_brief(x)} is valid under {passed} of the oneOf schemas, not one"
-            else:
-                # The deepest failure of one branch, a type mismatch
-                # last; a tie is reported at the oneOf itself.
-                found = [why(s, x, path) for s in value]
-                ranks = [(len(f[0]), f[1] != "type") for f in found]
-                if ranks.count(max(ranks)) == 1:
-                    return found[ranks.index(max(ranks))]
-                message = f"{_brief(x)} is not valid under any of the oneOf schemas"
-        elif name == "not":
-            message = f"{_brief(x)} must not be valid under {value!r}"
-        else:  # "if"
-            return why(schema.get("then", True), x, path)
-        return path, name, message
+        return lambda x: None if cond(x) is not None else then(x)
 
     valid = check(root)
 
     def rejection(doc):
-        if valid(doc):
+        failure = valid(doc)
+        if failure is None:
             return None
-        path, _, message = why(root, doc, ())
-        return DocError(_json_path(path), message)
+        path, _, say, x = failure
+        return DocError(_json_path(path), say(x))
 
     return rejection
 
@@ -833,7 +826,7 @@ def result_to_doc(result: SimResult, at: str = "$") -> dict:
         if fields is not None:
             for k, v in fields.items():
                 if v.__class__ is not int:
-                    raise TypeError(_cannot_write(f"{at}.{header}.{k}", v))
+                    raise _cannot_write(f"{at}.{header}.{k}", v)
             doc[header] = {k: str(v) for k, v in fields.items()}
     doc["payload_hex"] = packet.payload.hex()
     doc["trace"] = [
@@ -887,40 +880,33 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
 
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal, event value and header field value, a str verdict,
-    kind and header field name, a str or None selector and error. Anything else, a bool or a
+    kind and header field name, a str or None selector and error. The
+    first value in writing order that holds anything else, a bool or a
     float included, raises TypeError naming its JSON path; the chunks
     before it have been yielded by then.
     """
     if seed.__class__ is not int:
-        raise TypeError(_cannot_write("$.seed", seed))
+        raise _cannot_write("$.seed", seed)
     names: dict[str, str] = {}  # header field name -> its lead, quoted, ": "
     events: dict[TraceEvent, str] = {}
     yield '{\n  "seed": ' + _int_text(seed) + ',\n  "results": '
     lead = "["
     for i, r in enumerate(results):
-        try:
-            text = _result_text(r, names, events)
-        except TypeError:
-            found = _misfit(i, r)
-            if found is None:
-                raise
-            raise TypeError(found) from None
-        yield lead + text
+        yield lead + _result_text(r, i, names, events)
         lead = ","
     yield "[]\n}\n" if lead == "[" else "\n  ]\n}\n"
 
 
-def _result_text(r: SimResult, names: dict, events: dict) -> str:
-    """One result's text, through the memos of ``iter_results_text``; a
-    value it cannot write raises a TypeError without a path."""
+def _result_text(r: SimResult, i: int, names: dict, events: dict) -> str:
+    """The text of result ``i``, through the memos of ``iter_results_text``;
+    the first value it cannot write, in writing order, raises TypeError."""
     verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
-    if not (
-        verdict.__class__ is str
-        and egress.__class__ is int
-        and (selector is None or selector.__class__ is str)
-        and (error is None or error.__class__ is str)
-    ):
-        raise TypeError
+    if verdict.__class__ is not str:
+        raise _cannot_write(f"$.results[{i}].verdict", verdict)
+    if selector is not None and selector.__class__ is not str:
+        raise _cannot_write(f"$.results[{i}].selector", selector)
+    if egress.__class__ is not int:
+        raise _cannot_write(f"$.results[{i}].egress_port", egress)
     parts = [
         '\n    {\n      "verdict": ', _quote(verdict),
         ',\n      "selector": ', "null" if selector is None else _quote(selector),
@@ -933,8 +919,10 @@ def _result_text(r: SimResult, names: dict, events: dict) -> str:
             continue
         items = []
         for key, value in field_map.items():
-            if key.__class__ is not str or value.__class__ is not int:
-                raise TypeError
+            if key.__class__ is not str:
+                raise _cannot_write(f"$.results[{i}].{header} (a field name)", key)
+            if value.__class__ is not int:
+                raise _cannot_write(f"$.results[{i}].{header}.{key}", value)
             name = names.get(key)
             if name is None:
                 name = names[key] = "\n        " + _quote(key) + ": "
@@ -945,7 +933,7 @@ def _result_text(r: SimResult, names: dict, events: dict) -> str:
         texts = []
         for event in r.trace:
             if not _exact(event):
-                raise TypeError
+                raise _event_misfit(f"$.results[{i}].trace[{len(texts)}]", event)
             text = events.get(event)
             if text is None:
                 if len(events) >= _EVENTS_HELD:
@@ -956,44 +944,26 @@ def _result_text(r: SimResult, names: dict, events: dict) -> str:
     else:
         parts.append("[]")
     if error is not None:
+        if error.__class__ is not str:
+            raise _cannot_write(f"$.results[{i}].error", error)
         parts.append(',\n      "error": ' + _quote(error))
     parts.append("\n    }")
     return "".join(parts)
 
 
-_STR_OR_NONE = (str, type(None))
+def _cannot_write(path: str, value) -> TypeError:
+    return TypeError(f"{path}: cannot write a {type(value).__name__} to a results document")
 
 
-def _cannot_write(path: str, value) -> str:
-    return f"{path}: cannot write a {type(value).__name__} to a results document"
-
-
-def _misfit(i: int, r: SimResult):
-    """The diagnostic for the first field of result ``i``, in writing
-    order, that ``iter_results_text`` cannot write; None when there is
-    none."""
-
-    def positions():  # (JSON path, value, the classes it may have)
-        at = f"$.results[{i}]"
-        yield f"{at}.verdict", r.verdict, (str,)
-        yield f"{at}.selector", r.selector, _STR_OR_NONE
-        yield f"{at}.egress_port", r.egress_port, (int,)
-        for header in HEADER_FIELD_BITS:
-            for key, value in (getattr(r.packet, header) or {}).items():
-                yield f"{at}.{header} (a field name)", key, (str,)
-                yield f"{at}.{header}.{key}", value, (int,)
-        for j, event in enumerate(r.trace):
-            yield f"{at}.trace[{j}].ordinal", event.ordinal, (int,)
-            yield f"{at}.trace[{j}].kind", event.kind, (str,)
-            for name in ("before", "after"):
-                for k, value in enumerate(getattr(event, name)):
-                    yield f"{at}.trace[{j}].{name}[{k}]", value, (int,)
-        yield f"{at}.error", r.error, _STR_OR_NONE
-
-    for path, value, classes in positions():
-        if value.__class__ not in classes:
-            return _cannot_write(path, value)
-    return None
+def _event_misfit(at: str, event: TraceEvent) -> TypeError:
+    """The error for the first value of ``event``, found at ``at``, that
+    ``_exact`` refuses."""
+    ordinal, kind, before, after = event
+    values = [(".ordinal", ordinal, int), (".kind", kind, str)]
+    for name, seq in (("before", before), ("after", after)):
+        values += ((f".{name}[{k}]", value, int) for k, value in enumerate(seq))
+    where, value = next((w, v) for w, v, cls in values if v.__class__ is not cls)
+    return _cannot_write(at + where, value)
 
 
 def _exact(event: TraceEvent) -> bool:

@@ -108,6 +108,19 @@ class TestTemplate:
             "IPPROTO_TCP": core_model.IPPROTO_TCP,
         }
 
+    def test_standard_headers_match_core_model(self):
+        # The packers and the IPv4 checksum read STANDARD_HEADERS, so its
+        # fields, widths and order must be the template's own.
+        text = load_template("v1model_basic")
+        declared = {
+            name: tuple((field, int(bits)) for bits, field in re.findall(r"bit<(\d+)> (\w+);", body))
+            for name, body in re.findall(r"^header (\w+)_t \{([^}]*)\}", text, re.M)
+        }
+        names = {"eth": "ethernet", "ipv4": "ipv4", "udp": "udp", "tcp": "tcp"}
+        assert declared == {
+            names[header]: fields for header, fields in core_model.STANDARD_HEADERS.items()
+        }
+
     def test_unknown_template_rejected(self):
         with pytest.raises(KeyError):
             load_template("nosuch")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from oracles import rfc1071_naive
 from p4flowgen.core_model import (
+    RING_CAPACITY_MAX,
     U8,
     U16,
     U32,
@@ -75,6 +76,11 @@ class TestUValue:
         assert u16(1).width is U16
         assert u32(1).width is U32
         assert u64(1).width is U64
+
+    def test_bool_magnitude_rejected(self):
+        # A bool is an int to Python, but generate would emit 8wTrue.
+        with pytest.raises(TypeError, match="magnitude must be an int"):
+            u8(True)
 
 
 class TestWrapArithmetic:
@@ -176,6 +182,16 @@ class TestDecls:
         RingBufferDecl("log", U32, 1)
         with pytest.raises(ValueError):
             RingBufferDecl("log", U32, 0)
+
+    def test_ring_capacity_must_not_be_a_bool(self):
+        with pytest.raises(ValueError, match="needs capacity >= 1"):
+            RingBufferDecl("r", U8, True)
+
+    def test_ring_capacity_is_bounded(self):
+        # only refused: a ring of that size is never allocated here
+        assert 0 < RING_CAPACITY_MAX < 2**32
+        with pytest.raises(ValueError, match=f"needs capacity <= {RING_CAPACITY_MAX}"):
+            RingBufferDecl("log", U32, RING_CAPACITY_MAX + 1)
 
 
 class TestInternetChecksum:

@@ -25,7 +25,7 @@ from jsonschema.exceptions import best_match
 import p4flowgen
 from p4flowgen import cli, program_doc
 from p4flowgen.builtin_examples import asset_path
-from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, SEED_MAX
+from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.program_doc import (
     DocError,
     _tagged_union,
@@ -514,6 +514,20 @@ def test_both_schemas_bound_ports_by_port_max():
         assert (port["minimum"], port["maximum"]) == (0, PORT_MAX)
 
 
+def test_schema_bounds_ring_capacity_by_the_builders_bound():
+    capacity = load_schema("program")["$defs"]["ring"]["properties"]["capacity"]
+    assert (capacity["minimum"], capacity["maximum"]) == (1, RING_CAPACITY_MAX)
+
+
+@pytest.mark.parametrize("capacity", [RING_CAPACITY_MAX + 1, 10**12])
+def test_ring_capacity_past_the_bound_is_a_doc_error(capacity):
+    doc = json.loads(asset_path("guess_game").read_text())
+    doc["processors"][0]["rings"] = [{"name": "r", "width": 8, "capacity": capacity}]
+    with pytest.raises(DocError) as err:
+        solution_from_doc(doc)
+    assert err.value.path == "processors[0].rings[0].capacity"
+
+
 # Every pattern in the shipped schemas, with one string it accepts. Python's
 # ``$`` also matches before a final newline; ``(?!\n)`` refuses one there.
 PATTERN_SAMPLES = {
@@ -602,6 +616,21 @@ BENCH_TRACES = [
     _bench_trace(workloads.many_flows(workloads.DEFAULT_SEED)[1]),
 ]
 ALL_TRACES = TRACE_DOCS + BENCH_TRACES
+
+
+def _refuse_to_word(x):
+    raise AssertionError("a valid document had a failure worded")
+
+
+def test_valid_documents_are_accepted_without_wording(monkeypatch):
+    # The failures a valid document meets inside oneOf, not and if are
+    # worded only when reported, i.e. never.
+    monkeypatch.setattr(program_doc, "_brief", _refuse_to_word)
+    monkeypatch.setattr(program_doc, "_repr", _refuse_to_word)
+    for doc in [*PROGRAM_DOCS, workloads.many_flows(workloads.DEFAULT_SEED)[0]]:
+        program_doc.validate_program_doc(doc)
+    for doc in ALL_TRACES:
+        program_doc.validate_trace_doc(doc)
 
 
 @lru_cache(maxsize=None)
