@@ -34,7 +34,7 @@ def main(argv=None) -> int:
 
     solution = guess_game_solution()
     state = initial_state(solution, seed=args.seed)
-    print(f"secret starts at {state.shared[('guess', 'secret')].magnitude}")
+    print(f"secret starts at {state.shared[('guess', 'secret')]}")
 
     lo, hi, probes = 0, 255, 0
     while True:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         else:
             hi = guess - 1
     print(f"hit in {probes} probes; secret redrawn to "
-          f"{state.shared[('guess', 'secret')].magnitude}")
+          f"{state.shared[('guess', 'secret')]}")
 
     if args.emit:
         for path in sorted(generate(solution).write_to(args.emit)):

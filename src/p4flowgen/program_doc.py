@@ -83,7 +83,7 @@ def load_schema(name: str) -> dict:
 
 # Keywords with no bearing on validity.
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
-# Tried in this order within each ``_rank``, so the cheap type test runs first.
+# Tried in this order within each rank (``_ranked``), so the cheap type test runs first.
 _KEYWORDS = (
     "type", "const", "enum", "pattern", "minimum", "maximum", "minItems",
     "required", "minProperties", "maxProperties", "properties",
@@ -185,13 +185,19 @@ def _json_path(parts: tuple) -> str:
     return text[1:] if text.startswith(".") else "$" + text
 
 
-def _rank(name: str, value) -> int:
-    """Diagnosis order of a keyword: the node's own keywords, then those
-    that apply a subschema to the value itself, then those that apply one
-    to its members."""
-    if name in _IN_PLACE:
-        return 1
-    return 2 if name in _MEMBERS and value is not False else 0
+@lru_cache(maxsize=256)
+def _ranked(keys: tuple, false: tuple) -> tuple:
+    """The keywords of a schema node with ``keys`` in diagnosis order: the
+    node's own keywords, then those that apply a subschema to the value
+    itself, then those that apply one to its members, each rank in
+    ``_KEYWORDS`` order. A member keyword in ``false``, whose value is
+    false, ranks as the node's own. Raises ValueError on a keyword that
+    is not implemented."""
+    unknown = set(keys) - _IMPLEMENTED
+    if unknown:
+        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
+    rank = lambda k: 1 if k in _IN_PLACE else 2 if k in _MEMBERS and k not in false else 0
+    return tuple(sorted((k for k in _KEYWORDS if k in keys), key=rank))
 
 
 def compile_schema(root: dict):
@@ -205,7 +211,7 @@ def compile_schema(root: dict):
     keyword that refused it, and ``say``, which words the refusal as
     ``say(x)`` only when it is reported, so that the failures a valid
     document meets inside oneOf, not and if cost no text. A schema node
-    tries its keywords ranked by ``_rank`` (the node's own keywords
+    tries its keywords ranked by ``_ranked`` (the node's own keywords
     first), in ``_KEYWORDS`` order within a rank, and returns the first
     failure; a keyword that applies a subschema to a member puts the
     member's key or index in front of its path.
@@ -242,11 +248,8 @@ def compile_schema(root: dict):
         if schema is False:
             say = lambda x: f"{_brief(x)} is not allowed here"
             return lambda x: ((), "false", say, x)
-        unknown = schema.keys() - _IMPLEMENTED
-        if unknown:
-            raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-        names = sorted((k for k in _KEYWORDS if k in schema), key=lambda k: _rank(k, schema[k]))
-        return _first([keyword(k, schema[k], schema) for k in names])
+        false = tuple(k for k in _MEMBERS if schema.get(k) is False)
+        return _first([keyword(k, schema[k], schema) for k in _ranked(tuple(schema), false)])
 
     def keyword(name: str, value, schema):
         fail = lambda x: ((), name, say, x)  # each keyword binds its say

@@ -58,7 +58,6 @@ from .flow_ast import (
     Rand,
     RingPush,
     RingReadHead,
-    Scope,
     SendBack,
     Sub,
     flatten,
@@ -113,29 +112,26 @@ class SplitMix64:
 
 
 @record
-class RingState:
-    slots: list[int]
-    head: int
-
-
-@record
 class SimState:
-    """Everything that persists across packets."""
+    """Everything that persists across packets, shaped as the generated
+    P4's registers: ``shared`` maps (processor, name) to an int, a shared
+    variable's value (not its register's ``value ^ initial``) or a ring's
+    head; ``rings`` maps (processor, ring) to the ring's slots."""
 
-    shared: dict[tuple[str, str], UValue]
-    rings: dict[tuple[str, str], RingState]
+    shared: dict[tuple[str, str], int]
+    rings: dict[tuple[str, str], list[int]]
     rng: SplitMix64
 
 
 def initial_state(solution: Solution, seed: int = 0) -> SimState:
     """A fresh SimState: declared initial values, zeroed rings, seeded rng."""
-    shared: dict[tuple[str, str], UValue] = {}
-    rings: dict[tuple[str, str], RingState] = {}
+    shared: dict[tuple[str, str], int] = {}
+    rings: dict[tuple[str, str], list[int]] = {}
     for p in solution.processors():
         for d in p.shared:
-            shared[(p.name, d.name)] = d.initial
+            shared[(p.name, d.name)] = d.initial.magnitude
         for r in p.rings:
-            rings[(p.name, r.name)] = RingState([0] * r.capacity, 0)
+            shared[(p.name, r.name)], rings[(p.name, r.name)] = 0, [0] * r.capacity
     return SimState(shared=shared, rings=rings, rng=SplitMix64(seed))
 
 
@@ -157,15 +153,6 @@ class SimResult:
     packet: SimPacket
     trace: tuple[TraceEvent, ...] = ()
     error: Optional[str] = None
-
-    def __init__(self, verdict, selector, egress_port, packet, trace=(), error=None) -> None:
-        # Writes the instance dict, where the __init__ that record compiles
-        # for a frozen class makes one object.__setattr__ call per field:
-        # about half the cost per result.
-        fields = self.__dict__
-        fields["verdict"], fields["selector"] = verdict, selector
-        fields["egress_port"], fields["packet"] = egress_port, packet
-        fields["trace"], fields["error"] = trace, error
 
 
 def classify(solution: Solution, packet: SimPacket) -> Optional[FlowSelector]:
@@ -276,7 +263,7 @@ def _chain_lines(chain: ParserChain, namespace: dict) -> list:
 # Names a compiled run function reads besides its own constants.
 _NAMESPACE = {
     "pack": struct.pack, "unpack_from": struct.unpack_from, "new": tuple.__new__,
-    "TE": TraceEvent, "UValue": UValue, "MATCH": TraceEvent(0, "match", (), ()),
+    "TE": TraceEvent, "MATCH": TraceEvent(0, "match", (), ()),
     "SimPacket": SimPacket, "resized_ipv4": resized_ipv4, "resized_udp": resized_udp,
 }
 
@@ -293,13 +280,13 @@ _PY = {
     Equals: lambda c, cmd, py: f"1 if {py.lhs} == {py.rhs} else 0",
     Greater: lambda c, cmd, py: f"1 if {py.lhs} > {py.rhs} else 0",
     Rand: lambda c, cmd, py: f"rng.next64() & {py.mask}",
-    RingReadHead: lambda c, cmd, py: f"{py.ring}.slots[{py.ring}.head]",
+    RingReadHead: lambda c, cmd, py: f"{py.ring}[{py.ring}_head]",
     RingPush: lambda c, cmd, py: [
-        f"h = {py.ring}.head",
-        f"{py.ring}.slots[h] = {py.source}",
-        f"{py.ring}.head = (h + 1) % len({py.ring}.slots)",
+        f"h = {py.ring}_head",
+        f"{py.ring}[h] = {py.source}",
+        f"{py.ring}_head = (h + 1) % len({py.ring})",
         f"append(new(TE, ({cmd.ordinal}, 'ring_push', ({py.source}, h), "
-        f"({py.source}, {py.ring}.head))))",
+        f"({py.source}, {py.ring}_head))))",
     ],
     SendBack: lambda c, cmd, py: ["egress = ingress", c.event(cmd.ordinal, cmd.op)],
     Forward: lambda c, cmd, py: [
@@ -312,10 +299,11 @@ class _Compiler:
     """The Python dialect of ``flow_ast.render``, for the body of one
     processor's run function: (packet, state) to (trace events, egress
     port, outgoing packet). Every hook returns statements. Variables are
-    the locals ``v<i>`` in declaration order, rings ``r<i>``. Constants
-    that tell processors of one shape apart (state keys, operand values,
-    ports, events) are the namespace's ``k<i>``, so that such processors
-    share one source text and one code object."""
+    the locals ``v<i>`` in declaration order, rings ``r<i>`` and their
+    heads ``r<i>_head``. Constants that tell processors of one shape
+    apart (state keys, operand values, ports, events) are the namespace's
+    ``k<i>``, so that such processors share one source text and one code
+    object."""
 
     def __init__(self, proc: FlowProcessor) -> None:
         self.consts = []
@@ -353,14 +341,9 @@ class _Compiler:
             if getattr(py, name) == py.target:
                 setattr(py, name, "t")
         py.mask = hex(target.width.mask)
-        lines = [f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}"]
-        if target.scope is Scope.SHARED:
-            key, width = self.key[target.name], self.const(target.width)
-            lines.append(f"shared[{key}] = UValue({width}, {py.target})")
         read = "".join(f"{getattr(py, name)}, " for name in reads)
-        lines.append(f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), "
-                     f"({py.target}, {read}))))")
-        return lines
+        event = f"append(new(TE, ({cmd.ordinal}, {cmd.op!r}, (t, {read}), ({py.target}, {read}))))"
+        return [f"t = {py.target}", f"{py.target} = {entry(self, cmd, py)}", event]
 
     @staticmethod
     def _branch(cmd, kind: str, seen: str) -> list:
@@ -418,11 +401,16 @@ def _compiled(proc: FlowProcessor):
         "shared, rng = state.shared, state.rng",
         f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
         *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
-        *(f"{c.var[d.name]} = shared[{c.key[d.name]}].magnitude" for d in proc.shared),
+        *(f"{c.var[d.name]} = shared[{c.key[d.name]}]" for d in proc.shared),
         *(f"{c.ring[r.name]} = state.rings[{c.key[r.name]}]" for r in proc.rings),
+        *(f"{c.ring[r.name]}_head = shared[{c.key[r.name]}]" for r in proc.rings),
         "egress, events = ingress ^ 1, [MATCH]",
         "append = events.append",
         *render(proc.body, c),
+        # Every register is written back: one the body did not write still
+        # holds the value read above.
+        *(f"shared[{c.key[d.name]}] = {c.var[d.name]}" for d in proc.shared),
+        *(f"shared[{c.key[r.name]}] = {c.ring[r.name]}_head" for r in proc.rings),
     ]
     if output is None:
         payload = "bytes(payload)"
@@ -454,7 +442,9 @@ _code = lru_cache(maxsize=256)(compile)
 def simulate_packet(
     solution: Solution, state: SimState, packet: SimPacket
 ) -> tuple[SimResult, SimState]:
-    """Run one packet. The state is updated in place and also returned.
+    """Run one packet. The state is updated in place and also returned:
+    the matched processor reads its registers before its body and writes
+    them all back after it. A malformed packet leaves the state untouched.
 
     The input packet is never mutated; a PASSTHROUGH result carries it
     unchanged, a PROCESSED result carries a rebuilt copy.

@@ -90,15 +90,14 @@ def test_c1_guess_game_matches_comparator_oracle():
     redraws = splitmix64_stream(123)
     started = time.perf_counter()
     for secret in range(256):
-        pinned = u8(secret)
         for guess in range(256):
-            state.shared[("guess", "secret")] = pinned
+            state.shared[("guess", "secret")] = secret
             result, state = simulate_packet(solution, state, packets[guess])
             assert result.verdict == PROCESSED
             assert result.packet.payload == guess_reference(secret, guess)
             if guess == secret:
                 # A win must replace the secret with the next seeded draw.
-                after = state.shared[("guess", "secret")].magnitude
+                after = state.shared[("guess", "secret")]
                 assert after == next(redraws) & 0xFF
     assert time.perf_counter() - started < 5.0
 

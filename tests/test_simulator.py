@@ -252,7 +252,16 @@ class TestGuessGame:
         res, state = simulate_packet(GUESS, state, pkt)
         assert res.packet.payload == b"OK"
         expected = next(splitmix64_stream(99)) & 0xFF
-        assert state.shared[("guess", "secret")] == u8(expected)
+        assert state.shared[("guess", "secret")] == expected
+
+    def test_secret_is_a_plain_int_after_a_win(self):
+        state = initial_state(GUESS, seed=7)
+        pkt = make_udp_packet(GUESS_PORT, payload=bytes([42]))
+        res, state = simulate_packet(GUESS, state, pkt)
+        assert res.packet.payload == b"OK"
+        secret = state.shared[("guess", "secret")]
+        assert type(secret) is int
+        assert secret == next(splitmix64_stream(7)) & 0xFF
 
     def test_consecutive_wins_consume_stream(self):
         state = initial_state(GUESS, seed=4)
@@ -263,7 +272,7 @@ class TestGuessGame:
             res, state = simulate_packet(GUESS, state, pkt)
             assert res.packet.payload == b"OK"
             secret = next(ref) & 0xFF
-            assert state.shared[("guess", "secret")] == u8(secret)
+            assert state.shared[("guess", "secret")] == secret
 
     def test_truncates_residual_payload(self):
         state = initial_state(GUESS, seed=0)
@@ -305,7 +314,7 @@ class TestGuessGame:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_comparator(self, secret, guess):
         state = initial_state(GUESS, seed=0)
-        state.shared[("guess", "secret")] = u8(secret)
+        state.shared[("guess", "secret")] = secret
         pkt = make_udp_packet(GUESS_PORT, payload=bytes([guess]))
         res, _ = simulate_packet(GUESS, state, pkt)
         assert res.packet.payload == guess_reference(secret, guess)
@@ -315,7 +324,7 @@ class TestGuessGame:
         # the worst case spends one more packet confirming it.
         for secret in range(256):
             state = initial_state(GUESS, seed=0)
-            state.shared[("guess", "secret")] = u8(secret)
+            state.shared[("guess", "secret")] = secret
             lo, hi = 0, 255
             pinned_at = None
             probes = 0
@@ -434,9 +443,19 @@ class TestCustomProcessors:
             _, state = simulate_packet(
                 sol, state, make_udp_packet(1002, payload=bytes([v]))
             )
-        ring = state.rings[("ringy", "window")]
-        assert sorted(ring.slots) == [5, 6]
-        assert ring.head == 0
+        assert sorted(state.rings[("ringy", "window")]) == [5, 6]
+        assert state.shared[("ringy", "window")] == 0
+
+    def test_ring_head_is_a_shared_register(self):
+        sol = ring_solution()
+        state = initial_state(sol, seed=0)
+        assert state.shared[("ringy", "window")] == 0
+        for pushed, head in ((5, 1), (6, 0), (7, 1)):
+            res, state = simulate_packet(sol, state, make_udp_packet(1002, payload=bytes([pushed])))
+            push = res.trace[-1]
+            assert (push.kind, push.after) == ("ring_push", (pushed, head))
+            assert type(state.shared[("ringy", "window")]) is int
+            assert state.shared[("ringy", "window")] == head
 
 
 class TestPassthroughPurity:
@@ -554,7 +573,7 @@ class TestRunTrace:
             win = make_udp_packet(GUESS_PORT, payload=bytes([42]))
             result, state = simulate_packet(GUESS, state, win)
             assert result.packet.payload == b"OK"
-            secret = state.shared[("guess", "secret")].magnitude
+            secret = state.shared[("guess", "secret")]
             assert secret == next(splitmix64_stream(seed)) & 0xFF
             secrets.append(secret)
         assert secrets[0] != secrets[1]
@@ -625,7 +644,7 @@ class TestConstantOperands:
         assert events[0][0] == ("ring_push", (7, 0), (7, 1))
         assert events[1][0] == ("ring_push", (7, 1), (7, 0))
         assert events[0][2] == events[1][2] == ("switch", (2,), (2,))
-        assert state.rings[("konst", "window")].slots == [7, 7]
+        assert state.rings[("konst", "window")] == [7, 7]
 
     def test_emitted_verbatim(self):
         apply = generate(constant_operand_solution()).files["apply.p4inc"]
@@ -719,8 +738,9 @@ class TestCompiledMatchesReference:
             assert [tuple(e) for e in res.trace] == events
             assert res.egress_port == (ingress ^ 1 if egress is None else egress)
             assert res.packet.payload == out
-            assert {k[1]: v.magnitude for k, v in state.shared.items()} == ref.shared
-            assert {k[1]: [r.slots, r.head] for k, r in state.rings.items()} == ref.rings
+            heads = {k: state.shared[k] for k in state.rings}
+            assert {k[1]: v for k, v in state.shared.items() if k not in heads} == ref.shared
+            assert {k[1]: [slots, heads[k]] for k, slots in state.rings.items()} == ref.rings
             assert state.rng.next64() == next(ref.rng)
 
 
@@ -737,7 +757,7 @@ def alias_case(make):
     sol = udp_solution(proc, 1005)
     pkt = make_udp_packet(1005, payload=bytes([250]))
     res, state = simulate_packet(sol, initial_state(sol), pkt)
-    return res.trace[1], state.shared[("alias", "acc")].magnitude
+    return res.trace[1], state.shared[("alias", "acc")]
 
 
 class TestAliasedOperands:
