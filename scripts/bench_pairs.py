@@ -13,11 +13,14 @@ The record, printed as JSON (progress goes to stderr), holds the stdout
 of every run and, per workload and end-to-end metric of BENCHMARK.json,
 the parent's and the change's q1/median/q3 over the pairs and the number
 of pairs the change wins (a win is a strictly better value in the
-metric's direction). Without ``--workload`` every workload of BENCHMARK.json
-runs. ``--seed`` is passed to every run and kept in the record; without it
-each run uses perfbench's default seed and the record's seed is null. A
-claim made on the default seed is checked again on a seed not used while
-the change was written.
+metric's direction), and the host: its CPU, its Python, whether the runs
+write no bytecode (then each run compiles the package from source) and
+the median start-up of a bare interpreter in the runs' environment.
+Without ``--workload`` every workload of BENCHMARK.json runs. ``--seed``
+is passed to every run and kept in the record; without it each run uses
+perfbench's default seed and the record's seed is null. A claim made on
+the default seed is checked again on a seed not used while the change
+was written.
 
 The parent is exported with ``git archive`` into a temporary directory,
 which is removed at the end; the repository itself is left as it was.
@@ -33,12 +36,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+STARTS = 11  # bare interpreter start-ups timed for the host record
 
 
 def export(ref: str, into: Path) -> str:
@@ -60,13 +65,18 @@ def perfbench_args(workload: str, trace: int, seed: Optional[int]) -> list[str]:
     return args if seed is None else [*args, "--seed", str(seed)]
 
 
+def child_env() -> dict:
+    """The environment of every benchmark run: this one without
+    PYTHONPATH, so that a run measures the package of its own checkout."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
 def run(checkout: Path, workload: str, trace: int, seed: Optional[int]) -> tuple[str, dict]:
     """One benchmark run in ``checkout``: its stdout and its last line's
-    JSON. The benchmark measures the package of the checkout it runs from."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    JSON."""
     proc = subprocess.run(
         [sys.executable, *perfbench_args(workload, trace, seed)],
-        cwd=checkout, env=env, capture_output=True, text=True)
+        cwd=checkout, env=child_env(), capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"{checkout}: {workload} printed nothing (exit {proc.returncode})\n"
                          f"{proc.stderr}")
@@ -100,6 +110,20 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
 
 
 def host() -> dict:
+    """The machine and interpreter of the runs. ``dont_write_bytecode``
+    is the flag as a benchmark run sees it (when set, every run compiles
+    the package from source), and ``python_start_ms`` the median of
+    ``STARTS`` start-ups of a bare ``python3 -c pass`` in the same
+    environment."""
+    env = child_env()
+    flags = subprocess.run(
+        [sys.executable, "-c", "import sys; print(int(sys.flags.dont_write_bytecode))"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    times = []
+    for _ in range(STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], env=env, check=True)
+        times.append(time.perf_counter() - start)
     cpu = platform.processor()
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -108,7 +132,9 @@ def host() -> dict:
                 break
     except OSError:
         pass
-    return {"cpu": cpu, "vcpus": os.cpu_count(), "python": platform.python_version()}
+    return {"cpu": cpu, "vcpus": os.cpu_count(), "python": platform.python_version(),
+            "dont_write_bytecode": flags.strip() == "1",
+            "python_start_ms": round(statistics.median(times) * 1e3, 2)}
 
 
 def main(argv=None) -> int:

@@ -857,16 +857,13 @@ def results_to_doc(seed: int, results) -> dict:
 # constant: results at 2, their fields at 3, header fields and trace
 # events at 4, event fields at 5 and event values at 6.
 _HEADER_LEADS = tuple((h, f'\n      "{h}": ') for h in HEADER_FIELD_BITS)
-_VALUE_SEP = ",\n            "
-# The most trace-event texts iter_results_text keeps at once: more than
-# the distinct events of a 2,000-packet guess_game trace (about 2,200).
-_EVENTS_HELD = 4096
-_int_text = int.__repr__
+# The most entries iter_results_text's memo holds; a full memo is emptied.
+# Both bench workloads are written as fast as with 4,096, in a quarter of the memory.
+_EVENTS_HELD = 1024
 
 
 def dumps_results(seed: int, results) -> str:
-    """The text of ``dumps_doc(results_to_doc(seed, results))``: the
-    chunks of ``iter_results_text`` joined."""
+    """The chunks of ``iter_results_text`` joined."""
     return "".join(iter_results_text(seed, results))
 
 
@@ -876,10 +873,11 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
     then one chunk per result as ``results`` yields it, then the tail. Only
     the result being written is held, so ``results`` may be a stream.
 
-    Header maps keep their own key order, as ``result_to_doc`` does. The
-    text of a trace event is memoized, since a long trace repeats few
-    events; the memo is emptied whenever it holds ``_EVENTS_HELD`` events,
-    so a trace whose events never repeat holds no more than that.
+    Header maps keep their own key order, as ``result_to_doc`` does. A
+    header map is one %-format of a template built per key order, a trace
+    event one of a template per kind and number of values before and
+    after. Templates and texts are memoized; the memo is emptied whenever
+    it holds ``_EVENTS_HELD`` entries, so no trace makes it hold more.
 
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal, event value and header field value, a str verdict,
@@ -890,19 +888,20 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
     """
     if seed.__class__ is not int:
         raise _cannot_write("$.seed", seed)
-    names: dict[str, str] = {}  # header field name -> its lead, quoted, ": "
-    events: dict[TraceEvent, str] = {}
-    yield '{\n  "seed": ' + _int_text(seed) + ',\n  "results": '
-    lead = "["
+    # No two kinds of key compare equal: a key order is a tuple of str, a header
+    # map (keys, values), an event shape (str, int, int), an event (int, str, ...).
+    memo: dict = {}
+    yield '{\n  "seed": %d,\n  "results": ' % seed
+    lead = "[\n    {"
     for i, r in enumerate(results):
-        yield lead + _result_text(r, i, names, events)
-        lead = ","
-    yield "[]\n}\n" if lead == "[" else "\n  ]\n}\n"
+        yield _result_text(r, i, lead, memo)
+        lead = ",\n    {"
+    yield "[]\n}\n" if lead[0] == "[" else "\n  ]\n}\n"
 
 
-def _result_text(r: SimResult, i: int, names: dict, events: dict) -> str:
-    """The text of result ``i``, through the memos of ``iter_results_text``;
-    the first value it cannot write, in writing order, raises TypeError."""
+def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
+    """The text of result ``i`` after ``lead``, through the memo of
+    ``iter_results_text``; its first unwritable value raises TypeError."""
     verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
     if verdict.__class__ is not str:
         raise _cannot_write(f"$.results[{i}].verdict", verdict)
@@ -910,93 +909,93 @@ def _result_text(r: SimResult, i: int, names: dict, events: dict) -> str:
         raise _cannot_write(f"$.results[{i}].selector", selector)
     if egress.__class__ is not int:
         raise _cannot_write(f"$.results[{i}].egress_port", egress)
-    parts = [
-        '\n    {\n      "verdict": ', _quote(verdict),
-        ',\n      "selector": ', "null" if selector is None else _quote(selector),
-        ',\n      "egress_port": ', _int_text(egress), ",",
-    ]
+    parts = [lead, '\n      "verdict": %s,\n      "selector": %s,\n      "egress_port": %d,' % (
+        _quote(verdict), "null" if selector is None else _quote(selector), egress)]
     packet = r.packet
     for header, lead in _HEADER_LEADS:
         field_map = getattr(packet, header)
         if field_map is None:
             continue
-        items = []
-        for key, value in field_map.items():
+        keys, values = tuple(field_map), tuple(field_map.values())
+        for key in keys:
             if key.__class__ is not str:
-                raise _cannot_write(f"$.results[{i}].{header} (a field name)", key)
+                raise _header_misfit(f"$.results[{i}].{header}", field_map)
+        for value in values:
             if value.__class__ is not int:
-                raise _cannot_write(f"$.results[{i}].{header}.{key}", value)
-            name = names.get(key)
-            if name is None:
-                name = names[key] = "\n        " + _quote(key) + ": "
-            items.append(name + _quote(str(value)))
-        parts.append(lead + ("{" + ",".join(items) + "\n      }," if items else "{},"))
-    parts.append('\n      "payload_hex": "' + packet.payload.hex() + '",\n      "trace": ')
-    if r.trace:
-        texts = []
-        for event in r.trace:
-            if not _exact(event):
-                raise _event_misfit(f"$.results[{i}].trace[{len(texts)}]", event)
-            text = events.get(event)
-            if text is None:
-                if len(events) >= _EVENTS_HELD:
-                    events.clear()
-                text = events[event] = _event_text(event)
-            texts.append(text)
-        parts.append("[" + ",".join(texts) + "\n      ]")
-    else:
-        parts.append("[]")
+                raise _header_misfit(f"$.results[{i}].{header}", field_map)
+        text = memo.get((keys, values))
+        if text is None:
+            template = memo.get(keys) or _held(memo, keys, _header_template(keys))
+            text = _held(memo, (keys, values), template % values)
+        parts += lead, text
+    parts += '\n      "payload_hex": "', packet.payload.hex(), '",\n      "trace": '
+    events = []
+    for event in r.trace:
+        ordinal, kind, before, after = event
+        if ordinal.__class__ is not int or kind.__class__ is not str:
+            raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
+        for value in before:
+            if value.__class__ is not int:
+                raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
+        for value in after:
+            if value.__class__ is not int:
+                raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
+        text = memo.get(event)
+        if text is None:
+            shape = (kind, len(before), len(after))
+            template = memo.get(shape) or _held(memo, shape, _event_template(*shape))
+            text = _held(memo, event, template % (ordinal, *before, *after))
+        events.append(text)
+    parts += ("[", ",".join(events), "\n      ]") if events else ("[]",)
     if error is not None:
         if error.__class__ is not str:
             raise _cannot_write(f"$.results[{i}].error", error)
-        parts.append(',\n      "error": ' + _quote(error))
+        parts += ',\n      "error": ', _quote(error)
     parts.append("\n    }")
     return "".join(parts)
+
+
+def _held(memo: dict, key, value):
+    """``value``, stored in ``memo`` under ``key``; a full memo is emptied first."""
+    if len(memo) >= _EVENTS_HELD:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _header_template(keys: tuple) -> str:
+    """The text of a header map with ``keys``, with a ``%s`` for each value."""
+    fields = ",".join("\n        " + _quote(key).replace("%", "%%") + ': "%s"' for key in keys)
+    return "{" + fields + "\n      }," if keys else "{},"
+
+
+def _event_template(kind: str, before: int, after: int) -> str:
+    """An event of ``kind``, with a ``%d`` for its ordinal and for each of its values."""
+    values = ["[\n            " + ",\n            ".join(["%d"] * n) + "\n          ]"
+              if n else "[]" for n in (before, after)]
+    return ('\n        {\n          "ordinal": %d,\n          "kind": '
+            + _quote(kind).replace("%", "%%") + ',\n          "before": ' + values[0]
+            + ',\n          "after": ' + values[1] + "\n        }")
 
 
 def _cannot_write(path: str, value) -> TypeError:
     return TypeError(f"{path}: cannot write a {type(value).__name__} to a results document")
 
 
+def _header_misfit(at: str, field_map: dict) -> TypeError:
+    """The error for the first name or value of ``field_map``, at ``at``, not of its type."""
+    for key, value in field_map.items():
+        if key.__class__ is not str:
+            return _cannot_write(at + " (a field name)", key)
+        if value.__class__ is not int:
+            return _cannot_write(f"{at}.{key}", value)
+
+
 def _event_misfit(at: str, event: TraceEvent) -> TypeError:
-    """The error for the first value of ``event``, found at ``at``, that
-    ``_exact`` refuses."""
+    """The error for the first value of ``event``, at ``at``, not of its exact type."""
     ordinal, kind, before, after = event
     values = [(".ordinal", ordinal, int), (".kind", kind, str)]
     for name, seq in (("before", before), ("after", after)):
         values += ((f".{name}[{k}]", value, int) for k, value in enumerate(seq))
     where, value = next((w, v) for w, v, cls in values if v.__class__ is not cls)
     return _cannot_write(at + where, value)
-
-
-def _exact(event: TraceEvent) -> bool:
-    """Every value of ``event`` has its exact type. Checked on every
-    event: ``1.0 == 1`` and ``True == 1``, so the memo of event texts
-    alone would let such a value through."""
-    ordinal, kind, before, after = event
-    if ordinal.__class__ is not int or kind.__class__ is not str:
-        return False
-    for value in before:
-        if value.__class__ is not int:
-            return False
-    for value in after:
-        if value.__class__ is not int:
-            return False
-    return True
-
-
-def _event_text(event: TraceEvent) -> str:
-    ordinal, kind, before, after = event
-    return (
-        '\n        {\n          "ordinal": ' + _int_text(ordinal)
-        + ',\n          "kind": ' + _quote(kind)
-        + ',\n          "before": ' + _values_text(before)
-        + ',\n          "after": ' + _values_text(after)
-        + "\n        }"
-    )
-
-
-def _values_text(values) -> str:
-    if not values:
-        return "[]"
-    return "[\n            " + _VALUE_SEP.join(map(_int_text, values)) + "\n          ]"

@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 import bench_pairs  # noqa: E402
@@ -58,3 +60,13 @@ def test_the_seed_reaches_every_run_and_the_record(monkeypatch, capsys, tmp_path
 def test_without_a_seed_perfbench_keeps_its_default():
     assert "--seed" not in bench_pairs.perfbench_args("many_flows", 0, None)
     assert bench_pairs.perfbench_args("many_flows", 1, 3)[-2:] == ["--seed", "3"]
+
+
+@pytest.mark.parametrize("flag, dont_write", [("1", True), ("", False)])
+def test_host_records_the_bytecode_flag_and_start_up_the_runs_see(monkeypatch, flag, dont_write):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    assert "PYTHONPATH" not in bench_pairs.child_env()
+    record = bench_pairs.host()
+    assert record["dont_write_bytecode"] is dont_write
+    assert 0 < record["python_start_ms"] < 10_000

@@ -498,9 +498,10 @@ class TestTopLevelForm:
 # -- the results writer: the bytes of dumps_doc(results_to_doc(...)) ---------
 
 # Characters the ASCII escaping must get right; plain st.text() never
-# draws a lone surrogate.
+# draws a lone surrogate. "%" and "d" make format directives ("%d", "%%")
+# of the kinds, selectors, errors and texts that reach a template.
 AWKWARD = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9",
-           "\u2028", "\ud800", "\udfff", "\U0001f600", "a"]
+           "\u2028", "\ud800", "\udfff", "\U0001f600", "a", "%", "d"]
 TEXT = st.one_of(
     st.text(max_size=8),
     st.lists(st.sampled_from(AWKWARD), max_size=6).map("".join),
@@ -510,10 +511,12 @@ INTS = st.one_of(st.integers(0, 300), st.integers(-(2**70), 2**70))
 
 
 def header_maps(header: str):
-    """Field maps of one header: every field in shuffled order, or any
-    subset (the empty map included) in any order."""
+    """Field maps of one header: every field in its standard order, as the
+    simulator writes it, or in shuffled order, or any subset (the empty
+    map included) in any order."""
     names = list(HEADER_FIELD_BITS[header])
-    keys = st.one_of(st.permutations(names), st.lists(st.sampled_from(names), unique=True))
+    keys = st.one_of(st.just(names), st.permutations(names),
+                     st.lists(st.sampled_from(names), unique=True))
     return keys.flatmap(
         lambda ks: st.lists(INTS, min_size=len(ks), max_size=len(ks)).map(
             lambda vs: dict(zip(ks, vs))
@@ -580,6 +583,14 @@ class TestResultsWriter:
         text = dumps_results(0, results)
         assert text == dumps_doc(results_to_doc(0, results))
         assert text.index('"checksum"') < text.index('"srcPort"')
+
+    def test_format_directives_in_field_names_are_written_as_text(self):
+        packet = a_result().packet
+        packet.udp = {"%d": 1, "a%%s": 2, "%": 3, **packet.udp}
+        results = [a_result(packet=packet), a_result(packet=packet)]
+        text = dumps_results(0, results)
+        assert text == dumps_doc(results_to_doc(0, results))
+        assert '"a%%s": "2"' in text
 
     def test_chunks_follow_the_results_as_they_come(self):
         produced = []
@@ -707,6 +718,27 @@ class TestStreamingMemory:
         self.streamed_peak(solution, 10)  # compiles the processor
         small = self.streamed_peak(solution, 500)
         large = self.streamed_peak(solution, 2000)
+        assert large <= small * 1.25, (small, large)
+
+    def test_peak_is_bounded_when_no_header_map_repeats(self, monkeypatch):
+        """Every packet has its own UDP source port, so no UDP header map
+        repeats; the writer's memo of header texts is emptied when it
+        fills. The memo's bound is lowered so that a short trace fills it."""
+        monkeypatch.setattr(program_doc, "_EVENTS_HELD", 128)
+        solution = guess_game_solution()
+
+        def peak(count: int) -> int:
+            packets = (make_udp_packet(GUESS_PORT, payload=bytes([7]), src_port=n)
+                       for n in range(count))
+            tracemalloc.start()
+            try:
+                deque(iter_results_text(0, iter_trace(solution, packets, 0)), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # compiles the processor
+        small, large = peak(500), peak(2000)
         assert large <= small * 1.25, (small, large)
 
     def test_cli_builds_each_trace_packet_when_it_runs(self, tmp_path, monkeypatch):
