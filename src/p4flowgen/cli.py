@@ -12,9 +12,10 @@ under it); ``generate`` adds codegen, ``simulate`` adds simulator, and
 ``examples`` loads builtin_examples. Names are looked up in their module
 at call time, so a tracer that swaps module attributes sees every call.
 
-``simulate`` checks the whole trace before it writes anything, then
-streams: it builds, runs and writes one packet at a time, so its memory
+``simulate`` reads, runs and writes one packet at a time, so its memory
 grows with the parsed trace document, not with the packets or results.
+Its output, to stdout or to ``-o``, is staged and goes out only when the
+run completes, so a trace error found at any packet leaves no output.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """The whole trace document is checked first, so that every trace
-    error is reported before any output; then each packet is built, run
-    and written in turn, so only the one in hand is held."""
+    """Each packet is read, run and written in turn, so only the one in
+    hand is held; the results are staged, so a trace error at any packet
+    writes nothing."""
     from .program_doc import iter_results_text, load_json, solution_from_doc, stream_trace
     from .simulator import iter_trace
-    from .staging import write_staged
+    from .staging import write_staged, write_staged_stream
 
     solution = solution_from_doc(load_json(args.program))
     seed, packets = stream_trace(load_json(args.trace))
@@ -59,7 +60,7 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     chunks = iter_results_text(seed, iter_trace(solution, packets, seed))
     if args.out is None:
-        sys.stdout.writelines(chunks)
+        write_staged_stream(chunks, sys.stdout)
     else:
         out = Path(args.out)
         write_staged(out.parent, {out.name: chunks})

@@ -10,9 +10,9 @@ Before replay, a document is checked against its shipped JSON Schema.
 Each schema is compiled once per process, on first use, into a tree of
 closures (``compile_schema``) that return the first failure they meet,
 which is worded, only then, as a ``DocError`` with its JSON path. Only
-JSON integers are integers. A trace is checked whole by one walk
-(``check_trace_doc``) before ``stream_trace`` builds its packets one at
-a time.
+JSON integers are integers. A trace is read in one pass: the packet
+reader checks each packet as it builds it, and only a trace it refuses
+gets the schema check, whose error, if any, is the one reported.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
@@ -57,7 +57,7 @@ from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_f
 
 if TYPE_CHECKING:  # importing these at run time would load them for ``check``
     from .packet import SimPacket
-    from .simulator import SimResult, TraceEvent
+    from .simulator import SimResult
 
 
 class DocSemanticError(FlowgenError):
@@ -642,6 +642,10 @@ def load_json(path):
 
 # -- traces: packets in, results out -----------------------------------------
 
+# The reader's text for what the trace schema refuses; the schema's own error is reported.
+_NOT_A_TRACE = "is not valid under the trace schema"
+
+
 def parse_field_value(text: str) -> int:
     """Decimal by default, hex with an 0x prefix. A decimal with more
     significant digits than int() converts (``sys.get_int_max_str_digits``)
@@ -654,27 +658,39 @@ def parse_field_value(text: str) -> int:
         return int(text.lstrip("0") or "0", 10)
 
 
-def packet_from_doc(pdoc: dict, path: str = "packet") -> SimPacket:
-    """Build a SimPacket from its document: defaults first (lengths and
-    checksums derived from the payload), explicit fields overlaid."""
-    return _packet_reader()(pdoc, path)
-
-
 def _packet_reader():
-    """``packet_from_doc`` for the packets of one trace. It loads the
-    packet module, which ``check`` and ``generate`` never need, and
-    memoizes the default header maps by (transport header, payload
-    length), so that it makes each set once per trace; every packet gets
-    its own copies."""
+    """``read(pdoc, path)``: the SimPacket of packet document ``pdoc``,
+    checked as it is built against the rules of ``trace.schema.json`` and
+    ``HEADER_FIELD_BITS``, in that table's header order; the first refusal
+    raises a ``DocError``. It loads the packet module, which ``check`` and
+    ``generate`` never need, and makes the default header maps once per
+    (transport header, payload length); each packet gets its own copies."""
     from .packet import SimPacket, make_tcp_packet, make_udp_packet
 
+    schema = load_schema("trace")
+    packet = schema["$defs"]["packet"]
+    props = packet["properties"]
+    (payload_key,) = packet["required"]
+    (port_key,) = props.keys() - HEADER_FIELD_BITS.keys() - {payload_key}
+    first, second = (branch["required"][0] for branch in packet["oneOf"])
+    port_lo, port_hi = props[port_key]["minimum"], props[port_key]["maximum"]
+    payload_ok = re.compile(props[payload_key]["pattern"]).search
+    value_ok = re.compile(schema["$defs"]["fieldvalue"]["pattern"]).search
     defaults: dict[tuple[str, int], dict] = {}
 
-    def read(pdoc: dict, path: str) -> SimPacket:
-        try:
-            payload = bytes.fromhex(pdoc["payload"])
-        except ValueError as e:
-            raise DocError(f"{path}.payload", str(e)) from None
+    def read(pdoc, path: str) -> SimPacket:
+        if not isinstance(pdoc, dict) or not pdoc.keys() <= props.keys():
+            raise DocError(path, _NOT_A_TRACE)
+        text, port = pdoc.get(payload_key), pdoc.get(port_key, 0)
+        if (
+            not isinstance(text, str)
+            or not payload_ok(text)
+            or (first in pdoc) is (second in pdoc)  # not exactly one transport group
+            or type(port) is not int
+            or not port_lo <= port <= port_hi
+        ):
+            raise DocError(path, _NOT_A_TRACE)
+        payload = bytes.fromhex(text)
         l4 = "udp" if "udp" in pdoc else "tcp"
         key = (l4, len(payload))
         maps = defaults.get(key)
@@ -687,11 +703,13 @@ def _packet_reader():
             }
         headers = {group: dict(fields) for group, fields in maps.items()}
         for group, fields in headers.items():
-            overrides = pdoc.get(group)
-            if overrides is None:
-                continue
+            overrides = pdoc.get(group, {})
+            if not isinstance(overrides, dict):
+                raise DocError(path, _NOT_A_TRACE)
             bits = HEADER_FIELD_BITS[group]
             for name, text in overrides.items():
+                if not isinstance(text, str) or not value_ok(text):
+                    raise DocError(path, _NOT_A_TRACE)
                 width = bits.get(name)
                 if width is None:
                     raise DocError(f"{path}.{group}.{name}", f"unknown field {group}.{name}")
@@ -706,101 +724,38 @@ def _packet_reader():
                         f"{path}.{group}.{name}", f"{shown} does not fit in {width} bits"
                     )
                 fields[name] = value
-        return SimPacket(pdoc.get("ingress_port", 0), payload=payload, **headers)
+        return SimPacket(port, payload=payload, **headers)
 
     return read
 
 
+def stream_trace(doc) -> tuple[int, Iterator[SimPacket]]:
+    """The seed of trace document ``doc`` and a generator that reads each
+    packet only when asked for it, so that a caller running the packets in
+    turn holds one at a time. A refused packet ends it with the error of a
+    whole-document check: a schema error anywhere first, else the reader's."""
+    if _top_level_check()(doc) is not None:
+        validate_trace_doc(doc)  # refuses it too, with the whole document's first error
+    return doc["seed"], _read_packets(doc)
+
+
 @lru_cache(maxsize=None)
-def _trace_accepts():
-    """The accept path of ``check_trace_doc``: a predicate that walks a
-    trace document once, builds nothing, and is True only when the trace
-    schema accepts it and the reader would build every packet (each
-    header field known and fitting its width). Its constants come from
-    ``trace.schema.json`` and ``HEADER_FIELD_BITS``. False only means
-    "not shown valid"."""
+def _top_level_check():
+    """The trace schema without its packet schema, compiled."""
     schema = load_schema("trace")
-    top, packet = schema["properties"], schema["$defs"]["packet"]
-    props = packet["properties"]
-    doc_keys, doc_required = frozenset(top), frozenset(schema["required"])
-    packet_keys = frozenset(props)
-    (payload,) = packet["required"]
-    (port,) = packet_keys - HEADER_FIELD_BITS.keys() - {payload}
-    first, second = (branch["required"][0] for branch in packet["oneOf"])
-    seed_lo, seed_hi = top["seed"]["minimum"], top["seed"]["maximum"]
-    port_lo, port_hi = props[port]["minimum"], props[port]["maximum"]
-    payload_ok = re.compile(props[payload]["pattern"]).search
-    value_ok = re.compile(schema["$defs"]["fieldvalue"]["pattern"]).search
-
-    def accepts(doc) -> bool:
-        if doc.__class__ is not dict or not doc_required <= doc.keys() <= doc_keys:
-            return False
-        seed, packets = doc["seed"], doc["packets"]
-        if seed.__class__ is not int or not seed_lo <= seed <= seed_hi or (
-            packets.__class__ is not list
-        ):
-            return False
-        for p in packets:
-            if (
-                p.__class__ is not dict
-                or payload not in p
-                or (first in p) is (second in p)  # not exactly one transport group
-                or not p.keys() <= packet_keys
-            ):
-                return False
-            for key, value in p.items():
-                bits = HEADER_FIELD_BITS.get(key)
-                if bits is not None:
-                    if value.__class__ is not dict:
-                        return False
-                    for name, text in value.items():
-                        width = bits.get(name)
-                        if (
-                            width is None
-                            or text.__class__ is not str
-                            or not value_ok(text)
-                            or parse_field_value(text) >> width
-                        ):
-                            return False
-                elif key == payload:
-                    if value.__class__ is not str or not payload_ok(value):
-                        return False
-                elif value.__class__ is not int or not port_lo <= value <= port_hi:
-                    return False
-        return True
-
-    def check(doc) -> bool:
-        try:
-            return accepts(doc)
-        except ValueError:  # a field of thousands of digits
-            return False
-
-    return check
+    packets = {k: v for k, v in schema["properties"]["packets"].items() if k != "items"}
+    return compile_schema({**schema, "properties": {**schema["properties"], "packets": packets}})
 
 
-def check_trace_doc(doc) -> None:
-    """Raise the ``DocError`` that reading the trace document ``doc``
-    would raise: a schema error anywhere first, then the first unknown or
-    too-wide header field in packet order. A valid trace takes one walk
-    of ``_trace_accepts``; any other gets the schema check of the whole
-    document and then the reader over each packet, whose error is the
-    one reported."""
-    if _trace_accepts()(doc):
-        return
-    validate_trace_doc(doc)
+def _read_packets(doc) -> Iterator[SimPacket]:
     read = _packet_reader()
     for i, pdoc in enumerate(doc["packets"]):
-        read(pdoc, f"packets[{i}]")
-
-
-def stream_trace(doc) -> tuple[int, Iterator[SimPacket]]:
-    """Check the whole trace document ``doc``, then return its seed and a
-    generator that builds each packet only when asked for it, so that a
-    caller running the packets in turn holds one at a time."""
-    check_trace_doc(doc)
-    read = _packet_reader()
-    packets = doc["packets"]
-    return doc["seed"], (read(pdoc, f"packets[{i}]") for i, pdoc in enumerate(packets))
+        try:
+            packet = read(pdoc, f"packets[{i}]")
+        except DocError:
+            validate_trace_doc(doc)  # a schema error anywhere is reported first
+            raise
+        yield packet
 
 
 def trace_from_doc(doc) -> tuple[int, list[SimPacket]]:
@@ -815,9 +770,11 @@ def load_trace(path) -> tuple[int, list[SimPacket]]:
 
 def result_to_doc(result: SimResult, at: str = "$") -> dict:
     """The results-document form of one result, found at JSON path ``at``.
-    A header field value that is not exactly an int raises TypeError naming
-    its path, as ``iter_results_text`` does, rather than be written as
-    text (``"True"`` for a bool)."""
+    A value not exactly of its declared type raises the TypeError that
+    ``iter_results_text`` raises, rather than be written (``true`` for a
+    bool egress port)."""
+    if (misfit := _misfit(result, at)) is not None:
+        raise misfit
     packet = result.packet
     doc = {
         "verdict": result.verdict,
@@ -827,9 +784,6 @@ def result_to_doc(result: SimResult, at: str = "$") -> dict:
     for header in HEADER_FIELD_BITS:
         fields = getattr(packet, header)
         if fields is not None:
-            for k, v in fields.items():
-                if v.__class__ is not int:
-                    raise _cannot_write(f"{at}.{header}.{k}", v)
             doc[header] = {k: str(v) for k, v in fields.items()}
     doc["payload_hex"] = packet.payload.hex()
     doc["trace"] = [
@@ -847,6 +801,8 @@ def result_to_doc(result: SimResult, at: str = "$") -> dict:
 
 
 def results_to_doc(seed: int, results) -> dict:
+    if seed.__class__ is not int:
+        raise _cannot_write("$.seed", seed)
     return {
         "seed": seed,
         "results": [result_to_doc(r, f"$.results[{i}]") for i, r in enumerate(results)],
@@ -881,10 +837,11 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
 
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal, event value and header field value, a str verdict,
-    kind and header field name, a str or None selector and error. The
-    first value in writing order that holds anything else, a bool or a
-    float included, raises TypeError naming its JSON path; the chunks
-    before it have been yielded by then.
+    kind and header field name, a tuple of values before and after, a
+    str or None selector and error. The first value in writing order
+    that holds anything else, a bool or a float included, raises
+    TypeError naming its JSON path; the chunks before it have been
+    yielded by then.
     """
     if seed.__class__ is not int:
         raise _cannot_write("$.seed", seed)
@@ -901,14 +858,16 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
 
 def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
     """The text of result ``i`` after ``lead``, through the memo of
-    ``iter_results_text``; its first unwritable value raises TypeError."""
+    ``iter_results_text``. Any unwritable value raises the TypeError of
+    ``_misfit``, which names the first in writing order."""
     verdict, selector, egress, error = r.verdict, r.selector, r.egress_port, r.error
-    if verdict.__class__ is not str:
-        raise _cannot_write(f"$.results[{i}].verdict", verdict)
-    if selector is not None and selector.__class__ is not str:
-        raise _cannot_write(f"$.results[{i}].selector", selector)
-    if egress.__class__ is not int:
-        raise _cannot_write(f"$.results[{i}].egress_port", egress)
+    if (
+        verdict.__class__ is not str
+        or selector is not None and selector.__class__ is not str
+        or egress.__class__ is not int
+        or error is not None and error.__class__ is not str
+    ):
+        raise _misfit(r, f"$.results[{i}]")
     parts = [lead, '\n      "verdict": %s,\n      "selector": %s,\n      "egress_port": %d,' % (
         _quote(verdict), "null" if selector is None else _quote(selector), egress)]
     packet = r.packet
@@ -919,10 +878,10 @@ def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
         keys, values = tuple(field_map), tuple(field_map.values())
         for key in keys:
             if key.__class__ is not str:
-                raise _header_misfit(f"$.results[{i}].{header}", field_map)
+                raise _misfit(r, f"$.results[{i}]")
         for value in values:
             if value.__class__ is not int:
-                raise _header_misfit(f"$.results[{i}].{header}", field_map)
+                raise _misfit(r, f"$.results[{i}]")
         text = memo.get((keys, values))
         if text is None:
             template = memo.get(keys) or _held(memo, keys, _header_template(keys))
@@ -932,14 +891,16 @@ def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
     events = []
     for event in r.trace:
         ordinal, kind, before, after = event
-        if ordinal.__class__ is not int or kind.__class__ is not str:
-            raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
-        for value in before:
+        if (
+            ordinal.__class__ is not int
+            or kind.__class__ is not str
+            or before.__class__ is not tuple
+            or after.__class__ is not tuple
+        ):
+            raise _misfit(r, f"$.results[{i}]")
+        for value in before + after:
             if value.__class__ is not int:
-                raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
-        for value in after:
-            if value.__class__ is not int:
-                raise _event_misfit(f"$.results[{i}].trace[{len(events)}]", event)
+                raise _misfit(r, f"$.results[{i}]")
         text = memo.get(event)
         if text is None:
             shape = (kind, len(before), len(after))
@@ -948,8 +909,6 @@ def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
         events.append(text)
     parts += ("[", ",".join(events), "\n      ]") if events else ("[]",)
     if error is not None:
-        if error.__class__ is not str:
-            raise _cannot_write(f"$.results[{i}].error", error)
         parts += ',\n      "error": ', _quote(error)
     parts.append("\n    }")
     return "".join(parts)
@@ -982,20 +941,31 @@ def _cannot_write(path: str, value) -> TypeError:
     return TypeError(f"{path}: cannot write a {type(value).__name__} to a results document")
 
 
-def _header_misfit(at: str, field_map: dict) -> TypeError:
-    """The error for the first name or value of ``field_map``, at ``at``, not of its type."""
-    for key, value in field_map.items():
-        if key.__class__ is not str:
-            return _cannot_write(at + " (a field name)", key)
-        if value.__class__ is not int:
-            return _cannot_write(f"{at}.{key}", value)
+def _misfit(r: SimResult, at: str) -> TypeError | None:
+    """The error for the first value of result ``r``, found at ``at``, in
+    writing order that is not exactly of its declared type, or None."""
+    for where, value, cls in _typed_values(r):
+        if value.__class__ is not cls:
+            return _cannot_write(at + where, value)
+    return None
 
 
-def _event_misfit(at: str, event: TraceEvent) -> TypeError:
-    """The error for the first value of ``event``, at ``at``, not of its exact type."""
-    ordinal, kind, before, after = event
-    values = [(".ordinal", ordinal, int), (".kind", kind, str)]
-    for name, seq in (("before", before), ("after", after)):
-        values += ((f".{name}[{k}]", value, int) for k, value in enumerate(seq))
-    where, value = next((w, v) for w, v, cls in values if v.__class__ is not cls)
-    return _cannot_write(at + where, value)
+def _typed_values(r: SimResult) -> Iterator[tuple]:
+    """``(path, value, type)`` for each value of ``r`` in writing order, read
+    only up to the first misfit (a before that is not a tuple has no items)."""
+    yield ".verdict", r.verdict, str
+    if r.selector is not None:
+        yield ".selector", r.selector, str
+    yield ".egress_port", r.egress_port, int
+    for header in HEADER_FIELD_BITS:
+        for key, value in (getattr(r.packet, header) or {}).items():
+            yield f".{header} (a field name)", key, str
+            yield f".{header}.{key}", value, int
+    for j, (ordinal, kind, before, after) in enumerate(r.trace):
+        yield f".trace[{j}].ordinal", ordinal, int
+        yield f".trace[{j}].kind", kind, str
+        for name, seq in (("before", before), ("after", after)):
+            yield f".trace[{j}].{name}", seq, tuple
+            yield from ((f".trace[{j}].{name}[{k}]", v, int) for k, v in enumerate(seq))
+    if r.error is not None:
+        yield ".error", r.error, str

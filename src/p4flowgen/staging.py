@@ -1,4 +1,5 @@
-"""All-or-nothing writes of a set of files into one directory."""
+"""All-or-nothing writes: of a set of files into one directory, and of
+text chunks to an open stream."""
 
 from __future__ import annotations
 
@@ -33,3 +34,14 @@ def write_staged(target_dir, files: dict[str, str | Iterable[str]]) -> list[Path
         return written
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+
+
+def write_staged_stream(chunks: Iterable[str], out) -> None:
+    """Write the text ``chunks`` to the text stream ``out`` without ever
+    leaving partial output there: they are staged in a temporary file,
+    which is copied to ``out`` only once the last chunk is made. If
+    producing one raises, ``out`` receives nothing."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as staged:
+        staged.writelines(chunks)
+        staged.seek(0)
+        shutil.copyfileobj(staged, out)

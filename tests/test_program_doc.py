@@ -1,8 +1,10 @@
 """Document format checks: schemas, replay, round trips, and traces."""
 
 import copy
+import io
 import json
 import re
+import sys
 import tracemalloc
 import weakref
 from collections import deque
@@ -48,7 +50,6 @@ from p4flowgen.program_doc import (
     dumps_results,
     iter_results_text,
     load_schema,
-    packet_from_doc,
     parse_field_value,
     result_to_doc,
     results_to_doc,
@@ -349,15 +350,15 @@ class TestTraceParsing:
 
     def test_unknown_field_cites_path(self):
         with pytest.raises(DocError) as err:
-            packet_from_doc(
-                {"udp": {"dstport": "1"}, "payload": ""}, "packets[0]"
+            trace_from_doc(
+                {"seed": 0, "packets": [{"udp": {"dstport": "1"}, "payload": ""}]}
             )
         assert err.value.path == "packets[0].udp.dstport"
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(DocError) as err:
-            packet_from_doc(
-                {"udp": {"dstPort": "70000"}, "payload": ""}, "packets[0]"
+            trace_from_doc(
+                {"seed": 0, "packets": [{"udp": {"dstPort": "70000"}, "payload": ""}]}
             )
         assert "70000" in err.value.message
 
@@ -365,7 +366,7 @@ class TestTraceParsing:
     def test_value_of_thousands_of_digits_does_not_fit(self, text):
         # More digits than int() converts, or than str() prints.
         with pytest.raises(DocError) as err:
-            packet_from_doc({"udp": {"dstPort": text}, "payload": ""}, "packets[0]")
+            trace_from_doc({"seed": 0, "packets": [{"udp": {"dstPort": text}, "payload": ""}]})
         assert err.value.path == "packets[0].udp.dstPort"
         assert err.value.message.endswith(" does not fit in 16 bits")
         assert len(err.value.message) < 100
@@ -648,14 +649,28 @@ class TestResultsWriter:
             # int, str and None, but not where the field is declared
             (0, {"error": 7}, "$.results[1].error", "int"),
             (0, {"verdict": None}, "$.results[1].verdict", "NoneType"),
+            # a before or after that is not a tuple
+            (0, {"trace": (TraceEvent(1, "add", [1], [2]),)},
+             "$.results[1].trace[0].before", "list"),
+            (0, {"trace": (TraceEvent(1, "add", (1,), [2]),)},
+             "$.results[1].trace[0].after", "list"),
+            (0, {"trace": (TraceEvent(1, None, (), ()),)},
+             "$.results[1].trace[0].kind", "NoneType"),
+            # the first in writing order of two
+            (0, {"error": 7, "trace": (TraceEvent(1, "add", (True,), ()),)},
+             "$.results[1].trace[0].before[0]", "bool"),
+            (0, {"error": 7.5, "egress_port": False}, "$.results[1].egress_port", "bool"),
         ],
     )
     def test_unwritable_value_names_its_path(self, seed, changes, path, kind):
+        # The writer and the document form refuse it alike.
         results = [a_result(), a_result(**changes)]
         with pytest.raises(TypeError) as err:
             dumps_results(seed, results)
-        assert str(err.value).startswith(f"{path}: ")
-        assert kind in str(err.value)
+        assert str(err.value) == f"{path}: cannot write a {kind} to a results document"
+        with pytest.raises(TypeError) as as_doc:
+            results_to_doc(seed, results)
+        assert str(as_doc.value) == str(err.value)
 
 
     @pytest.mark.parametrize("port, verdict", [(GUESS_PORT, PROCESSED), (4444, PASSTHROUGH)])
@@ -784,6 +799,31 @@ class TestStreamingMemory:
         assert cli.main(argv + ["-o", str(out)]) == 0
         assert len(json.loads(out.read_text())["results"]) == len(alive) == 500
         assert max(alive) <= 2, max(alive)
+
+    def test_stdout_gets_the_results_only_once_the_last_is_made(self, tmp_path, monkeypatch):
+        """On stdout the results are staged as with ``-o``: nothing is
+        written before the last result is made, and then the bytes that
+        ``-o`` writes."""
+        packets = [{"udp": {"dstPort": str(GUESS_PORT)}, "payload": f"{i:02x}"}
+                   for i in range(50)]
+        (tmp_path / "trace.json").write_text(json.dumps({"seed": 0, "packets": packets}))
+        argv = ["simulate", str(asset_path("guess_game")), "-t", str(tmp_path / "trace.json")]
+        out = tmp_path / "results.json"
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        stdout, written = io.StringIO(), []
+        run = simulator.iter_trace
+
+        def watched(solution, packets, seed=0):
+            for result in run(solution, packets, seed):
+                written.append(stdout.tell())
+                yield result
+            written.append(stdout.tell())  # the last result is made
+
+        monkeypatch.setattr(simulator, "iter_trace", watched)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 0
+        assert written == [0] * 51
+        assert stdout.getvalue() == out.read_text()
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
     @pytest.mark.parametrize("last, path", [

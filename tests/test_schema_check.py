@@ -24,12 +24,14 @@ from jsonschema.exceptions import best_match
 
 import p4flowgen
 from p4flowgen import cli, program_doc
-from p4flowgen.builtin_examples import asset_path
+from p4flowgen.simulator import run_trace
+from p4flowgen.builtin_examples import asset_path, guess_game_solution
 from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.program_doc import (
     DocError,
     _tagged_union,
     compile_schema,
+    dumps_results,
     load_schema,
     schema_check,
     solution_from_doc,
@@ -649,20 +651,20 @@ def reference_load(doc):
 
 
 def outcome(load, doc):
-    """``("ok", seed, packets)`` or ``("error", path, message)``."""
+    """``("ok", seed, packets)`` or ``("error", path, message)``; the
+    packets are read inside the ``try``, since a stream raises as it goes."""
     try:
         seed, packets = load(doc)
+        packets = list(packets)
     except DocError as e:
         return "error", e.path, e.message
-    return "ok", seed, list(packets)
+    return "ok", seed, packets
 
 
 def assert_loads_as_the_reference(doc):
     expected = outcome(reference_load, doc)
     assert outcome(trace_from_doc, doc) == expected
     assert outcome(program_doc.stream_trace, doc) == expected
-    # The accept path alone decides every trace the reader builds.
-    assert program_doc._trace_accepts()(doc) is (expected[0] == "ok")
 
 
 def _field_texts(width):
@@ -777,10 +779,23 @@ class TestTraceAcceptPath:
         if path is not None:
             assert got[1] == path
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
     @pytest.mark.parametrize("doc", [case[1] for case in PINNED_TRACES] + ALL_TRACES)
-    def test_a_refusal_falls_back_to_the_reference(self, doc, monkeypatch):
-        # Whatever the accept path says, the outcome is the reference's:
-        # a valid trace it refuses still loads.
-        monkeypatch.setattr(program_doc, "_trace_accepts", lambda: lambda doc: False)
+    def test_simulate_gives_the_reference_outcome(self, doc, to_file, tmp_path, capsys):
+        # The reference's results, or exit 1 with its DocError and nothing written.
         expected = outcome(reference_load, doc)
-        assert outcome(trace_from_doc, doc) == expected
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "results.json"
+        out.parent.mkdir()
+        argv = ["simulate", str(asset_path("guess_game")), "-t", str(trace)]
+        code = cli.main(argv + (["-o", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        written = out.read_text() if to_file and out.exists() else captured.out
+        if expected[0] == "error":
+            assert (code, captured.err) == (1, f"error: {expected[1]}: {expected[2]}\n")
+            assert written == "" and list(out.parent.iterdir()) == []
+        else:
+            _, seed, packets = expected
+            assert (code, captured.err) == (0, "")
+            assert written == dumps_results(seed, run_trace(guess_game_solution(), packets, seed))
