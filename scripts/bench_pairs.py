@@ -24,6 +24,10 @@ was written.
 
 The parent is exported with ``git archive`` into a temporary directory,
 which is removed at the end; the repository itself is left as it was.
+The script refuses to start while a ``__pycache__`` directory exists under
+the working tree's ``src/``: the change would run from that bytecode (it
+is read even when no bytecode is written) and the fresh parent export from
+source, which makes the change look faster.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ def export(ref: str, into: Path) -> str:
     if archive.wait():
         raise SystemExit(f"git archive {commit} failed")
     return commit
+
+
+def stale_bytecode(tree: Path) -> Optional[Path]:
+    """A ``__pycache__`` directory under ``tree``, or None."""
+    return next(tree.rglob("__pycache__"), None)
 
 
 def perfbench_args(workload: str, trace: int, seed: Optional[int]) -> list[str]:
@@ -149,6 +158,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    cache = stale_bytecode(ROOT / "src")
+    if cache is not None:
+        parser.error(f"{cache} holds bytecode that the parent's fresh export lacks; "
+                     "remove it first")
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     sides = {"change": ROOT}
     runs, results = [], {w: [] for w in workloads}

@@ -76,9 +76,8 @@ def schema_outputs() -> dict[Path, str]:
             for name, role in cls.roles
         }
         then = {"additionalProperties": False}
-        required = [name for name in fields if not hasattr(cls, name)]  # no default
-        if required:
-            then["required"] = required
+        if cls.required:
+            then["required"] = list(cls.required)
         then["properties"] = {"op": True, "ordinal": True, **fields}
         groups.setdefault(json.dumps(then), (then, []))[1].append(op)
     paths = [SCHEMA_DIR / f"{name}.schema.json" for name in ("program", "trace")]

@@ -260,9 +260,11 @@ def _role(cls: type, name: str):
 def _op_table(*classes: type) -> dict[str, type]:
     """The op table: every plain command class, keyed by its op name. Each
     class gets ``roles``: its FIELDS but ``ordinal``, in order, each as
-    ``(name, role)``."""
+    ``(name, role)``; and ``required``: the names of those without a
+    default, in the same order."""
     for cls in classes:
         cls.roles = tuple((name, _role(cls, name)) for name in cls.FIELDS if name != "ordinal")
+        cls.required = tuple(name for name, _ in cls.roles if not hasattr(cls, name))
     return {cls.op: cls for cls in classes}
 
 
@@ -848,20 +850,10 @@ def uvalue_doc(v: UValue) -> dict:
     return {"width": v.width.bits, "value": v.magnitude}
 
 
-def uvalue_from_doc(doc: dict) -> UValue:
-    return UValue(UWidth(doc["width"]), doc["value"])
-
-
 def _operand_doc(op: Operand) -> dict:
     if isinstance(op, VarRef):
         return {"var": op.name}
     return {"const": uvalue_doc(op)}
-
-
-def operand_from_doc(proc: FlowProcessor, doc: dict) -> Operand:
-    if "var" in doc:
-        return proc.var(doc["var"])
-    return uvalue_from_doc(doc["const"])
 
 
 def _field_doc(role, value):
@@ -873,18 +865,6 @@ def _field_doc(role, value):
     if role is OPERAND:
         return _operand_doc(value)
     return value if role is RING or role is PLAIN else value.value
-
-
-def field_from_doc(proc: FlowProcessor, role, doc):
-    """The value of a command field from its document form, names resolved
-    in ``proc``: the inverse of ``_field_doc``."""
-    if role is TARGET:
-        return proc.var(doc)
-    if role is CONST:
-        return uvalue_from_doc(doc)
-    if role is OPERAND:
-        return operand_from_doc(proc, doc)
-    return doc if role is RING or role is PLAIN else role(doc)
 
 
 class _Doc:

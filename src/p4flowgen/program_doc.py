@@ -6,13 +6,15 @@ fires exactly as it would in a script, and the diagnostic carries the
 JSON path of the offending node (``processors[0].body[3]``) instead of
 a call ordinal.
 
-Before replay, a document is checked against its shipped JSON Schema.
-Each schema is compiled once per process, on first use, into a tree of
-closures (``compile_schema``) that return the first failure they meet,
-which is worded, only then, as a ``DocError`` with its JSON path. Only
-JSON integers are integers. A trace is read in one pass: the packet
-reader checks each packet as it builds it, and only a trace it refuses
-gets the schema check, whose error, if any, is the one reported.
+A valid document is read in one pass. The replay checks each node of a
+program against the rules of its shipped JSON Schema as it reads it,
+and the packet reader each packet of a trace as it builds it. Only a
+document one of them refuses gets the whole-document schema check,
+whose error, if any, is the one reported. That check is compiled once
+per process, on first use, into a tree of closures that return the
+first failure they meet, which is worded, only then, as a ``DocError``
+with its JSON path (``schema_compiler``, a module loaded only then).
+Only JSON integers are integers.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline. ``dumps_doc`` is that
@@ -24,6 +26,7 @@ straight from the SimResults, one result at a time.
 from __future__ import annotations
 
 import json
+import math
 import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -42,16 +45,18 @@ from .core_model import (
 )
 from .errors import DocError, FlowgenError
 from .flow_ast import (
+    CONST,
+    OPERAND,
     OPS,
+    PLAIN,
+    RING,
+    TARGET,
     FlowProcessor,
     SemanticError,
     bool_local,
-    field_from_doc,
     local,
     new_flow_processor,
-    operand_from_doc,
     uvalue_doc,
-    uvalue_from_doc,
 )
 from .selector import Criterion, ProtocolStack, Solution, check_criterion, new_flow_selector
 
@@ -79,31 +84,7 @@ def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
-# -- schemas: compiled once into closures --------------------------------
-
-# Keywords with no bearing on validity.
-_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
-# Tried in this order within each rank (``_ranked``), so the cheap type test runs first.
-_KEYWORDS = (
-    "type", "const", "enum", "pattern", "minimum", "maximum", "minItems",
-    "required", "minProperties", "maxProperties", "properties",
-    "additionalProperties", "items", "$ref", "allOf", "oneOf", "not", "if",
-)
-_IMPLEMENTED = _ANNOTATIONS | set(_KEYWORDS) | {"then"}
-# Keywords that apply a subschema to the value itself, and to its members.
-_IN_PLACE = frozenset({"$ref", "allOf", "oneOf", "not", "if"})
-_MEMBERS = frozenset({"properties", "additionalProperties", "items"})
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# The class of each type: an integer is exactly an int, not ``5.0`` or ``True``.
-_TYPES = {
-    "object": dict, "array": list, "string": str, "integer": int, "boolean": bool,
-    "null": type(None),
-}
+# -- schemas: the whole-document check, compiled after a refusal -------------
 
 
 def _one_of_values(values, failure):
@@ -117,51 +98,6 @@ def _one_of_values(values, failure):
     return lambda x: None if (x in bools if isinstance(x, bool) else (
         not isinstance(x, (list, dict)) and x in others
     )) else failure(x)
-
-
-def _first(tests):
-    """One check that runs ``tests`` in turn and returns the first failure."""
-
-    def check(x):
-        for test in tests:
-            failure = test(x)
-            if failure is not None:
-                return failure
-        return None
-
-    return tests[0] if len(tests) == 1 else check
-
-
-def _under(key, failure):
-    """A member's ``failure`` as its container sees it, at ``key``."""
-    path, name, say, x = failure
-    return (key, *path), name, say, x
-
-
-def _tagged_union(members):
-    """``(key, {tag: [then, ...]})`` when every member of the allOf
-    ``members`` is exactly ``{"if": {"properties": {key: TEST}}, "then":
-    THEN}``, one key for all, with TEST ``{"const": tag}`` or ``{"enum":
-    [tag, ...]}`` and every tag a str; each tag lists the THENs of the
-    members that name it, in order. None for any other allOf."""
-    key, table = None, {}
-    for member in members:
-        plain = isinstance(member, dict) and member.keys() == {"if", "then"}
-        cond = member["if"] if plain else None
-        props = cond.get("properties") if isinstance(cond, dict) and len(cond) == 1 else None
-        if not isinstance(props, dict) or len(props) != 1:
-            return None
-        (name, test), = props.items()
-        if not isinstance(test, dict) or len(test) != 1 or key not in (None, name):
-            return None
-        (word, tags), = test.items()
-        tags = [tags] if word == "const" else tags if word == "enum" else None
-        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
-            return None
-        key = name
-        for tag in tags:
-            table.setdefault(tag, []).append(member["then"])
-    return None if key is None else (key, table)
 
 
 def _repr(x) -> str:
@@ -179,208 +115,12 @@ def _brief(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _json_path(parts: tuple) -> str:
-    """``("a", 0, "b")`` -> ``a[0].b``; the document itself is ``$``."""
-    text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)
-    return text[1:] if text.startswith(".") else "$" + text
-
-
-@lru_cache(maxsize=256)
-def _ranked(keys: tuple, false: tuple) -> tuple:
-    """The keywords of a schema node with ``keys`` in diagnosis order: the
-    node's own keywords, then those that apply a subschema to the value
-    itself, then those that apply one to its members, each rank in
-    ``_KEYWORDS`` order. A member keyword in ``false``, whose value is
-    false, ranks as the node's own. Raises ValueError on a keyword that
-    is not implemented."""
-    unknown = set(keys) - _IMPLEMENTED
-    if unknown:
-        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-    rank = lambda k: 1 if k in _IN_PLACE else 2 if k in _MEMBERS and k not in false else 0
-    return tuple(sorted((k for k in _KEYWORDS if k in keys), key=rank))
-
-
 def compile_schema(root: dict):
-    """Compile a JSON Schema (draft 2020-12) into one function
-    ``doc -> DocError | None``: why ``doc`` is rejected, or None when it
-    is valid. Integers are strict (see ``_TYPES``).
+    """``schema_compiler.compile_schema``: the module loads on first use,
+    since only a document that a reader refuses needs it."""
+    from .schema_compiler import compile_schema
 
-    Each keyword is compiled once into a check that returns None when the
-    value satisfies it, or its first failure ``(path, keyword, say, x)``:
-    the path of the failing value ``x`` relative to the checked one, the
-    keyword that refused it, and ``say``, which words the refusal as
-    ``say(x)`` only when it is reported, so that the failures a valid
-    document meets inside oneOf, not and if cost no text. A schema node
-    tries its keywords ranked by ``_ranked`` (the node's own keywords
-    first), in ``_KEYWORDS`` order within a rank, and returns the first
-    failure; a keyword that applies a subschema to a member puts the
-    member's key or index in front of its path.
-
-    An allOf that ``_tagged_union`` reads as a union tagged by key K
-    (each member ``{"if": {"properties": {K: {"const"|"enum": ...}}},
-    "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``;
-    without K, or on a non-object, every member runs. Acceptance and
-    every diagnostic are those of the plain allOf, whose first failing
-    member is the first failing then that the tag selects.
-
-    Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
-    a list of types, a list or object in const/enum, and a ``$ref``
-    outside ``#/$defs/`` raise ValueError, so a schema edit cannot
-    silently weaken validation."""
-    compiled: dict[int, object] = {}
-
-    def resolve(ref: str) -> dict:
-        name = ref.removeprefix("#/$defs/")
-        if name == ref or name not in root.get("$defs", {}):
-            raise ValueError(f"unsupported $ref {ref!r}")
-        return root["$defs"][name]
-
-    def check(schema):
-        key = id(schema)
-        if key not in compiled:
-            compiled[key] = None  # a $ref cycle reaches this before it is built
-            compiled[key] = build(schema)
-        return compiled[key] or (lambda x: compiled[key](x))
-
-    def build(schema):
-        if schema is True:
-            return lambda x: None
-        if schema is False:
-            say = lambda x: f"{_brief(x)} is not allowed here"
-            return lambda x: ((), "false", say, x)
-        false = tuple(k for k in _MEMBERS if schema.get(k) is False)
-        return _first([keyword(k, schema[k], schema) for k in _ranked(tuple(schema), false)])
-
-    def keyword(name: str, value, schema):
-        fail = lambda x: ((), name, say, x)  # each keyword binds its say
-        if name == "type":
-            if not isinstance(value, str) or value not in _TYPES:
-                raise ValueError(f"type {value!r} not implemented")
-            say = lambda x: f"{_brief(x)} is not of type {value!r}"
-            cls = _TYPES[value]
-            if cls is int:
-                return lambda x: None if type(x) is int else fail(x)
-            return lambda x: None if isinstance(x, cls) else fail(x)
-        if name == "const":
-            say = lambda x: f"{value!r} was expected, not {_brief(x)}"
-            return _one_of_values([value], fail)
-        if name == "enum":
-            say = lambda x: f"{_brief(x)} is not one of {value!r}"
-            return _one_of_values(value, fail)
-        if name == "pattern":
-            search = re.compile(value).search
-            say = lambda x: f"{_brief(x)} does not match the pattern {value!r}"
-            return lambda x: None if not isinstance(x, str) or search(x) else fail(x)
-        if name == "minimum":
-            say = lambda x: f"{_repr(x)} is less than the minimum of {value!r}"
-            return lambda x: None if not _is_number(x) or x >= value else fail(x)
-        if name == "maximum":
-            say = lambda x: f"{_repr(x)} is greater than the maximum of {value!r}"
-            return lambda x: None if not _is_number(x) or x <= value else fail(x)
-        if name == "minItems":
-            say = lambda x: f"has {len(x)} items, fewer than the minItems of {value}"
-            return lambda x: None if not isinstance(x, list) or len(x) >= value else fail(x)
-        if name == "required":
-            needed = frozenset(value)
-            say = lambda x: f"{next(k for k in value if k not in x)!r} is a required property"
-            return lambda x: None if not isinstance(x, dict) or x.keys() >= needed else fail(x)
-        if name == "minProperties":
-            say = lambda x: f"has {len(x)} properties, fewer than the minProperties of {value}"
-            return lambda x: None if not isinstance(x, dict) or len(x) >= value else fail(x)
-        if name == "maxProperties":
-            say = lambda x: f"has {len(x)} properties, more than the maxProperties of {value}"
-            return lambda x: None if not isinstance(x, dict) or len(x) <= value else fail(x)
-        if name == "properties":
-            subs = [(k, check(s)) for k, s in value.items()]
-
-            def properties(x):
-                if isinstance(x, dict):
-                    for k, sub in subs:
-                        if k in x and (failure := sub(x[k])) is not None:
-                            return _under(k, failure)
-                return None
-
-            return properties
-        if name == "additionalProperties":
-            known = frozenset(schema.get("properties", ()))
-            if value is False:
-                say = lambda x: "additional properties are not allowed: " + ", ".join(
-                    repr(k) for k in x if k not in known
-                )
-                return lambda x: None if not isinstance(x, dict) or x.keys() <= known else fail(x)
-            sub = check(value)
-
-            def additional(x):
-                if isinstance(x, dict):
-                    for k in x:  # in document order
-                        if k not in known and (failure := sub(x[k])) is not None:
-                            return _under(k, failure)
-                return None
-
-            return additional
-        if name == "items":
-            sub = check(value)
-
-            def items(x):
-                if isinstance(x, list) and any(map(sub, x)):  # a failure is truthy
-                    return next(_under(i, f) for i, f in enumerate(map(sub, x)) if f)
-                return None
-
-            return items
-        if name == "$ref":
-            return check(resolve(value))
-        if name == "allOf":
-            every = _first([check(s) for s in value])
-            union = _tagged_union(value)
-            if union is None:
-                return every
-            tag_key, thens = union
-            table = {tag: _first([check(s) for s in ss]) for tag, ss in thens.items()}
-
-            def dispatch(x):
-                if not isinstance(x, dict) or tag_key not in x:
-                    return every(x)  # each if holds vacuously
-                tag = x[tag_key]
-                then = table.get(tag) if isinstance(tag, str) else None
-                return None if then is None else then(x)
-
-            return dispatch
-        if name == "oneOf":
-            subs = [check(s) for s in value]
-
-            def one_of(x):
-                found = [sub(x) for sub in subs]
-                passed = found.count(None)
-                if passed == 1:
-                    return None
-                if passed:
-                    return (), name, many(passed), x
-                # The deepest failure of one branch, a type mismatch last;
-                # a tie is reported at the oneOf itself.
-                ranks = [(len(f[0]), f[1] != "type") for f in found]
-                best = max(ranks)
-                return found[ranks.index(best)] if ranks.count(best) == 1 else fail(x)
-
-            say = lambda x: f"{_brief(x)} is not valid under any of the oneOf schemas"
-            many = lambda n: lambda x: f"{_brief(x)} is valid under {n} of the oneOf schemas, not one"
-            return one_of
-        if name == "not":
-            sub = check(value)
-            say = lambda x: f"{_brief(x)} must not be valid under {value!r}"
-            return lambda x: None if sub(x) is not None else fail(x)
-        cond, then = check(value), check(schema.get("then", True))  # "if"
-        return lambda x: None if cond(x) is not None else then(x)
-
-    valid = check(root)
-
-    def rejection(doc):
-        failure = valid(doc)
-        if failure is None:
-            return None
-        path, _, say, x = failure
-        return DocError(_json_path(path), say(x))
-
-    return rejection
+    return compile_schema(root)
 
 
 @lru_cache(maxsize=None)
@@ -469,7 +209,7 @@ class _at:
         pass
 
     def __exit__(self, kind, error, traceback) -> bool:
-        if kind is None or isinstance(error, DocSemanticError):
+        if kind is None or isinstance(error, (DocSemanticError, DocError)):
             return False
         if isinstance(error, SemanticError):
             raise DocSemanticError(self.path, error.kind.value, error.message) from None
@@ -478,51 +218,6 @@ class _at:
         if isinstance(error, ValueError):
             raise DocSemanticError(self.path, "WidthMismatch", str(error)) from None
         return False
-
-
-def _replay_command(proc: FlowProcessor, block, cdoc: dict, site: str):
-    """Replay one command doc; returns the block for the next command."""
-    op = cdoc["op"]
-    if op == "if":
-        with _at(site):
-            inner = block.If(proc.var(cdoc["cond"]))
-        _replay_body(proc, inner, cdoc["then"], site + ".then")
-        if cdoc.get("else") is not None:
-            with _at(site):
-                inner = inner.Else()
-            _replay_body(proc, inner, cdoc["else"], site + ".else")
-        with _at(site):
-            return inner.EndIf()
-    if op == "switch":
-        with _at(site):
-            inner = block.Switch(operand_from_doc(proc, cdoc["selector"]))
-        for k, case in enumerate(cdoc["cases"]):
-            case_site = f"{site}.cases[{k}]"
-            with _at(case_site):
-                inner = inner.Case(uvalue_from_doc(case["value"]))
-            _replay_body(proc, inner, case["body"], case_site + ".body")
-        with _at(site):
-            return inner.EndSwitch()
-    if op == "atomic":
-        with _at(site):
-            inner = block.Atomic()
-        _replay_body(proc, inner, cdoc["body"], site + ".body")
-        with _at(site):
-            return inner.EndAtomic()
-
-    cls = OPS.get(op)
-    if cls is None:
-        raise DocError(site, f"unknown op {op!r}")
-    with _at(site):
-        return block.add(cls(**{
-            name: field_from_doc(proc, role, cdoc[name]) for name, role in cls.roles if name in cdoc
-        }))
-
-
-def _replay_body(proc: FlowProcessor, block, body: list, path: str):
-    for j, cdoc in enumerate(body):
-        block = _replay_command(proc, block, cdoc, f"{path}[{j}]")
-    return block
 
 
 def _known(table: dict, name: str, path: str, what: str):
@@ -539,87 +234,271 @@ def _new_name(table: dict, name: str, path: str, what: str) -> str:
     return name
 
 
-def _replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
-    with _at(path):
-        locals_ = [
-            bool_local(d["name"])
-            if d.get("bool")
-            else local(d["name"], UWidth(d["width"]))
-            for d in pdoc.get("locals", [])
-        ]
-        shared = [
-            SharedVariableDecl(
-                d["name"],
-                UWidth(d["width"]),
-                UValue(UWidth(d["width"]), d["initial"]),
+# The replay's text for what the program schema refuses; the schema's own error is reported.
+_NOT_A_PROGRAM = "is not valid under the program schema"
+
+
+@lru_cache(maxsize=None)
+def _program_reader():
+    """``replay(doc)``: the Solution of program document ``doc``, rebuilt
+    through the builder API while each node is checked against the rules
+    of ``program.schema.json``; the first refusal raises.
+
+    Each node must be an object or array as its schema says, with the
+    required and allowed keys of its schema, a plain command's from its
+    class's roles in ``OPS``. Integers are exactly ints, as the compiled
+    schema has them, and every const, enum, pattern, bound and minItems is
+    read from the schema. The identifier pattern is checked where a name
+    is declared: a reference, a criterion's field included, resolves only
+    to a declared name or a standard header field. A PLAIN or
+    enum command field is checked by its command class, whose rule
+    (``Forward``'s port, the ``Hint`` values) the schema's is derived from."""
+    schema = load_schema("program")
+    defs = schema["$defs"]
+    props = {key: node.get("properties", {}) for key, node in defs.items()}
+
+    def keys(node: dict) -> tuple:
+        return frozenset(node.get("required", ())), frozenset(node["properties"])
+
+    def bounds(node: dict) -> tuple:
+        return node.get("minimum", -math.inf), node.get("maximum", math.inf)
+
+    def one_of(values):  # truthy for a value outside ``values``
+        return _one_of_values(values, lambda x: True)
+
+    shape = {key: keys(node) for key, node in defs.items() if "properties" in node}
+    top_keys, version_bad = keys(schema), one_of([schema["properties"]["version"]["const"]])
+    template_bad = one_of(schema["properties"]["template"]["enum"])
+    ident = re.compile(defs["identifier"]["pattern"]).search
+    width_bad = one_of(defs["width"]["enum"])
+    operand_sizes = defs["operand"]["minProperties"], defs["operand"]["maxProperties"]
+    flag_bad = one_of([props["local"]["bool"]["const"]])
+    flag_width_bad = one_of([defs["local"]["then"]["properties"]["width"]["const"]])
+    stack_bad = one_of(props["selector"]["stack"]["enum"])
+    fields_least = props["layout"]["fields"]["minItems"]
+    criteria_least = props["selector"]["criteria"]["minItems"]
+    value_bounds, initial_bounds, capacity_bounds, criterion_bounds, ordinal_bounds = (
+        bounds(props[key][prop]) for key, prop in (
+            ("uvalue", "value"), ("shared", "initial"), ("ring", "capacity"),
+            ("criterion", "value"), ("command", "ordinal")))
+    command = defs["command"]
+    # The (required, allowed) keys of each op of the schema's enum: a plain
+    # op's from its class's roles, a scope's from its branch of the schema.
+    branches = {m["if"]["properties"]["op"].get("const"): m["then"] for m in command["allOf"]}
+    op_shapes = {}
+    for op in props["command"]["op"]["enum"]:
+        cls = OPS.get(op)
+        required, allowed = keys(branches[op]) if cls is None else (
+            frozenset(cls.required), frozenset(key for key, _ in cls.roles))
+        op_shapes[op] = required | set(command["required"]), allowed | set(props["command"])
+    shape["case"] = keys(branches["switch"]["properties"]["cases"]["items"])
+
+    def refuse(path: str):
+        raise DocError(path, _NOT_A_PROGRAM)
+
+    def node(x, expected: tuple, path: str) -> dict:
+        if not isinstance(x, dict) or not expected[0] <= x.keys() <= expected[1]:
+            refuse(path)
+        return x
+
+    def array(x, path: str, least: int = 0) -> list:
+        if not isinstance(x, list) or len(x) < least:
+            refuse(path)
+        return x
+
+    def integer(x, between: tuple, path: str) -> int:
+        if type(x) is not int or not between[0] <= x <= between[1]:
+            refuse(path)
+        return x
+
+    def name(x, path: str) -> str:
+        """A declared name."""
+        if not isinstance(x, str) or not ident(x):
+            refuse(path)
+        return x
+
+    def width(x, path: str) -> UWidth:
+        if width_bad(x):
+            refuse(path)
+        return UWidth(x)
+
+    def uvalue(d, path: str) -> UValue:
+        node(d, shape["uvalue"], path)
+        return UValue(width(d["width"], path), integer(d["value"], value_bounds, path))
+
+    def operand(proc: FlowProcessor, d, path: str):
+        if (
+            not isinstance(d, dict)
+            or not operand_sizes[0] <= len(d) <= operand_sizes[1]
+            or not d.keys() <= shape["operand"][1]
+        ):
+            refuse(path)
+        return proc.var(d["var"]) if "var" in d else uvalue(d["const"], path)
+
+    def field(proc: FlowProcessor, role, x, path: str):
+        """A plain command's field from its document form, names resolved
+        in ``proc``: the inverse of ``flow_ast._field_doc``."""
+        if role is TARGET:
+            return proc.var(x)
+        if role is CONST:
+            return uvalue(x, path)
+        if role is OPERAND:
+            return operand(proc, x, path)
+        return x if role is RING or role is PLAIN else role(x)
+
+    def replay_command(proc: FlowProcessor, block, cdoc, site: str):
+        """Replay one command doc; returns the block for the next command."""
+        op = cdoc.get("op") if isinstance(cdoc, dict) else None
+        expected = op_shapes.get(op) if isinstance(op, str) else None
+        if expected is None or not expected[0] <= cdoc.keys() <= expected[1]:
+            refuse(site)
+        integer(cdoc.get("ordinal", 0), ordinal_bounds, site)  # informational, but typed
+        cls = OPS.get(op)
+        if cls is not None:
+            with _at(site):
+                return block.add(cls(**{
+                    key: field(proc, role, cdoc[key], site)
+                    for key, role in cls.roles if key in cdoc
+                }))
+        end, orelse = cdoc.get("end_ordinal", 0), cdoc.get("else_ordinal")
+        if type(end) is not int or orelse is not None and type(orelse) is not int:
+            refuse(site)
+        if op == "if":
+            with _at(site):
+                inner = block.If(proc.var(cdoc["cond"]))
+            replay_body(proc, inner, cdoc["then"], site + ".then")
+            if cdoc.get("else") is not None:
+                with _at(site):
+                    inner = inner.Else()
+                replay_body(proc, inner, cdoc["else"], site + ".else")
+            with _at(site):
+                return inner.EndIf()
+        if op == "switch":
+            with _at(site):
+                inner = block.Switch(operand(proc, cdoc["selector"], site))
+            for k, case in enumerate(array(cdoc["cases"], site)):
+                case_site = f"{site}.cases[{k}]"
+                if type(node(case, shape["case"], case_site).get("ordinal", 0)) is not int:
+                    refuse(case_site)
+                with _at(case_site):
+                    inner = inner.Case(uvalue(case["value"], case_site))
+                replay_body(proc, inner, case["body"], case_site + ".body")
+            with _at(site):
+                return inner.EndSwitch()
+        with _at(site):  # atomic
+            inner = block.Atomic()
+        replay_body(proc, inner, cdoc["body"], site + ".body")
+        with _at(site):
+            return inner.EndAtomic()
+
+    def replay_body(proc: FlowProcessor, block, body, path: str):
+        for j, cdoc in enumerate(array(body, path)):
+            block = replay_command(proc, block, cdoc, f"{path}[{j}]")
+        return block
+
+    def local_decl(d, path: str):
+        node(d, shape["local"], path)
+        if "bool" not in d:
+            return local(name(d["name"], path), width(d["width"], path))
+        if flag_bad(d["bool"]) or flag_width_bad(d["width"]):
+            refuse(path)
+        return bool_local(name(d["name"], path))
+
+    def replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
+        output, truncate = pdoc.get("output"), pdoc.get("truncate_payload", False)
+        if not isinstance(truncate, bool):
+            refuse(path)
+        with _at(path):
+            locals_ = [local_decl(d, path) for d in array(pdoc.get("locals", []), path)]
+            shared = [
+                SharedVariableDecl(
+                    name(node(d, shape["shared"], path)["name"], path),
+                    width(d["width"], path),
+                    UValue(width(d["width"], path), integer(d["initial"], initial_bounds, path)),
+                )
+                for d in array(pdoc.get("shared", []), path)
+            ]
+            rings = [
+                RingBufferDecl(
+                    name(node(d, shape["ring"], path)["name"], path),
+                    width(d["width"], path),
+                    integer(d["capacity"], capacity_bounds, path),
+                )
+                for d in array(pdoc.get("rings", []), path)
+            ]
+            proc = new_flow_processor(
+                pdoc["name"], _known(layouts, pdoc["input"], path, "layout"),
+                _known(layouts, output, path, "layout") if output is not None else None,
+                locals_, shared, rings, truncate,
             )
-            for d in pdoc.get("shared", [])
-        ]
-        rings = [
-            RingBufferDecl(d["name"], UWidth(d["width"]), d["capacity"])
-            for d in pdoc.get("rings", [])
-        ]
-        output = pdoc.get("output")
-        proc = new_flow_processor(
-            pdoc["name"],
-            input=_known(layouts, pdoc["input"], path, "layout"),
-            output=_known(layouts, output, path, "layout") if output else None,
-            locals=locals_,
-            shared=shared,
-            rings=rings,
-            truncate_payload=pdoc.get("truncate_payload", False),
-        )
-    _replay_body(proc, proc.body, pdoc["body"], f"{path}.body")
-    with _at(path):
-        proc.validate_complete()
-    return proc
+        replay_body(proc, proc.body, pdoc["body"], f"{path}.body")
+        with _at(path):
+            proc.validate_complete()
+        return proc
+
+    def replay(doc) -> Solution:
+        node(doc, top_keys, "$")
+        if version_bad(doc["version"]) or template_bad(doc["template"]):
+            refuse("$")
+        layouts: dict[str, HeaderLayout] = {}
+        for i, ldoc in enumerate(array(doc["layouts"], "layouts")):
+            path = f"layouts[{i}]"
+            lname = _new_name(layouts, name(node(ldoc, shape["layout"], path)["name"], path), path,
+                              "layout")
+            fields = array(ldoc["fields"], path, fields_least)
+            with _at(path):
+                layouts[lname] = HeaderLayout(lname, [
+                    FieldDecl(name(node(f, shape["field"], path)["name"], path),
+                              width(f["width"], path))
+                    for f in fields
+                ])
+        processors: dict[str, FlowProcessor] = {}
+        for i, pdoc in enumerate(array(doc["processors"], "processors")):
+            path = f"processors[{i}]"
+            pname = name(node(pdoc, shape["processor"], path)["name"], path)
+            processors[_new_name(processors, pname, path, "processor")] = replay_processor(
+                pdoc, layouts, path)
+        selectors = []
+        for i, sdoc in enumerate(array(doc["selectors"], "selectors")):
+            path = f"selectors[{i}]"
+            processor = _known(processors, node(sdoc, shape["selector"], path)["processor"], path,
+                               "processor")
+            lookahead = sdoc.get("lookahead")
+            if lookahead is not None:
+                lookahead = _known(layouts, lookahead, path, "layout")
+            if stack_bad(sdoc["stack"]):
+                refuse(path)
+            stack = ProtocolStack(sdoc["stack"])
+            criteria = []
+            for j, cdoc in enumerate(array(sdoc["criteria"], path, criteria_least)):
+                site = f"{path}.criteria[{j}]"
+                field = node(cdoc, shape["criterion"], site)["field"]
+                with _at(site):
+                    criterion = Criterion(field, UValue(
+                        width(cdoc["width"], site), integer(cdoc["value"], criterion_bounds, site)))
+                    check_criterion(stack, criterion, lookahead)
+                criteria.append(criterion)
+            with _at(path):
+                selectors.append(new_flow_selector(
+                    name(sdoc["name"], path), stack, criteria, processor, lookahead=lookahead))
+        with _at("selectors"):
+            return Solution(selectors)
+
+    return replay
 
 
 def solution_from_doc(doc) -> Solution:
-    """Validate, then rebuild the Solution by replaying the document
-    through the builder API. Stored ordinals are informational and
-    ignored; the replay assigns the canonical ones."""
-    validate_program_doc(doc)
-    layouts: dict[str, HeaderLayout] = {}
-    for i, ldoc in enumerate(doc["layouts"]):
-        path = f"layouts[{i}]"
-        name = _new_name(layouts, ldoc["name"], path, "layout")
-        with _at(path):
-            layouts[name] = HeaderLayout(
-                ldoc["name"],
-                [FieldDecl(f["name"], UWidth(f["width"])) for f in ldoc["fields"]],
-            )
-    processors: dict[str, FlowProcessor] = {}
-    for i, pdoc in enumerate(doc["processors"]):
-        path = f"processors[{i}]"
-        name = _new_name(processors, pdoc["name"], path, "processor")
-        processors[name] = _replay_processor(pdoc, layouts, path)
-    selectors = []
-    for i, sdoc in enumerate(doc["selectors"]):
-        path = f"selectors[{i}]"
-        processor = _known(processors, sdoc["processor"], path, "processor")
-        lookahead = None
-        if sdoc.get("lookahead"):
-            lookahead = _known(layouts, sdoc["lookahead"], path, "layout")
-        stack = ProtocolStack(sdoc["stack"])
-        criteria = []
-        for j, cdoc in enumerate(sdoc["criteria"]):
-            with _at(f"{path}.criteria[{j}]"):
-                criterion = Criterion(cdoc["field"], uvalue_from_doc(cdoc))
-                check_criterion(stack, criterion, lookahead)
-            criteria.append(criterion)
-        with _at(path):
-            selectors.append(
-                new_flow_selector(
-                    sdoc["name"],
-                    stack,
-                    criteria,
-                    processor,
-                    lookahead=lookahead,
-                )
-            )
-    with _at("selectors"):
-        return Solution(selectors)
+    """Rebuild the Solution by replaying the document through the builder
+    API, each node checked against the program schema as the replay reads
+    it, so that a valid document is walked once. When the replay refuses,
+    the whole document is checked against the schema first: a schema error
+    anywhere is reported before the replay's own. Stored ordinals are
+    informational and ignored; the replay assigns the canonical ones."""
+    try:
+        return _program_reader()(doc)
+    except Exception:  # a malformed node can make the builder raise anything
+        validate_program_doc(doc)  # a schema error anywhere is reported first
+        raise
 
 
 def load_program(path) -> Solution:
@@ -732,19 +611,30 @@ def _packet_reader():
 def stream_trace(doc) -> tuple[int, Iterator[SimPacket]]:
     """The seed of trace document ``doc`` and a generator that reads each
     packet only when asked for it, so that a caller running the packets in
-    turn holds one at a time. A refused packet ends it with the error of a
-    whole-document check: a schema error anywhere first, else the reader's."""
-    if _top_level_check()(doc) is not None:
+    turn holds one at a time. The top level is checked here against the
+    rules of ``trace.schema.json``. A refused packet ends the generator
+    with the error of a whole-document check: a schema error anywhere
+    first, else the reader's."""
+    required, allowed, seed_bounds = _trace_top_level()
+    if (
+        not isinstance(doc, dict)
+        or not required <= doc.keys() <= allowed
+        or type(doc["seed"]) is not int
+        or not seed_bounds[0] <= doc["seed"] <= seed_bounds[1]
+        or not isinstance(doc["packets"], list)
+    ):
         validate_trace_doc(doc)  # refuses it too, with the whole document's first error
+        raise DocError("$", _NOT_A_TRACE)
     return doc["seed"], _read_packets(doc)
 
 
 @lru_cache(maxsize=None)
-def _top_level_check():
-    """The trace schema without its packet schema, compiled."""
+def _trace_top_level() -> tuple:
+    """The required and allowed keys of a trace and the seed's bounds."""
     schema = load_schema("trace")
-    packets = {k: v for k, v in schema["properties"]["packets"].items() if k != "items"}
-    return compile_schema({**schema, "properties": {**schema["properties"], "packets": packets}})
+    seed = schema["properties"]["seed"]
+    return (frozenset(schema["required"]), frozenset(schema["properties"]),
+            (seed["minimum"], seed["maximum"]))
 
 
 def _read_packets(doc) -> Iterator[SimPacket]:
@@ -838,7 +728,8 @@ def iter_results_text(seed: int, results) -> Iterator[str]:
     Every field must hold exactly its declared type: an int seed, egress
     port, ordinal, event value and header field value, a str verdict,
     kind and header field name, a tuple of values before and after, a
-    str or None selector and error. The first value in writing order
+    dict or None header map, a bytes or bytearray payload, and a str or
+    None selector and error. The first value in writing order
     that holds anything else, a bool or a float included, raises
     TypeError naming its JSON path; the chunks before it have been
     yielded by then.
@@ -875,6 +766,8 @@ def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
         field_map = getattr(packet, header)
         if field_map is None:
             continue
+        if field_map.__class__ is not dict:
+            raise _misfit(r, f"$.results[{i}]")
         keys, values = tuple(field_map), tuple(field_map.values())
         for key in keys:
             if key.__class__ is not str:
@@ -887,7 +780,10 @@ def _result_text(r: SimResult, i: int, lead: str, memo: dict) -> str:
             template = memo.get(keys) or _held(memo, keys, _header_template(keys))
             text = _held(memo, (keys, values), template % values)
         parts += lead, text
-    parts += '\n      "payload_hex": "', packet.payload.hex(), '",\n      "trace": '
+    payload = packet.payload
+    if payload.__class__ is not bytes and payload.__class__ is not bytearray:
+        raise _misfit(r, f"$.results[{i}]")
+    parts += '\n      "payload_hex": "', payload.hex(), '",\n      "trace": '
     events = []
     for event in r.trace:
         ordinal, kind, before, after = event
@@ -958,9 +854,15 @@ def _typed_values(r: SimResult) -> Iterator[tuple]:
         yield ".selector", r.selector, str
     yield ".egress_port", r.egress_port, int
     for header in HEADER_FIELD_BITS:
-        for key, value in (getattr(r.packet, header) or {}).items():
-            yield f".{header} (a field name)", key, str
-            yield f".{header}.{key}", value, int
+        fields = getattr(r.packet, header)
+        if fields is not None:
+            yield f".{header}", fields, dict
+            for key, value in fields.items():
+                yield f".{header} (a field name)", key, str
+                yield f".{header}.{key}", value, int
+    payload = r.packet.payload
+    # SimPacket.validate takes a bytearray for bytes, and so does the writer.
+    yield ".payload_hex", payload, bytearray if payload.__class__ is bytearray else bytes
     for j, (ordinal, kind, before, after) in enumerate(r.trace):
         yield f".trace[{j}].ordinal", ordinal, int
         yield f".trace[{j}].kind", kind, str

@@ -45,6 +45,7 @@ def test_the_seed_reaches_every_run_and_the_record(monkeypatch, capsys, tmp_path
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, into: "c0ffee")
     monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)  # a tree with no bytecode under src/
     assert bench_pairs.main(["HEAD", "--pairs", "2", "--workload", "guess_stream",
                              "--seed", "7"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -70,3 +71,16 @@ def test_host_records_the_bytecode_flag_and_start_up_the_runs_see(monkeypatch, f
     record = bench_pairs.host()
     assert record["dont_write_bytecode"] is dont_write
     assert 0 < record["python_start_ms"] < 10_000
+
+
+def test_refuses_to_start_while_src_holds_bytecode(monkeypatch, capsys, tmp_path):
+    cache = tmp_path / "src" / "p4flowgen" / "__pycache__"
+    cache.mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert str(cache) in capsys.readouterr().err
+    cache.rmdir()
+    assert bench_pairs.stale_bytecode(tmp_path / "src") is None

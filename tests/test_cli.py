@@ -15,6 +15,8 @@ import pytest
 
 from p4flowgen import cli
 from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
+from p4flowgen.core_model import SEED_MAX
+from p4flowgen.program_doc import solution_from_doc, solution_to_doc
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,7 +141,19 @@ def nested_doc(depth: int, kind: str) -> tuple[dict, str]:
     return doc, "processors[0].body[1]" + step * (depth - 1)
 
 
+def called_under(frames: int, fn, *args):
+    """``fn(*args)``, called with ``frames`` more Python frames below it."""
+    return called_under(frames - 1, fn, *args) if frames else fn(*args)
+
+
 class TestNesting:
+    def test_the_deepest_program_loads_under_a_deep_caller(self):
+        # A valid program is read by the replay alone, which nests a few
+        # frames per scope, not by the schema check's recursive walk.
+        doc, _ = nested_doc(64, "switch")
+        solution = called_under(500, solution_from_doc, doc)
+        assert solution_to_doc(solution) == solution_to_doc(solution_from_doc(doc))
+
     @pytest.mark.parametrize("kind", ["if", "switch"])
     def test_the_deepest_program_check_accepts_also_runs(self, tmp_path, capsys, kind):
         doc, _ = nested_doc(64, kind)
@@ -346,9 +360,6 @@ class TestSimulate:
         assert "ipv4.protocol 6" in results[1]["error"]
 
 
-SEED_MAX = 2**64 - 1
-
-
 class TestSeedRange:
     """A seed is the generator's 64-bit state: one outside 0..2**64-1 is
     refused, not run as the seed it aliases."""
@@ -392,12 +403,11 @@ class TestSeedRange:
         assert "invalid int value: '7.5'" in capsys.readouterr().err
 
     def test_one_bound_for_the_schema_the_option_and_the_generator(self):
-        from p4flowgen.core_model import SEED_MAX as bound
         from p4flowgen.program_doc import load_schema
         from p4flowgen.simulator import SplitMix64
 
-        assert bound == SEED_MAX == SplitMix64.MASK
-        assert load_schema("trace")["properties"]["seed"]["maximum"] == bound
+        assert SEED_MAX == 2**64 - 1 == SplitMix64.MASK
+        assert load_schema("trace")["properties"]["seed"]["maximum"] == SEED_MAX
 
 
 class TestParser:

@@ -693,6 +693,32 @@ class TestResultsWriter:
         with pytest.raises(TypeError, match=r"^\$\.ipv4\.ttl: cannot write a bool "):
             result_to_doc(results[1])
 
+    @staticmethod
+    def with_packet(**changes) -> SimResult:
+        packet = a_result().packet
+        return a_result(packet=SimPacket(**{**packet.__dict__, **changes}))
+
+    @pytest.mark.parametrize("writer", [dumps_results, results_to_doc], ids=["text", "doc"])
+    @pytest.mark.parametrize("changes, path, kind", [
+        ({"udp": [("dstPort", 5555)]}, "$.results[1].udp", "list"),
+        ({"eth": ()}, "$.results[1].eth", "tuple"),
+        ({"payload": "0a"}, "$.results[1].payload_hex", "str"),
+        ({"payload": memoryview(b"\n")}, "$.results[1].payload_hex", "memoryview"),
+        # the first in writing order of two
+        ({"ipv4": [], "payload": "0a"}, "$.results[1].ipv4", "list"),
+    ])
+    def test_header_map_or_payload_of_another_class_names_its_path(
+        self, writer, changes, path, kind
+    ):
+        with pytest.raises(TypeError) as err:
+            writer(0, [a_result(), self.with_packet(**changes)])
+        assert str(err.value) == f"{path}: cannot write a {kind} to a results document"
+
+    @pytest.mark.parametrize("writer", [dumps_results, results_to_doc], ids=["text", "doc"])
+    def test_a_bytearray_payload_is_written_as_bytes(self, writer):
+        result = self.with_packet(payload=bytearray(a_result().packet.payload))
+        assert writer(0, [result]) == writer(0, [a_result()])
+
 
 class TestStreamingMemory:
     @staticmethod

@@ -23,13 +23,12 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
 import p4flowgen
-from p4flowgen import cli, program_doc
+from p4flowgen import cli, program_doc, schema_compiler
 from p4flowgen.simulator import run_trace
 from p4flowgen.builtin_examples import asset_path, guess_game_solution
 from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.program_doc import (
     DocError,
-    _tagged_union,
     compile_schema,
     dumps_results,
     load_schema,
@@ -37,6 +36,7 @@ from p4flowgen.program_doc import (
     solution_from_doc,
     trace_from_doc,
 )
+from p4flowgen.schema_compiler import _tagged_union
 
 DATA = Path(__file__).parent / "data"
 ASSETS = sorted(asset_path("guess_game").parent.glob("*.json"))
@@ -399,7 +399,7 @@ class TestCompiler:
 
         walk(load_schema("program"))
         walk(load_schema("trace"))
-        assert program_doc._IMPLEMENTED == used
+        assert schema_compiler._IMPLEMENTED == used
 
     def test_shipped_command_union_dispatches_on_its_op(self):
         # Each command is checked by one lookup of its op; a schema edit
@@ -799,3 +799,168 @@ class TestTraceAcceptPath:
             _, seed, packets = expected
             assert (code, captured.err) == (0, "")
             assert written == dumps_results(seed, run_trace(guess_game_solution(), packets, seed))
+
+
+# -- the program check's accept path against the reference sequence --------
+
+MANY_FLOWS = workloads.many_flows(workloads.DEFAULT_SEED)[0]
+ALL_PROGRAMS = PROGRAM_DOCS + [MANY_FLOWS]
+
+
+@lru_cache(maxsize=None)
+def _compiled_program_schema():
+    return compile_schema(load_schema("program"))
+
+
+def reference_solution(doc):
+    """The Solution of ``doc`` after the whole-document schema check, or the
+    first error raised."""
+    error = _compiled_program_schema()(doc)
+    if error is not None:
+        raise error
+    return program_doc._program_reader()(doc)
+
+
+def program_outcome(load, doc):
+    """``("ok", the solution's document)`` or ``("error", class, path,
+    message)``; any other exception is raised."""
+    try:
+        solution = load(doc)
+    except (DocError, program_doc.DocSemanticError) as e:
+        return "error", type(e).__name__, e.path, e.message
+    return "ok", program_doc.dumps_doc(program_doc.solution_to_doc(solution))
+
+
+def assert_replays_as_the_reference(doc):
+    got = program_outcome(solution_from_doc, doc)
+    assert got == program_outcome(reference_solution, doc)
+    # The replay's own wording of a schema rule is never the one reported:
+    # a document the schema accepts meets none of those rules.
+    assert got[-1] != program_doc._NOT_A_PROGRAM
+
+
+def _all_ops_with(*changes):
+    """``tests/data/all_ops.json`` with each ``(path, value)`` of
+    ``changes`` set; a path is a tuple of keys and indices, and ``_DROP``
+    removes the key."""
+    doc = copy.deepcopy(PROGRAM_DOCS[-1])
+    for path, value in changes:
+        node = reduce(getitem, path[:-1], doc)
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+BODY = ("processors", 0, "body")
+# (id, program, the path of its error or None when it loads)
+PINNED_PROGRAMS = [
+    ("bool width", _all_ops_with((("layouts", 0, "fields", 0, "width"), True)),
+     "layouts[0].fields[0].width"),
+    ("float width", _all_ops_with((("layouts", 0, "fields", 0, "width"), 8.0)), None),
+    ("float version", _all_ops_with((("version",), 1.0)), None),
+    ("bool version", _all_ops_with((("version",), True)), "version"),
+    ("float value", _all_ops_with(((*BODY, 0, "value", "value"), 4660.0)),
+     "processors[0].body[0].value.value"),
+    ("unknown command key", _all_ops_with(((*BODY, 8, "extra"), 1)), "processors[0].body[8]"),
+    ("key of another op", _all_ops_with(((*BODY, 8, "hint"), "table")), "processors[0].body[8]"),
+    ("missing command key", _all_ops_with(((*BODY, 8, "target"), _DROP)),
+     "processors[0].body[8]"),
+    *[(f"ordinal {value!r}", _all_ops_with(((*BODY, 0, "ordinal"), value)),
+       "processors[0].body[0].ordinal") for value in ("1", 1.0, True, -1, None)],
+    ("no ordinal", _all_ops_with(((*BODY, 0, "ordinal"), _DROP)), None),
+    ("bad hint", _all_ops_with(((*BODY, 5, "hint"), "switch")), "processors[0].body[5].hint"),
+    ("null hint", _all_ops_with(((*BODY, 5, "hint"), None)), "processors[0].body[5].hint"),
+    ("float end ordinal", _all_ops_with(((*BODY, 11, "end_ordinal"), 1.5)),
+     "processors[0].body[11].end_ordinal"),
+    ("null else ordinal", _all_ops_with(((*BODY, 12, "else_ordinal"), None)), None),
+    ("str else ordinal", _all_ops_with(((*BODY, 12, "else_ordinal"), "1")),
+     "processors[0].body[12].else_ordinal"),
+    ("bool case ordinal", _all_ops_with(((*BODY, 11, "cases", 0, "ordinal"), False)),
+     "processors[0].body[11].cases[0].ordinal"),
+    ("null else", _all_ops_with(((*BODY, 12, "else"), None)), None),
+    ("int truncate_payload", _all_ops_with((("processors", 0, "truncate_payload"), 0)),
+     "processors[0].truncate_payload"),
+    ("empty output", _all_ops_with((("processors", 0, "output"), "")), "processors[0].output"),
+    ("no fields", _all_ops_with((("layouts", 0, "fields"), [])), "layouts[0].fields"),
+    ("no criteria", _all_ops_with((("selectors", 0, "criteria"), [])), "selectors[0].criteria"),
+    ("bad target", _all_ops_with(((*BODY, 0, "target"), "s-const")),
+     "processors[0].body[0].target"),
+    ("undeclared target", _all_ops_with(((*BODY, 0, "target"), "nope")),
+     "processors[0].body[0]"),
+    ("undeclared ring", _all_ops_with(((*BODY, 9, "ring"), "nope")), "processors[0].body[9]"),
+    ("port past the maximum", _all_ops_with(((*BODY, 11, "cases", 0, "body", 0), {
+        "op": "forward", "port": PORT_MAX + 1})), "processors[0].body[11].cases[0].body[0].port"),
+    ("bool local of 16 bits", _all_ops_with((("processors", 0, "locals", 0), {
+        "name": "eq_if", "width": 16, "bool": True})), "processors[0].locals[0].width"),
+    ("operand of two keys", _all_ops_with(((*BODY, 1, "source"), {
+        "var": "a", "const": {"width": 16, "value": 1}})), "processors[0].body[1].source"),
+    ("criterion field with a newline", _all_ops_with((("selectors", 0, "criteria", 0, "field"),
+                                                     "udp.dstPort\n")),
+     "selectors[0].criteria[0].field"),
+    ("tuple body", _all_ops_with(((*BODY,), ())), "processors[0].body"),
+    # A schema error anywhere is reported before a semantic error before it.
+    ("schema error after a duplicate name", _all_ops_with(
+        (("layouts", 1, "name"), "ops_req"), (("selectors", 0, "stack"), "IPV4_SCTP")),
+     "selectors[0].stack"),
+    ("duplicate name", _all_ops_with((("layouts", 1, "name"), "ops_req")), "layouts[1]"),
+]
+
+
+class TestProgramAcceptPath:
+    @pytest.mark.parametrize("doc", ALL_PROGRAMS)
+    def test_shipped_and_bench_programs_load_as_the_reference(self, doc):
+        assert program_outcome(solution_from_doc, doc)[0] == "ok"
+        assert_replays_as_the_reference(doc)
+
+    @DIFFERENTIAL
+    @given(mutated(ALL_PROGRAMS, most=1))
+    def test_single_mutations_load_as_the_reference(self, doc):
+        assert_replays_as_the_reference(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path", [case[1:] for case in PINNED_PROGRAMS],
+        ids=[case[0] for case in PINNED_PROGRAMS],
+    )
+    def test_pinned_cases(self, doc, path):
+        assert_replays_as_the_reference(doc)
+        got = program_outcome(solution_from_doc, doc)
+        assert got[0] == ("ok" if path is None else "error")
+        if path is not None:
+            assert got[2] == path
+
+    def test_a_valid_load_neither_compiles_nor_walks_a_schema(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid document was checked against its schema")
+
+        for name in ("compile_schema", "schema_check", "validate_program_doc",
+                     "validate_trace_doc"):
+            monkeypatch.setattr(program_doc, name, refuse)
+        for doc in ALL_PROGRAMS:
+            solution_from_doc(doc)
+        for doc in ALL_TRACES:
+            trace_from_doc(doc)
+
+
+@pytest.mark.parametrize("program_change, trace_change, loads", [
+    ({}, {}, False),
+    ({"version": 2}, {}, True),
+    ({}, {"seed": -1}, True),
+], ids=["valid", "refused program", "refused trace"])
+def test_the_schema_compiler_loads_only_after_a_refusal(
+    tmp_path, program_change, trace_change, loads
+):
+    program, trace = tmp_path / "program.json", tmp_path / "trace.json"
+    program.write_text(json.dumps({**json.loads(asset_path("guess_game").read_text()),
+                                   **program_change}))
+    trace.write_text(json.dumps({**TRACE_DOCS[0], **trace_change}))
+    argv = ["simulate", str(program), "-t", str(trace), "-o", str(tmp_path / "out.json")]
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(p4flowgen.__file__).parents[1])!r})\n"
+        "from p4flowgen import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'p4flowgen.schema_compiler' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["1" if loads else "0", str(loads)], proc.stderr
