@@ -7,15 +7,19 @@ Each pair runs ``perfbench/run.py --workload W`` once on an exported copy
 of PARENT_REF and once on the working tree, the parent first in odd pairs
 and the change first in even ones, so that a slow spell of the host does
 not fall on one side only. After the pairs, each side runs each workload
-once more with ``--trace 1`` for the per-layer numbers (unscaled).
+``TRACED_RUNS`` more times with ``--trace 1``, the sides again taking
+turns to go first; each per-layer number of the record is the median of
+a side's traced runs (unscaled), so that one slow spell does not decide it.
 
 The record, printed as JSON (progress goes to stderr), holds the stdout
 of every run and, per workload and end-to-end metric of BENCHMARK.json,
 the parent's and the change's q1/median/q3 over the pairs and the number
 of pairs the change wins (a win is a strictly better value in the
-metric's direction), and the host: its CPU, its Python, whether the runs
-write no bytecode (then each run compiles the package from source) and
-the median start-up of a bare interpreter in the runs' environment.
+metric's direction); per workload and per-layer metric, each side's
+median over its traced runs; and the host: its CPU, its Python, whether
+the runs write no bytecode (then each run compiles the package from
+source) and the median start-up of a bare interpreter in the runs'
+environment.
 Without ``--workload`` every workload of BENCHMARK.json runs. ``--seed``
 is passed to every run and kept in the record; without it each run uses
 perfbench's default seed and the record's seed is null. A claim made on
@@ -47,7 +51,9 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+LAYERS = [m["name"] for m in SPEC["per_layer"]]
 STARTS = 11  # bare interpreter start-ups timed for the host record
+TRACED_RUNS = 3  # traced runs per side and workload
 
 
 def export(ref: str, into: Path) -> str:
@@ -118,6 +124,13 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     return summary
 
 
+def layer_medians(traced: dict[str, list[dict]]) -> dict:
+    """Per per-layer metric, each side's median over its traced runs."""
+    return {name: {side: statistics.median(r["metrics"][name]["value"] for r in results)
+                   for side, results in traced.items()}
+            for name in LAYERS}
+
+
 def host() -> dict:
     """The machine and interpreter of the runs. ``dont_write_bytecode``
     is the flag as a benchmark run sees it (when set, every run compiles
@@ -165,6 +178,7 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     sides = {"change": ROOT}
     runs, results = [], {w: [] for w in workloads}
+    traced = {w: {"parent": [], "change": []} for w in workloads}
 
     def record(workload, pair, side, first, trace):
         stdout, result = run(sides[side], workload, trace, args.seed)
@@ -183,9 +197,12 @@ def main(argv=None) -> int:
             for workload in workloads:
                 got = {side: record(workload, pair, side, side == order[0], 0) for side in order}
                 results[workload].append((got["parent"], got["change"]))
-        for workload in workloads:
-            for side in ("parent", "change"):
-                record(workload, None, side, side == "parent", 1)
+        for turn in range(TRACED_RUNS):
+            order = ("parent", "change") if turn % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    traced[workload][side].append(
+                        record(workload, None, side, side == order[0], 1))
 
     doc = {
         "description": args.description,
@@ -194,7 +211,8 @@ def main(argv=None) -> int:
         "host": host(),
         "commands": [" ".join(["python3", *perfbench_args(w, t, args.seed)])
                      for t in (0, 1) for w in workloads],
-        "summary": {w: summarize(results[w]) for w in workloads},
+        "summary": {w: {**summarize(results[w]), "per_layer": layer_medians(traced[w])}
+                    for w in workloads},
         "runs": runs,
     }
     print(json.dumps(doc, indent=2))

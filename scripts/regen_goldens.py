@@ -40,15 +40,9 @@ from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.codegen import generate
 from p4flowgen.core_model import PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.flow_ast import CONST, OPERAND, OPS, PLAIN, RING, TARGET
-from p4flowgen.program_doc import (
-    SCHEMA_DIR,
-    dumps_doc,
-    dumps_results,
-    load_trace,
-    solution_from_doc,
-    solution_to_doc,
-)
+from p4flowgen.program_doc import SCHEMA_DIR, dumps_doc, solution_from_doc, solution_to_doc
 from p4flowgen.simulator import run_trace
+from p4flowgen.trace_doc import dumps_results, load_trace
 
 GOLDEN = TESTS / "golden"
 DATA = TESTS / "data"

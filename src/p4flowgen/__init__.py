@@ -4,8 +4,8 @@ The pieces compose in one direction: declare layouts and variables
 (core_model), grow a processor body through the checked builder
 (flow_ast), bind processors to packets (selector), then either run the
 result bit-exactly (simulator) or emit P4 sources (codegen). The
-program_doc module round-trips all of it through JSON, and cli fronts
-the whole pipeline.
+program_doc module round-trips all of it through JSON (trace_doc the
+packets and results of a simulation), and cli fronts the whole pipeline.
 
 The public names below load their module on first use (PEP 562), so
 that ``import p4flowgen`` loads nothing else and each CLI subcommand
@@ -33,8 +33,7 @@ _EXPORTS = {
         "local", "new_flow_processor",
     ),
     "program_doc": (
-        "DocSemanticError", "load_program", "load_trace", "solution_from_doc",
-        "solution_to_doc",
+        "DocSemanticError", "load_program", "solution_from_doc", "solution_to_doc",
     ),
     "selector": ("Criterion", "FlowSelector", "ProtocolStack", "Solution", "new_flow_selector"),
     "packet": ("SimPacket", "make_tcp_packet", "make_udp_packet"),
@@ -42,6 +41,7 @@ _EXPORTS = {
         "PASSTHROUGH", "PROCESSED", "SimResult", "classify", "initial_state",
         "iter_trace", "run_trace", "simulate_packet",
     ),
+    "trace_doc": ("load_trace",),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,11 +6,12 @@ errors. All diagnostics go to stderr; stdout carries machine-readable
 output only.
 
 Each subcommand imports the layers it runs when it starts, so that a
-run loads no more than it needs: ``check`` loads the document layer
-(program_doc, and the core_model, flow_ast, selector and packet modules
-under it); ``generate`` adds codegen, ``simulate`` adds simulator, and
-``examples`` loads builtin_examples. Names are looked up in their module
-at call time, so a tracer that swaps module attributes sees every call.
+run loads no more than it needs: ``check`` loads the program layer
+(program_doc, and the core_model, flow_ast and selector modules under
+it); ``generate`` adds codegen, ``simulate`` adds simulator, packet and
+trace_doc (the trace reader and results writer), and ``examples`` loads
+builtin_examples. Names are looked up in their module at call time, so
+a tracer that swaps module attributes sees every call.
 
 ``simulate`` reads, runs and writes one packet at a time, so its memory
 grows with the parsed trace document, not with the packets or results.
@@ -50,9 +51,10 @@ def cmd_simulate(args) -> int:
     """Each packet is read, run and written in turn, so only the one in
     hand is held; the results are staged, so a trace error at any packet
     writes nothing."""
-    from .program_doc import iter_results_text, load_json, solution_from_doc, stream_trace
+    from .program_doc import load_json, solution_from_doc
     from .simulator import iter_trace
     from .staging import write_staged, write_staged_stream
+    from .trace_doc import iter_results_text, stream_trace
 
     solution = solution_from_doc(load_json(args.program))
     seed, packets = stream_trace(load_json(args.trace))

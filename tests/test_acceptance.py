@@ -66,7 +66,7 @@ from p4flowgen.flow_ast import (
     local,
     new_flow_processor,
 )
-from p4flowgen.program_doc import dumps_doc, results_to_doc
+from p4flowgen.program_doc import dumps_doc
 from p4flowgen.selector import ProtocolStack, new_flow_selector
 from p4flowgen.simulator import (
     PROCESSED,
@@ -77,6 +77,7 @@ from p4flowgen.simulator import (
     run_trace,
     simulate_packet,
 )
+from p4flowgen.trace_doc import results_to_doc
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,15 +9,9 @@ from pathlib import Path
 
 from all_ops import all_ops_solution
 from p4flowgen.codegen import generate
-from p4flowgen.program_doc import (
-    dumps_doc,
-    load_json,
-    load_trace,
-    results_to_doc,
-    solution_from_doc,
-    solution_to_doc,
-)
+from p4flowgen.program_doc import dumps_doc, load_json, solution_from_doc, solution_to_doc
 from p4flowgen.simulator import run_trace
+from p4flowgen.trace_doc import load_trace, results_to_doc
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

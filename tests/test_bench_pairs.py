@@ -13,8 +13,9 @@ import bench_pairs  # noqa: E402
 
 def result(**values):
     """A benchmark run's last-line JSON with the given metric values and
-    every other end-to-end metric at 1."""
-    metrics = {name: {"value": values.get(name, 1.0)} for name in bench_pairs.BETTER}
+    every other end-to-end and per-layer metric at 1."""
+    metrics = {name: {"value": values.get(name, 1.0)}
+               for name in [*bench_pairs.BETTER, *bench_pairs.LAYERS]}
     return {"metrics": metrics, "failed": values.get("failed", 0)}
 
 
@@ -51,11 +52,39 @@ def test_the_seed_reaches_every_run_and_the_record(monkeypatch, capsys, tmp_path
     record = json.loads(capsys.readouterr().out)
     assert record["seed"] == 7
     assert {seed for _, _, seed in seen} == {7}
-    assert len(seen) == 2 * 2 + 2  # both sides of each pair, then one traced run each
+    assert len(seen) == 2 * 2 + 2 * bench_pairs.TRACED_RUNS  # the pairs, then the traced runs
     assert record["commands"] == [
         "python3 perfbench/run.py --workload guess_stream --trace 0 --seed 7",
         "python3 perfbench/run.py --workload guess_stream --trace 1 --seed 7",
     ]
+
+
+def test_each_per_layer_number_is_the_median_of_three_traced_runs(monkeypatch, capsys, tmp_path):
+    traced = {"parent": iter([5.0, 1.0, 3.0]), "change": iter([2.0, 9.0, 4.0])}
+    seen = []
+
+    def fake_run(checkout, workload, trace, seed):
+        side = "change" if checkout == tmp_path else "parent"
+        seen.append((side, trace))
+        if not trace:
+            return "", result()
+        value = next(traced[side])
+        return "", {"metrics": {name: {"value": value} for name in bench_pairs.LAYERS},
+                    "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)  # the change's side
+    assert bench_pairs.main(["HEAD", "--pairs", "1", "--workload", "many_flows"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert bench_pairs.TRACED_RUNS == 3
+    # three traced runs per side, the sides taking turns to go first
+    assert [s for s, trace in seen if trace] == ["parent", "change", "change", "parent",
+                                                "parent", "change"]
+    assert [r["first"] for r in record["runs"] if r["trace"]] == [True, False] * 3
+    per_layer = record["summary"]["many_flows"]["per_layer"]
+    assert set(per_layer) == set(bench_pairs.LAYERS)
+    assert per_layer["program_doc.replay_ms"] == {"parent": 3.0, "change": 4.0}
 
 
 def test_without_a_seed_perfbench_keeps_its_default():

@@ -2,9 +2,10 @@
 
 Each subcommand imports the layers it runs when it starts (cli.py), and
 the package resolves its public names on first use, so ``check`` loads
-neither the simulator, the packet module nor the code generator. The subprocess tests see
-what a run loads; the static test names the module-level import that
-would undo it.
+neither the simulator, the packet module, the trace reader and results
+writer (trace_doc) nor the code generator. The subprocess tests see what
+a run loads; the static test names the module-level import that would
+undo it.
 """
 
 import ast
@@ -16,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import p4flowgen
+from p4flowgen import program_doc, trace_doc
 
 PACKAGE = Path(p4flowgen.__file__).parent
 GUESS = PACKAGE / "assets" / "guess_game.json"
 TRACE = Path(__file__).parent / "data" / "guess_game_trace.json"
 
 # The layers a subcommand may leave unloaded.
-OPTIONAL = {"codegen", "simulator", "builtin_examples", "packet"}
+OPTIONAL = {"codegen", "simulator", "builtin_examples", "packet", "trace_doc"}
 
 
 def modules_after(tmp_path, code: str) -> set[str]:
@@ -64,7 +66,7 @@ def cli_run(tmp_path, command: str) -> str:
 @pytest.mark.parametrize("command, runs", [
     ("check", set()),
     ("generate", {"codegen"}),
-    ("simulate", {"simulator", "packet"}),
+    ("simulate", {"simulator", "packet", "trace_doc"}),
     ("examples", {"builtin_examples"}),
 ])
 def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, command, runs):
@@ -117,6 +119,57 @@ class TestLazyPackage:
             from p4flowgen import no_such_name  # noqa: F401
 
 
+
+# perfbench reads these names from program_doc and cannot change with the
+# package, so the ones trace_doc holds must still resolve there.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def names_perfbench_reads_from_program_doc() -> set[str]:
+    """The names perfbench's files import from ``p4flowgen.program_doc``,
+    and the ``program_doc`` functions its tracer (``tracing.TRACED``) wraps."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "p4flowgen.program_doc":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            ):
+                names.update(fn for module, fn in ast.literal_eval(node.value)
+                             if module == "program_doc")
+    return names
+
+
+class TestTraceDocForwarding:
+    def test_each_name_perfbench_reads_is_the_defining_modules_object(self):
+        names = names_perfbench_reads_from_program_doc()
+        assert {"load_trace", "trace_from_doc", "result_to_doc", "results_to_doc",
+                "validate_trace_doc", "dumps_doc", "load_json"} <= names
+        for name in names:
+            value = getattr(program_doc, name)
+            if name in vars(trace_doc):
+                assert value is getattr(trace_doc, name), name
+
+    def test_every_public_function_of_trace_doc_is_forwarded(self):
+        public = {
+            name for name, value in vars(trace_doc).items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == trace_doc.__name__
+        }
+        assert set(program_doc._TRACE_DOC_NAMES) == public
+        for name in public:
+            assert getattr(program_doc, name) is getattr(trace_doc, name)
+
+    def test_the_package_load_trace_is_trace_docs(self):
+        assert p4flowgen.load_trace is trace_doc.load_trace
+
+    @pytest.mark.parametrize("name", ["_EVENTS_HELD", "_packet_reader", "_NOT_A_TRACE",
+                                      "no_such_name"])
+    def test_private_names_are_not_forwarded(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(program_doc, name)
+
+
 # Module -> the package modules it may not import when it loads.
 FORBIDDEN = {
     "core_model": {"codegen", "simulator"},
@@ -124,8 +177,10 @@ FORBIDDEN = {
     "selector": {"codegen", "simulator"},
     "packet": {"codegen", "simulator"},
     "staging": {"codegen", "simulator"},
-    "program_doc": {"codegen", "simulator", "packet"},
-    "cli": {"codegen", "simulator", "builtin_examples", "packet"},
+    "program_doc": {"codegen", "simulator", "packet", "trace_doc"},
+    "trace_doc": {"codegen", "simulator", "packet"},
+    "cli": {"codegen", "simulator", "builtin_examples", "packet", "trace_doc"},
+    "__init__": {"codegen", "simulator", "builtin_examples", "packet", "trace_doc"},
 }
 
 

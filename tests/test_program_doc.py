@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p4flowgen import cli, program_doc, simulator
+from p4flowgen import cli, simulator, trace_doc
 from p4flowgen.builtin_examples import (
     EXAMPLE_BUILDERS,
     GUESS_PORT,
@@ -47,15 +47,9 @@ from p4flowgen.program_doc import (
     DocError,
     DocSemanticError,
     dumps_doc,
-    dumps_results,
-    iter_results_text,
     load_schema,
-    parse_field_value,
-    result_to_doc,
-    results_to_doc,
     solution_from_doc,
     solution_to_doc,
-    trace_from_doc,
     validate_program_doc,
     validate_trace_doc,
 )
@@ -70,6 +64,14 @@ from p4flowgen.simulator import (
     make_tcp_packet,
     make_udp_packet,
     run_trace,
+)
+from p4flowgen.trace_doc import (
+    dumps_results,
+    iter_results_text,
+    parse_field_value,
+    result_to_doc,
+    results_to_doc,
+    trace_from_doc,
 )
 
 
@@ -745,7 +747,7 @@ class TestStreamingMemory:
         """Every packet bumps a shared counter, so no trace event repeats;
         the writer's memo of event texts is emptied when it fills. The
         memo's bound is lowered so that a short trace fills it."""
-        monkeypatch.setattr(program_doc, "_EVENTS_HELD", 128)
+        monkeypatch.setattr(trace_doc, "_EVENTS_HELD", 128)
         p = new_flow_processor(
             "count",
             input=HeaderLayout("count_in", [FieldDecl("b", U8)]),
@@ -765,7 +767,7 @@ class TestStreamingMemory:
         """Every packet has its own UDP source port, so no UDP header map
         repeats; the writer's memo of header texts is emptied when it
         fills. The memo's bound is lowered so that a short trace fills it."""
-        monkeypatch.setattr(program_doc, "_EVENTS_HELD", 128)
+        monkeypatch.setattr(trace_doc, "_EVENTS_HELD", 128)
         solution = guess_game_solution()
 
         def peak(count: int) -> int:
@@ -788,7 +790,7 @@ class TestStreamingMemory:
         before it (still named by the loops that ran and wrote it) is
         alive."""
         live = [0]  # built packets not yet freed
-        reader = program_doc._packet_reader
+        reader = trace_doc._packet_reader
 
         def freed():
             live[0] -= 1
@@ -815,7 +817,7 @@ class TestStreamingMemory:
 
             return run(solution, each(), seed)
 
-        monkeypatch.setattr(program_doc, "_packet_reader", counting_reader)
+        monkeypatch.setattr(trace_doc, "_packet_reader", counting_reader)
         monkeypatch.setattr(simulator, "iter_trace", watched)
         packets = [{"udp": {"dstPort": str(GUESS_PORT)}, "payload": f"{i % 256:02x}"}
                    for i in range(500)]

@@ -51,7 +51,6 @@ from p4flowgen.flow_ast import (
     new_flow_processor,
 )
 from p4flowgen.packet import SimPacket
-from p4flowgen.program_doc import result_to_doc
 from p4flowgen.selector import (
     Criterion,
     FlowSelector,
@@ -67,6 +66,7 @@ from p4flowgen.simulator import (
     make_udp_packet,
     run_trace,
 )
+from p4flowgen.trace_doc import result_to_doc
 
 
 REQ = HeaderLayout("req", [FieldDecl("guess", U8)])

@@ -23,20 +23,19 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
 import p4flowgen
-from p4flowgen import cli, program_doc, schema_compiler
+from p4flowgen import cli, program_doc, schema_compiler, trace_doc
 from p4flowgen.simulator import run_trace
 from p4flowgen.builtin_examples import asset_path, guess_game_solution
 from p4flowgen.core_model import HEADER_FIELD_BITS, PORT_MAX, RING_CAPACITY_MAX, SEED_MAX
 from p4flowgen.program_doc import (
     DocError,
     compile_schema,
-    dumps_results,
     load_schema,
     schema_check,
     solution_from_doc,
-    trace_from_doc,
 )
 from p4flowgen.schema_compiler import _tagged_union
+from p4flowgen.trace_doc import dumps_results, trace_from_doc
 
 DATA = Path(__file__).parent / "data"
 ASSETS = sorted(asset_path("guess_game").parent.glob("*.json"))
@@ -646,7 +645,7 @@ def reference_load(doc):
     error = _compiled_trace_schema()(doc)
     if error is not None:
         raise error
-    read = program_doc._packet_reader()
+    read = trace_doc._packet_reader()
     return doc["seed"], [read(p, f"packets[{i}]") for i, p in enumerate(doc["packets"])]
 
 
@@ -664,7 +663,7 @@ def outcome(load, doc):
 def assert_loads_as_the_reference(doc):
     expected = outcome(reference_load, doc)
     assert outcome(trace_from_doc, doc) == expected
-    assert outcome(program_doc.stream_trace, doc) == expected
+    assert outcome(trace_doc.stream_trace, doc) == expected
 
 
 def _field_texts(width):

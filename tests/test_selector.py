@@ -15,7 +15,7 @@ from p4flowgen.errors import (
     WidthMismatch,
 )
 from p4flowgen.flow_ast import new_flow_processor
-from p4flowgen.program_doc import result_to_doc, solution_from_doc, solution_to_doc
+from p4flowgen.program_doc import solution_from_doc, solution_to_doc
 from p4flowgen.selector import (
     Criterion,
     ProtocolStack,
@@ -24,6 +24,7 @@ from p4flowgen.selector import (
     new_flow_selector,
 )
 from p4flowgen.simulator import make_udp_packet, run_trace
+from p4flowgen.trace_doc import result_to_doc
 
 REQ = HeaderLayout("req", [FieldDecl("guess", U8)])
 PROC = new_flow_processor("proc", REQ)

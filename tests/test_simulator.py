@@ -45,7 +45,6 @@ from p4flowgen.core_model import (
     wrap_sub,
 )
 from p4flowgen.errors import MalformedPacket
-from p4flowgen.program_doc import dumps_results
 from p4flowgen.flow_ast import (
     Add,
     AssignConst,
@@ -76,6 +75,7 @@ from p4flowgen.simulator import (
     run_trace,
     simulate_packet,
 )
+from p4flowgen.trace_doc import dumps_results
 
 GUESS = guess_game_solution()
 AGG = insert_agg_solution()
