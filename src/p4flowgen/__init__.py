@@ -46,7 +46,7 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-_SUBMODULES = frozenset({*_EXPORTS, "builtin_examples", "cli", "staging"})
+_SUBMODULES = frozenset({*_EXPORTS, "builtin_examples", "cli", "schema_compiler", "staging"})
 
 __all__ = [*_MODULE_OF, "__version__"]
 

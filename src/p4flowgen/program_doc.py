@@ -6,10 +6,11 @@ fires exactly as it would in a script, and the diagnostic carries the
 JSON path of the offending node (``processors[0].body[3]``) instead of
 a call ordinal.
 
-A valid document is read in one pass. The replay checks each node of a
-program against the rules of its shipped JSON Schema as it reads it,
-and ``trace_doc``'s packet reader each packet of a trace as it builds
-it. Only a document one of them refuses gets the whole-document schema
+A valid document is read in one pass. The replay checks the rules of a
+program's shipped JSON Schema that no builder call sees and leaves each
+other rule to the builder call that takes the value, and ``trace_doc``'s
+packet reader checks each packet of a trace as it builds it. Only a
+document one of them refuses gets the whole-document schema
 check, whose error, if any, is the one reported. That check is compiled
 once per process, on first use, into a tree of closures that return the
 first failure they meet, which is worded, only then, as a ``DocError``
@@ -26,8 +27,6 @@ never compile; reading its public names here loads it.
 from __future__ import annotations
 
 import json
-import math
-import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,7 +37,6 @@ from .core_model import (
     RingBufferDecl,
     SharedVariableDecl,
     UValue,
-    UWidth,
 )
 from .errors import DocError, FlowgenError
 from .flow_ast import (
@@ -234,97 +232,69 @@ _NOT_A_PROGRAM = "is not valid under the program schema"
 @lru_cache(maxsize=None)
 def _program_reader():
     """``replay(doc)``: the Solution of program document ``doc``, rebuilt
-    through the builder API while each node is checked against the rules
-    of ``program.schema.json``; the first refusal raises.
+    through the builder API; the first refusal raises.
 
-    Each node must be an object or array as its schema says, with the
-    required and allowed keys of its schema, a plain command's from its
-    class's roles in ``OPS``. Integers are exactly ints, as the compiled
-    schema has them, and every const, enum, pattern, bound and minItems is
-    read from the schema. The identifier pattern is checked where a name
-    is declared: a reference, a criterion's field included, resolves only
-    to a declared name or a standard header field. A PLAIN or
-    enum command field is checked by its command class, whose rule
-    (``Forward``'s port, the ``Hint`` values) the schema's is derived from."""
+    The replay checks, as read from ``program.schema.json``, only the
+    rules that no builder call sees: each node is an object or array as
+    its schema says, with only its allowed keys (a plain command's from
+    its class's roles in ``OPS``); the version and template consts; a bool
+    local's ``bool: true`` and width 8; a boolean ``truncate_payload``; an
+    operand of at most one key; ordinals that are exactly ints, a
+    command's at least the minimum. Every other rule is left to the
+    builder call that takes the value as read: a declared name's pattern
+    to ``check_identifier``, the width and stack enums to ``UWidth`` and
+    ``ProtocolStack``, the value, initial, capacity and criterion bounds
+    to ``UValue`` and ``RingBufferDecl``, both minItems to
+    ``HeaderLayout`` and ``new_flow_selector``, a required key to the
+    ``KeyError`` or missing argument its absence raises, and a PLAIN or
+    enum command field (``Forward``'s port, the ``Hint`` values) to its
+    command class. Whatever the replay raises, ``solution_from_doc``
+    reports the schema's error first. A reference, a criterion's field
+    included, resolves only to a declared name or a standard header
+    field."""
     schema = load_schema("program")
-    defs = schema["$defs"]
-    props = {key: node.get("properties", {}) for key, node in defs.items()}
-
-    def keys(node: dict) -> tuple:
-        return frozenset(node.get("required", ())), frozenset(node["properties"])
-
-    def bounds(node: dict) -> tuple:
-        return node.get("minimum", -math.inf), node.get("maximum", math.inf)
+    top, defs = schema["properties"], schema["$defs"]
+    top_keys = frozenset(top)
+    allowed = {key: frozenset(node.get("properties", ())) for key, node in defs.items()}
 
     def one_of(values):  # truthy for a value outside ``values``
         return _one_of_values(values, lambda x: True)
 
-    shape = {key: keys(node) for key, node in defs.items() if "properties" in node}
-    top_keys, version_bad = keys(schema), one_of([schema["properties"]["version"]["const"]])
-    template_bad = one_of(schema["properties"]["template"]["enum"])
-    ident = re.compile(defs["identifier"]["pattern"]).search
-    width_bad = one_of(defs["width"]["enum"])
-    operand_sizes = defs["operand"]["minProperties"], defs["operand"]["maxProperties"]
-    flag_bad = one_of([props["local"]["bool"]["const"]])
+    version_bad, template_bad = one_of([top["version"]["const"]]), one_of(top["template"]["enum"])
+    flag_bad = one_of([defs["local"]["properties"]["bool"]["const"]])
     flag_width_bad = one_of([defs["local"]["then"]["properties"]["width"]["const"]])
-    stack_bad = one_of(props["selector"]["stack"]["enum"])
-    fields_least = props["layout"]["fields"]["minItems"]
-    criteria_least = props["selector"]["criteria"]["minItems"]
-    value_bounds, initial_bounds, capacity_bounds, criterion_bounds, ordinal_bounds = (
-        bounds(props[key][prop]) for key, prop in (
-            ("uvalue", "value"), ("shared", "initial"), ("ring", "capacity"),
-            ("criterion", "value"), ("command", "ordinal")))
+    operand_most = defs["operand"]["maxProperties"]
     command = defs["command"]
-    # The (required, allowed) keys of each op of the schema's enum: a plain
-    # op's from its class's roles, a scope's from its branch of the schema.
+    ordinal_least = command["properties"]["ordinal"]["minimum"]
+    # The allowed keys of each op of the schema's enum: a plain op's from
+    # its class's roles, a scope's from its branch of the schema.
     branches = {m["if"]["properties"]["op"].get("const"): m["then"] for m in command["allOf"]}
-    op_shapes = {}
-    for op in props["command"]["op"]["enum"]:
-        cls = OPS.get(op)
-        required, allowed = keys(branches[op]) if cls is None else (
-            frozenset(cls.required), frozenset(key for key, _ in cls.roles))
-        op_shapes[op] = required | set(command["required"]), allowed | set(props["command"])
-    shape["case"] = keys(branches["switch"]["properties"]["cases"]["items"])
+    op_keys = {
+        op: allowed["command"] | frozenset(
+            (key for key, _ in OPS[op].roles) if op in OPS else branches[op]["properties"])
+        for op in command["properties"]["op"]["enum"]
+    }
+    allowed["case"] = frozenset(branches["switch"]["properties"]["cases"]["items"]["properties"])
 
     def refuse(path: str):
         raise DocError(path, _NOT_A_PROGRAM)
 
-    def node(x, expected: tuple, path: str) -> dict:
-        if not isinstance(x, dict) or not expected[0] <= x.keys() <= expected[1]:
+    def node(x, keys: frozenset, path: str) -> dict:
+        if not isinstance(x, dict) or not x.keys() <= keys:
             refuse(path)
         return x
 
-    def array(x, path: str, least: int = 0) -> list:
-        if not isinstance(x, list) or len(x) < least:
+    def array(x, path: str) -> list:
+        if not isinstance(x, list):
             refuse(path)
         return x
-
-    def integer(x, between: tuple, path: str) -> int:
-        if type(x) is not int or not between[0] <= x <= between[1]:
-            refuse(path)
-        return x
-
-    def name(x, path: str) -> str:
-        """A declared name."""
-        if not isinstance(x, str) or not ident(x):
-            refuse(path)
-        return x
-
-    def width(x, path: str) -> UWidth:
-        if width_bad(x):
-            refuse(path)
-        return UWidth(x)
 
     def uvalue(d, path: str) -> UValue:
-        node(d, shape["uvalue"], path)
-        return UValue(width(d["width"], path), integer(d["value"], value_bounds, path))
+        node(d, allowed["uvalue"], path)
+        return UValue(d["width"], d["value"])
 
     def operand(proc: FlowProcessor, d, path: str):
-        if (
-            not isinstance(d, dict)
-            or not operand_sizes[0] <= len(d) <= operand_sizes[1]
-            or not d.keys() <= shape["operand"][1]
-        ):
+        if len(node(d, allowed["operand"], path)) > operand_most:
             refuse(path)
         return proc.var(d["var"]) if "var" in d else uvalue(d["const"], path)
 
@@ -342,10 +312,12 @@ def _program_reader():
     def replay_command(proc: FlowProcessor, block, cdoc, site: str):
         """Replay one command doc; returns the block for the next command."""
         op = cdoc.get("op") if isinstance(cdoc, dict) else None
-        expected = op_shapes.get(op) if isinstance(op, str) else None
-        if expected is None or not expected[0] <= cdoc.keys() <= expected[1]:
+        keys = op_keys.get(op) if isinstance(op, str) else None
+        if keys is None or not cdoc.keys() <= keys:
             refuse(site)
-        integer(cdoc.get("ordinal", 0), ordinal_bounds, site)  # informational, but typed
+        ordinal = cdoc.get("ordinal", 0)  # informational, but typed
+        if type(ordinal) is not int or ordinal < ordinal_least:
+            refuse(site)
         cls = OPS.get(op)
         if cls is not None:
             with _at(site):
@@ -371,7 +343,7 @@ def _program_reader():
                 inner = block.Switch(operand(proc, cdoc["selector"], site))
             for k, case in enumerate(array(cdoc["cases"], site)):
                 case_site = f"{site}.cases[{k}]"
-                if type(node(case, shape["case"], case_site).get("ordinal", 0)) is not int:
+                if type(node(case, allowed["case"], case_site).get("ordinal", 0)) is not int:
                     refuse(case_site)
                 with _at(case_site):
                     inner = inner.Case(uvalue(case["value"], case_site))
@@ -390,12 +362,11 @@ def _program_reader():
         return block
 
     def local_decl(d, path: str):
-        node(d, shape["local"], path)
-        if "bool" not in d:
-            return local(name(d["name"], path), width(d["width"], path))
+        if "bool" not in node(d, allowed["local"], path):
+            return local(d["name"], d["width"])
         if flag_bad(d["bool"]) or flag_width_bad(d["width"]):
             refuse(path)
-        return bool_local(name(d["name"], path))
+        return bool_local(d["name"])
 
     def replay_processor(pdoc: dict, layouts: dict, path: str) -> FlowProcessor:
         output, truncate = pdoc.get("output"), pdoc.get("truncate_payload", False)
@@ -404,19 +375,12 @@ def _program_reader():
         with _at(path):
             locals_ = [local_decl(d, path) for d in array(pdoc.get("locals", []), path)]
             shared = [
-                SharedVariableDecl(
-                    name(node(d, shape["shared"], path)["name"], path),
-                    width(d["width"], path),
-                    UValue(width(d["width"], path), integer(d["initial"], initial_bounds, path)),
-                )
+                SharedVariableDecl(node(d, allowed["shared"], path)["name"], d["width"],
+                                   UValue(d["width"], d["initial"]))
                 for d in array(pdoc.get("shared", []), path)
             ]
             rings = [
-                RingBufferDecl(
-                    name(node(d, shape["ring"], path)["name"], path),
-                    width(d["width"], path),
-                    integer(d["capacity"], capacity_bounds, path),
-                )
+                RingBufferDecl(node(d, allowed["ring"], path)["name"], d["width"], d["capacity"])
                 for d in array(pdoc.get("rings", []), path)
             ]
             proc = new_flow_processor(
@@ -436,44 +400,39 @@ def _program_reader():
         layouts: dict[str, HeaderLayout] = {}
         for i, ldoc in enumerate(array(doc["layouts"], "layouts")):
             path = f"layouts[{i}]"
-            lname = _new_name(layouts, name(node(ldoc, shape["layout"], path)["name"], path), path,
-                              "layout")
-            fields = array(ldoc["fields"], path, fields_least)
+            lname = _new_name(layouts, node(ldoc, allowed["layout"], path)["name"], path, "layout")
+            fields = array(ldoc["fields"], path)
             with _at(path):
                 layouts[lname] = HeaderLayout(lname, [
-                    FieldDecl(name(node(f, shape["field"], path)["name"], path),
-                              width(f["width"], path))
+                    FieldDecl(node(f, allowed["field"], path)["name"], f["width"])
                     for f in fields
                 ])
         processors: dict[str, FlowProcessor] = {}
         for i, pdoc in enumerate(array(doc["processors"], "processors")):
             path = f"processors[{i}]"
-            pname = name(node(pdoc, shape["processor"], path)["name"], path)
+            pname = node(pdoc, allowed["processor"], path)["name"]
             processors[_new_name(processors, pname, path, "processor")] = replay_processor(
                 pdoc, layouts, path)
         selectors = []
         for i, sdoc in enumerate(array(doc["selectors"], "selectors")):
             path = f"selectors[{i}]"
-            processor = _known(processors, node(sdoc, shape["selector"], path)["processor"], path,
-                               "processor")
+            processor = _known(processors, node(sdoc, allowed["selector"], path)["processor"],
+                               path, "processor")
             lookahead = sdoc.get("lookahead")
             if lookahead is not None:
                 lookahead = _known(layouts, lookahead, path, "layout")
-            if stack_bad(sdoc["stack"]):
-                refuse(path)
             stack = ProtocolStack(sdoc["stack"])
             criteria = []
-            for j, cdoc in enumerate(array(sdoc["criteria"], path, criteria_least)):
+            for j, cdoc in enumerate(array(sdoc["criteria"], path)):
                 site = f"{path}.criteria[{j}]"
-                field = node(cdoc, shape["criterion"], site)["field"]
+                field = node(cdoc, allowed["criterion"], site)["field"]
                 with _at(site):
-                    criterion = Criterion(field, UValue(
-                        width(cdoc["width"], site), integer(cdoc["value"], criterion_bounds, site)))
+                    criterion = Criterion(field, UValue(cdoc["width"], cdoc["value"]))
                     check_criterion(stack, criterion, lookahead)
                 criteria.append(criterion)
             with _at(path):
                 selectors.append(new_flow_selector(
-                    name(sdoc["name"], path), stack, criteria, processor, lookahead=lookahead))
+                    sdoc["name"], stack, criteria, processor, lookahead=lookahead))
         with _at("selectors"):
             return Solution(selectors)
 
@@ -482,8 +441,8 @@ def _program_reader():
 
 def solution_from_doc(doc) -> Solution:
     """Rebuild the Solution by replaying the document through the builder
-    API, each node checked against the program schema as the replay reads
-    it, so that a valid document is walked once. When the replay refuses,
+    API, which with the replay's own checks enforces the program schema,
+    so that a valid document is walked once. When the replay refuses,
     the whole document is checked against the schema first: a schema error
     anywhere is reported before the replay's own. Stored ordinals are
     informational and ignored; the replay assigns the canonical ones."""

@@ -27,18 +27,24 @@ TRACE = Path(__file__).parent / "data" / "guess_game_trace.json"
 OPTIONAL = {"codegen", "simulator", "builtin_examples", "packet", "trace_doc"}
 
 
-def modules_after(tmp_path, code: str) -> set[str]:
-    """The names of the modules a fresh interpreter holds after ``code``."""
-    listing = tmp_path / "modules.json"
+def value_after(tmp_path, code: str, value: str):
+    """The JSON value of the expression ``value`` in a fresh interpreter
+    after ``code``."""
+    listing = tmp_path / "value.json"
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
         f"{code}\n"
-        f"open({str(listing)!r}, 'w').write(json.dumps(list(sys.modules)))\n"
+        f"open({str(listing)!r}, 'w').write(json.dumps({value}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(listing.read_text()))
+    return json.loads(listing.read_text())
+
+
+def modules_after(tmp_path, code: str) -> set[str]:
+    """The names of the modules a fresh interpreter holds after ``code``."""
+    return set(value_after(tmp_path, code, "list(sys.modules)"))
 
 
 def loaded_by(tmp_path, code: str) -> set[str]:
@@ -99,9 +105,10 @@ class TestLazyPackage:
     def test_dir_lists_every_public_name(self):
         assert set(p4flowgen.__all__) <= set(dir(p4flowgen))
 
-    def test_dir_lists_every_submodule(self):
+    def test_dir_lists_every_submodule(self, tmp_path):
+        # In a fresh interpreter, so that no submodule another test loaded is listed.
         modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
-        assert modules <= set(dir(p4flowgen))
+        assert modules <= set(value_after(tmp_path, "import p4flowgen", "dir(p4flowgen)"))
 
     def test_a_submodule_is_an_attribute_after_a_plain_import(self, tmp_path):
         code = (

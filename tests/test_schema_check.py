@@ -907,6 +907,75 @@ PINNED_PROGRAMS = [
 ]
 
 
+def _all_ops_appended(path):
+    """``tests/data/all_ops.json`` with an empty object appended to the
+    array at ``path``."""
+    return _all_ops_with((path, [*reduce(getitem, path, PROGRAM_DOCS[-1]), {}]))
+
+
+def _dotted(path) -> str:
+    return ".".join(map(str, path))
+
+
+PROC = ("processors", 0)
+CASES = (*BODY, 11, "cases")
+# (id, program, the path of its error): each breaks a schema rule that the
+# replay leaves to the builder call it makes, so only that call refuses it.
+BUILDER_RULE_PROGRAMS = [
+    *[(f"bad identifier at {_dotted(path)}", _all_ops_with((path, "bad-name")),
+       schema_compiler._json_path(path)) for path in [
+        ("layouts", 0, "name"), ("layouts", 0, "fields", 0, "name"), (*PROC, "locals", 0, "name"),
+        (*PROC, "locals", 3, "name"), (*PROC, "shared", 0, "name"), (*PROC, "rings", 0, "name"),
+        (*PROC, "name"), ("selectors", 0, "name"),
+    ]],
+    *[(f"bad width at {_dotted(path)}", _all_ops_with((path, 12)),
+       schema_compiler._json_path(path)) for path in [
+        ("layouts", 0, "fields", 0, "width"), (*PROC, "locals", 3, "width"),
+        (*PROC, "shared", 0, "width"), (*PROC, "rings", 0, "width"),
+        (*BODY, 0, "value", "width"), (*BODY, 4, "rhs", "const", "width"),
+        (*CASES, 0, "value", "width"), ("selectors", 0, "criteria", 0, "width"),
+    ]],
+    ("stack IPV4_SCTP", _all_ops_with((("selectors", 0, "stack"), "IPV4_SCTP")),
+     "selectors[0].stack"),
+    ("value -1", _all_ops_with(((*BODY, 0, "value", "value"), -1)),
+     "processors[0].body[0].value.value"),
+    ("initial -1", _all_ops_with(((*PROC, "shared", 0, "initial"), -1)),
+     "processors[0].shared[0].initial"),
+    ("criterion -1", _all_ops_with((("selectors", 0, "criteria", 0, "value"), -1)),
+     "selectors[0].criteria[0].value"),
+    *[(f"capacity {n}", _all_ops_with(((*PROC, "rings", 0, "capacity"), n)),
+       "processors[0].rings[0].capacity") for n in (0, RING_CAPACITY_MAX + 1)],
+    *[(f"no {path[-1]} at {_dotted(path[:-1]) or '$'}", _all_ops_with((path, _DROP)),
+       schema_compiler._json_path(path[:-1])) for path in [
+        ("layouts",), ("layouts", 0, "fields"), ("layouts", 0, "fields", 0, "width"),
+        (*PROC, "locals", 0, "width"), (*PROC, "locals", 3, "name"),
+        (*PROC, "shared", 0, "initial"), (*PROC, "rings", 0, "capacity"), (*PROC, "input"),
+        (*BODY, 0, "value", "value"), (*BODY, 10, "source"), (*BODY, 12, "cond"),
+        (*BODY, 11, "cases"), (*CASES, 0, "body"), (*CASES, 3, "body", 0, "body"),
+        ("selectors", 0, "processor"), ("selectors", 0, "criteria", 0, "field"),
+        ("processors", 1, "body", 1, "port"),
+    ]],
+    ("empty operand", _all_ops_with(((*BODY, 1, "source"), {})), "processors[0].body[1].source"),
+    *[(f"{{}} appended to {_dotted(path)}", _all_ops_appended(path),
+       f"{schema_compiler._json_path(path)}[{len(reduce(getitem, path, PROGRAM_DOCS[-1]))}]")
+      for path in [
+        ("layouts",), ("layouts", 0, "fields"), ("processors",), (*PROC, "locals"),
+        (*PROC, "shared"), (*PROC, "rings"), BODY, CASES, ("selectors",),
+        ("selectors", 0, "criteria"),
+    ]],
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path", [case[1:] for case in BUILDER_RULE_PROGRAMS],
+    ids=[case[0] for case in BUILDER_RULE_PROGRAMS],
+)
+def test_a_rule_left_to_the_builder_is_refused(doc, path):
+    assert_replays_as_the_reference(doc)
+    got = program_outcome(solution_from_doc, doc)
+    assert got[:3] == ("error", "DocError", path)
+
+
 class TestProgramAcceptPath:
     @pytest.mark.parametrize("doc", ALL_PROGRAMS)
     def test_shipped_and_bench_programs_load_as_the_reference(self, doc):
