@@ -137,10 +137,9 @@ class UValue:
             object.__setattr__(self, "width", UWidth(self.width))
         if type(self.magnitude) is not int:  # not a bool
             raise TypeError("magnitude must be an int")
-        if not 0 <= self.magnitude <= self.width.mask:
-            raise ValueError(
-                f"{self.magnitude} does not fit in u{self.width.bits}"
-            )
+        if not 0 <= self.magnitude <= self.width.mask:  # str() may refuse so many digits
+            size = "negative" if self.magnitude < 0 else f"{self.magnitude.bit_length()}-bit"
+            raise ValueError(f"a {size} magnitude does not fit in u{self.width.bits}")
 
     def __repr__(self) -> str:
         return f"u{self.width.bits}({self.magnitude})"

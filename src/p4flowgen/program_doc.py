@@ -11,11 +11,11 @@ program's shipped JSON Schema that no builder call sees and leaves each
 other rule to the builder call that takes the value, and ``trace_doc``'s
 packet reader checks each packet of a trace as it builds it. Only a
 document one of them refuses gets the whole-document schema
-check, whose error, if any, is the one reported. That check is compiled
-once per process, on first use, into a tree of closures that return the
-first failure they meet, which is worded, only then, as a ``DocError``
-with its JSON path (``schema_compiler``, a module loaded only then).
-Only JSON integers are integers.
+check, whose error, if any, is the one reported. That check vets its
+schema once per process, on first use, then walks the document and the
+schema together to the first failure, which it words, only then, as a
+``DocError`` with its JSON path (``schema_compiler``, a module loaded
+only then). Only JSON integers are integers.
 
 Every document the package writes has the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline; ``dumps_doc`` is that
@@ -75,20 +75,15 @@ def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
-# -- schemas: the whole-document check, compiled after a refusal -------------
+# -- schemas: the whole-document check, run after a refusal ------------------
 
 
-def _one_of_values(values, failure):
-    """The check of a const or enum: membership with JSON equality, as
-    jsonschema's const and enum use it (``1 == 1.0``, but a boolean
-    equals only a boolean), and ``failure(x)`` for a value outside it."""
-    if any(isinstance(v, (list, dict)) for v in values):
-        raise ValueError(f"const/enum {values!r} not implemented")
-    bools = frozenset(v for v in values if isinstance(v, bool))
-    others = frozenset(v for v in values if not isinstance(v, bool))
-    return lambda x: None if (x in bools if isinstance(x, bool) else (
-        not isinstance(x, (list, dict)) and x in others
-    )) else failure(x)
+def _in(values, x) -> bool:
+    """Whether ``x`` is one of the scalar ``values`` by JSON equality, as
+    jsonschema's const and enum see it: ``1 == 1.0``, but a boolean equals
+    only a boolean."""
+    return x in values and any(
+        v == x and isinstance(v, bool) is isinstance(x, bool) for v in values)
 
 
 def _repr(x) -> str:
@@ -116,7 +111,7 @@ def compile_schema(root: dict):
 
 @lru_cache(maxsize=None)
 def schema_check(name: str):
-    """The shipped schema ``name``, compiled: ``doc -> DocError | None``."""
+    """The check of the shipped schema ``name``: ``doc -> DocError | None``."""
     return compile_schema(load_schema(name))
 
 
@@ -257,12 +252,9 @@ def _program_reader():
     top_keys = frozenset(top)
     allowed = {key: frozenset(node.get("properties", ())) for key, node in defs.items()}
 
-    def one_of(values):  # truthy for a value outside ``values``
-        return _one_of_values(values, lambda x: True)
-
-    version_bad, template_bad = one_of([top["version"]["const"]]), one_of(top["template"]["enum"])
-    flag_bad = one_of([defs["local"]["properties"]["bool"]["const"]])
-    flag_width_bad = one_of([defs["local"]["then"]["properties"]["width"]["const"]])
+    version, templates = (top["version"]["const"],), top["template"]["enum"]
+    flag = (defs["local"]["properties"]["bool"]["const"],)
+    flag_width = (defs["local"]["then"]["properties"]["width"]["const"],)
     operand_most = defs["operand"]["maxProperties"]
     command = defs["command"]
     ordinal_least = command["properties"]["ordinal"]["minimum"]
@@ -364,7 +356,7 @@ def _program_reader():
     def local_decl(d, path: str):
         if "bool" not in node(d, allowed["local"], path):
             return local(d["name"], d["width"])
-        if flag_bad(d["bool"]) or flag_width_bad(d["width"]):
+        if not (_in(flag, d["bool"]) and _in(flag_width, d["width"])):
             refuse(path)
         return bool_local(d["name"])
 
@@ -395,7 +387,7 @@ def _program_reader():
 
     def replay(doc) -> Solution:
         node(doc, top_keys, "$")
-        if version_bad(doc["version"]) or template_bad(doc["template"]):
+        if not (_in(version, doc["version"]) and _in(templates, doc["template"])):
             refuse("$")
         layouts: dict[str, HeaderLayout] = {}
         for i, ldoc in enumerate(array(doc["layouts"], "layouts")):

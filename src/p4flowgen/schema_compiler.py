@@ -1,11 +1,12 @@
-"""The JSON Schema compiler behind ``program_doc.schema_check``.
+"""The JSON Schema check behind ``program_doc.schema_check``.
 
 A valid document is read in one pass by its reader, so only a document
 that a reader refuses is checked against its whole schema. This module
 is therefore loaded only then, and a valid ``check``, ``generate`` or
-``simulate`` does not compile it. Refusals are worded with
-``program_doc._brief`` and ``program_doc._repr``, looked up when a
-refusal is reported.
+``simulate`` does not load it. The check walks the document and the
+schema together, one Python frame per schema node entered, and stops at
+the first failure. Refusals are worded with ``program_doc._brief`` and
+``program_doc._repr``, looked up when a refusal is reported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 from . import program_doc
 from .errors import DocError
-from .program_doc import _one_of_values
+from .program_doc import _in
 
 # Keywords with no bearing on validity.
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
@@ -41,50 +42,46 @@ _TYPES = {
     "null": type(None),
 }
 
+# The keywords that test a value directly: ``test(value, x)`` is whether
+# ``x`` satisfies the keyword's ``value``.
+_TESTS = {
+    "type": lambda v, x: type(x) is int if v == "integer" else isinstance(x, _TYPES[v]),
+    "const": lambda v, x: _in((v,), x),
+    "enum": _in,
+    "pattern": lambda v, x: not isinstance(x, str) or re.search(v, x) is not None,
+    "minimum": lambda v, x: not _is_number(x) or x >= v,
+    "maximum": lambda v, x: not _is_number(x) or x <= v,
+    "minItems": lambda v, x: not isinstance(x, list) or len(x) >= v,
+    "required": lambda v, x: not isinstance(x, dict) or all(k in x for k in v),
+    "minProperties": lambda v, x: not isinstance(x, dict) or len(x) >= v,
+    "maxProperties": lambda v, x: not isinstance(x, dict) or len(x) <= v,
+}
 
-def _first(tests):
-    """One check that runs ``tests`` in turn and returns the first failure."""
-
-    def check(x):
-        for test in tests:
-            failure = test(x)
-            if failure is not None:
-                return failure
-        return None
-
-    return tests[0] if len(tests) == 1 else check
-
-
-def _under(key, failure):
-    """A member's ``failure`` as its container sees it, at ``key``."""
-    path, name, say, x = failure
-    return (key, *path), name, say, x
-
-
-def _tagged_union(members):
-    """``(key, {tag: [then, ...]})`` when every member of the allOf
-    ``members`` is exactly ``{"if": {"properties": {key: TEST}}, "then":
-    THEN}``, one key for all, with TEST ``{"const": tag}`` or ``{"enum":
-    [tag, ...]}`` and every tag a str; each tag lists the THENs of the
-    members that name it, in order. None for any other allOf."""
-    key, table = None, {}
-    for member in members:
-        plain = isinstance(member, dict) and member.keys() == {"if", "then"}
-        cond = member["if"] if plain else None
-        props = cond.get("properties") if isinstance(cond, dict) and len(cond) == 1 else None
-        if not isinstance(props, dict) or len(props) != 1:
-            return None
-        (name, test), = props.items()
-        if not isinstance(test, dict) or len(test) != 1 or key not in (None, name):
-            return None
-        (word, tags), = test.items()
-        tags = [tags] if word == "const" else tags if word == "enum" else None
-        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
-            return None
-        key = name
-        for tag in tags:
-            table.setdefault(tag, []).append(member["then"])
-    return None if key is None else (key, table)
+# The words of a reported failure ``(path, keyword, value, x)``:
+# ``say(value, x)``. The value of a closed ``additionalProperties``
+# failure is the node's ``properties``, and that of a ``oneOf`` failure
+# the number of branches that hold.
+_SAY = {
+    "false": lambda v, x: f"{program_doc._brief(x)} is not allowed here",
+    "type": lambda v, x: f"{program_doc._brief(x)} is not of type {v!r}",
+    "const": lambda v, x: f"{v!r} was expected, not {program_doc._brief(x)}",
+    "enum": lambda v, x: f"{program_doc._brief(x)} is not one of {v!r}",
+    "pattern": lambda v, x: f"{program_doc._brief(x)} does not match the pattern {v!r}",
+    "minimum": lambda v, x: f"{program_doc._repr(x)} is less than the minimum of {v!r}",
+    "maximum": lambda v, x: f"{program_doc._repr(x)} is greater than the maximum of {v!r}",
+    "minItems": lambda v, x: f"has {len(x)} items, fewer than the minItems of {v}",
+    "required": lambda v, x: f"{next(k for k in v if k not in x)!r} is a required property",
+    "minProperties": lambda v, x: (
+        f"has {len(x)} properties, fewer than the minProperties of {v}"),
+    "maxProperties": lambda v, x: (
+        f"has {len(x)} properties, more than the maxProperties of {v}"),
+    "additionalProperties": lambda v, x: "additional properties are not allowed: " + ", ".join(
+        repr(k) for k in x if k not in v),
+    "oneOf": lambda n, x: (
+        f"{program_doc._brief(x)} is valid under {n} of the oneOf schemas, not one" if n else
+        f"{program_doc._brief(x)} is not valid under any of the oneOf schemas"),
+    "not": lambda v, x: f"{program_doc._brief(x)} must not be valid under {v!r}",
+}
 
 
 def _json_path(parts: tuple) -> str:
@@ -109,184 +106,134 @@ def _ranked(keys: tuple, false: tuple) -> tuple:
 
 
 def compile_schema(root: dict):
-    """Compile a JSON Schema (draft 2020-12) into one function
+    """Vet a JSON Schema (draft 2020-12) once and return one function
     ``doc -> DocError | None``: why ``doc`` is rejected, or None when it
     is valid. Integers are strict (see ``_TYPES``).
 
-    Each keyword is compiled once into a check that returns None when the
-    value satisfies it, or its first failure ``(path, keyword, say, x)``:
-    the path of the failing value ``x`` relative to the checked one, the
-    keyword that refused it, and ``say``, which words the refusal as
-    ``say(x)`` only when it is reported, so that the failures a valid
-    document meets inside oneOf, not and if cost no text. A schema node
-    tries its keywords ranked by ``_ranked`` (the node's own keywords
-    first), in ``_KEYWORDS`` order within a rank, and returns the first
-    failure; a keyword that applies a subschema to a member puts the
-    member's key or index in front of its path.
-
-    An allOf that ``_tagged_union`` reads as a union tagged by key K
-    (each member ``{"if": {"properties": {K: {"const"|"enum": ...}}},
-    "then": ...}`` on str tags) is compiled to one lookup of ``x[K]``;
-    without K, or on a non-object, every member runs. Acceptance and
-    every diagnostic are those of the plain allOf, whose first failing
-    member is the first failing then that the tag selects.
+    The check is one recursive walk of the document and the schema
+    together, which returns the first failure ``(path, keyword, value,
+    x)``: the path of the failing value ``x`` relative to the checked
+    one, the keyword that refused it, and the keyword's value. Only the
+    failure that is reported is worded (``_SAY``), so the failures a
+    valid document meets inside oneOf, not and if cost no text. A schema
+    node tries its keywords ranked by ``_ranked`` (the node's own
+    keywords first), in ``_KEYWORDS`` order within a rank, and returns
+    the first failure; a keyword that applies a subschema to a member
+    puts the member's key or index in front of its path. The ranked
+    keywords of each node are found once, when the schema is vetted, and
+    a node that holds only a ``$ref`` is then resolved to its target, so
+    it costs the walk no frame.
 
     Only the keywords in ``_IMPLEMENTED`` are known. Any other keyword,
-    a list of types, a list or object in const/enum, and a ``$ref``
-    outside ``#/$defs/`` raise ValueError, so a schema edit cannot
-    silently weaken validation."""
-    compiled: dict[int, object] = {}
+    a list of types, a list or object in const/enum, a ``$ref`` outside
+    ``#/$defs/``, and a cycle of subschemas applied to the value itself
+    (``{"$ref": "#/$defs/a"}`` as the def ``a``) raise ValueError, so a
+    schema edit cannot silently weaken validation or hang the check."""
+    defs = root.get("$defs", {})
+    # id of each schema node reached -> (node, its ranked keywords), and
+    # for a node that is only a $ref, its target's entry. None while the
+    # node's in-place subschemas are vetted, which a $ref cycle reaches.
+    nodes: dict[int, object] = {}
+    members = [root]  # reached through a member keyword, vetted in turn
 
     def resolve(ref: str) -> dict:
         name = ref.removeprefix("#/$defs/")
-        if name == ref or name not in root.get("$defs", {}):
+        if name == ref or name not in defs:
             raise ValueError(f"unsupported $ref {ref!r}")
-        return root["$defs"][name]
+        return defs[name]
 
-    def check(schema):
+    def vet(schema) -> None:
         key = id(schema)
-        if key not in compiled:
-            compiled[key] = None  # a $ref cycle reaches this before it is built
-            compiled[key] = build(schema)
-        return compiled[key] or (lambda x: compiled[key](x))
-
-    def build(schema):
-        if schema is True:
-            return lambda x: None
-        if schema is False:
-            say = lambda x: f"{program_doc._brief(x)} is not allowed here"
-            return lambda x: ((), "false", say, x)
-        false = tuple(k for k in _MEMBERS if schema.get(k) is False)
-        return _first([keyword(k, schema[k], schema) for k in _ranked(tuple(schema), false)])
-
-    def keyword(name: str, value, schema):
-        fail = lambda x: ((), name, say, x)  # each keyword binds its say
-        if name == "type":
-            if not isinstance(value, str) or value not in _TYPES:
+        if key in nodes:
+            if nodes[key] is None:
+                raise ValueError("a $ref cycle applies a schema to itself")
+            return
+        nodes[key] = None
+        names = () if isinstance(schema, bool) else _ranked(
+            tuple(schema), tuple(k for k in _MEMBERS if schema.get(k) is False))
+        keywords = []  # (name, value, the test of a keyword that tests x itself)
+        for name in names:
+            value = schema[name]
+            if name == "type" and (not isinstance(value, str) or value not in _TYPES):
                 raise ValueError(f"type {value!r} not implemented")
-            say = lambda x: f"{program_doc._brief(x)} is not of type {value!r}"
-            cls = _TYPES[value]
-            if cls is int:
-                return lambda x: None if type(x) is int else fail(x)
-            return lambda x: None if isinstance(x, cls) else fail(x)
-        if name == "const":
-            say = lambda x: f"{value!r} was expected, not {program_doc._brief(x)}"
-            return _one_of_values([value], fail)
-        if name == "enum":
-            say = lambda x: f"{program_doc._brief(x)} is not one of {value!r}"
-            return _one_of_values(value, fail)
-        if name == "pattern":
-            search = re.compile(value).search
-            say = lambda x: f"{program_doc._brief(x)} does not match the pattern {value!r}"
-            return lambda x: None if not isinstance(x, str) or search(x) else fail(x)
-        if name == "minimum":
-            say = lambda x: f"{program_doc._repr(x)} is less than the minimum of {value!r}"
-            return lambda x: None if not _is_number(x) or x >= value else fail(x)
-        if name == "maximum":
-            say = lambda x: f"{program_doc._repr(x)} is greater than the maximum of {value!r}"
-            return lambda x: None if not _is_number(x) or x <= value else fail(x)
-        if name == "minItems":
-            say = lambda x: f"has {len(x)} items, fewer than the minItems of {value}"
-            return lambda x: None if not isinstance(x, list) or len(x) >= value else fail(x)
-        if name == "required":
-            needed = frozenset(value)
-            say = lambda x: f"{next(k for k in value if k not in x)!r} is a required property"
-            return lambda x: None if not isinstance(x, dict) or x.keys() >= needed else fail(x)
-        if name == "minProperties":
-            say = lambda x: f"has {len(x)} properties, fewer than the minProperties of {value}"
-            return lambda x: None if not isinstance(x, dict) or len(x) >= value else fail(x)
-        if name == "maxProperties":
-            say = lambda x: f"has {len(x)} properties, more than the maxProperties of {value}"
-            return lambda x: None if not isinstance(x, dict) or len(x) <= value else fail(x)
-        if name == "properties":
-            subs = [(k, check(s)) for k, s in value.items()]
+            if name in ("const", "enum"):
+                values = (value,) if name == "const" else value
+                if any(isinstance(v, (list, dict)) for v in values):
+                    raise ValueError(f"const/enum {value!r} not implemented")
+            elif name == "pattern":
+                re.compile(value)
+            elif name in _MEMBERS:
+                members.extend(value.values() if name == "properties" else [value])
+            elif name in ("not", "if"):
+                vet(value)
+                if name == "if":
+                    vet(schema.get("then", True))
+            elif name in _IN_PLACE:  # allOf, oneOf, and a $ref as the allOf of its target
+                value = [resolve(value)] if name == "$ref" else value
+                for sub in value:
+                    vet(sub)
+            keywords.append((name, value, _TESTS.get(name)))
+        # A node that is only a $ref is its target.
+        nodes[key] = nodes[id(value[0])] if names == ("$ref",) else (schema, tuple(keywords))
 
-            def properties(x):
+    def failure(schema, x):
+        schema, keywords = nodes[id(schema)]
+        if schema is False:
+            return (), "false", None, x
+        for name, value, test in keywords:
+            if test is not None:
+                if not test(value, x):
+                    return (), name, value, x
+            elif name == "if":
+                if failure(value, x) is None and (found := failure(schema.get("then", True), x)):
+                    return found
+            elif name == "properties":
                 if isinstance(x, dict):
-                    for k, sub in subs:
-                        if k in x and (failure := sub(x[k])) is not None:
-                            return _under(k, failure)
-                return None
-
-            return properties
-        if name == "additionalProperties":
-            known = frozenset(schema.get("properties", ()))
-            if value is False:
-                say = lambda x: "additional properties are not allowed: " + ", ".join(
-                    repr(k) for k in x if k not in known
-                )
-                return lambda x: None if not isinstance(x, dict) or x.keys() <= known else fail(x)
-            sub = check(value)
-
-            def additional(x):
+                    for k, sub in value.items():
+                        if k in x and (found := failure(sub, x[k])):
+                            return ((k, *found[0]), *found[1:])
+            elif name == "items":
+                if isinstance(x, list):
+                    for i, item in enumerate(x):
+                        if found := failure(value, item):
+                            return ((i, *found[0]), *found[1:])
+            elif name == "additionalProperties":
                 if isinstance(x, dict):
+                    known = schema.get("properties", {})
+                    if value is False and not all(k in known for k in x):
+                        return (), name, known, x
                     for k in x:  # in document order
-                        if k not in known and (failure := sub(x[k])) is not None:
-                            return _under(k, failure)
-                return None
-
-            return additional
-        if name == "items":
-            sub = check(value)
-
-            def items(x):
-                if isinstance(x, list) and any(map(sub, x)):  # a failure is truthy
-                    return next(_under(i, f) for i, f in enumerate(map(sub, x)) if f)
-                return None
-
-            return items
-        if name == "$ref":
-            return check(resolve(value))
-        if name == "allOf":
-            every = _first([check(s) for s in value])
-            union = _tagged_union(value)
-            if union is None:
-                return every
-            tag_key, thens = union
-            table = {tag: _first([check(s) for s in ss]) for tag, ss in thens.items()}
-
-            def dispatch(x):
-                if not isinstance(x, dict) or tag_key not in x:
-                    return every(x)  # each if holds vacuously
-                tag = x[tag_key]
-                then = table.get(tag) if isinstance(tag, str) else None
-                return None if then is None else then(x)
-
-            return dispatch
-        if name == "oneOf":
-            subs = [check(s) for s in value]
-
-            def one_of(x):
-                found = [sub(x) for sub in subs]
+                        if k not in known and (found := failure(value, x[k])):
+                            return ((k, *found[0]), *found[1:])
+            elif name in ("allOf", "$ref"):  # a $ref's value is [its target]
+                for sub in value:
+                    if found := failure(sub, x):
+                        return found
+            elif name == "oneOf":
+                found = [failure(sub, x) for sub in value]
                 passed = found.count(None)
-                if passed == 1:
-                    return None
-                if passed:
-                    return (), name, many(passed), x
-                # The deepest failure of one branch, a type mismatch last;
-                # a tie is reported at the oneOf itself.
-                ranks = [(len(f[0]), f[1] != "type") for f in found]
-                best = max(ranks)
-                return found[ranks.index(best)] if ranks.count(best) == 1 else fail(x)
+                if passed > 1:
+                    return (), name, passed, x
+                if not passed:
+                    # The deepest failure of one branch, a type mismatch last;
+                    # a tie is reported at the oneOf itself.
+                    ranks = [(len(f[0]), f[1] != "type") for f in found]
+                    best = max(ranks)
+                    return found[ranks.index(best)] if ranks.count(best) == 1 else (
+                        (), name, 0, x)
+            elif name == "not":
+                if failure(value, x) is None:
+                    return (), name, value, x
+        return None
 
-            say = lambda x: f"{program_doc._brief(x)} is not valid under any of the oneOf schemas"
-            many = lambda n: lambda x: (
-                f"{program_doc._brief(x)} is valid under {n} of the oneOf schemas, not one")
-            return one_of
-        if name == "not":
-            sub = check(value)
-            say = lambda x: f"{program_doc._brief(x)} must not be valid under {value!r}"
-            return lambda x: None if sub(x) is not None else fail(x)
-        cond, then = check(value), check(schema.get("then", True))  # "if"
-        return lambda x: None if cond(x) is not None else then(x)
-
-    valid = check(root)
+    while members:
+        vet(members.pop())
 
     def rejection(doc):
-        failure = valid(doc)
-        if failure is None:
+        found = failure(root, doc)
+        if found is None:
             return None
-        path, _, say, x = failure
-        return DocError(_json_path(path), say(x))
+        path, name, value, x = found
+        return DocError(_json_path(path), _SAY[name](value, x))
 
     return rejection

@@ -16,7 +16,7 @@ import pytest
 from p4flowgen import cli
 from p4flowgen.builtin_examples import EXAMPLE_BUILDERS, asset_path
 from p4flowgen.core_model import SEED_MAX
-from p4flowgen.program_doc import solution_from_doc, solution_to_doc
+from p4flowgen.program_doc import DocSemanticError, solution_from_doc, solution_to_doc
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,6 +176,15 @@ class TestNesting:
             f"error: {path}: [NestingTooDeep] scopes may nest at most 64 deep\n"
         )
 
+    @pytest.mark.parametrize("kind", ["if", "switch"])
+    def test_one_scope_deeper_is_refused_under_a_deep_caller(self, kind):
+        # A refusal runs the schema check first, whose walk must reach the
+        # deepest scope for the replay's own error to be the one reported.
+        doc, path = nested_doc(65, kind)
+        with pytest.raises(DocSemanticError) as refused:
+            called_under(500, solution_from_doc, doc)
+        assert (refused.value.kind, refused.value.path) == ("NestingTooDeep", path)
+
 
 class TestHostileDocuments:
     """Inputs that are not documents fail as a DocError at ``$``: exit 1
@@ -210,7 +219,7 @@ class TestHostileDocuments:
         assert err.startswith("error: $: ") and err.count("\n") == 1
 
     def test_switches_nested_past_the_schema_check(self, tmp_path, capsys):
-        doc, _ = nested_doc(100, "switch")
+        doc, _ = nested_doc(200, "switch")
         err = self.check(tmp_path, capsys, json.dumps(doc).encode())
         assert err == "error: $: nested too deeply to check\n"
 

@@ -67,6 +67,16 @@ class TestUValue:
         with pytest.raises(ValueError):
             UValue(U8, -1)
 
+    @pytest.mark.parametrize("magnitude, words", [
+        (256, "a 9-bit magnitude does not fit in u8"),
+        (-1, "a negative magnitude does not fit in u8"),
+        (10**5000, "a 16610-bit magnitude does not fit in u8"),  # past str()'s digit limit
+    ], ids=["wide", "negative", "thousands_of_digits"])
+    def test_out_of_range_names_the_width(self, magnitude, words):
+        with pytest.raises(ValueError) as err:
+            u8(magnitude)
+        assert str(err.value) == words
+
     def test_plain_int_width_is_coerced(self):
         v = UValue(16, 7)
         assert v.width is U16

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,14 @@ class TestSemanticPaths:
             solution_from_doc(doc)
         assert err.value.path == "processors[0].body[3]"
         assert err.value.kind == "WidthMismatch"
+
+    def test_constant_past_the_digit_limit_names_its_width(self):
+        doc = json.loads((Path(__file__).parent / "data" / "all_ops.json").read_text())
+        doc["processors"][0]["body"][0]["value"]["value"] = 10**5000
+        with pytest.raises(DocSemanticError) as err:
+            solution_from_doc(doc)
+        assert (err.value.path, err.value.kind) == ("processors[0].body[0]", "WidthMismatch")
+        assert err.value.message == "a 16610-bit magnitude does not fit in u16"
 
     def test_undeclared_name_in_nested_branch(self):
         doc = guess_doc()

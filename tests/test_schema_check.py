@@ -1,8 +1,8 @@
-"""The compiled schema checker against jsonschema, its worded
-rejections, strict integers, and a package that never imports jsonschema.
+"""The schema check against jsonschema, its worded rejections, strict
+integers, and a package that never imports jsonschema.
 
 jsonschema is a test dependency only: here it is the reference oracle
-that the compiled checker's answers and diagnostic paths are compared
+that the schema check's answers and diagnostic paths are compared
 against.
 """
 
@@ -34,7 +34,6 @@ from p4flowgen.program_doc import (
     schema_check,
     solution_from_doc,
 )
-from p4flowgen.schema_compiler import _tagged_union
 from p4flowgen.trace_doc import dumps_results, trace_from_doc
 
 DATA = Path(__file__).parent / "data"
@@ -73,8 +72,8 @@ def _near(value):
     return []
 
 
-# jsonschema's draft 2020-12 with integers as strict as the compiled
-# checker's: 5.0 and True are not integers.
+# jsonschema's draft 2020-12 with integers as strict as the package's
+# schema check: 5.0 and True are not integers.
 StrictValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
@@ -118,8 +117,8 @@ def mutated(draw, docs, most=3):
 
 
 ONE_OF = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
-# An allOf of if/then pairs on one string tag, checked by a lookup of the
-# tag (see _tagged_union).
+# An allOf of if/then pairs on one string tag, the shape of the shipped
+# command's union of ops.
 TAGGED_MEMBERS = [
     {
         "if": {"properties": {"op": {"const": "a"}}},
@@ -357,6 +356,15 @@ class TestDiagnostics:
         assert words in error.message
 
 
+def _tags(member, key):
+    """The values of ``key`` that an allOf member's ``if`` tests for."""
+    condition = member.get("if", {}) if isinstance(member, dict) else {}
+    test = condition.get("properties", {}).get(key)
+    if not isinstance(test, dict):
+        return []
+    return [*test.get("enum", []), *([test["const"]] if "const" in test else [])]
+
+
 class TestCompiler:
     @pytest.mark.parametrize(
         "schema",
@@ -373,6 +381,9 @@ class TestCompiler:
             {"unevaluatedProperties": False},
             {"$ref": "other.schema.json"},
             {"$ref": "#/$defs/missing"},
+            {"$defs": {"a": {"$ref": "#/$defs/a"}}, "$ref": "#/$defs/a"},
+            {"$defs": {"a": {"$ref": "#/$defs/b"}, "b": {"$ref": "#/$defs/a"}},
+             "properties": {"x": {"$ref": "#/$defs/a"}}},
         ],
     )
     def test_unimplemented_schema_raises(self, schema):
@@ -401,12 +412,21 @@ class TestCompiler:
         assert schema_compiler._IMPLEMENTED == used
 
     def test_shipped_command_union_dispatches_on_its_op(self):
-        # Each command is checked by one lookup of its op; a schema edit
-        # that leaves this shape would fall back to trying every member.
-        command = load_schema("program")["$defs"]["command"]
-        key, thens = _tagged_union(command["allOf"])
-        assert key == "op"
-        assert set(thens) == set(command["properties"]["op"]["enum"])
+        # Each op of the shipped command selects its own allOf member,
+        # and the walk refuses a bare command of each op as jsonschema does.
+        program = load_schema("program")
+        command = program["$defs"]["command"]
+        ops = set(command["properties"]["op"]["enum"])
+        tags = [tag for member in command["allOf"] for tag in _tags(member, "op")]
+        assert sorted(tags) == sorted(ops)
+        schema = {"$defs": program["$defs"], "$ref": "#/$defs/command"}
+        check, oracle = compile_schema(schema), StrictValidator(schema)
+        for op in sorted(ops):
+            for doc in ({"op": op}, {"op": op, "no_such_key": 1}):
+                error = check(doc)
+                assert (error is None) is oracle.is_valid(doc), (doc, error)
+                if error is not None:
+                    assert error.path == best_match_of(oracle, doc)[0], (doc, error)
 
     @pytest.mark.parametrize(
         "members, key",
@@ -431,8 +451,26 @@ class TestCompiler:
         ],
     )
     def test_tagged_union_shape(self, members, key):
-        union = _tagged_union(members)
-        assert (union and union[0]) == key
+        # An allOf of if/then members, tagged by ``key`` or by no one key:
+        # the walk agrees with jsonschema on every tag the members name,
+        # on unknown and non-str tags, and on documents with no tag.
+        schema = {"$defs": BLOCK["$defs"], "allOf": members}
+        if any(set(m) - schema_compiler._IMPLEMENTED for m in members if isinstance(m, dict)):
+            with pytest.raises(ValueError):
+                compile_schema(schema)
+            return
+        tag = key or "op"
+        values = {"zz", 5, None, True}
+        for member in members:
+            values.update(_tags(member, tag))
+        docs = ["a", [], {}, {"x": 1, "y": 1}, {"kind": "a"}]
+        for value in sorted(values, key=repr):
+            for extra in ({}, {"x": 1}, {"x": 1.5}, {"y": 1}, {"body": []},
+                          {"target": "ab"}, {"target": "A"}):
+                docs.append({tag: value, **extra})
+        check, oracle = compile_schema(schema), StrictValidator(schema)
+        for doc in docs:
+            assert (check(doc) is None) is oracle.is_valid(doc), doc
 
     @pytest.mark.parametrize("schema, doc, valid", KEYWORD_CASES)
     def test_keyword_semantics(self, schema, doc, valid):
