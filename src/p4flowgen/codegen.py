@@ -55,7 +55,6 @@ from .selector import (
     STACK_HEADERS,
     Criterion,
     FlowSelector,
-    ParserChain,
     ProtocolStack,
     Solution,
 )
@@ -279,16 +278,17 @@ def _criterion_key(c: Criterion) -> str:
     return f"la.{c.field}"
 
 
-def emit_parser_chain(chain: ParserChain, flow_ids: Sequence[int]) -> str:
-    """Chain states for one stack: state k checks selector k's criteria,
-    extracts the input layout and records flow id ``flow_ids[k]`` on a
-    hit, and falls through to state k+1 (or accept) on a miss."""
-    if not chain.links:
+def emit_parser_chain(stack: ProtocolStack, chain: tuple, flow_ids: Sequence[int]) -> str:
+    """Chain states for ``stack``'s selectors ``chain``, entered at state
+    0: state k checks selector k's criteria, extracts the input layout and
+    records flow id ``flow_ids[k]`` on a hit, and falls through to state
+    k+1 (or accept) on a miss."""
+    if not chain:
         raise ValueError("cannot emit an empty parser chain")
-    name = chain.stack.value.lower()
+    name = stack.value.lower()
     items = []
-    for k, (sel, flow_id) in enumerate(zip(chain.links, flow_ids)):
-        is_last = k == len(chain.links) - 1
+    for k, (sel, flow_id) in enumerate(zip(chain, flow_ids)):
+        is_last = k == len(chain) - 1
         miss = "accept" if is_last else f"chain_{name}_{k + 1}"
         lookahead = []
         if sel.lookahead is not None:
@@ -320,12 +320,12 @@ def emit_parser_chain(chain: ParserChain, flow_ids: Sequence[int]) -> str:
     return flatten(items, 1)
 
 
-def _emit_parser(chains: dict[ProtocolStack, ParserChain], flow_ids: dict[str, int]) -> str:
+def _emit_parser(chains: dict[ProtocolStack, tuple], flow_ids: dict[str, int]) -> str:
     stacks = [stack for stack in ProtocolStack if stack in chains]
     parts = [flatten([f"#define PARROT_CHAIN_{stack.value}" for stack in stacks], 0)]
     for stack in stacks:
-        ids = [flow_ids[sel.name] for sel in chains[stack].links]
-        parts.append(emit_parser_chain(chains[stack], ids))
+        ids = [flow_ids[sel.name] for sel in chains[stack]]
+        parts.append(emit_parser_chain(stack, chains[stack], ids))
     return "".join(parts)
 
 

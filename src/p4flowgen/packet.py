@@ -3,10 +3,10 @@
 A ``SimPacket`` is what the simulator classifies and runs, and what a
 trace document's packets load into. ``make_udp_packet`` and
 ``make_tcp_packet`` build consistent ones (lengths from the payload, a
-valid IPv4 header checksum). The header packers give the wire bytes of a
-field map, and ``resized_ipv4`` and ``resized_udp`` the IPv4 and UDP
-maps of a packet whose payload changed length. Nothing here runs a
-program.
+valid IPv4 header checksum). ``SimPacket.to_bytes`` and
+``ipv4_header_bytes`` give the wire bytes of field maps, and
+``resized_ipv4`` and ``resized_udp`` the IPv4 and UDP maps of a packet
+whose payload changed length. Nothing here runs a program.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .core_model import (
     ETHERTYPE_IPV4,
     HEADER_BYTES,
     HEADER_FIELD_BITS,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
     PORT_MAX,
     STANDARD_HEADERS,
     complement_fold,
@@ -27,35 +25,26 @@ from .core_model import (
     record,
 )
 from .errors import MalformedPacket
-from .selector import ProtocolStack
+from .selector import TRANSPORT, ProtocolStack
 
 
-def _packer(header: str):
-    """The wire bytes of a header's field map, compiled once from
-    STANDARD_HEADERS (the way ``core_model.record`` compiles ``__init__``)
-    into one shift-and-or expression, so that it runs no per-field loop. A
+def _pack(header: str, fields: dict[str, int]) -> bytes:
+    """The wire bytes of a header's field map, in STANDARD_HEADERS order. A
     field that does not fit its width raises OverflowError; the reserved
     nibble packs as zero."""
-    shift = HEADER_BYTES[header] * 8
-    fields, overflow = [], []
+    word = 0
     for name, bits in STANDARD_HEADERS[header]:
-        shift -= bits
-        if name != "res":
-            fields.append(f"v[{name!r}] << {shift}")
-            overflow.append(f"v[{name!r}] >> {bits}")
-    check = f"_out_of_range({header!r}, v) if {' | '.join(overflow)} else"
-    return eval(f"lambda v: {check} ({' | '.join(fields)}).to_bytes({HEADER_BYTES[header]}, 'big')")
+        value = 0 if name == "res" else fields[name]
+        if value >> bits:
+            raise OverflowError(f"{header} field out of range in {fields}")
+        word = word << bits | value
+    return word.to_bytes(HEADER_BYTES[header], "big")
 
 
-def _out_of_range(header: str, values: dict[str, int]):
-    raise OverflowError(f"{header} field out of range in {values}")
+def ipv4_header_bytes(ipv4: dict[str, int]) -> bytes:
+    """The 20 IPv4 header bytes of a field map (options unsupported)."""
+    return _pack("ipv4", ipv4)
 
-
-_PACK = {header: _packer(header) for header in STANDARD_HEADERS}
-
-# The 20 IPv4 header bytes of a field map, in wire order (options
-# unsupported).
-ipv4_header_bytes = _PACK["ipv4"]
 
 # The IPv4 fields in wire order.
 _IPV4_FIELDS = tuple(HEADER_FIELD_BITS["ipv4"].items())
@@ -74,12 +63,12 @@ def _misfit_ipv4(ipv4: dict[str, int]) -> MalformedPacket:
 
 
 def _compile_resized_ipv4():
-    """``resized_ipv4(v, delta)``, compiled once from STANDARD_HEADERS like
-    ``_packer``: the map of a packet whose payload grows by ``delta`` bytes,
-    a copy with totalLen shifted by ``delta`` (mod 2^16) and the header
-    checksum recomputed from the 13 fields, read with one call, each added
-    at its offset within its 16-bit word. A field that is not an int
-    within its width raises MalformedPacket naming it."""
+    """``resized_ipv4(v, delta)``, compiled once from STANDARD_HEADERS: the
+    map of a packet whose payload grows by ``delta`` bytes, a copy with
+    totalLen shifted by ``delta`` (mod 2^16) and the header checksum
+    recomputed from the 13 fields, read with one call, each added at its
+    offset within its 16-bit word. A field that is not an int within its
+    width raises MalformedPacket naming it."""
     names, overflow, words, shift = [], [], [], HEADER_BYTES["ipv4"] * 8
     for name, bits in _IPV4_FIELDS:
         shift -= bits
@@ -119,10 +108,6 @@ def resized_udp(udp: dict[str, int], delta: int) -> dict[str, int]:
         raise MalformedPacket(f"udp.len {length} does not fit 16 bits")
     return {**udp, "len": (length + delta) & 0xFFFF, "checksum": 0}
 
-
-# The ipv4.protocol under which the template parser extracts each
-# transport header.
-_L4_PROTOCOL = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP}
 
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}
 
@@ -178,16 +163,13 @@ class SimPacket:
         _validate(self.ingress_port, self.eth, self.ipv4, self.udp, self.tcp, self.payload)
 
     def stack(self) -> Optional[ProtocolStack]:
-        if self.udp is not None:
-            return ProtocolStack.IPV4_UDP
-        if self.tcp is not None:
-            return ProtocolStack.IPV4_TCP
-        return None
+        """The stack whose transport header the packet carries, or None."""
+        return next((s for s, (l4, _) in TRANSPORT.items() if getattr(self, l4) is not None), None)
 
     def to_bytes(self) -> bytes:
         headers = (
-            pack(getattr(self, header))
-            for header, pack in _PACK.items()
+            _pack(header, getattr(self, header))
+            for header in STANDARD_HEADERS
             if getattr(self, header) is not None
         )
         return b"".join(headers) + bytes(self.payload)
@@ -202,7 +184,7 @@ _validate = _namespace["validate"]
 
 
 def _make_packet(
-    l4: str,
+    stack: ProtocolStack,
     fields: dict[str, int],
     payload: bytes,
     ingress_port: int,
@@ -210,12 +192,13 @@ def _make_packet(
     dst_addr: int,
     ttl: int,
 ) -> SimPacket:
+    l4, protocol = TRANSPORT[stack]
     ipv4 = _zeroed("ipv4") | {
         "version": 4,
         "ihl": 5,
         "totalLen": HEADER_BYTES["ipv4"] + HEADER_BYTES[l4] + len(payload),
         "ttl": ttl,
-        "protocol": _L4_PROTOCOL[l4],
+        "protocol": protocol,
         "srcAddr": src_addr,
         "dstAddr": dst_addr,
     }
@@ -254,7 +237,7 @@ def make_udp_packet(
         "dstPort": dst_port,
         "len": HEADER_BYTES["udp"] + len(payload),
     }
-    return _make_packet("udp", udp, payload, ingress_port, src_addr, dst_addr, ttl)
+    return _make_packet(ProtocolStack.IPV4_UDP, udp, payload, ingress_port, src_addr, dst_addr, ttl)
 
 
 def make_tcp_packet(
@@ -274,4 +257,4 @@ def make_tcp_packet(
         "flags": 0x18,
         "window": 65535,
     }
-    return _make_packet("tcp", tcp, payload, ingress_port, src_addr, dst_addr, ttl)
+    return _make_packet(ProtocolStack.IPV4_TCP, tcp, payload, ingress_port, src_addr, dst_addr, ttl)

@@ -101,17 +101,11 @@ def _brief(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def compile_schema(root: dict):
-    """``schema_compiler.compile_schema``: the module loads on first use,
-    since only a document that a reader refuses needs it."""
-    from .schema_compiler import compile_schema
-
-    return compile_schema(root)
-
-
 @lru_cache(maxsize=None)
 def schema_check(name: str):
     """The check of the shipped schema ``name``: ``doc -> DocError | None``."""
+    from .schema_compiler import compile_schema  # loaded only after a refusal
+
     return compile_schema(load_schema(name))
 
 

@@ -1,12 +1,12 @@
-"""Flow selectors, the chain-shaped parser model built from them, and
-the Solution that holds both.
+"""Flow selectors, the per-stack chains built from them, and the
+Solution that holds both.
 
 A FlowSelector binds packets of one protocol stack to one processor via a
 conjunction of exact-match criteria. Selectors registered for the same
 stack form an ordered chain; the first selector whose criteria all match
-wins, later ones are never consulted for that packet. A Solution builds
-its chains once; the simulator classifies along them and the code
-generator emits them as parser states.
+wins. ``TRANSPORT`` is the template parser's path to each chain. A
+Solution builds its chains once; the simulator classifies along them and
+the code generator emits them as parser states.
 """
 
 from __future__ import annotations
@@ -52,19 +52,23 @@ STANDARD_FIELDS: dict[str, int] = {
     for name in names
 }
 
+# The template parser's path to each stack's chain: past eth and ipv4, it
+# extracts the stack's transport header when ipv4.protocol is its number.
+TRANSPORT = {
+    ProtocolStack.IPV4_UDP: ("udp", IPPROTO_UDP),
+    ProtocolStack.IPV4_TCP: ("tcp", IPPROTO_TCP),
+}
+
 # The standard headers in front of the payload on each stack. Transport
 # headers only exist on their own stack; eth/ipv4 are always there.
-STACK_HEADERS = {
-    ProtocolStack.IPV4_UDP: ("eth", "ipv4", "udp"),
-    ProtocolStack.IPV4_TCP: ("eth", "ipv4", "tcp"),
-}
+STACK_HEADERS = {stack: ("eth", "ipv4", l4) for stack, (l4, _) in TRANSPORT.items()}
 
 # The standard-header values the template parser requires before a packet
 # reaches a stack's chain. A criterion on one of these fields must ask for
 # exactly that value, or its selector could never match.
 PARSER_GATE = {
-    ProtocolStack.IPV4_UDP: {"eth.etherType": ETHERTYPE_IPV4, "ipv4.protocol": IPPROTO_UDP},
-    ProtocolStack.IPV4_TCP: {"eth.etherType": ETHERTYPE_IPV4, "ipv4.protocol": IPPROTO_TCP},
+    stack: {"eth.etherType": ETHERTYPE_IPV4, "ipv4.protocol": protocol}
+    for stack, (_, protocol) in TRANSPORT.items()
 }
 
 
@@ -87,14 +91,6 @@ class FlowSelector:
     criteria: tuple[Criterion, ...]
     lookahead: Optional[HeaderLayout]
     processor: FlowProcessor
-
-
-@record(frozen=True, eq=False)
-class ParserChain:
-    """The selectors of one stack in registration order."""
-
-    stack: ProtocolStack
-    links: tuple[FlowSelector, ...]
 
 
 def check_criterion(
@@ -169,9 +165,10 @@ def new_flow_selector(
     return FlowSelector(name, stack, normalized, lookahead, processor)
 
 
-def build_chains(selectors) -> dict[ProtocolStack, ParserChain]:
-    """Partition selectors into per-stack chains, keeping registration
-    order. Stacks without selectors are absent from the result."""
+def build_chains(selectors) -> dict[ProtocolStack, tuple[FlowSelector, ...]]:
+    """Partition selectors into per-stack chains: each stack maps to the
+    tuple of its selectors in registration order. Stacks without
+    selectors are absent from the result."""
     seen: set[str] = set()
     ordered: dict[ProtocolStack, list[FlowSelector]] = {}
     for s in selectors:
@@ -179,21 +176,20 @@ def build_chains(selectors) -> dict[ProtocolStack, ParserChain]:
             raise DuplicateName(f"selector {s.name!r} registered twice")
         seen.add(s.name)
         ordered.setdefault(s.stack, []).append(s)
-    return {
-        stack: ParserChain(stack, tuple(links)) for stack, links in ordered.items()
-    }
+    return {stack: tuple(chain) for stack, chain in ordered.items()}
 
 
 @record(frozen=True, eq=False)
 class Solution:
     """Selectors in registration order plus the per-stack chains built
-    from them, which both the simulator and the code generator walk.
-    Building one checks that selector names are unique and that each
-    processor or layout name means one processor or one structure (equal
-    layouts may share a name); nothing downstream checks names again."""
+    from them (``build_chains``), which the simulator and the code
+    generator walk. Building one checks that selector names are unique
+    and that each processor or layout name means one processor or one
+    structure (equal layouts may share a name); nothing downstream checks
+    names again."""
 
     selectors: tuple[FlowSelector, ...]
-    chains: dict[ProtocolStack, ParserChain]
+    chains: dict[ProtocolStack, tuple[FlowSelector, ...]]
 
     def __init__(self, selectors) -> None:
         object.__setattr__(self, "selectors", tuple(selectors))

@@ -34,8 +34,6 @@ from typing import Iterator, NamedTuple, Optional
 
 from .core_model import (
     ETHERTYPE_IPV4,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
     PORT_MAX,
     SEED_MAX,
     HeaderLayout,
@@ -64,7 +62,6 @@ from .flow_ast import (
     render,
 )
 from .packet import (  # the packet names are re-exported from here too
-    _L4_PROTOCOL,
     VALIDATE_LINES,
     VALIDATE_NAMES,
     SimPacket,
@@ -74,7 +71,7 @@ from .packet import (  # the packet names are re-exported from here too
     resized_ipv4,
     resized_udp,
 )
-from .selector import STACK_HEADERS, FlowSelector, ParserChain, ProtocolStack, Solution
+from .selector import TRANSPORT, FlowSelector, ProtocolStack, Solution
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -172,14 +169,14 @@ def _classifier(solution: Solution):
     """The classify function of a Solution, compiled on its first use and
     kept on it as ``solution._classify``.
 
-    It runs ``SimPacket.validate``'s tests and the parser's gates, then
-    looks each signature of the packet's chain up once: a signature is the
-    sorted standard fields some selectors match on, read straight from the
-    header maps, and its table maps their values to those selectors as
-    (registration position, selector, lookahead bytes or 0, lookahead test
-    or None, input bytes). A chain of several signatures merges the hits
-    by registration position, which keeps first-registration-wins across
-    signatures."""
+    It runs ``SimPacket.validate``'s tests and the parser's gates, read
+    from ``selector.TRANSPORT``, then looks each signature of the packet's
+    chain up once: a signature is the sorted standard fields some
+    selectors match on, read straight from the header maps, and its table
+    maps their values to those selectors as (registration position,
+    selector, lookahead bytes or 0, lookahead test or None, input bytes).
+    A chain of several signatures merges the hits by registration
+    position, which keeps first-registration-wins across signatures."""
     namespace = dict(VALIDATE_NAMES)
     lines = [
         "port, eth, ipv4, udp, tcp, payload = "
@@ -188,17 +185,17 @@ def _classifier(solution: Solution):
         f"if eth['etherType'] != {ETHERTYPE_IPV4}:", ["return None"],
         "protocol = ipv4['protocol']",
     ]
-    for stack in ProtocolStack:
-        l4, chain = STACK_HEADERS[stack][-1], solution.chains.get(stack)
-        protocol = _L4_PROTOCOL[l4]
+    for stack, (l4, protocol) in TRANSPORT.items():
+        chain = solution.chains.get(stack)
         lines += [f"if {l4} is not None:", [
             f"if protocol != {protocol}:", [
                 f"raise MalformedPacket(f'packet has a {l4} header but ipv4.protocol {{protocol}}; "
                 f"the parser extracts {l4} only for protocol {protocol}')"],
-            *(["return None"] if chain is None else _chain_lines(chain, namespace)),
+            *(["return None"] if chain is None else _chain_lines(stack, chain, namespace)),
         ]]
+    carried = " or ".join(f"protocol == {protocol}" for _, protocol in TRANSPORT.values())
     lines += [
-        f"if protocol == {IPPROTO_UDP} or protocol == {IPPROTO_TCP}:", [
+        f"if {carried}:", [
             "raise MalformedPacket(f'packet has no udp/tcp header but ipv4.protocol {protocol}; "
             "the parser would extract one from the payload')"],
         "return None",
@@ -208,12 +205,12 @@ def _classifier(solution: Solution):
     return namespace["classify"]
 
 
-def _chain_lines(chain: ParserChain, namespace: dict) -> list:
-    """The statements that classify a packet on ``chain``; its signature
-    tables go into ``namespace``."""
+def _chain_lines(stack: ProtocolStack, chain: tuple[FlowSelector, ...], namespace: dict) -> list:
+    """The statements that classify a packet on ``stack``'s ``chain``; its
+    signature tables go into ``namespace``."""
     tables: dict[str, dict] = {}
-    peeks = any(sel.lookahead is not None for sel in chain.links)
-    for position, sel in enumerate(chain.links):
+    peeks = any(sel.lookahead is not None for sel in chain)
+    for position, sel in enumerate(chain):
         standard = sorted((c.field, c.value.magnitude) for c in sel.criteria if "." in c.field)
         reads = ["{}[{!r}]".format(*field.split(".")) for field, _ in standard]
         if len(reads) == 1:
@@ -237,7 +234,7 @@ def _chain_lines(chain: ParserChain, namespace: dict) -> list:
             hits.append(entry)
     gets = []
     for i, (key, table) in enumerate(tables.items()):
-        name = f"{chain.stack.value}_{i}"
+        name = f"{stack.value}_{i}"
         namespace[name] = {value: tuple(hits) for value, hits in table.items()}
         gets.append(f"{name}.get({key}, ())")
     merged = gets[0] if len(gets) == 1 else "sorted((" + "".join(f"*{g}, " for g in gets) + "))"

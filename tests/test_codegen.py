@@ -52,7 +52,13 @@ from p4flowgen.flow_ast import (
     bool_local,
     new_flow_processor,
 )
-from p4flowgen.selector import ProtocolStack, build_chains, new_flow_selector
+from p4flowgen.selector import (
+    PARSER_GATE,
+    TRANSPORT,
+    ProtocolStack,
+    build_chains,
+    new_flow_selector,
+)
 
 
 def udp_selector(name, port, proc, **kw):
@@ -88,6 +94,29 @@ ALL_EXAMPLES = [
 ]
 
 
+def template_consts() -> dict[str, int]:
+    """The template's ``const`` declarations: name to value."""
+    text = load_template("v1model_basic")
+    return {
+        name: int(value, 0)
+        for name, value in re.findall(r"^const bit<\d+> (\w+) = \d+w(\w+);", text, re.M)
+    }
+
+
+def template_states() -> dict[str, str]:
+    """The template parser's ``state`` blocks: name to body text."""
+    text = load_template("v1model_basic")
+    return dict(re.findall(r"^    state (\w+) \{(.*?)^    \}", text, re.M | re.S))
+
+
+def select_arms(body: str) -> dict[int, str]:
+    """The non-default arms of a state's ``transition select``: the value
+    of each arm's const to the state it enters."""
+    consts = template_consts()
+    return {consts[value]: state for value, state in re.findall(r"^\s*(\w+): (\w+);", body, re.M)
+            if value != "default"}
+
+
 class TestTemplate:
     def test_template_has_all_splice_hooks(self):
         text = load_template("v1model_basic")
@@ -95,13 +124,7 @@ class TestTemplate:
             assert f'#include "{name}"' in text
 
     def test_parser_constants_match_core_model(self):
-        text = load_template("v1model_basic")
-        consts = {
-            name: int(value, 0)
-            for name, value in re.findall(
-                r"^const bit<\d+> (\w+) = \d+w(\w+);", text, re.M
-            )
-        }
+        consts = template_consts()
         assert consts == {
             "ETHERTYPE_IPV4": core_model.ETHERTYPE_IPV4,
             "IPPROTO_UDP": core_model.IPPROTO_UDP,
@@ -109,7 +132,7 @@ class TestTemplate:
         }
 
     def test_standard_headers_match_core_model(self):
-        # The packers and the IPv4 checksum read STANDARD_HEADERS, so its
+        # The header packer and the IPv4 checksum read STANDARD_HEADERS, so its
         # fields, widths and order must be the template's own.
         text = load_template("v1model_basic")
         declared = {
@@ -120,6 +143,33 @@ class TestTemplate:
         assert declared == {
             names[header]: fields for header, fields in core_model.STANDARD_HEADERS.items()
         }
+
+    # The template parser is selector.TRANSPORT: the simulator's gates and
+    # the code generator's chains read that table, so its path to each
+    # chain must be the template's own.
+    def test_start_enters_ipv4_on_the_gated_ethertype(self):
+        arms = select_arms(template_states()["start"])
+        assert arms == {core_model.ETHERTYPE_IPV4: "parse_ipv4"}
+        assert {gate["eth.etherType"] for gate in PARSER_GATE.values()} == set(arms)
+
+    def test_ipv4_selects_each_transport_on_its_protocol(self):
+        arms = select_arms(template_states()["parse_ipv4"])
+        assert arms == {protocol: f"parse_{l4}" for l4, protocol in TRANSPORT.values()}
+
+    @pytest.mark.parametrize("stack", list(ProtocolStack), ids=lambda s: s.value)
+    def test_transport_state_extracts_its_header(self, stack):
+        l4 = TRANSPORT[stack][0]
+        body = template_states()[f"parse_{l4}"]
+        assert re.findall(r"pkt\.extract\(hdr\.(\w+)\);", body) == [l4]
+
+    @pytest.mark.parametrize("stack", list(ProtocolStack), ids=lambda s: s.value)
+    def test_transport_state_enters_the_emitted_chain(self, stack):
+        l4 = TRANSPORT[stack][0]
+        body = template_states()[f"parse_{l4}"]
+        entered = re.findall(r"^#ifdef PARROT_CHAIN_(\w+)\n\s*transition (\w+);", body, re.M)
+        sel = new_flow_selector("s", stack, [(f"{l4}.dstPort", u16(80))], simple_processor())
+        emitted = re.findall(r"state (\w+) \{", emit_parser_chain(stack, (sel,), [1]))
+        assert entered == [(stack.value, emitted[0])]
 
     def test_unknown_template_rejected(self):
         with pytest.raises(KeyError):
@@ -207,7 +257,7 @@ class TestParserFragment:
         chain = build_chains(
             [udp_selector("sa", 1, a), udp_selector("sb", 2, b)]
         )[ProtocolStack.IPV4_UDP]
-        text = emit_parser_chain(chain, [1, 2])
+        text = emit_parser_chain(ProtocolStack.IPV4_UDP, chain, [1, 2])
         assert "default: chain_ipv4_udp_1;" in text
         assert text.count("default: accept;") == 1
 

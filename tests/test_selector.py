@@ -160,7 +160,7 @@ class TestBuildChains:
         b = udp_selector("b", 2)
         chains = build_chains([a, b])
         assert list(chains) == [ProtocolStack.IPV4_UDP]
-        assert chains[ProtocolStack.IPV4_UDP].links == (a, b)
+        assert chains[ProtocolStack.IPV4_UDP] == (a, b)
 
     def test_empty_input_gives_empty_map(self):
         assert build_chains([]) == {}
@@ -171,8 +171,8 @@ class TestBuildChains:
             "t", ProtocolStack.IPV4_TCP, [("tcp.dstPort", u16(80))], PROC
         )
         chains = build_chains([u, t])
-        assert chains[ProtocolStack.IPV4_UDP].links == (u,)
-        assert chains[ProtocolStack.IPV4_TCP].links == (t,)
+        assert chains[ProtocolStack.IPV4_UDP] == (u,)
+        assert chains[ProtocolStack.IPV4_TCP] == (t,)
 
     def test_duplicate_selector_names_rejected(self):
         with pytest.raises(DuplicateName):
@@ -195,8 +195,8 @@ class TestSolution:
         sol = Solution(iter([u1, t, u2]))
         assert sol.selectors == (u1, t, u2)
         assert list(sol.chains) == [ProtocolStack.IPV4_UDP, ProtocolStack.IPV4_TCP]
-        assert sol.chains[ProtocolStack.IPV4_UDP].links == (u1, u2)
-        assert sol.chains[ProtocolStack.IPV4_TCP].links == (t,)
+        assert sol.chains[ProtocolStack.IPV4_UDP] == (u1, u2)
+        assert sol.chains[ProtocolStack.IPV4_TCP] == (t,)
 
     def test_distinct_processors_sharing_a_name_rejected(self):
         twin = new_flow_processor("proc", REQ)

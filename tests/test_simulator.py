@@ -8,6 +8,7 @@ import copy
 import gc
 import itertools
 import json
+import struct
 import weakref
 
 import pytest
@@ -131,6 +132,24 @@ class TestPacketBuilders:
         pkt = make_tcp_packet(80, payload=b"xy")
         assert pkt.ipv4["totalLen"] == 20 + 20 + 2
         assert pkt.stack() is ProtocolStack.IPV4_TCP
+
+    @pytest.mark.parametrize("make, stack", [
+        (lambda: make_udp_packet(5555), ProtocolStack.IPV4_UDP),
+        (lambda: make_tcp_packet(80), ProtocolStack.IPV4_TCP),
+        (lambda: SimPacket(0, make_udp_packet(5555).eth, make_udp_packet(5555).ipv4), None),
+    ], ids=["udp", "tcp", "no transport"])
+    def test_stack_is_the_carried_transport(self, make, stack):
+        assert make().stack() is stack
+
+    def test_udp_to_bytes_is_the_wire_format(self):
+        pkt = make_udp_packet(5555, payload=b"ab")
+        ipv4 = (0x45, 0, 30, 0, 0, 64, 17, pkt.ipv4["hdrChecksum"], 0x0A000001, 0x0A000002)
+        assert pkt.to_bytes() == (
+            bytes.fromhex("020000000002" "020000000001" "0800")
+            + struct.pack(">BBHHHBBHII", *ipv4)
+            + struct.pack(">HHHH", 40000, 5555, 10, 0)
+            + b"ab"
+        )
 
     def test_to_bytes_covers_total_length(self):
         pkt = make_udp_packet(5555, payload=b"abcd")
