@@ -57,6 +57,7 @@ from .selector import (
     FlowSelector,
     ProtocolStack,
     Solution,
+    rewrites,
 )
 from .staging import write_staged
 
@@ -372,31 +373,22 @@ def _control(p: FlowProcessor, stack: ProtocolStack, printed: _P4) -> list:
         items += [f"hdr.{p.name}__out.{f.name} = {f.width.bits}w0;" for f in p.output.fields]
     items += printed.body + writes
     if p.output is not None:
-        # Bytes of the standard headers in front of the application payload.
-        fixed = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack])
-        out_size = p.output.byte_size
         items.append(f"hdr.{p.name}__in.setInvalid();")
-        items.append(f"meta.app_added_bytes = 16w{out_size};")
+        for field, (op, n) in rewrites(stack, p).items():
+            items.append(f"hdr.{field} = hdr.{field} {op} 16w{n};" if op else f"hdr.{field} = 16w{n};")
+        items.append("meta.app_resized = 1w1;")
         if p.truncate_payload:
-            # Truncation drops the whole residual payload, so the removed
-            # count is everything behind the fixed headers, not just the
-            # input layout.
-            items.append(
-                "meta.app_removed_bytes = hdr.ipv4.totalLen - "
-                f"16w{fixed - HEADER_BYTES['eth']};"
-            )
-            items.append(f"truncate(32w{fixed + out_size});")
-        else:
-            items.append(f"meta.app_removed_bytes = 16w{p.input.byte_size};")
+            kept = sum(HEADER_BYTES[h] for h in STACK_HEADERS[stack]) + p.output.byte_size
+            items.append(f"truncate(32w{kept});")
     return items
 
 
 def emit_processor_control(p: FlowProcessor, stack: ProtocolStack) -> str:
     """The statements executed when a packet hits this processor: zeroed
     locals, register reads, output activation, the command body, register
-    write-backs, then header-validity flips and byte-delta bookkeeping,
-    sized for the headers of ``stack``. They are indented for the flow
-    branch that ``_emit_apply`` opens at depth 2."""
+    write-backs, then header-validity flips and the header rewrites of
+    ``selector.FIXUPS``, sized for the headers of ``stack``. They are
+    indented for the flow branch that ``_emit_apply`` opens at depth 2."""
     return flatten(_control(p, stack, _P4(p)), 3)
 
 

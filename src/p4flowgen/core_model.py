@@ -244,7 +244,7 @@ TEMPLATE_NAMES = frozenset(
     """
     hdr meta smeta pkt main metadata headers standard_metadata
     standard_metadata_t packet_in packet_out ethernet ipv4 udp tcp
-    ethernet_t ipv4_t udp_t tcp_t app_flow app_added_bytes app_removed_bytes
+    ethernet_t ipv4_t udp_t tcp_t app_flow app_resized
     ETHERTYPE_IPV4 IPPROTO_UDP IPPROTO_TCP ATOMIC_BEGIN ATOMIC_END
     AppParser AppVerifyChecksum AppIngress AppEgress AppComputeChecksum
     AppDeparser V1Switch truncate random update_checksum HashAlgorithm

@@ -4,14 +4,12 @@ A ``SimPacket`` is what the simulator classifies and runs, and what a
 trace document's packets load into. ``make_udp_packet`` and
 ``make_tcp_packet`` build consistent ones (lengths from the payload, a
 valid IPv4 header checksum). ``SimPacket.to_bytes`` and
-``ipv4_header_bytes`` give the wire bytes of field maps, and
-``resized_ipv4`` and ``resized_udp`` the IPv4 and UDP maps of a packet
-whose payload changed length. Nothing here runs a program.
+``ipv4_header_bytes`` give the wire bytes of field maps. Nothing here
+runs a program.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional
 
 from .core_model import (
@@ -20,7 +18,6 @@ from .core_model import (
     HEADER_FIELD_BITS,
     PORT_MAX,
     STANDARD_HEADERS,
-    complement_fold,
     internet_checksum,
     record,
 )
@@ -44,69 +41,6 @@ def _pack(header: str, fields: dict[str, int]) -> bytes:
 def ipv4_header_bytes(ipv4: dict[str, int]) -> bytes:
     """The 20 IPv4 header bytes of a field map (options unsupported)."""
     return _pack("ipv4", ipv4)
-
-
-# The IPv4 fields in wire order.
-_IPV4_FIELDS = tuple(HEADER_FIELD_BITS["ipv4"].items())
-
-
-def _misfit_ipv4(ipv4: dict[str, int]) -> MalformedPacket:
-    """The error for the first IPv4 field, in wire order, that is not an
-    int within its width."""
-    for name, bits in _IPV4_FIELDS:
-        value = ipv4[name]
-        if not isinstance(value, int):
-            return MalformedPacket(f"ipv4.{name} {value!r} is not an int")
-        if value >> bits:
-            return MalformedPacket(f"ipv4.{name} {value} does not fit {bits} bits")
-    raise AssertionError(f"every ipv4 field fits: {ipv4}")
-
-
-def _compile_resized_ipv4():
-    """``resized_ipv4(v, delta)``, compiled once from STANDARD_HEADERS: the
-    map of a packet whose payload grows by ``delta`` bytes, a copy with
-    totalLen shifted by ``delta`` (mod 2^16) and the header checksum
-    recomputed from the 13 fields, read with one call, each added at its
-    offset within its 16-bit word. A field that is not an int within its
-    width raises MalformedPacket naming it."""
-    names, overflow, words, shift = [], [], [], HEADER_BYTES["ipv4"] * 8
-    for name, bits in _IPV4_FIELDS:
-        shift -= bits
-        names.append(name)
-        overflow.append(f"{name} >> {bits}")
-        words.append(f"({name} << {shift % 16})")
-    source = f"""
-def resized(v, delta):
-    {', '.join(names)} = values(v)
-    try:
-        bad = {' | '.join(overflow)}
-        totalLen = (totalLen + delta) & 0xFFFF
-    except TypeError:
-        bad = 1
-    if bad:
-        raise misfit_ipv4(v)
-    hdrChecksum = 0
-    return {{**v, 'totalLen': totalLen, 'hdrChecksum': fold({' + '.join(words)})}}
-"""
-    namespace = {"values": itemgetter(*names), "fold": complement_fold, "misfit_ipv4": _misfit_ipv4}
-    exec(source, namespace)
-    return namespace["resized"]
-
-
-resized_ipv4 = _compile_resized_ipv4()
-
-
-def resized_udp(udp: dict[str, int], delta: int) -> dict[str, int]:
-    """The UDP map of a packet whose payload grows by ``delta`` bytes, a
-    copy with len shifted by ``delta`` (mod 2^16) and the checksum unused
-    (0). A len that is not an int within 16 bits raises MalformedPacket
-    naming it, as ``resized_ipv4`` does for an IPv4 field."""
-    length = udp["len"]
-    if not isinstance(length, int):
-        raise MalformedPacket(f"udp.len {length!r} is not an int")
-    if length >> 16:
-        raise MalformedPacket(f"udp.len {length} does not fit 16 bits")
-    return {**udp, "len": (length + delta) & 0xFFFF, "checksum": 0}
 
 
 _FIELD_NAMES = {header: frozenset(bits) for header, bits in HEADER_FIELD_BITS.items()}

@@ -4,7 +4,8 @@ Solution that holds both.
 A FlowSelector binds packets of one protocol stack to one processor via a
 conjunction of exact-match criteria. Selectors registered for the same
 stack form an ordered chain; the first selector whose criteria all match
-wins. ``TRANSPORT`` is the template parser's path to each chain. A
+wins. ``TRANSPORT`` is the template parser's path to each chain, and
+``FIXUPS`` the header rewrites behind a processor body on each stack. A
 Solution builds its chains once; the simulator classifies along them and
 the code generator emits them as parser states.
 """
@@ -16,6 +17,7 @@ from typing import Optional
 
 from .core_model import (
     ETHERTYPE_IPV4,
+    HEADER_BYTES,
     HEADER_FIELD_BITS,
     IPPROTO_TCP,
     IPPROTO_UDP,
@@ -62,6 +64,37 @@ TRANSPORT = {
 # The standard headers in front of the payload on each stack. Transport
 # headers only exist on their own stack; eth/ipv4 are always there.
 STACK_HEADERS = {stack: ("eth", "ipv4", l4) for stack, (l4, _) in TRANSPORT.items()}
+
+# The standard-header rewrites behind the body of a processor with an
+# output layout: per stack, each length field that counts the payload, with
+# the bytes of the headers it counts besides it, and the transport checksum
+# zeroed, "unused" on IPv4 (RFC 768; a TCP checksum has no such value and
+# stays stale). RECOMPUTED is then computed again over its header.
+FIXUPS = {
+    stack: (
+        {f"{h}.{name}": sum(HEADER_BYTES[x] for x in headers[headers.index(h):])
+         for h, name in (("ipv4", "totalLen"), ("udp", "len")) if h in headers},
+        ("udp.checksum",) if "udp" in headers else (),
+    )
+    for stack, headers in STACK_HEADERS.items()
+}
+RECOMPUTED = "ipv4.hdrChecksum"
+
+
+def rewrites(stack: ProtocolStack, processor: FlowProcessor) -> dict[str, tuple[str, int]]:
+    """Each field of ``FIXUPS[stack]`` set behind ``processor``'s body, as
+    (operator, n), mod 2^16: with ``truncate_payload`` a length field is
+    set ("") to the bytes it counts, else shifted ("+" or "-") by the
+    output minus the input bytes unless that is 0; a checksum is zeroed."""
+    lengths, zeroed = FIXUPS[stack]
+    size = processor.output.byte_size
+    delta = size - processor.input.byte_size
+    if processor.truncate_payload:
+        lengths = {f: ("", (fixed + size) & 0xFFFF) for f, fixed in lengths.items()}
+    else:
+        lengths = {f: ("-" if delta < 0 else "+", abs(delta)) for f in lengths if delta}
+    return lengths | dict.fromkeys(zeroed, ("", 0))
+
 
 # The standard-header values the template parser requires before a packet
 # reaches a stack's chain. A criterion on one of these fields must ask for

@@ -19,7 +19,7 @@ The per-packet work is generated Python, as codegen generates P4:
   and again after each builder call: ``flow_ast.render`` prints its body
   in ``_Compiler``'s Python dialect, between the code that reads the
   input layout and the code that builds the outgoing packet, with the
-  length and checksum fixups of its output layout written out.
+  header rewrites of ``selector.FIXUPS`` written out for an output layout.
 
 ``iter_trace`` calls ``simulate_packet``, and ``simulate_packet`` calls
 ``classify``, through the module globals, so that a profiler can tell
@@ -30,14 +30,17 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .core_model import (
     ETHERTYPE_IPV4,
+    HEADER_FIELD_BITS,
     PORT_MAX,
     SEED_MAX,
     HeaderLayout,
     UValue,
+    complement_fold,
     record,
 )
 from .errors import MalformedPacket
@@ -68,10 +71,10 @@ from .packet import (  # the packet names are re-exported from here too
     ipv4_header_bytes,
     make_tcp_packet,
     make_udp_packet,
-    resized_ipv4,
-    resized_udp,
 )
-from .selector import TRANSPORT, FlowSelector, ProtocolStack, Solution
+from .selector import (
+    FIXUPS, RECOMPUTED, STACK_HEADERS, TRANSPORT, FlowSelector, ProtocolStack, Solution, rewrites,
+)
 
 PROCESSED = "PROCESSED"
 PASSTHROUGH = "PASSTHROUGH"
@@ -257,11 +260,23 @@ def _chain_lines(stack: ProtocolStack, chain: tuple[FlowSelector, ...], namespac
 
 # -- the processor compiler ----------------------------------------------------
 
+def _unfit(header: str, fields: dict[str, int], names) -> MalformedPacket:
+    """The error for the first of ``names``, in order, whose value in the
+    header's ``fields`` is not an int (a bool included) within its width."""
+    for name in names:
+        value, bits = fields[name], HEADER_FIELD_BITS[header][name]
+        if value.__class__ is not int:
+            return MalformedPacket(f"{header}.{name} {value!r} is not an int")
+        if value >> bits:
+            return MalformedPacket(f"{header}.{name} {value} does not fit {bits} bits")
+    raise AssertionError(f"every {header} field of {names} fits: {fields}")
+
+
 # Names a compiled run function reads besides its own constants.
 _NAMESPACE = {
     "pack": struct.pack, "unpack_from": struct.unpack_from, "new": tuple.__new__,
     "TE": TraceEvent, "MATCH": TraceEvent(0, "match", (), ()),
-    "SimPacket": SimPacket, "resized_ipv4": resized_ipv4, "resized_udp": resized_udp,
+    "SimPacket": SimPacket, "unfit": _unfit, "fold": complement_fold,
 }
 
 # One entry per plain op, as codegen._EMIT has one for the P4 dialect: for
@@ -380,21 +395,15 @@ def _compiled(proc: FlowProcessor):
     c = _Compiler(proc)
     unpack = "".join(f"{c.var[f.name]}, " for f in proc.input.fields)
     output = proc.output
-    head = ["payload, ingress = packet.payload, packet.ingress_port"]
-    if output is None:
-        head.append("ipv4 = dict(packet.ipv4)")
-        udp = "dict(udp)"
-    else:
-        # The outgoing headers are built first, so that a field that does
-        # not fit leaves the state untouched.
-        delta = f"{output.byte_size} - len(payload)" if proc.truncate_payload else (
-            output.byte_size - proc.input.byte_size)
-        head += [f"delta = {delta}", "ipv4 = resized_ipv4(packet.ipv4, delta)"]
-        udp = "resized_udp(udp, delta)"
     body = [
-        *head,
-        "udp, tcp = packet.udp, packet.tcp",
-        "if udp is None:", ["tcp = dict(tcp)"], "else:", [f"udp = {udp}"],
+        "payload, ingress = packet.payload, packet.ingress_port",
+        "eth, ipv4, udp, tcp = packet.eth, packet.ipv4, packet.udp, packet.tcp",
+    ]
+    # The outgoing headers, one branch per stack, are built first, so that
+    # a field that does not fit leaves the state untouched.
+    for i, (stack, (l4, _)) in enumerate(TRANSPORT.items()):
+        body += [f"{'elif' if i else 'if'} {l4} is not None:", _headers(stack, proc, c)]
+    body += [
         "shared, rng = state.shared, state.rng",
         f"{unpack}= unpack_from({_format(proc.input)!r}, payload)",
         *(f"{c.var[d.name]} = 0" for d in (*c.outputs, *proc.locals)),
@@ -416,15 +425,46 @@ def _compiled(proc: FlowProcessor):
         values = "".join(f"{c.var[f.name]}, " for f in c.outputs)
         tail = "" if proc.truncate_payload else f" + payload[{proc.input.byte_size}:]"
         payload = f"pack({_format(output)!r}, {values}){tail}"
-    body.append(
-        "return tuple(events), egress, "
-        f"SimPacket(ingress, dict(packet.eth), ipv4, udp, tcp, {payload})"
-    )
+    body.append(f"return tuple(events), egress, SimPacket(ingress, eth, ipv4, udp, tcp, {payload})")
     source = flatten(["def run(packet, state):", body], 0)
     namespace = {**_NAMESPACE, **{f"k{i}": v for i, v in enumerate(c.consts)}}
     exec(_code(source, "<processor>", "exec"), namespace)
     proc._compiled = (proc._ordinal, namespace["run"])
     return namespace["run"]
+
+
+def _headers(stack: ProtocolStack, proc: FlowProcessor, c: _Compiler) -> list:
+    """The statements that build a packet's outgoing standard headers on
+    ``stack``: copies, with the rewrites of ``selector.FIXUPS`` when
+    ``proc`` has an output layout. Each field these read (the recomputed
+    checksum's whole header, each length field) must be an int within its
+    width, and a bool is not an int."""
+    lines = [f"{h} = dict({h})" for h in STACK_HEADERS[stack]]
+    if proc.output is None:
+        return lines
+    summed, checksum = RECOMPUTED.split(".")
+    reads = {summed: tuple(HEADER_FIELD_BITS[summed])}
+    reads |= {h: (n,) for h, n in (f.split(".") for f in FIXUPS[stack][0]) if h not in reads}
+    for header, names in reads.items():
+        local = [f"{header}_{name}" for name in names]
+        fits = " | ".join(f"{v} >> {HEADER_FIELD_BITS[header][n]}" for v, n in zip(local, names))
+        lines += [
+            f"{', '.join(local)} = {c.const(itemgetter(*names))}({header})",
+            f"if not ({' is '.join(f'{v}.__class__' for v in local)} is int) or {fits}:",
+            [f"raise unfit({header!r}, {header}, {names!r})"],
+        ]
+    for field, (op, n) in rewrites(stack, proc).items():
+        header, name = field.split(".")
+        local = f"{header}_{name}"
+        lines += [f"{local} = ({local} {op} {n}) & 0xFFFF" if op else f"{local} = {n}",
+                  f"{header}[{name!r}] = {local}"]
+    # Each field the checksum covers is added at its offset in a 16-bit word.
+    words, offset = [], 0
+    for name, bits in reversed(HEADER_FIELD_BITS[summed].items()):
+        if name != checksum:
+            words.append(f"({summed}_{name} << {offset % 16})" if offset % 16 else f"{summed}_{name}")
+        offset += bits
+    return lines + [f"{summed}[{checksum!r}] = fold({' + '.join(reversed(words))})"]
 
 
 def _format(layout: HeaderLayout) -> str:

@@ -5,7 +5,8 @@ identifier a fragment references is defined either in the fragments
 themselves or by the static template, and every flow branch touches each
 state register at most once per direction, around its body. Angle
 brackets are left out of the balance check because ``>`` doubles as the
-comparison operator.
+comparison operator. ``fixup_assignments`` reads what a flow branch does
+to the standard headers, so that a test can run it on field maps.
 """
 
 import re
@@ -142,3 +143,37 @@ def check_state_access(apply: str, decls: str) -> None:
                     assert i > last, f"flow {flow}: {register} is written inside the body"
                 assert (register, kind) not in seen, f"flow {flow}: second {kind} of {register}"
                 seen.add((register, kind))
+
+
+# The template's standard header instances, and the forms a flow branch may
+# assign to their fields: a 16-bit constant, or a field plus or minus one.
+STANDARD_HEADERS = frozenset({"ethernet", "ipv4", "udp", "tcp"})
+_HEADER_ASSIGNMENT = re.compile(r"^\s*hdr\.(\w+)\.(\w+) = (.*);$")
+_FIXUP_FORM = re.compile(r"^(?:hdr\.(\w+)\.(\w+) ([+-]) )?16w(\d+)$")
+
+
+def fixup_assignments(branch_text: str) -> list:
+    """The assignments to standard-header fields in a flow branch, in
+    order, as (header, field, value) where ``value(headers)`` maps the
+    header field maps at that point to the new value. Three forms are
+    read, all mod 2^16: ``16wN``, ``hdr.h.f + 16wN`` and ``hdr.h.f -
+    16wN``. Any other form raises AssertionError, so a newly emitted form
+    fails the test that reads it."""
+    found = []
+    for line in _COMMENT.sub("", branch_text).splitlines():
+        m = _HEADER_ASSIGNMENT.match(line)
+        if m is None or m.group(1) not in STANDARD_HEADERS:
+            continue
+        header, field, rhs = m.groups()
+        form = _FIXUP_FORM.match(rhs)
+        assert form is not None, f"hdr.{header}.{field}: unknown form {rhs!r}"
+        source, name, op, n = form.groups()
+        assert int(n) >> 16 == 0, f"hdr.{header}.{field}: 16w{n} does not fit 16 bits"
+        sign = -1 if op == "-" else 1
+
+        def value(headers, source=source, name=name, sign=sign, n=int(n)):
+            old = 0 if source is None else headers[source][name]
+            return (old + sign * n) & 0xFFFF
+
+        found.append((header, field, value))
+    return found

@@ -54,6 +54,7 @@ from p4flowgen.flow_ast import (
 )
 from p4flowgen.selector import (
     PARSER_GATE,
+    RECOMPUTED,
     TRANSPORT,
     ProtocolStack,
     build_chains,
@@ -107,6 +108,23 @@ def template_states() -> dict[str, str]:
     """The template parser's ``state`` blocks: name to body text."""
     text = load_template("v1model_basic")
     return dict(re.findall(r"^    state (\w+) \{(.*?)^    \}", text, re.M | re.S))
+
+
+def template_checksum_update() -> tuple[str, list[tuple[str, str]], tuple[str, str]]:
+    """The template's ``update_checksum`` call: its condition, the
+    (header, field) pairs it sums, and the (header, field) it writes."""
+    text = load_template("v1model_basic")
+    condition, summed, header, field = re.search(
+        r"update_checksum\(\s*(.*?),\s*\{(.*?)\},\s*hdr\.(\w+)\.(\w+), HashAlgorithm\.csum16\);",
+        text, re.S).groups()
+    return condition, re.findall(r"hdr\.(\w+)\.(\w+)", summed), (header, field)
+
+
+def template_block(kind: str, name: str) -> str:
+    """The body of the template's ``control`` or ``struct`` named ``name``,
+    up to the brace that closes it at the start of a line."""
+    return re.search(rf"^{kind} {name}\b.*?\{{(.*?)^\}}", load_template("v1model_basic"),
+                     re.M | re.S).group(1)
 
 
 def select_arms(body: str) -> dict[int, str]:
@@ -170,6 +188,32 @@ class TestTemplate:
         sel = new_flow_selector("s", stack, [(f"{l4}.dstPort", u16(80))], simple_processor())
         emitted = re.findall(r"state (\w+) \{", emit_parser_chain(stack, (sel,), [1]))
         assert entered == [(stack.value, emitted[0])]
+
+    # The fixups are printed into each flow branch from selector.FIXUPS; the
+    # template keeps no fixup of its own but the IPv4 checksum, recomputed
+    # only for a packet whose branch set meta.app_resized.
+    def test_metadata_fields_are_reserved(self):
+        fields = re.findall(r"bit<\d+> (\w+);", template_block("struct", "metadata"))
+        assert fields == ["app_flow", "app_resized"]
+        assert set(fields) <= core_model.TEMPLATE_NAMES
+
+    def test_ingress_holds_only_the_egress_default_and_the_apply_hook(self):
+        body = template_block("control", "AppIngress")
+        apply = re.search(r"apply \{(.*)\}", body, re.S).group(1)
+        statements = [line.strip() for line in apply.splitlines()
+                      if line.strip() and not line.strip().startswith("//")]
+        assert statements == ["smeta.egress_spec = smeta.ingress_port ^ 9w1;",
+                              '#include "apply.p4inc"']
+
+    def test_start_clears_the_resized_mark(self):
+        assert "meta.app_resized = 1w0;" in template_states()["start"]
+
+    def test_checksum_is_recomputed_only_after_a_branch_resized(self):
+        condition, summed, target = template_checksum_update()
+        assert condition == "meta.app_resized == 1w1"
+        assert target == tuple(RECOMPUTED.split("."))
+        assert summed == [("ipv4", name) for name, _ in core_model.STANDARD_HEADERS["ipv4"]
+                          if name != target[1]]
 
     def test_unknown_template_rejected(self):
         with pytest.raises(KeyError):
@@ -347,14 +391,15 @@ class TestApplyFragment:
     def test_truncating_epilogue(self):
         text = generate(guess_game_solution()).files["apply.p4inc"]
         assert "hdr.guess__in.setInvalid();" in text
-        assert "meta.app_added_bytes = 16w2;" in text
-        assert "meta.app_removed_bytes = hdr.ipv4.totalLen - 16w28;" in text
+        assert "hdr.ipv4.totalLen = 16w30;" in text
+        assert "hdr.udp.len = 16w10;" in text
+        assert "meta.app_resized = 1w1;" in text
         assert "truncate(32w44);" in text
 
     def test_splicing_epilogue_keeps_residual(self):
         text = generate(insert_agg_solution()).files["apply.p4inc"]
-        assert "meta.app_added_bytes = 16w8;" in text
-        assert "meta.app_removed_bytes = 16w4;" in text
+        assert "hdr.ipv4.totalLen = hdr.ipv4.totalLen + 16w4;" in text
+        assert "hdr.udp.len = hdr.udp.len + 16w4;" in text
         assert "truncate" not in text
 
     def test_no_output_means_no_epilogue(self):
@@ -364,7 +409,7 @@ class TestApplyFragment:
             "apply.p4inc"
         ]
         assert "setInvalid" not in text
-        assert "app_added_bytes" not in text
+        assert "hdr.ipv4" not in text and "app_resized" not in text
         assert "(bit<9>)16w4;" in text
 
     def test_nonzero_initial_is_xored_after_the_read_and_in_the_write(self):
@@ -540,13 +585,13 @@ class TestEmitProcessorControl:
         assert first.startswith(" " * 12) and not first.startswith(" " * 13)
 
     @pytest.mark.parametrize(
-        "stack, header_bytes, kept_bytes",
-        [(ProtocolStack.IPV4_UDP, 28, 44), (ProtocolStack.IPV4_TCP, 40, 56)],
+        "stack, total_len, kept_bytes",
+        [(ProtocolStack.IPV4_UDP, 30, 44), (ProtocolStack.IPV4_TCP, 42, 56)],
     )
-    def test_header_sizes_follow_the_stack(self, stack, header_bytes, kept_bytes):
+    def test_header_sizes_follow_the_stack(self, stack, total_len, kept_bytes):
         proc = guess_game_solution().selectors[0].processor
         text = emit_processor_control(proc, stack)
-        assert f"hdr.ipv4.totalLen - 16w{header_bytes}" in text
+        assert f"hdr.ipv4.totalLen = 16w{total_len};" in text
         assert f"truncate(32w{kept_bytes})" in text
 
 

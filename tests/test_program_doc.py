@@ -684,15 +684,17 @@ class TestResultsWriter:
         assert str(as_doc.value) == str(err.value)
 
 
-    @pytest.mark.parametrize("port, verdict", [(GUESS_PORT, PROCESSED), (4444, PASSTHROUGH)])
-    def test_bool_header_value_names_its_path(self, port, verdict):
-        """A bool is an int to the simulator, but not to the results
-        schema: the writer and the document form both refuse it, with the
-        same path, rather than write "True"."""
+    @pytest.mark.parametrize("port, error", [(GUESS_PORT, "ipv4.ttl True is not an int"),
+                                             (4444, None)])
+    def test_bool_header_value_names_its_path(self, port, error):
+        """A bool is not an int to the results schema: the writer and the
+        document form both refuse it, with the same path, rather than write
+        "True". The simulator refuses it too, where a processor's output
+        layout makes it rewrite the header; a passthrough keeps it."""
         packet = make_udp_packet(port, payload=bytes([10]))
         packet.ipv4["ttl"] = True
         results = run_trace(guess_game_solution(), [make_udp_packet(port), packet])
-        assert results[1].verdict == verdict
+        assert (results[1].verdict, results[1].error) == (PASSTHROUGH, error)
         with pytest.raises(TypeError) as err:
             dumps_results(0, results)
         assert str(err.value) == (

@@ -25,7 +25,7 @@ from p4flowgen.builtin_examples import (
     guess_game_solution,
     insert_agg_solution,
 )
-from p4flowgen import packet, simulator
+from p4flowgen import simulator
 from p4flowgen.codegen import Solution
 from p4flowgen.codegen import generate
 from p4flowgen.core_model import (
@@ -1172,6 +1172,7 @@ class TestHeaderFields:
         ("ttl", -1, "ipv4.ttl -1 does not fit 8 bits"),
         ("ttl", "x", "ipv4.ttl 'x' is not an int"),
         ("ttl", 1.5, "ipv4.ttl 1.5 is not an int"),
+        ("ttl", True, "ipv4.ttl True is not an int"),
         ("totalLen", None, "ipv4.totalLen None is not an int"),
         ("hdrChecksum", 1 << 16, "ipv4.hdrChecksum 65536 does not fit 16 bits"),
     ])
@@ -1182,6 +1183,7 @@ class TestHeaderFields:
 
     @pytest.mark.parametrize("value, message", [
         ("x", "udp.len 'x' is not an int"),
+        (True, "udp.len True is not an int"),
         (70000, "udp.len 70000 does not fit 16 bits"),
         (-1, "udp.len -1 does not fit 16 bits"),
     ])
@@ -1223,5 +1225,17 @@ class TestHeaderFields:
     }))
     @settings(max_examples=200, deadline=None)
     def test_field_checksum_matches_the_byte_oracle(self, ipv4):
-        ipv4["hdrChecksum"] = 0
-        assert packet.resized_ipv4(ipv4, 0)["hdrChecksum"] == rfc1071_naive(ipv4_header_bytes(ipv4))
+        # A same-size output layout keeps every IPv4 field but the checksum,
+        # which the run function recomputes from the fields.
+        proc = new_flow_processor(
+            "same",
+            input=HeaderLayout("same_req", [FieldDecl("a", U16)]),
+            output=HeaderLayout("same_resp", [FieldDecl("b", U16)]),
+        )
+        sol = udp_solution(proc, 5000)
+        pkt = make_udp_packet(5000, payload=b"\x00\x01")
+        pkt.ipv4 = ipv4 | {"protocol": 17}
+        result, _ = simulate_packet(sol, initial_state(sol), pkt)
+        out = result.packet.ipv4
+        assert out == pkt.ipv4 | {"hdrChecksum": out["hdrChecksum"]}
+        assert out["hdrChecksum"] == rfc1071_naive(ipv4_header_bytes(pkt.ipv4 | {"hdrChecksum": 0}))
